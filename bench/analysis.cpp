@@ -1,5 +1,6 @@
-//! Analysis hot paths at scale: comparator score ns/op (against an in-bench
-//! reproduction of the pre-scratch two-full-sorts implementation), clusterer
+//! Analysis hot paths at scale: comparator score ns/op (counting select
+//! against an in-bench loop that materializes and sorts every resample; the
+//! bench fails if the two score differently on the same stream), clusterer
 //! wall time vs p (sparse tallies, with the dense O(p^2) oracle at small p),
 //! adaptive engine round cost with frozen-comparison reuse on vs off,
 //! coordinated-stopping sample budgets vs shard count for both stopping
@@ -21,6 +22,7 @@
 #include "support/str.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -46,11 +48,11 @@ struct Row {
     double value;
 };
 
-/// The comparator loop exactly as it stood before the scratch rewrite: a
-/// fresh resample pair per round, two full sorts, quantile on sorted data.
-/// Consumes the rng in the same order as BootstrapComparator::score, so the
-/// two paths produce identical scores on identical streams — the timing
-/// difference is purely the selection/allocation strategy.
+/// The comparator loop as specified: materialize each round's resample
+/// pair, sort both, read the quantile off the sorted data. Consumes the rng
+/// in the same order as BootstrapComparator::score, so the two paths produce
+/// identical scores on identical streams — the timing difference is purely
+/// the selection strategy.
 double legacy_score(const core::BootstrapComparatorConfig& config,
                     std::span<const double> a, std::span<const double> b,
                     stats::Rng& rng) {
@@ -194,6 +196,27 @@ int main(int argc, char** argv) {
             return best * 1e9 / static_cast<double>(iters);
         };
 
+        stats::Rng rng_new(seed + 99);
+        stats::Rng rng_legacy(seed + 99);
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < iters; ++i) {
+            const double fast = comparator.score(a, b, rng_new, scratch);
+            const double slow =
+                legacy_score(comparator_config, a, b, rng_legacy);
+            if (std::bit_cast<std::uint64_t>(fast) !=
+                std::bit_cast<std::uint64_t>(slow)) {
+                ++mismatches;
+            }
+        }
+        if (mismatches > 0 || rng_new.bits() != rng_legacy.bits()) {
+            std::fprintf(stderr,
+                         "error: counting select and the legacy loop "
+                         "disagree on %zu of %zu scores (or on the rng "
+                         "state after them)\n",
+                         mismatches, iters);
+            return 1;
+        }
+
         const double new_ns = time_scores([&](stats::Rng& rng) {
             return comparator.score(a, b, rng, scratch);
         });
@@ -202,7 +225,7 @@ int main(int argc, char** argv) {
         });
         const double speedup = legacy_ns > 0.0 ? legacy_ns / new_ns : 0.0;
 
-        std::printf("  scratch + nth_element : %10.1f ns/score\n", new_ns);
+        std::printf("  counting select       : %10.1f ns/score\n", new_ns);
         std::printf("  legacy two-full-sorts : %10.1f ns/score\n", legacy_ns);
         std::printf("  speedup               : %10.2fx\n", speedup);
         const std::string param =

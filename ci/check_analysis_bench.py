@@ -9,10 +9,10 @@ Asserts that
   * every value parses as a finite number;
   * the four sections the bench promises (comparator, clusterer, engine,
     coordination) are all present;
-  * the comparator speedup row exists and is not catastrophically below 1
-    (threshold 0.5 — lenient on purpose: CI runners are noisy and this
-    check guards against the optimization regressing outright, not against
-    run-to-run jitter);
+  * the comparator speedup row exists and is above 2.0 (counting select
+    against the loop that sorts every resample measured 7.5x on a 4-vCPU
+    Xeon VM, GCC 12 Release; the floor leaves room for noisy CI runners
+    while still catching the fast path regressing outright);
   * the clusterer section covers the documented problem sizes and the
     engine section carries both the reuse=off and reuse=on round cost;
   * the coordination section covers both stopping rules at K in {1, 4, 16},
@@ -35,7 +35,7 @@ import sys
 EXPECTED_HEADER = ["section", "metric", "param", "value"]
 EXPECTED_SECTIONS = {"comparator", "clusterer", "engine", "coordination",
                      "cache"}
-SPEEDUP_FLOOR = 0.5
+SPEEDUP_FLOOR = 2.0
 COORDINATION_RULES = ("stability", "confidence")
 COORDINATION_SHARDS = (1, 4, 16)
 
@@ -90,8 +90,8 @@ def main() -> None:
     for param, value in speedups.items():
         if value <= SPEEDUP_FLOOR:
             fail(f"{path}: comparator speedup ({param}) = {value:.3f} "
-                 f"<= {SPEEDUP_FLOOR} — the scratch/nth_element fast path "
-                 f"has regressed")
+                 f"<= {SPEEDUP_FLOOR} — the counting-select comparator "
+                 f"(rank histogram per round) has regressed")
 
     sparse = find("clusterer", "sparse_wall_ms")
     for expected in ("p=64", "p=256", "p=1024"):

@@ -108,6 +108,8 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
             out.analysis.total_samples = engine_result.total_samples;
             out.analysis.fixed_n_samples = engine_result.fixed_n_samples;
         } else {
+            obs::metrics().samples_fixed_n_total.inc(replay.count() *
+                                                     spec.measurements);
             core::MeasurementSet measured =
                 core::measure_all(replay, spec.measurements);
             out.analysis = core::analyze_measurements(std::move(measured),

@@ -49,6 +49,10 @@ core::MeasurementSet measure_plan(const CampaignSpec& spec,
 
     const auto run_source = [&](core::SampleSource& source) {
         if (!spec.adaptive()) {
+            // measure_all counts only actual draws; the plan cost is ours to
+            // report (the engine reports its own on the adaptive branch).
+            obs::metrics().samples_fixed_n_total.inc(source.count() *
+                                                     spec.measurements);
             return core::measure_all(source, spec.measurements);
         }
         const core::AnalysisConfig analysis = spec.analysis_config();

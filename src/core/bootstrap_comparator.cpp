@@ -1,22 +1,77 @@
 #include "core/bootstrap_comparator.hpp"
 
 #include "obs/metrics.hpp"
-#include "stats/descriptive.hpp"
 #include "support/error.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
+#include <numeric>
 
 namespace relperf::core {
 
 namespace {
 
-/// Below this many resampled values per call the OpenMP fork/join overhead
-/// outweighs the per-round work, so the rounds run serially even in parallel
-/// builds. Results are bit-identical either way; the threshold is purely a
-/// performance knob.
-constexpr std::size_t kParallelWorkThreshold = 16384;
+/// Sorts `sample` into `out.sorted` and records every raw index's position in
+/// `out.rank`. Tied values may take their positions in any order: the sorted
+/// values, and so every order statistic, are the same either way.
+void rank_sample(std::span<const double> sample, RankedSample& out) {
+    RELPERF_REQUIRE(sample.size() <= std::numeric_limits<std::uint32_t>::max(),
+                    "BootstrapComparator: sample too large to rank");
+    const auto n = static_cast<std::uint32_t>(sample.size());
+    // `counts` is zeroed at the start of every round, so until then it can
+    // hold the argsort order.
+    std::vector<std::uint32_t>& order = out.counts;
+    order.resize(n);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](std::uint32_t i, std::uint32_t j) {
+        return sample[i] < sample[j];
+    });
+    out.sorted.resize(n);
+    out.rank.resize(n);
+    for (std::uint32_t k = 0; k < n; ++k) {
+        out.sorted[k] = sample[order[k]];
+        out.rank[order[k]] = k;
+    }
+}
+
+/// Tallies one with-replacement resample into `s.counts`, drawing the n
+/// indices from `rng` in the order a resample copy would.
+void tally_resample(RankedSample& s, stats::Rng& rng) {
+    const std::size_t n = s.rank.size();
+    std::fill(s.counts.begin(), s.counts.end(), 0u);
+    // Drawing from a local copy lets the compiler keep the generator state
+    // in registers for the whole loop instead of storing it back after
+    // every draw.
+    stats::Rng local = rng;
+    for (std::size_t i = 0; i < n; ++i) {
+        ++s.counts[s.rank[static_cast<std::size_t>(local.uniform_index(n))]];
+    }
+    rng = local;
+}
+
+/// The q-quantile of the tallied resample, as the same double
+/// stats::quantile_partial returns for the materialized resample: the lo-th
+/// and (lo+1)-th order statistics come from the prefix sums of the tally,
+/// and the interpolation is the same expression.
+double resample_quantile(const RankedSample& s, double q) {
+    const std::size_t n = s.sorted.size();
+    if (n == 1) return s.sorted[0];
+    const double h = q * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(h);
+    const std::size_t hi = std::min(lo + 1, n - 1);
+    const double frac = h - static_cast<double>(lo);
+    // `upto` counts the resampled values of rank <= k; it reaches n at the
+    // last occupied bin, and lo <= hi < n, so k stays in range.
+    std::size_t k = 0;
+    std::size_t upto = s.counts[0];
+    while (upto <= lo) upto += s.counts[++k];
+    const double v_lo = s.sorted[k];
+    while (upto <= hi) upto += s.counts[++k];
+    const double v_hi = s.sorted[k];
+    return v_lo + frac * (v_hi - v_lo);
+}
 
 } // namespace
 
@@ -48,49 +103,17 @@ double BootstrapComparator::score(std::span<const double> a, std::span<const dou
     // loop, where even an unarmed span's ctor/dtor pair would be noise.
     obs::metrics().bootstrap_resamples_total.inc(2 * config_.rounds);
 
-    const std::size_t rounds = config_.rounds;
-    const std::size_t na = a.size();
-    const std::size_t nb = b.size();
-    scratch.resamples_a.resize(rounds * na);
-    scratch.resamples_b.resize(rounds * nb);
-    scratch.quantiles.resize(rounds);
-
-    // Phase 1 (serial): draw every round's resamples and quantile, in the
-    // exact per-round order the original one-pass loop consumed the rng
-    // (a-resample, b-resample, quantile). This keeps all scores — and with
-    // them every clustering and golden — bit-identical to the pre-scratch
-    // implementation, and makes phase 2 randomness-free and parallelizable.
-    double* slab_a = scratch.resamples_a.data();
-    double* slab_b = scratch.resamples_b.data();
-    for (std::size_t r = 0; r < rounds; ++r) {
-        double* row_a = slab_a + r * na;
-        for (std::size_t i = 0; i < na; ++i) {
-            row_a[i] = a[static_cast<std::size_t>(rng.uniform_index(na))];
-        }
-        double* row_b = slab_b + r * nb;
-        for (std::size_t i = 0; i < nb; ++i) {
-            row_b[i] = b[static_cast<std::size_t>(rng.uniform_index(nb))];
-        }
-        scratch.quantiles[r] = rng.uniform(config_.quantile_lo, config_.quantile_hi);
-    }
-
-    // Phase 2: per-round quantile selection and win/tie tally. Rounds are
-    // independent (disjoint slab rows, no rng) and the tally is an integer
-    // sum, so the parallel reduction matches the serial loop bit for bit.
+    rank_sample(a, scratch.a);
+    rank_sample(b, scratch.b);
     long wins_a = 0;
     long wins_b = 0;
-    [[maybe_unused]] const bool parallel =
-        config_.parallel_rounds && rounds * (na + nb) >= kParallelWorkThreshold;
-#ifdef _OPENMP
-    #pragma omp parallel for schedule(static) reduction(+ : wins_a, wins_b) \
-        if (parallel)
-#endif
-    for (std::size_t r = 0; r < rounds; ++r) {
-        const double q = scratch.quantiles[r];
-        const double qa =
-            stats::quantile_partial(std::span<double>(slab_a + r * na, na), q);
-        const double qb =
-            stats::quantile_partial(std::span<double>(slab_b + r * nb, nb), q);
+    for (std::size_t r = 0; r < config_.rounds; ++r) {
+        // Per round the rng yields a's indices, then b's, then the quantile.
+        tally_resample(scratch.a, rng);
+        tally_resample(scratch.b, rng);
+        const double q = rng.uniform(config_.quantile_lo, config_.quantile_hi);
+        const double qa = resample_quantile(scratch.a, q);
+        const double qb = resample_quantile(scratch.b, q);
 
         const double band =
             config_.tie_epsilon * std::min(std::fabs(qa), std::fabs(qb));

@@ -6,7 +6,10 @@
 //!
 //! Per round: draw with-replacement resamples of both samples, draw a random
 //! quantile q ~ U[quantile_lo, quantile_hi], and compare the two resampled
-//! quantiles under a relative tie band `tie_epsilon`. The aggregated score
+//! quantiles under a relative tie band `tie_epsilon`. A resample is never
+//! materialized: each sample is sorted once per call, a round tallies the
+//! ranks of its drawn indices, and the quantile's two order statistics are
+//! read off the tally's prefix sums (a counting select). The aggregated score
 //!
 //!     score = (#a-wins - #b-wins) / rounds  in [-1, 1]
 //!
@@ -20,6 +23,7 @@
 #include "core/comparison.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace relperf::core {
@@ -32,26 +36,25 @@ struct BootstrapComparatorConfig {
     double quantile_hi = 0.65;       ///< Upper bound of the random quantile.
     double tie_epsilon = 0.02;       ///< Relative tie band per round.
     double decision_threshold = 0.9; ///< |score| needed to call a winner.
-    /// Evaluate the independent resample rounds in parallel (OpenMP builds
-    /// only; large inputs only — see kParallelWorkThreshold). The result is
-    /// bit-identical to the serial path: all randomness is drawn serially in
-    /// the legacy order before the rounds run, and the per-round win/tie
-    /// verdicts combine through an order-independent integer reduction.
-    bool parallel_rounds = true;
 
     /// Throws InvalidArgument when out of range.
     void validate() const;
 };
 
-/// Caller-owned scratch for BootstrapComparator::score: the resample slabs
-/// (rounds x sample size, drawn once per call) and the per-round quantiles.
-/// Reusing one scratch across the hundreds of thousands of score() calls a
-/// clustering makes turns the former two-allocations-plus-two-sorts per
-/// round into zero allocations and two partial selections.
+/// One sample prepared for counting selection: sorted once per score()
+/// call, after which a round's resample is just a histogram over ranks.
+struct RankedSample {
+    std::vector<double> sorted;        ///< The sample in ascending order.
+    std::vector<std::uint32_t> rank;   ///< rank[j]: position of value j in `sorted`.
+    std::vector<std::uint32_t> counts; ///< This round's resample, tallied by rank.
+};
+
+/// Caller-owned scratch for BootstrapComparator::score. Reusing one scratch
+/// across the many score() calls of a clustering keeps the hot path free of
+/// allocations; nothing in it carries over from one call to the next.
 struct BootstrapScratch {
-    std::vector<double> resamples_a; ///< rounds x a.size() slab.
-    std::vector<double> resamples_b; ///< rounds x b.size() slab.
-    std::vector<double> quantiles;   ///< One random quantile per round.
+    RankedSample a; ///< score()'s first sample.
+    RankedSample b; ///< score()'s second sample.
 };
 
 class BootstrapComparator final : public Comparator {

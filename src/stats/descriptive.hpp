@@ -70,8 +70,8 @@ struct Summary {
 /// full sort: O(n) expected vs O(n log n). Reorders `sample` in place.
 /// Bit-identical to quantile_sorted on the sorted data — the interpolation
 /// reads the same two order statistics with the same arithmetic (asserted in
-/// tests over randomized inputs). This is the bootstrap comparator's
-/// per-round selection, where the resample buffer is scratch anyway.
+/// tests over randomized inputs). For data that is scratch anyway, such as
+/// mad()'s deviations.
 [[nodiscard]] double quantile_partial(std::span<double> sample, double p);
 
 /// Quantile of unsorted data (copies + sorts internally).

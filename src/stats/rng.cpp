@@ -4,27 +4,9 @@
 
 namespace relperf::stats {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-}
-} // namespace
-
 Xoshiro256pp::Xoshiro256pp(std::uint64_t seed) noexcept {
     SplitMix64 sm(seed);
     for (auto& word : s_) word = sm.next();
-}
-
-Xoshiro256pp::result_type Xoshiro256pp::operator()() noexcept {
-    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
 }
 
 void Xoshiro256pp::jump() noexcept {
@@ -49,32 +31,6 @@ void Xoshiro256pp::jump() noexcept {
 Rng Rng::child(std::uint64_t stream) const noexcept {
     SplitMix64 sm(seed_ ^ (0x9e3779b97f4a7c15ULL * (stream + 1)));
     return Rng(sm.next());
-}
-
-double Rng::uniform() noexcept {
-    // Top 53 bits -> double in [0, 1).
-    return static_cast<double>(gen_() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-    return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
-    if (n == 0) return 0;
-    // Lemire's nearly-divisionless method with rejection.
-    std::uint64_t x = gen_();
-    __uint128_t m = static_cast<__uint128_t>(x) * n;
-    auto l = static_cast<std::uint64_t>(m);
-    if (l < n) {
-        const std::uint64_t threshold = (0 - n) % n;
-        while (l < threshold) {
-            x = gen_();
-            m = static_cast<__uint128_t>(x) * n;
-            l = static_cast<std::uint64_t>(m);
-        }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
 }
 
 double Rng::normal() noexcept {

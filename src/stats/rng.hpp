@@ -45,13 +45,29 @@ public:
     static constexpr result_type min() noexcept { return 0; }
     static constexpr result_type max() noexcept { return ~result_type{0}; }
 
-    result_type operator()() noexcept;
+    // This and Rng's uniform draws are defined in the header so that hot
+    // loops (the bootstrap comparator draws 2n indices per round) inline them.
+    result_type operator()() noexcept {
+        const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /// Equivalent to 2^128 calls of operator(); used to derive independent
     /// parallel streams from one seed.
     void jump() noexcept;
 
 private:
+    static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> s_;
 };
 
@@ -72,13 +88,33 @@ public:
     std::uint64_t bits() noexcept { return gen_(); }
 
     /// Uniform double in [0, 1) with 53-bit resolution.
-    double uniform() noexcept;
+    double uniform() noexcept {
+        // Top 53 bits -> double in [0, 1).
+        return static_cast<double>(gen_() >> 11) * 0x1.0p-53;
+    }
 
     /// Uniform double in [lo, hi).
-    double uniform(double lo, double hi) noexcept;
+    double uniform(double lo, double hi) noexcept {
+        return lo + (hi - lo) * uniform();
+    }
 
     /// Uniform integer in [0, n) without modulo bias (Lemire rejection).
-    std::uint64_t uniform_index(std::uint64_t n) noexcept;
+    std::uint64_t uniform_index(std::uint64_t n) noexcept {
+        if (n == 0) return 0;
+        // Lemire's nearly-divisionless method with rejection.
+        std::uint64_t x = gen_();
+        __uint128_t m = static_cast<__uint128_t>(x) * n;
+        auto l = static_cast<std::uint64_t>(m);
+        if (l < n) {
+            const std::uint64_t threshold = (0 - n) % n;
+            while (l < threshold) {
+                x = gen_();
+                m = static_cast<__uint128_t>(x) * n;
+                l = static_cast<std::uint64_t>(m);
+            }
+        }
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /// Standard normal via Box–Muller (cached second variate).
     double normal() noexcept;

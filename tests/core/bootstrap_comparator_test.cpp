@@ -1,10 +1,18 @@
 #include "core/bootstrap_comparator.hpp"
 
+#include "stats/bootstrap.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
 #include "support/error.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace core = relperf::core;
@@ -22,6 +30,47 @@ std::vector<double> lognormal_sample(double median, double sigma, int n,
     out.reserve(n);
     for (int i = 0; i < n; ++i) out.push_back(median * rng.lognormal(0.0, sigma));
     return out;
+}
+
+/// n values around `median`; `tied` rounds them to a 0.05 grid, so most
+/// values repeat.
+std::vector<double> oracle_sample(std::size_t n, double median, bool tied,
+                                  std::uint64_t seed) {
+    std::vector<double> xs =
+        lognormal_sample(median, 0.1, static_cast<int>(n), seed);
+    if (tied) {
+        for (double& x : xs) x = std::round(x * 20.0) / 20.0;
+    }
+    return xs;
+}
+
+/// The comparator as specified: per round, resample a then b (drawing every
+/// index from `rng` in order), draw the quantile, sort both resamples and
+/// read the quantile off the sorted copies.
+double oracle_score(const BootstrapComparatorConfig& cfg,
+                    std::span<const double> a, std::span<const double> b,
+                    Rng& rng) {
+    std::vector<double> res_a;
+    std::vector<double> res_b;
+    long wins_a = 0;
+    long wins_b = 0;
+    for (std::size_t r = 0; r < cfg.rounds; ++r) {
+        relperf::stats::resample(a, a.size(), rng, res_a);
+        relperf::stats::resample(b, b.size(), rng, res_b);
+        std::sort(res_a.begin(), res_a.end());
+        std::sort(res_b.begin(), res_b.end());
+        const double q = rng.uniform(cfg.quantile_lo, cfg.quantile_hi);
+        const double qa = relperf::stats::quantile_sorted(res_a, q);
+        const double qb = relperf::stats::quantile_sorted(res_b, q);
+        const double band = cfg.tie_epsilon * std::min(std::fabs(qa), std::fabs(qb));
+        if (std::fabs(qa - qb) <= band) continue;
+        if (qa < qb) {
+            ++wins_a;
+        } else {
+            ++wins_b;
+        }
+    }
+    return static_cast<double>(wins_a - wins_b) / static_cast<double>(cfg.rounds);
 }
 
 } // namespace
@@ -160,27 +209,44 @@ TEST(BootstrapComparatorConfig, ValidationCatchesBadKnobs) {
     EXPECT_THROW(BootstrapComparator{cfg}, relperf::InvalidArgument);
 }
 
-TEST(BootstrapComparator, SerialAndParallelRoundsAreBitIdentical) {
-    // The resamples and quantiles are pregenerated serially and the per-round
-    // tally is an integer reduction, so OpenMP on/off must agree exactly —
-    // score by score, over many seeds. (In a serial build both configs run
-    // the same loop and the test degenerates to determinism.)
-    BootstrapComparatorConfig serial_cfg;
-    serial_cfg.rounds = 400; // 400 * 60 values clears the parallel threshold
-    serial_cfg.parallel_rounds = false;
-    BootstrapComparatorConfig parallel_cfg = serial_cfg;
-    parallel_cfg.parallel_rounds = true;
-    const BootstrapComparator serial(serial_cfg);
-    const BootstrapComparator parallel(parallel_cfg);
-
-    for (std::uint64_t seed = 0; seed < 50; ++seed) {
-        const auto a = lognormal_sample(1.0, 0.3, 30, seed * 2 + 1);
-        const auto b = lognormal_sample(1.05, 0.3, 30, seed * 2 + 2);
-        Rng rng_serial(seed + 1000);
-        Rng rng_parallel(seed + 1000);
-        const double s = serial.score(a, b, rng_serial);
-        const double p = parallel.score(a, b, rng_parallel);
-        EXPECT_EQ(s, p) << "seed " << seed;
+TEST(BootstrapComparator, CountingSelectMatchesResampleOracle) {
+    // score() never materializes a resample; the oracle does, the way the
+    // comparator is specified: copy each round's resamples, sort them, read
+    // the quantile off the sorted copy. Both must give the same score bits
+    // and leave the rng in the same state, across sample sizes (unequal
+    // ones included), tied values, degenerate and wide quantile ranges, and
+    // both tie bands. One scratch serves every call, so stale buffers from
+    // a larger sample must not leak into a smaller one.
+    const std::size_t sizes[] = {1, 2, 3, 5, 10, 30, 31, 100};
+    const std::pair<double, double> ranges[] = {
+        {0.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}, {0.5, 0.5}, {0.35, 0.65}};
+    core::BootstrapScratch scratch;
+    for (std::uint64_t seed = 0; seed < 256; ++seed) {
+        const std::size_t na = sizes[seed % 8];
+        const std::size_t nb = sizes[(seed / 8) % 8];
+        const bool tied = (seed / 64) % 2 == 1;
+        const auto a = oracle_sample(na, 1.0, tied, seed * 2 + 1);
+        const auto b = oracle_sample(nb, 1.03, tied, seed * 2 + 2);
+        for (const auto& [lo, hi] : ranges) {
+            for (const double epsilon : {0.0, 0.02}) {
+                BootstrapComparatorConfig cfg;
+                cfg.rounds = 25;
+                cfg.quantile_lo = lo;
+                cfg.quantile_hi = hi;
+                cfg.tie_epsilon = epsilon;
+                SCOPED_TRACE(testing::Message()
+                             << "seed " << seed << " na " << na << " nb " << nb
+                             << " q [" << lo << ", " << hi << "] eps " << epsilon);
+                Rng rng(seed + 7000);
+                Rng rng_oracle(seed + 7000);
+                const double got = BootstrapComparator(cfg).score(a, b, rng, scratch);
+                const double want = oracle_score(cfg, a, b, rng_oracle);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                          std::bit_cast<std::uint64_t>(want))
+                    << "score " << got << " vs oracle " << want;
+                EXPECT_EQ(rng.bits(), rng_oracle.bits());
+            }
+        }
     }
 }
 

@@ -4,6 +4,10 @@
 //! source's exact sample counts.
 #include "obs/metrics.hpp"
 
+#include "cache/cached_campaign.hpp"
+#include "cache/result_cache.hpp"
+#include "campaign/merge.hpp"
+#include "campaign/runner.hpp"
 #include "core/measurement_engine.hpp"
 #include "obs/obs.hpp"
 #include "obs/provenance.hpp"
@@ -12,11 +16,15 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 namespace obs = relperf::obs;
 namespace core = relperf::core;
+namespace cache = relperf::cache;
+namespace campaign = relperf::campaign;
 
 namespace {
 
@@ -204,4 +212,66 @@ TEST_F(MetricsTest, EngineCountersMatchScriptedSourceExactly) {
     EXPECT_EQ(m.samples_fixed_n_total.value(), 0u)
         << "measure_all reports actual cost only; the fixed-N plan counter "
            "belongs to the callers that know the plan";
+}
+
+// The plan cost (relperf_samples_fixed_n_total) is what the savings line
+// compares actual draws against, so samples_total <= samples_fixed_n_total
+// must hold on every path. Fixed-N campaign paths that measure report
+// exactly p x N; an exact cache hit measures nothing and reports nothing.
+TEST_F(MetricsTest, FixedNCampaignPathsReportThePlanCost) {
+    const obs::Metrics& m = obs::metrics();
+    obs::set_metrics_enabled(true);
+
+    campaign::CampaignSpec spec;
+    spec.name = "gtest-plan-cost";
+    spec.sizes = {32, 64};
+    spec.iters = 4;
+    spec.measurements = 6;
+    spec.clustering_repetitions = 5;
+    spec.bootstrap_rounds = 10;
+    const std::size_t p = spec.variants().size();
+
+    struct Cost {
+        std::uint64_t drawn;
+        std::uint64_t plan;
+    };
+    const auto cost_of = [&](const auto& op) {
+        obs::registry().reset_values();
+        op();
+        return Cost{m.samples_total.value(), m.samples_fixed_n_total.value()};
+    };
+    const auto expect_plan = [](const Cost& cost, std::uint64_t plan,
+                                const char* path) {
+        EXPECT_LE(cost.drawn, cost.plan) << path;
+        EXPECT_EQ(cost.plan, plan) << path;
+    };
+
+    expect_plan(cost_of([&] { (void)campaign::run_campaign(spec, 2); }),
+                p * spec.measurements, "run_campaign");
+    std::size_t shard_algorithms = 0;
+    const Cost shard = cost_of([&] {
+        shard_algorithms = campaign::run_shard(spec, 0, 2).measurements.size();
+    });
+    EXPECT_GT(shard_algorithms, 0u);
+    expect_plan(shard, shard_algorithms * spec.measurements, "run_shard");
+
+    const std::string dir = testing::TempDir() + "relperf_metrics_plan_cost";
+    std::filesystem::remove_all(dir);
+    cache::ResultCache result_cache(cache::CacheConfig{dir, 0, 0});
+    const auto cached = [&](const campaign::CampaignSpec& plan,
+                            cache::HitKind expected) {
+        return cost_of([&] {
+            EXPECT_EQ(cache::run_campaign_cached(plan, result_cache, 2).cache,
+                      expected);
+        });
+    };
+    expect_plan(cached(spec, cache::HitKind::Miss), p * spec.measurements,
+                "cache miss");
+    expect_plan(cached(spec, cache::HitKind::Exact), 0, "cache exact hit");
+    campaign::CampaignSpec bigger = spec;
+    bigger.measurements = 9;
+    const Cost prefix = cached(bigger, cache::HitKind::Prefix);
+    expect_plan(prefix, p * bigger.measurements, "cache prefix extension");
+    EXPECT_EQ(prefix.drawn, p * (bigger.measurements - spec.measurements));
+    std::filesystem::remove_all(dir);
 }

@@ -20,6 +20,47 @@ TEST(SplitMix64, KnownSequenceFromSeedZero) {
     EXPECT_EQ(sm.next(), 0x06c45d188009454fULL);
 }
 
+// Known values for the hot draws (the generator step, uniform ranges and
+// bounded indices). Every bootstrap score, and so every golden clustering,
+// depends on these exact streams.
+TEST(Xoshiro, KnownSequenceFromSeedZero) {
+    Xoshiro256pp gen(0);
+    EXPECT_EQ(gen(), 0x53175d61490b23dfULL);
+    EXPECT_EQ(gen(), 0x61da6f3dc380d507ULL);
+    EXPECT_EQ(gen(), 0x5c0fdf91ec9a7bfcULL);
+    EXPECT_EQ(gen(), 0x02eebf8c3bbe5e1aULL);
+}
+
+TEST(Rng, UniformIndexKnownValues) {
+    Rng rng(42);
+    for (const std::uint64_t expected : {24u, 9u, 29u, 21u, 23u, 17u}) {
+        EXPECT_EQ(rng.uniform_index(30), expected);
+    }
+}
+
+TEST(Rng, UniformIndexRejectionKnownValues) {
+    // n = 2^63 + 1 rejects about half of the raw draws, so this pins the
+    // rejection loop, including how many raw draws it consumes.
+    Rng rng(42);
+    const std::uint64_t n = (std::uint64_t{1} << 63) + 1;
+    EXPECT_EQ(rng.uniform_index(n), 0x28cf20ba2bb79bc8ULL);
+    EXPECT_EQ(rng.uniform_index(n), 0x7df03e7d861276c6ULL);
+    EXPECT_EQ(rng.uniform_index(n), 0x59becfb0066c1adcULL);
+    EXPECT_EQ(rng.uniform_index(n), 0x4d74a703876c65a3ULL);
+    EXPECT_EQ(rng.bits(), 0x352cf3daf095ccc7ULL);
+}
+
+TEST(Rng, UniformKnownValues) {
+    Rng unit(42);
+    EXPECT_EQ(unit.uniform(), 0x1.a0ec9a9e88ecdp-1);
+    EXPECT_EQ(unit.uniform(), 0x1.467905d15dbccp-2);
+    Rng range(42);
+    EXPECT_EQ(range.uniform(0.35, 0.65), 0x1.3046fb2f8f7a4p-1);
+    EXPECT_EQ(range.uniform(0.35, 0.65), 0x1.c85781becf524p-2);
+    EXPECT_EQ(range.uniform(0.35, 0.65), 0x1.4a537e303a7c9p-1);
+    EXPECT_EQ(range.uniform(0.35, 0.65), 0x1.1ee4f939a14e8p-1);
+}
+
 TEST(Xoshiro, DeterministicForEqualSeeds) {
     Xoshiro256pp a(42);
     Xoshiro256pp b(42);

@@ -399,29 +399,32 @@ int campaign_run(const campaign::CampaignSpec& spec, std::size_t shard_count,
 }
 
 int analyze_input(const support::CliParser& cli, const std::string& input) {
+    // The knobs are parsed before the CSV is read, so a bad value fails at
+    // once with an error naming its flag.
+    core::AnalysisConfig config;
+    config.comparator.rounds =
+        str::parse_positive_size(cli.value("rounds"), "--rounds");
+    config.comparator.tie_epsilon = cli.value_double("tie-epsilon");
+    config.comparator.decision_threshold = cli.value_double("threshold");
+    config.clustering.repetitions =
+        str::parse_positive_size(cli.value("rep"), "--rep");
+    config.clustering.seed = str::parse_u64(cli.value("seed"), "--seed");
+    const std::size_t n_max = str::parse_size(cli.value("n-max"), "--n-max");
+
     core::MeasurementSet loaded = core::read_measurements_csv(input);
 
     // Optional truncation (simulate a smaller N).
-    const int n_max = cli.value_int("n-max");
     core::MeasurementSet measurements;
     if (n_max > 0) {
         for (std::size_t i = 0; i < loaded.size(); ++i) {
             const auto samples = loaded.samples(i);
-            const std::size_t keep =
-                std::min(samples.size(), static_cast<std::size_t>(n_max));
+            const std::size_t keep = std::min(samples.size(), n_max);
             measurements.add(loaded.name(i),
                              {samples.begin(), samples.begin() + keep});
         }
     } else {
         measurements = std::move(loaded);
     }
-
-    core::AnalysisConfig config;
-    config.comparator.rounds = static_cast<std::size_t>(cli.value_int("rounds"));
-    config.comparator.tie_epsilon = cli.value_double("tie-epsilon");
-    config.comparator.decision_threshold = cli.value_double("threshold");
-    config.clustering.repetitions = static_cast<std::size_t>(cli.value_int("rep"));
-    config.clustering.seed = static_cast<std::uint64_t>(cli.value_int("seed"));
 
     std::printf("relperf: %zu algorithms from %s\n\n", measurements.size(),
                 input.c_str());
