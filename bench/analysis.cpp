@@ -2,9 +2,9 @@
 //! against an in-bench loop that materializes and sorts every resample; the
 //! bench fails if the two score differently on the same stream), clusterer
 //! wall time vs p (sparse tallies, with the dense O(p^2) oracle at small p),
-//! adaptive engine round cost with frozen-comparison reuse on vs off,
-//! coordinated-stopping sample budgets vs shard count for both stopping
-//! rules, and the result cache's cold/exact-hit/prefix-extension run costs.
+//! an adaptive engine run end to end, coordinated-stopping sample budgets vs
+//! shard count for both stopping rules, and the result cache's
+//! cold/exact-hit/prefix-extension run costs.
 //! This bench times its own loops with steady_clock (allowlisted in
 //! ci/lint_allow.txt); nothing here feeds measurement CSVs.
 
@@ -112,8 +112,7 @@ core::MeasurementSet tiered_set(std::size_t p, std::size_t samples,
 /// Deterministic engine source: two clearly separated tiers that freeze
 /// after a couple of rounds, plus four closely overlapping "wobbler"
 /// algorithms whose ranks keep flipping — they extend to max_n, so most
-/// rounds re-cluster with a large frozen majority. That is exactly the
-/// regime the frozen-comparison reuse targets.
+/// rounds re-cluster with a large frozen majority.
 class SyntheticSource final : public core::SampleSource {
 public:
     explicit SyntheticSource(std::size_t count) : count_(count),
@@ -272,87 +271,39 @@ int main(int argc, char** argv) {
         }
     }
 
-    // --- Section 3: engine round cost, frozen-comparison reuse on/off. ----
-    // The reuse mechanism pays per *round*: once most algorithms have frozen,
-    // a re-clustering replays their pairwise outcomes instead of re-running
-    // the bootstrap. Measured directly at the clusterer level — one round
-    // with a 120/128 frozen majority (cache warm) against a cold round —
-    // because end-to-end engine wall time also folds in measurement cost and
-    // the final clean re-clustering, which bury the per-round effect.
-    bench::section("Engine round cost (p = 128, 120 frozen, Rep = 8)");
-    {
-        core::BootstrapComparatorConfig cheap = comparator_config;
-        cheap.rounds = 25;
-        const core::BootstrapComparator comparator(cheap);
-        const core::MeasurementSet set = tiered_set(128, 5, seed + 17);
-        const core::RelativeClusterer clusterer(
-            comparator, core::ClustererConfig{8, seed + 13});
-
-        core::ClusterContext cold_ctx;
-        checksum += clusterer.cluster(set, cold_ctx) // prepare orders/streams
-                        .final_assignment[0]
-                        .score;
-        auto start = std::chrono::steady_clock::now();
-        checksum += clusterer.cluster(set, cold_ctx).final_assignment[0].score;
-        const double cold_ms = seconds_since(start) * 1e3;
-
-        core::ClusterContext warm_ctx;
-        for (std::size_t alg = 0; alg < 120; ++alg) warm_ctx.freeze(alg);
-        checksum += clusterer.cluster(set, warm_ctx) // fills the outcome cache
-                        .final_assignment[0]
-                        .score;
-        start = std::chrono::steady_clock::now();
-        checksum += clusterer.cluster(set, warm_ctx).final_assignment[0].score;
-        const double warm_ms = seconds_since(start) * 1e3;
-        const double speedup = warm_ms > 0.0 ? cold_ms / warm_ms : 0.0;
-
-        std::printf("  reuse=off : %8.1f ms/round\n", cold_ms);
-        std::printf("  reuse=on  : %8.1f ms/round (%zu outcomes replayed)\n",
-                    warm_ms, warm_ctx.reused_last_round());
-        std::printf("  round speedup : %.2fx\n", speedup);
-        rows.push_back({"engine", "round_wall_ms", "reuse=off", cold_ms});
-        rows.push_back({"engine", "round_wall_ms", "reuse=on", warm_ms});
-        rows.push_back({"engine", "round_speedup", "frozen=120/128", speedup});
-        rows.push_back({"engine", "outcomes_replayed", "frozen=120/128",
-                        static_cast<double>(warm_ctx.reused_last_round())});
-    }
-
-    // End-to-end engine context: adaptive run with reuse on/off. The tiers
-    // freeze after a few rounds while the drifting wobblers extend, so this
-    // shows the whole pipeline (measurement + re-clustering + final clean
-    // re-cluster when outcomes were replayed).
+    // --- Section 3: adaptive engine end to end (32 algorithms). ---------
+    // The tiers freeze after a few rounds while the drifting wobblers
+    // extend, so this shows the whole pipeline: measurement plus one
+    // re-clustering per round.
     bench::section("Adaptive engine end-to-end (32 algorithms)");
     {
-        for (const bool reuse : {true, false}) {
-            core::AdaptiveConfig adaptive;
-            adaptive.min_n = 5;
-            adaptive.max_n = 60;
-            adaptive.batch = 3;
-            adaptive.stability_rounds = 2;
-            adaptive.reuse_frozen_comparisons = reuse;
-            core::BootstrapComparatorConfig cheap = comparator_config;
-            cheap.rounds = 25;
-            const core::MeasurementEngine engine(
-                adaptive, cheap, core::ClustererConfig{20, seed + 13});
+        core::AdaptiveConfig adaptive;
+        adaptive.min_n = 5;
+        adaptive.max_n = 60;
+        adaptive.batch = 3;
+        adaptive.stability_rounds = 2;
+        core::BootstrapComparatorConfig cheap = comparator_config;
+        cheap.rounds = 25;
+        const core::MeasurementEngine engine(
+            adaptive, cheap, core::ClustererConfig{20, seed + 13});
 
-            SyntheticSource source(32);
-            const auto start = std::chrono::steady_clock::now();
-            const core::EngineResult result = engine.run(source);
-            const double wall_ms = seconds_since(start) * 1e3;
-            checksum += result.clustering.final_assignment[0].score;
+        SyntheticSource source(32);
+        const auto start = std::chrono::steady_clock::now();
+        const core::EngineResult result = engine.run(source);
+        const double wall_ms = seconds_since(start) * 1e3;
+        checksum += result.clustering.final_assignment[0].score;
 
-            const std::string param = reuse ? "reuse=on" : "reuse=off";
-            std::printf("  %-9s : %8.1f ms over %zu rounds — %s\n",
-                        param.c_str(), wall_ms, result.rounds,
-                        core::render_savings(result.total_samples,
-                                             result.fixed_n_samples)
-                            .c_str());
-            rows.push_back({"engine", "run_wall_ms", param, wall_ms});
-            rows.push_back({"engine", "rounds", param,
-                            static_cast<double>(result.rounds)});
-            rows.push_back({"engine", "saved_samples", param,
-                            static_cast<double>(result.saved_samples())});
-        }
+        std::printf("  %8.1f ms over %zu rounds — %s\n", wall_ms,
+                    result.rounds,
+                    core::render_savings(result.total_samples,
+                                         result.fixed_n_samples)
+                        .c_str());
+        const std::string param = "p=32";
+        rows.push_back({"engine", "run_wall_ms", param, wall_ms});
+        rows.push_back({"engine", "rounds", param,
+                        static_cast<double>(result.rounds)});
+        rows.push_back({"engine", "saved_samples", param,
+                        static_cast<double>(result.saved_samples())});
     }
 
     // --- Section 4: coordinated stopping — sample budget vs shard count. --

@@ -1,21 +1,35 @@
 #!/usr/bin/env python3
 """Cross-check relperf's observability outputs against each other.
 
-Usage: check_obs.py TRACE_JSON METRICS_PROM SAMPLES_CSV [--coordinated]
+Usage: check_obs.py TRACE_JSON METRICS_PROM SAMPLES_CSV
+                    [--coordinated | --fixed-n]
+
+The mode names the kind of `relperf_cli --campaign ... --run` that wrote the
+files: shard-local adaptive (no flag), coordinated adaptive (--coordinated)
+or fixed N (--fixed-n).
 
 Asserts that
   * the trace file is valid JSON of the Chrome trace-event object form,
     every event is a complete ("ph": "X") event with the fields the format
     requires, nothing was dropped, and the provenance record is attached;
+  * the trace carries the mode's spans: engine.run, measure_all and
+    clusterer.cluster on adaptive runs; shard.run, campaign.merge,
+    measure_all and clusterer.cluster on fixed-N runs;
   * the Prometheus dump parses and carries the relperf counters plus the
-    relperf_build_info info metric;
+    relperf_build_info info metric, and relperf_samples_total does not
+    exceed relperf_samples_fixed_n_total;
   * relperf_samples_total equals the sum of the per-algorithm counts in the
     samples CSV — the metrics side and the measurement side of the run must
     tell the same story;
-  * with --coordinated (the run was a coordinated adaptive campaign): the
-    trace carries the campaign.coordinate span, both coordination counters
-    fired, and relperf_stopset_broadcast_total is a whole multiple of
-    relperf_coordination_rounds (each round broadcasts to every shard).
+  * with --coordinated (a coordinated adaptive campaign): the trace carries
+    the campaign.coordinate span, both coordination counters fired,
+    relperf_stopset_broadcast_total is a whole multiple of
+    relperf_coordination_rounds (each round broadcasts to every shard), and
+    relperf_clusterings_total equals relperf_coordination_rounds (each round
+    clusters once, and the last round's clustering is the one published);
+  * with --fixed-n (a fixed-N campaign): every planned sample was drawn
+    (relperf_samples_total == relperf_samples_fixed_n_total) and the
+    merged set was clustered exactly once.
 
 Exits non-zero with a message naming the first violated invariant.
 """
@@ -30,7 +44,16 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
-def check_trace(path: str, coordinated: bool) -> None:
+SPANS = {
+    "adaptive": ["engine.run", "measure_all", "clusterer.cluster"],
+    "coordinated": ["engine.run", "measure_all", "clusterer.cluster",
+                    "campaign.coordinate"],
+    "fixed-n": ["shard.run", "campaign.merge", "measure_all",
+                "clusterer.cluster"],
+}
+
+
+def check_trace(path: str, mode: str) -> None:
     with open(path, encoding="utf-8") as handle:
         try:
             trace = json.load(handle)
@@ -55,10 +78,7 @@ def check_trace(path: str, coordinated: bool) -> None:
             fail(f"{path}: event {i} has non-integer ts/dur")
         names.add(event["name"])
 
-    expected_spans = ["engine.run", "measure_all", "clusterer.cluster"]
-    if coordinated:
-        expected_spans.append("campaign.coordinate")
-    for expected in expected_spans:
+    for expected in SPANS[mode]:
         if expected not in names:
             fail(f"{path}: no {expected!r} span recorded (saw {sorted(names)})")
 
@@ -88,10 +108,10 @@ def parse_metrics(path: str) -> dict:
     return values
 
 
-def check_metrics(path: str, coordinated: bool) -> int:
+def check_metrics(path: str, mode: str) -> int:
     values = parse_metrics(path)
     for counter in ("relperf_samples_total", "relperf_samples_fixed_n_total",
-                    "relperf_adaptive_rounds",
+                    "relperf_adaptive_rounds", "relperf_clusterings_total",
                     "relperf_bootstrap_resamples_total"):
         if counter not in values:
             fail(f"{path}: {counter} missing")
@@ -100,13 +120,14 @@ def check_metrics(path: str, coordinated: bool) -> int:
 
     samples_total = int(values["relperf_samples_total"])
     fixed_n_total = int(values["relperf_samples_fixed_n_total"])
+    clusterings = int(values["relperf_clusterings_total"])
     if samples_total <= 0:
         fail(f"{path}: relperf_samples_total = {samples_total}")
     if samples_total > fixed_n_total:
         fail(f"{path}: samples_total {samples_total} exceeds the fixed-N "
              f"plan cost {fixed_n_total}")
 
-    if coordinated:
+    if mode == "coordinated":
         for counter in ("relperf_coordination_rounds",
                         "relperf_stopset_broadcast_total"):
             if counter not in values:
@@ -120,6 +141,19 @@ def check_metrics(path: str, coordinated: bool) -> int:
             fail(f"{path}: relperf_stopset_broadcast_total = {broadcasts} "
                  f"is not a positive multiple of the {rounds} coordination "
                  f"rounds — each round must broadcast to every shard")
+        if clusterings != rounds:
+            fail(f"{path}: relperf_clusterings_total = {clusterings} != "
+                 f"relperf_coordination_rounds = {rounds} — each round "
+                 f"clusters once and publishes its last clustering")
+
+    if mode == "fixed-n":
+        if samples_total != fixed_n_total:
+            fail(f"{path}: samples_total {samples_total} != the fixed-N plan "
+                 f"cost {fixed_n_total} — a fixed-N run draws every planned "
+                 f"sample")
+        if clusterings != 1:
+            fail(f"{path}: relperf_clusterings_total = {clusterings} — a "
+                 f"fixed-N run clusters the merged set exactly once")
 
     print(f"check_obs: {path}: {len(values)} samples OK, "
           f"samples_total={samples_total}")
@@ -144,15 +178,16 @@ def csv_sample_sum(path: str) -> int:
 
 def main() -> None:
     argv = sys.argv[1:]
-    coordinated = "--coordinated" in argv
-    argv = [a for a in argv if a != "--coordinated"]
-    if len(argv) != 3:
+    flags = [a for a in argv if a in ("--coordinated", "--fixed-n")]
+    argv = [a for a in argv if a not in flags]
+    if len(argv) != 3 or len(flags) > 1:
         fail(f"usage: {sys.argv[0]} TRACE_JSON METRICS_PROM SAMPLES_CSV "
-             f"[--coordinated]")
+             f"[--coordinated | --fixed-n]")
+    mode = flags[0][2:] if flags else "adaptive"
     trace_path, metrics_path, samples_path = argv
 
-    check_trace(trace_path, coordinated)
-    samples_total = check_metrics(metrics_path, coordinated)
+    check_trace(trace_path, mode)
+    samples_total = check_metrics(metrics_path, mode)
     csv_total = csv_sample_sum(samples_path)
 
     if samples_total != csv_total:

@@ -77,6 +77,38 @@ core::MeasurementSet measure_plan(const CampaignSpec& spec,
     return run_source(source);
 }
 
+/// The header fields every shard file of `spec` carries: the plan identity,
+/// the shard's place in the split, the producing host and build, and for an
+/// adaptive plan the stopping knobs merge_shards checks the counts against.
+/// Callers add the per-algorithm counts (and the coordinator its stop-set
+/// history).
+ShardManifest shard_manifest(const CampaignSpec& spec, std::size_t shard_index,
+                             std::size_t shard_count) {
+    ShardManifest m;
+    m.spec_hash = spec.hash();
+    m.shard_index = shard_index;
+    m.shard_count = shard_count;
+    m.campaign = spec.name;
+    m.host = host_name();
+    m.backend = spec.backend;
+    m.variant_backends = spec.variant_backends;
+    // The provenance record is a pure function of build + host + spec, so
+    // attaching it keeps shard files byte-identical with obs on or off.
+    for (const obs::ProvenanceEntry& e : obs::provenance()) {
+        m.provenance.emplace_back(e.key, e.value);
+    }
+    if (spec.adaptive()) {
+        m.adaptive_min = spec.adaptive_min;
+        m.adaptive_batch = spec.adaptive_batch;
+        m.adaptive_stability = spec.adaptive_stability;
+        m.adaptive_coordinated = spec.adaptive_coordinated;
+        // The stopping rule is part of the plan: counts stopped by the
+        // confidence rule are not counts the stability rule produced.
+        m.adaptive_confidence = spec.adaptive_confidence;
+    }
+    return m;
+}
+
 } // namespace
 
 ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
@@ -108,27 +140,7 @@ ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
     obs::metrics().shards_total.inc();
 
     ShardResult result;
-    result.manifest.spec_hash = spec.hash();
-    result.manifest.shard_index = shard_index;
-    result.manifest.shard_count = count;
-    result.manifest.campaign = spec.name;
-    result.manifest.host = host_name();
-    result.manifest.backend = spec.backend;
-    result.manifest.variant_backends = spec.variant_backends;
-    // The provenance record is a pure function of build + host + spec, so
-    // attaching it keeps shard files byte-identical with obs on or off.
-    for (const obs::ProvenanceEntry& e : obs::provenance()) {
-        result.manifest.provenance.emplace_back(e.key, e.value);
-    }
-    if (spec.adaptive()) {
-        result.manifest.adaptive_min = spec.adaptive_min;
-        result.manifest.adaptive_batch = spec.adaptive_batch;
-        result.manifest.adaptive_stability = spec.adaptive_stability;
-        // Always shard-local here (coordinated specs are rejected above),
-        // but the stopping rule still has to be recorded: counts stopped by
-        // the confidence rule are not counts the stability rule produced.
-        result.manifest.adaptive_confidence = spec.adaptive_confidence;
-    }
+    result.manifest = shard_manifest(spec, shard_index, count);
     result.measurements = measure_plan(spec, sharder.plan(shard_index));
     if (spec.adaptive()) {
         result.manifest.samples_per_algorithm.reserve(
@@ -250,27 +262,12 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
     // Slice the global result into per-shard files. Manifests carry the
     // coordinated plan and the broadcast history so a later merge_shards can
     // verify every file came from the same coordinator run.
-    const std::string host = host_name();
     out.shards.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
         obs::metrics().shards_total.inc();
         ShardResult shard;
+        shard.manifest = shard_manifest(spec, i, count);
         ShardManifest& m = shard.manifest;
-        m.spec_hash = spec.hash();
-        m.shard_index = i;
-        m.shard_count = count;
-        m.campaign = spec.name;
-        m.host = host;
-        m.backend = spec.backend;
-        m.variant_backends = spec.variant_backends;
-        for (const obs::ProvenanceEntry& e : obs::provenance()) {
-            m.provenance.emplace_back(e.key, e.value);
-        }
-        m.adaptive_min = spec.adaptive_min;
-        m.adaptive_batch = spec.adaptive_batch;
-        m.adaptive_stability = spec.adaptive_stability;
-        m.adaptive_coordinated = true;
-        m.adaptive_confidence = spec.adaptive_confidence;
         m.stopset_rounds = out.stopset_rounds;
         const ShardPlan plan = sharder.plan(i);
         m.samples_per_algorithm.reserve(plan.assignment_indices.size());

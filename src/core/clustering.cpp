@@ -67,6 +67,36 @@ Clustering build_clustering(std::size_t p, std::size_t repetitions,
     return out;
 }
 
+/// Procedure 4's repetition loop, shared by the sparse and dense tally
+/// paths: repetition r takes child stream r of the master seed, shuffles the
+/// algorithm order on it (line 4, Shuffle(A)), sorts on the rest of the
+/// stream (line 5, SortAlgs(A)) and hands every (algorithm, rank) outcome to
+/// `tally`. Returns the largest rank seen.
+template <typename Tally>
+int run_repetitions(const RelativeClusterer& clusterer,
+                    const MeasurementSet& measurements,
+                    const ClustererConfig& config, Tally&& tally) {
+    const std::size_t p = measurements.size();
+    const stats::Rng master(config.seed);
+    int max_rank_seen = 0;
+    for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
+        stats::Rng rng = master.child(rep);
+        std::vector<std::size_t> order(p);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        rng.shuffle(order);
+        const RankedSequence seq =
+            clusterer.sort_once(measurements, std::move(order), rng);
+        for (std::size_t pos = 0; pos < p; ++pos) {
+            const int rank = seq.ranks[pos];
+            RELPERF_ASSERT(rank >= 1 && rank <= static_cast<int>(p),
+                           "RelativeClusterer: rank out of range");
+            tally(seq.order[pos], rank);
+            max_rank_seen = std::max(max_rank_seen, rank);
+        }
+    }
+    return max_rank_seen;
+}
+
 } // namespace
 
 double Clustering::score_of(std::size_t alg, int rank) const {
@@ -98,11 +128,6 @@ void ClustererConfig::validate() const {
     RELPERF_REQUIRE(repetitions > 0, "ClustererConfig: repetitions must be positive");
 }
 
-void ClusterContext::freeze(std::size_t alg) {
-    if (alg >= frozen_.size()) frozen_.resize(alg + 1, false);
-    frozen_[alg] = true;
-}
-
 RelativeClusterer::RelativeClusterer(const Comparator& comparator,
                                      ClustererConfig config)
     : comparator_(comparator), config_(config) {
@@ -131,12 +156,6 @@ RankedSequence RelativeClusterer::sort_once_traced(const MeasurementSet& measure
 }
 
 Clustering RelativeClusterer::cluster(const MeasurementSet& measurements) const {
-    ClusterContext context;
-    return cluster(measurements, context);
-}
-
-Clustering RelativeClusterer::cluster(const MeasurementSet& measurements,
-                                      ClusterContext& ctx) const {
     RELPERF_REQUIRE(!measurements.empty(), "RelativeClusterer: no algorithms");
     const std::size_t p = measurements.size();
     obs::Span span("clusterer.cluster", "core");
@@ -144,73 +163,12 @@ Clustering RelativeClusterer::cluster(const MeasurementSet& measurements,
         .arg("repetitions", static_cast<std::uint64_t>(config_.repetitions));
     obs::metrics().clusterings_total.inc();
 
-    // The per-repetition shuffled orders and post-shuffle comparator streams
-    // depend only on (seed, Rep, p) — prepare once, reuse every round.
-    if (!ctx.prepared_ || ctx.prepared_seed_ != config_.seed ||
-        ctx.prepared_reps_ != config_.repetitions || ctx.prepared_p_ != p) {
-        const stats::Rng master(config_.seed);
-        ctx.orders_.assign(config_.repetitions, {});
-        ctx.streams_.clear();
-        ctx.streams_.reserve(config_.repetitions);
-        for (std::size_t rep = 0; rep < config_.repetitions; ++rep) {
-            stats::Rng rng = master.child(rep);
-            // Procedure 4 line 4: Shuffle(A).
-            std::vector<std::size_t>& order = ctx.orders_[rep];
-            order.resize(p);
-            std::iota(order.begin(), order.end(), std::size_t{0});
-            rng.shuffle(order);
-            ctx.streams_.push_back(rng);
-        }
-        ctx.outcome_cache_.assign(config_.repetitions, {});
-        ctx.prepared_seed_ = config_.seed;
-        ctx.prepared_reps_ = config_.repetitions;
-        ctx.prepared_p_ = p;
-        ctx.prepared_ = true;
-    }
-
     // counts[alg] = ascending (rank, count) pairs actually observed — at
     // most min(Rep, cluster count) entries, never p.
-    auto& counts = ctx.counts_;
-    counts.resize(p);
-    for (auto& per_alg : counts) per_alg.clear();
-    int max_rank_seen = 0;
-
-    const bool use_cache =
-        std::find(ctx.frozen_.begin(), ctx.frozen_.end(), true) !=
-        ctx.frozen_.end();
-    ctx.reused_last_round_ = 0;
-
-    for (std::size_t rep = 0; rep < config_.repetitions; ++rep) {
-        stats::Rng rng = ctx.streams_[rep];
-        auto& cache = ctx.outcome_cache_[rep];
-
-        // Procedure 4 line 5: SortAlgs(A), replaying cached outcomes for
-        // pairs whose samples can no longer change.
-        ThreeWaySorter sorter([&](std::size_t a, std::size_t b) {
-            if (use_cache && a < ctx.frozen_.size() && ctx.frozen_[a] &&
-                b < ctx.frozen_.size() && ctx.frozen_[b]) {
-                const std::uint64_t key =
-                    (static_cast<std::uint64_t>(a) << 32) |
-                    static_cast<std::uint64_t>(b);
-                if (const auto it = cache.find(key); it != cache.end()) {
-                    ++ctx.reused_last_round_;
-                    return it->second;
-                }
-                const Ordering outcome = comparator_.compare(
-                    measurements.samples(a), measurements.samples(b), rng);
-                cache.emplace(key, outcome);
-                return outcome;
-            }
-            return comparator_.compare(measurements.samples(a),
-                                       measurements.samples(b), rng);
-        });
-        const RankedSequence seq = sorter.sort(ctx.orders_[rep]);
-
-        for (std::size_t pos = 0; pos < p; ++pos) {
-            const int rank = seq.ranks[pos];
-            RELPERF_ASSERT(rank >= 1 && rank <= static_cast<int>(p),
-                           "RelativeClusterer: rank out of range");
-            auto& per_alg = counts[seq.order[pos]];
+    std::vector<std::vector<std::pair<int, std::size_t>>> counts(p);
+    const int max_rank_seen = run_repetitions(
+        *this, measurements, config_, [&counts](std::size_t alg, int rank) {
+            auto& per_alg = counts[alg];
             auto it = std::find_if(per_alg.begin(), per_alg.end(),
                                    [rank](const auto& rc) {
                                        return rc.first == rank;
@@ -220,10 +178,7 @@ Clustering RelativeClusterer::cluster(const MeasurementSet& measurements,
             } else {
                 ++it->second;
             }
-            max_rank_seen = std::max(max_rank_seen, rank);
-        }
-    }
-    ctx.reused_total_ += ctx.reused_last_round_;
+        });
 
     for (auto& per_alg : counts) {
         std::sort(per_alg.begin(), per_alg.end(),
@@ -238,26 +193,13 @@ Clustering RelativeClusterer::cluster(const MeasurementSet& measurements,
 Clustering RelativeClusterer::cluster_dense(const MeasurementSet& measurements) const {
     RELPERF_REQUIRE(!measurements.empty(), "RelativeClusterer: no algorithms");
     const std::size_t p = measurements.size();
-    const stats::Rng master(config_.seed);
 
     // The original dense tally: counts[alg][rank-1], O(p^2) memory.
     std::vector<std::vector<std::size_t>> counts(p, std::vector<std::size_t>(p, 0));
-    int max_rank_seen = 0;
-
-    for (std::size_t rep = 0; rep < config_.repetitions; ++rep) {
-        stats::Rng rng = master.child(rep);
-        std::vector<std::size_t> order(p);
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        rng.shuffle(order);
-        const RankedSequence seq = sort_once(measurements, std::move(order), rng);
-        for (std::size_t pos = 0; pos < p; ++pos) {
-            const int rank = seq.ranks[pos];
-            RELPERF_ASSERT(rank >= 1 && rank <= static_cast<int>(p),
-                           "RelativeClusterer: rank out of range");
-            ++counts[seq.order[pos]][static_cast<std::size_t>(rank - 1)];
-            max_rank_seen = std::max(max_rank_seen, rank);
-        }
-    }
+    const int max_rank_seen = run_repetitions(
+        *this, measurements, config_, [&counts](std::size_t alg, int rank) {
+            ++counts[alg][static_cast<std::size_t>(rank - 1)];
+        });
 
     // Adapt the dense rows to the ascending sparse view the builder expects.
     std::vector<std::pair<int, std::size_t>> row;

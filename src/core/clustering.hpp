@@ -12,6 +12,13 @@
 //! max-score cluster with the scores of better ranks cumulated (the paper's
 //! algDA example: rank 3 at 0.6 + rank 2 at 0.3 => final rank 3, score 0.9).
 //!
+//! Every clustering — a one-shot analysis and each adaptive engine round
+//! alike — goes through the one cluster() path, and it keeps no state between
+//! calls: repetition r shuffles and compares on child stream r of the
+//! configured seed, so a Clustering is a pure function of (measurements,
+//! comparator, config). That is why the engine can publish its last round's
+//! clustering as the analysis of the final measurements.
+//!
 //! Scale note: an algorithm can only ever be observed in at most
 //! min(Rep, cluster-count) distinct ranks, so the rank tallies are kept as
 //! per-algorithm sparse (rank, count) lists — O(p * Rep) peak memory instead
@@ -24,7 +31,6 @@
 #include "core/threeway_sort.hpp"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace relperf::core {
@@ -84,80 +90,12 @@ struct ClustererConfig {
     void validate() const;
 };
 
-/// Reusable cross-call state for repeated clusterings of the *same*
-/// algorithm set under the *same* config — the adaptive engine's per-round
-/// re-clustering. Two independent reuses live here:
-///
-///  * The per-repetition shuffled orders and post-shuffle rng snapshots are
-///    pure functions of (seed, Rep, p), so round 2+ skips re-deriving and
-///    re-shuffling Rep child streams. Bit-identical by construction.
-///  * Comparison outcomes between two *frozen* algorithms (both marked via
-///    freeze(), i.e. early-stopped: their samples can no longer change) are
-///    cached per repetition and replayed on every later comparison of the
-///    pair — the later bubble passes of the same round as well as all
-///    subsequent rounds — instead of re-running the bootstrap. Replayed
-///    outcomes are legitimate draws of the same conditional distribution,
-///    but they shift the rng stream of subsequent comparisons in that
-///    repetition, so a round that reused any outcome is no longer
-///    bit-identical to a from-scratch clustering — the engine recomputes its
-///    final published clustering cleanly for exactly that reason (see
-///    MeasurementEngine).
-///
-/// With no algorithm frozen, cluster(measurements, ctx) is bit-identical to
-/// cluster(measurements) (gtest-asserted).
-class ClusterContext {
-public:
-    ClusterContext() = default;
-
-    /// Marks an algorithm as frozen: its samples are final, so comparisons
-    /// against other frozen algorithms may be replayed across rounds.
-    void freeze(std::size_t alg);
-
-    /// Comparisons replayed from the cache in the most recent cluster() call.
-    [[nodiscard]] std::size_t reused_last_round() const noexcept {
-        return reused_last_round_;
-    }
-
-    /// Comparisons replayed over the context's lifetime.
-    [[nodiscard]] std::size_t reused_total() const noexcept {
-        return reused_total_;
-    }
-
-private:
-    friend class RelativeClusterer;
-
-    /// Sparse per-algorithm rank tallies, reused across calls.
-    std::vector<std::vector<std::pair<int, std::size_t>>> counts_;
-    /// Per-repetition shuffled initial orders (identical every round).
-    std::vector<std::vector<std::size_t>> orders_;
-    /// Per-repetition rng state after the shuffle (the comparator stream).
-    std::vector<stats::Rng> streams_;
-    /// What orders_/streams_ were prepared for; re-prepared on mismatch.
-    std::uint64_t prepared_seed_ = 0;
-    std::size_t prepared_reps_ = 0;
-    std::size_t prepared_p_ = 0;
-    bool prepared_ = false;
-
-    std::vector<bool> frozen_;
-    /// outcome_cache_[rep][pair-key] = replayable Ordering for a frozen pair.
-    std::vector<std::unordered_map<std::uint64_t, Ordering>> outcome_cache_;
-    std::size_t reused_last_round_ = 0;
-    std::size_t reused_total_ = 0;
-};
-
 /// Runs Procedure 4 over a MeasurementSet with any Comparator.
 class RelativeClusterer {
 public:
     RelativeClusterer(const Comparator& comparator, ClustererConfig config = {});
 
     [[nodiscard]] Clustering cluster(const MeasurementSet& measurements) const;
-
-    /// As cluster(), reusing (and updating) engine-owned cross-round state.
-    /// Bit-identical to the context-free overload unless `context` has
-    /// frozen algorithms whose cached outcomes get replayed (see
-    /// ClusterContext).
-    [[nodiscard]] Clustering cluster(const MeasurementSet& measurements,
-                                     ClusterContext& context) const;
 
     /// The pre-scale reference implementation with the dense p x p counts
     /// matrix — O(p^2) memory, kept only as the oracle the sparse path is

@@ -171,12 +171,6 @@ EngineResult MeasurementEngine::run(SampleSource& source,
 
     const BootstrapComparator comparator(comparator_);
     const RelativeClusterer clusterer(comparator, clustering_);
-
-    // Cross-round clusterer state: per-repetition shuffle orders and
-    // comparator streams prepared once, plus the frozen-pair outcome cache
-    // (see ClusterContext). With reuse off the context still avoids
-    // re-deriving Rep shuffled orders every round, which is bit-identical.
-    ClusterContext cluster_ctx;
     const std::unique_ptr<StoppingRule> rule = make_stopping_rule(
         adaptive_.rule, adaptive_.stability_rounds, adaptive_.confidence);
     std::vector<bool> stopped(count, false);
@@ -185,7 +179,9 @@ EngineResult MeasurementEngine::run(SampleSource& source,
         obs::Span round_span("engine.round", "engine");
         obs::metrics().adaptive_rounds.inc();
         obs::report_progress("engine.round", out.rounds, max_rounds);
-        Clustering clustering = clusterer.cluster(out.measurements, cluster_ctx);
+        // The same clustering analyze_measurements computes on this round's
+        // samples, so the last round's is the one published.
+        Clustering clustering = clusterer.cluster(out.measurements);
         // Frozen algorithms stay frozen: their rule verdict is never read
         // again, so the rule may skip their bookkeeping.
         rule->observe(clustering, stopped);
@@ -198,7 +194,6 @@ EngineResult MeasurementEngine::run(SampleSource& source,
                 rule->should_stop(i)) {
                 stopped[i] = true;
                 ++newly_stopped;
-                if (adaptive_.reuse_frozen_comparisons) cluster_ctx.freeze(i);
                 continue;
             }
             extend.push_back(i);
@@ -206,23 +201,13 @@ EngineResult MeasurementEngine::run(SampleSource& source,
         stopped_total += newly_stopped;
         round_span.arg("round", static_cast<std::uint64_t>(out.rounds))
             .arg("extending", static_cast<std::uint64_t>(extend.size()))
-            .arg("stopped", static_cast<std::uint64_t>(count - extend.size()))
-            .arg("comparisons_reused",
-                 static_cast<std::uint64_t>(cluster_ctx.reused_last_round()));
+            .arg("stopped", static_cast<std::uint64_t>(count - extend.size()));
         if (on_round) {
             on_round(EngineRound{out.rounds, newly_stopped, stopped_total,
                                  extend.size()});
         }
         if (extend.empty()) {
-            // The published clustering must be exactly what
-            // analyze_measurements would compute on the final measurements.
-            // A round that replayed cached frozen-pair outcomes shifted the
-            // comparator streams, so recompute cleanly in that case.
-            if (cluster_ctx.reused_last_round() > 0) {
-                out.clustering = clusterer.cluster(out.measurements);
-            } else {
-                out.clustering = std::move(clustering);
-            }
+            out.clustering = std::move(clustering);
             break;
         }
         for (const std::size_t i : extend) {

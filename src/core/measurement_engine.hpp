@@ -56,15 +56,6 @@ struct AdaptiveConfig {
     /// One-sided confidence level of the ConfidenceTargetRule's margin CI,
     /// in (0.5, 1). Only read when `rule == StoppingRuleKind::Confidence`.
     double confidence = 0.95;
-    /// Replay comparison outcomes between pairs of already-stopped
-    /// algorithms across rounds instead of re-running the bootstrap (their
-    /// samples can no longer change, so the cached outcome is a draw of the
-    /// same conditional distribution). Cuts the per-round re-clustering cost
-    /// sharply once most algorithms have frozen; the engine's published
-    /// final clustering is re-computed from scratch whenever any outcome was
-    /// replayed, so EngineResult::clustering always equals what
-    /// analyze_measurements would produce on the final measurements.
-    bool reuse_frozen_comparisons = true;
 
     /// True when early stopping can actually happen (max_n > min_n).
     [[nodiscard]] bool enabled() const noexcept { return max_n > min_n; }
@@ -174,7 +165,8 @@ private:
 struct EngineResult {
     MeasurementSet measurements;
     /// Clustering of the final measurements (identical to what
-    /// analyze_measurements would produce on them).
+    /// analyze_measurements would produce on them): the last round's
+    /// clustering, since every round clusters its measurements afresh.
     Clustering clustering;
     /// Per-algorithm sample counts, in source order.
     std::vector<std::size_t> samples_per_alg;

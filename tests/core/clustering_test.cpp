@@ -325,51 +325,3 @@ TEST(RelativeClusterer, SparseMatchesDenseOracleBitForBit) {
         expect_identical(clusterer.cluster(set), clusterer.cluster_dense(set));
     }
 }
-
-TEST(RelativeClusterer, ContextReuseIsBitIdentical) {
-    // Round 2+ reuses the prepared shuffle orders and comparator streams; with
-    // nothing frozen the result must equal the context-free overload exactly.
-    const MeasurementSet set = overlapping_set(17, 3);
-    const core::BootstrapComparator cmp(
-        core::BootstrapComparatorConfig{.rounds = 25});
-    const RelativeClusterer clusterer(cmp, ClustererConfig{25, 7});
-    const Clustering plain = clusterer.cluster(set);
-    core::ClusterContext ctx;
-    expect_identical(plain, clusterer.cluster(set, ctx));
-    expect_identical(plain, clusterer.cluster(set, ctx));
-    EXPECT_EQ(ctx.reused_total(), 0u);
-}
-
-TEST(RelativeClusterer, FrozenPairReplayIsCountedAndKeepsFinalRanks) {
-    // Once a pair is frozen, its first outcome per repetition is cached and
-    // every later comparison of the pair replays it — including the later
-    // bubble passes of the same round, so even the first frozen round
-    // reports reuse. Replay shifts the comparator streams (the engine
-    // re-clusters cleanly before publishing for exactly that reason), but on
-    // this fixed seed the final class membership must not move.
-    const MeasurementSet set = overlapping_set(8, 5);
-    const core::BootstrapComparator cmp(
-        core::BootstrapComparatorConfig{.rounds = 25});
-    const RelativeClusterer clusterer(cmp, ClustererConfig{25, 9});
-    const Clustering plain = clusterer.cluster(set);
-
-    core::ClusterContext ctx;
-    expect_identical(plain, clusterer.cluster(set, ctx));
-    EXPECT_EQ(ctx.reused_total(), 0u); // nothing frozen yet
-
-    for (std::size_t alg = 0; alg < set.size(); ++alg) ctx.freeze(alg);
-    const Clustering frozen_first = clusterer.cluster(set, ctx);
-    EXPECT_GT(ctx.reused_last_round(), 0u);
-    const std::size_t after_first = ctx.reused_total();
-    EXPECT_EQ(after_first, ctx.reused_last_round());
-
-    // The next round replays across rounds too — strictly more reuse.
-    const Clustering frozen_second = clusterer.cluster(set, ctx);
-    EXPECT_GT(ctx.reused_last_round(), after_first);
-    EXPECT_EQ(ctx.reused_total(), after_first + ctx.reused_last_round());
-
-    for (std::size_t alg = 0; alg < set.size(); ++alg) {
-        EXPECT_EQ(frozen_first.final_rank(alg), plain.final_rank(alg));
-        EXPECT_EQ(frozen_second.final_rank(alg), plain.final_rank(alg));
-    }
-}

@@ -265,34 +265,29 @@ TEST(RenderSavings, WellDefinedForZeroFixedBudget) {
 
 TEST(MeasurementEngine, PublishedClusteringEqualsAnalyzeMeasurements) {
     // EngineResult::clustering must equal what analyze_measurements computes
-    // on the final measurements — with frozen-comparison reuse on (where the
-    // engine re-clusters cleanly after replayed rounds) and off alike.
-    for (const bool reuse : {true, false}) {
-        core::AdaptiveConfig adaptive;
-        adaptive.min_n = 4;
-        adaptive.max_n = 16;
-        adaptive.batch = 4;
-        adaptive.stability_rounds = 2;
-        adaptive.reuse_frozen_comparisons = reuse;
-        ScriptedSource source = two_classes();
-        const core::EngineResult result = engine_for(adaptive).run(source);
+    // on the final measurements.
+    core::AdaptiveConfig adaptive;
+    adaptive.min_n = 4;
+    adaptive.max_n = 16;
+    adaptive.batch = 4;
+    adaptive.stability_rounds = 2;
+    ScriptedSource source = two_classes();
+    const core::EngineResult result = engine_for(adaptive).run(source);
 
-        core::AnalysisConfig analysis;
-        analysis.clustering.repetitions = 30; // matches engine_for
-        const core::AnalysisResult reference = core::analyze_measurements(
-            core::MeasurementSet(result.measurements), analysis);
-        ASSERT_EQ(result.clustering.cluster_count(),
-                  reference.clustering.cluster_count())
-            << "reuse_frozen_comparisons = " << reuse;
-        for (std::size_t alg = 0; alg < source.count(); ++alg) {
-            EXPECT_EQ(result.clustering.final_assignment[alg].rank,
-                      reference.clustering.final_assignment[alg].rank);
-            EXPECT_EQ(result.clustering.final_assignment[alg].score,
-                      reference.clustering.final_assignment[alg].score);
-            for (int r = 1; r <= result.clustering.cluster_count(); ++r) {
-                EXPECT_EQ(result.clustering.score_of(alg, r),
-                          reference.clustering.score_of(alg, r));
-            }
+    core::AnalysisConfig analysis;
+    analysis.clustering.repetitions = 30; // matches engine_for
+    const core::AnalysisResult reference = core::analyze_measurements(
+        core::MeasurementSet(result.measurements), analysis);
+    ASSERT_EQ(result.clustering.cluster_count(),
+              reference.clustering.cluster_count());
+    for (std::size_t alg = 0; alg < source.count(); ++alg) {
+        EXPECT_EQ(result.clustering.final_assignment[alg].rank,
+                  reference.clustering.final_assignment[alg].rank);
+        EXPECT_EQ(result.clustering.final_assignment[alg].score,
+                  reference.clustering.final_assignment[alg].score);
+        for (int r = 1; r <= result.clustering.cluster_count(); ++r) {
+            EXPECT_EQ(result.clustering.score_of(alg, r),
+                      reference.clustering.score_of(alg, r));
         }
     }
 }

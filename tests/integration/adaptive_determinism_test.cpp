@@ -6,21 +6,27 @@
 //! assignments and placement x backend variants. (Real-executor *values* are
 //! wall-clock and can never be compared across runs; there the invariant is
 //! the structure: same algorithms, same counts, same stream consumption.)
+//! The stop decisions of the CI plan's two adaptive runs are pinned as well:
+//! per-algorithm counts, rounds, stop-set history and clusterings.
 
 #include "campaign/campaign.hpp"
 #include "core/pipeline.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "sim/analytic.hpp"
 #include "sim/profile.hpp"
 #include "support/error.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 namespace campaign = relperf::campaign;
 namespace core = relperf::core;
+namespace obs = relperf::obs;
 namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
 using relperf::stats::Rng;
@@ -282,4 +288,68 @@ TEST(CoordinatedCampaign, SingleShardMatchesShardLocalStopping) {
         campaign::run_coordinated_campaign(coordinated, 1);
     expect_sets_identical(coord.analysis.measurements, shard.measurements,
                           true);
+}
+
+namespace {
+
+/// The plan CI runs: `relperf_cli --campaign-init` writes the default spec
+/// and `--adaptive --min-n 10` measures it adaptively from 10 samples.
+campaign::CampaignSpec ci_plan() {
+    campaign::CampaignSpec spec;
+    spec.adaptive_min = 10;
+    return spec;
+}
+
+const std::vector<std::string> kCiPlanAlgorithms = {
+    "algDDD", "algDDA", "algDAD", "algDAA",
+    "algADD", "algADA", "algAAD", "algAAA"};
+
+std::vector<std::string> names_of(const core::MeasurementSet& set) {
+    std::vector<std::string> names;
+    for (std::size_t i = 0; i < set.size(); ++i) names.push_back(set.name(i));
+    return names;
+}
+
+std::vector<std::size_t> counts_of(const core::MeasurementSet& set) {
+    std::vector<std::size_t> counts;
+    for (std::size_t i = 0; i < set.size(); ++i) {
+        counts.push_back(set.samples(i).size());
+    }
+    return counts;
+}
+
+} // namespace
+
+// The stop decisions of the CI plan's two adaptive runs, pinned to the
+// per-algorithm counts CI archives: a change to the engine's round loop
+// that moves any decision fails here before it reaches the CLI artifacts.
+TEST(CiPlanStops, ShardLocalStabilityRule) {
+    const core::AnalysisResult run = campaign::run_campaign(ci_plan(), 1, 1);
+    EXPECT_EQ(names_of(run.measurements), kCiPlanAlgorithms);
+    EXPECT_EQ(counts_of(run.measurements),
+              (std::vector<std::size_t>{25, 20, 25, 20, 20, 20, 20, 20}));
+    EXPECT_EQ(run.total_samples, 170u);
+}
+
+TEST(CiPlanStops, CoordinatedConfidenceRule) {
+    campaign::CampaignSpec spec = ci_plan();
+    spec.adaptive_coordinated = true;
+    spec.adaptive_confidence = 0.95;
+    obs::registry().reset_values();
+    obs::set_metrics_enabled(true);
+    const campaign::CoordinatedCampaignResult run =
+        campaign::run_coordinated_campaign(spec, 4);
+    const std::uint64_t clusterings = obs::metrics().clusterings_total.value();
+    obs::set_metrics_enabled(false);
+    obs::registry().reset_values();
+
+    EXPECT_EQ(names_of(run.analysis.measurements), kCiPlanAlgorithms);
+    EXPECT_EQ(counts_of(run.analysis.measurements),
+              (std::vector<std::size_t>{20, 15, 20, 15, 15, 15, 15, 20}));
+    EXPECT_EQ(run.analysis.total_samples, 135u);
+    EXPECT_EQ(run.rounds, 3u);
+    EXPECT_EQ(run.stopset_rounds, (std::vector<std::size_t>{0, 5, 8}));
+    // Each round clusters once and the last round's clustering is the one
+    // published: no clustering beyond the rounds.
+    EXPECT_EQ(clusterings, run.rounds);
 }
