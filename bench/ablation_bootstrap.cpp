@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
     const workloads::TaskChain chain = workloads::paper_rls_chain(10);
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
-    const auto assignments = workloads::enumerate_assignments(chain.size());
+    const auto variants =
+        workloads::to_variants(workloads::enumerate_assignments(chain.size()));
     const std::uint64_t seed = static_cast<std::uint64_t>(cli.value_int("seed"));
     const std::size_t rep = static_cast<std::size_t>(cli.value_int("rep"));
 
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
                          const std::string& label) {
         stats::Rng rng(seed);
         const core::MeasurementSet set =
-            core::measure_assignments(executor, chain, assignments, n, rng);
+            core::measure_variants(executor, chain, variants, n, rng);
         const core::BootstrapComparator comparator(cmp_cfg);
         const core::RelativeClusterer clusterer(
             comparator, core::ClustererConfig{rep, seed + 1});
@@ -97,7 +98,7 @@ int main(int argc, char** argv) {
     // The measurement set uses paper enumeration order: DDD=0, DDA=1, ...
     stats::Rng name_rng(seed);
     const core::MeasurementSet names =
-        core::measure_assignments(executor, chain, assignments, 2, name_rng);
+        core::measure_variants(executor, chain, variants, 2, name_rng);
     const std::size_t idx_dda = names.index_of("algDDA");
     const std::size_t idx_ddd = names.index_of("algDDD");
     const std::size_t idx_aad = names.index_of("algAAD");

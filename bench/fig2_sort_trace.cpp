@@ -77,8 +77,9 @@ int main(int argc, char** argv) {
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
 
     stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
-    core::MeasurementSet set = core::measure_assignments(
-        executor, chain, workloads::enumerate_assignments(2),
+    core::MeasurementSet set = core::measure_variants(
+        executor, chain,
+        workloads::to_variants(workloads::enumerate_assignments(2)),
         static_cast<std::size_t>(cli.value_int("n")), rng);
 
     // Paper's initial sequence <DD, AA, DA, AD>.

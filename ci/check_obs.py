@@ -21,15 +21,21 @@ Asserts that
   * relperf_samples_total equals the sum of the per-algorithm counts in the
     samples CSV — the metrics side and the measurement side of the run must
     tell the same story;
+  * without a mode flag (a shard-local adaptive campaign):
+    relperf_clusterings_total == relperf_adaptive_rounds + 1 (each shard's
+    engine clusters once per round, and the merge clusters once more);
   * with --coordinated (a coordinated adaptive campaign): the trace carries
     the campaign.coordinate span, both coordination counters fired,
     relperf_stopset_broadcast_total is a whole multiple of
-    relperf_coordination_rounds (each round broadcasts to every shard), and
-    relperf_clusterings_total equals relperf_coordination_rounds (each round
-    clusters once, and the last round's clustering is the one published);
+    relperf_coordination_rounds (each round broadcasts to every shard),
+    relperf_adaptive_rounds equals relperf_coordination_rounds (one
+    coordination round per engine round), and relperf_clusterings_total
+    equals relperf_coordination_rounds (each round clusters once, and the
+    last round's clustering is the one published);
   * with --fixed-n (a fixed-N campaign): every planned sample was drawn
-    (relperf_samples_total == relperf_samples_fixed_n_total) and the
-    merged set was clustered exactly once.
+    (relperf_samples_total == relperf_samples_fixed_n_total), no engine
+    round ran (relperf_adaptive_rounds == 0: fixed-N shards only measure)
+    and the merged set was clustered exactly once.
 
 Exits non-zero with a message naming the first violated invariant.
 """
@@ -121,11 +127,17 @@ def check_metrics(path: str, mode: str) -> int:
     samples_total = int(values["relperf_samples_total"])
     fixed_n_total = int(values["relperf_samples_fixed_n_total"])
     clusterings = int(values["relperf_clusterings_total"])
+    engine_rounds = int(values["relperf_adaptive_rounds"])
     if samples_total <= 0:
         fail(f"{path}: relperf_samples_total = {samples_total}")
     if samples_total > fixed_n_total:
         fail(f"{path}: samples_total {samples_total} exceeds the fixed-N "
              f"plan cost {fixed_n_total}")
+
+    if mode == "adaptive" and clusterings != engine_rounds + 1:
+        fail(f"{path}: relperf_clusterings_total = {clusterings} != "
+             f"relperf_adaptive_rounds + 1 = {engine_rounds + 1} — each "
+             f"shard clusters once per engine round and the merge once more")
 
     if mode == "coordinated":
         for counter in ("relperf_coordination_rounds",
@@ -141,6 +153,10 @@ def check_metrics(path: str, mode: str) -> int:
             fail(f"{path}: relperf_stopset_broadcast_total = {broadcasts} "
                  f"is not a positive multiple of the {rounds} coordination "
                  f"rounds — each round must broadcast to every shard")
+        if engine_rounds != rounds:
+            fail(f"{path}: relperf_adaptive_rounds = {engine_rounds} != "
+                 f"relperf_coordination_rounds = {rounds} — the coordinator "
+                 f"runs one round per engine round")
         if clusterings != rounds:
             fail(f"{path}: relperf_clusterings_total = {clusterings} != "
                  f"relperf_coordination_rounds = {rounds} — each round "
@@ -151,6 +167,9 @@ def check_metrics(path: str, mode: str) -> int:
             fail(f"{path}: samples_total {samples_total} != the fixed-N plan "
                  f"cost {fixed_n_total} — a fixed-N run draws every planned "
                  f"sample")
+        if engine_rounds != 0:
+            fail(f"{path}: relperf_adaptive_rounds = {engine_rounds} — "
+                 f"fixed-N shards only measure, they never enter the engine")
         if clusterings != 1:
             fail(f"{path}: relperf_clusterings_total = {clusterings} — a "
                  f"fixed-N run clusters the merged set exactly once")

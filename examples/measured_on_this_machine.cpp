@@ -47,8 +47,9 @@ int main(int argc, char** argv) {
                 cli.value_int("n"));
 
     stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
-    core::MeasurementSet measurements = core::measure_assignments_real(
-        executor, chain, workloads::enumerate_assignments(chain.size()),
+    core::MeasurementSet measurements = core::measure_variants_real(
+        executor, chain,
+        workloads::to_variants(workloads::enumerate_assignments(chain.size())),
         static_cast<std::size_t>(cli.value_int("n")), rng, /*warmup=*/2);
 
     std::fputs(core::render_summary_table(measurements).c_str(), stdout);

@@ -3,7 +3,6 @@
 #include "cache/cached_source.hpp"
 #include "campaign/merge.hpp"
 #include "campaign/runner.hpp"
-#include "core/measurement_engine.hpp"
 #include "obs/metrics.hpp"
 
 #include <utility>
@@ -11,14 +10,6 @@
 namespace relperf::cache {
 
 namespace {
-
-/// Restores the plan's true fixed-N cost (analyze_measurements cannot know
-/// the cap of an externally measured set).
-void restore_fixed_n(core::AnalysisResult& analysis,
-                     const campaign::CampaignSpec& spec) {
-    analysis.fixed_n_samples =
-        analysis.measurements.size() * spec.measurements;
-}
 
 /// A cold run of the uncached path, capturing the coordinated metadata.
 CachedRunResult run_uncached(const campaign::CampaignSpec& spec,
@@ -72,7 +63,9 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
         // byte-identical to the original analysis, zero executor draws.
         out.analysis = core::analyze_measurements(std::move(lookup.merged),
                                                   spec.analysis_config());
-        restore_fixed_n(out.analysis, spec);
+        // analyze_measurements cannot know the plan's cap; restore it.
+        out.analysis.fixed_n_samples =
+            out.analysis.measurements.size() * spec.measurements;
         out.samples_from_cache = out.analysis.total_samples;
         obs::metrics().cache_extension_samples_saved_total.inc(
             out.samples_from_cache);
@@ -94,27 +87,12 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
             out.analysis = std::move(coordinated.analysis);
             out.stopset_rounds = std::move(coordinated.stopset_rounds);
             out.rounds = coordinated.rounds;
-        } else if (spec.adaptive()) {
-            // cacheable() admitted this plan, so K == 1: the single-shard
-            // engine over the full global variant list.
-            const core::AnalysisConfig config = spec.analysis_config();
-            const core::MeasurementEngine engine(
-                spec.adaptive_config(), config.comparator, config.clustering);
-            core::EngineResult engine_result = engine.run(replay);
-            out.analysis.measurements = std::move(engine_result.measurements);
-            out.analysis.clustering = std::move(engine_result.clustering);
-            out.analysis.samples_per_alg =
-                std::move(engine_result.samples_per_alg);
-            out.analysis.total_samples = engine_result.total_samples;
-            out.analysis.fixed_n_samples = engine_result.fixed_n_samples;
         } else {
-            obs::metrics().samples_fixed_n_total.inc(replay.count() *
-                                                     spec.measurements);
-            core::MeasurementSet measured =
-                core::measure_all(replay, spec.measurements);
-            out.analysis = core::analyze_measurements(std::move(measured),
-                                                      spec.analysis_config());
-            restore_fixed_n(out.analysis, spec);
+            // cacheable() admitted this plan, so an adaptive one runs with
+            // K == 1: the engine over the full global variant list, of
+            // which a fixed-N plan is the one-round case.
+            out.analysis =
+                core::analyze_source(replay, spec.analysis_config());
         }
         out.samples_from_cache = replay.served();
         cache.store(spec, out.analysis.measurements, out.stopset_rounds);

@@ -11,9 +11,9 @@
 //!    (relperf_samples_total stays 0: only the executor-backed leaf sources
 //!    count drawn samples).
 //!  - **Prefix extension** — the entry's samples are replayed as the stream
-//!    prefix through a CachedSampleSource over the spec's real source
-//!    (cached_source.hpp); the ordinary measurement path re-runs from
-//!    scratch seeing identical values, so the final MeasurementSet is
+//!    prefix through a CachedSampleSource over campaign::GlobalSampleSource
+//!    (cached_source.hpp); core::analyze_source (or the coordinator) re-runs
+//!    from scratch seeing identical values, so the final MeasurementSet is
 //!    bit-identical to a cold full run while only the budget delta reaches
 //!    the executor. The extended result is stored, upgrading the entry.
 //!  - **Miss** — the campaign runs exactly as without a cache, then stores.

@@ -6,12 +6,12 @@
 //! A cached entry of the same plan with a smaller budget holds, per
 //! algorithm, a byte-exact prefix of what the larger-budget run would draw
 //! (per-assignment RNG streams make samples prefix-extensible). Wrapping the
-//! real executor-backed source with a CachedSampleSource lets the ordinary
-//! measurement path — measure_all, the adaptive engine, the coordinated
-//! campaign — re-run from scratch while the first `cached` samples of every
-//! algorithm are served from the entry instead of the executor. The caller's
-//! decisions (adaptive stops, clusterings) see identical values in identical
-//! order, so the final MeasurementSet is bit-identical to a cold full run;
+//! real executor-backed source with a CachedSampleSource lets
+//! core::analyze_source or the coordinated campaign re-run from scratch
+//! while the first `cached` samples of every algorithm are served from the
+//! entry instead of the executor. The caller's decisions (adaptive stops,
+//! clusterings) see identical values in identical order, so the final
+//! MeasurementSet is bit-identical to a cold full run;
 //! only draws beyond the cached prefix reach the inner source, after its
 //! stream is fast-forwarded (SampleSource::skip) past the consumed prefix.
 //!

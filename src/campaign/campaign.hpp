@@ -8,8 +8,10 @@
 //!                                    persisted via shard_io.hpp;
 //!   3. merge and cluster centrally — merge_shards / run_campaign (merge.hpp).
 //!
-//! The per-assignment RNG streams of core::measure_assignments guarantee the
-//! merged result is bit-identical to the single-process pipeline.
+//! Every variant draws on the RNG stream of its global index
+//! (core::assignment_stream_seed, through GlobalSampleSource), which
+//! guarantees the merged result is bit-identical to the single-process
+//! pipeline.
 
 #include "campaign/merge.hpp"
 #include "campaign/runner.hpp"

@@ -10,11 +10,13 @@
 #include "sim/executor.hpp"
 #include "sim/real_executor.hpp"
 #include "support/error.hpp"
+#include "support/str.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <thread>
 
@@ -25,56 +27,6 @@ namespace {
 std::size_t effective_shard_count(const CampaignSpec& spec,
                                   std::size_t shard_count) {
     return shard_count == 0 ? spec.shards : shard_count;
-}
-
-/// Measures the variants of `plan` with the spec's executor through the one
-/// generic engine-backed path. Each variant draws from the stream derived
-/// from its *global* index, so a fixed-N shard is identical to the
-/// corresponding slice of the unsharded pipeline, and an adaptive shard's
-/// samples are a deterministic prefix of that slice. Adaptive stopping
-/// clusters the shard's own algorithms (shard-local decisions).
-core::MeasurementSet measure_plan(const CampaignSpec& spec,
-                                  const ShardPlan& plan) {
-    const workloads::TaskChain chain = spec.chain();
-    const std::vector<workloads::VariantAssignment> all = spec.variants();
-    std::vector<workloads::VariantAssignment> mine;
-    mine.reserve(plan.assignment_indices.size());
-    for (const std::size_t index : plan.assignment_indices) {
-        mine.push_back(all[index]);
-    }
-    const core::StreamFactory streams = [&spec, &plan](std::size_t local) {
-        return stats::Rng(core::assignment_stream_seed(
-            spec.measurement_seed, plan.assignment_indices[local]));
-    };
-
-    const auto run_source = [&](core::SampleSource& source) {
-        if (!spec.adaptive()) {
-            // measure_all counts only actual draws; the plan cost is ours to
-            // report (the engine reports its own on the adaptive branch).
-            obs::metrics().samples_fixed_n_total.inc(source.count() *
-                                                     spec.measurements);
-            return core::measure_all(source, spec.measurements);
-        }
-        const core::AnalysisConfig analysis = spec.analysis_config();
-        const core::MeasurementEngine engine(
-            spec.adaptive_config(), analysis.comparator, analysis.clustering);
-        return std::move(engine.run(source).measurements);
-    };
-
-    if (spec.executor == ExecutorKind::Sim) {
-        const sim::AnalyticCostModel model(platform_preset(spec.platform));
-        const sim::SimulatedExecutor executor(model, sim::NoiseModel{});
-        core::SimSampleSource source(executor, chain, std::move(mine), streams);
-        return run_source(source);
-    }
-    const sim::EmulatedDevice device{spec.device_threads, 0.0, 0.0};
-    const sim::EmulatedDevice accelerator{spec.accelerator_threads,
-                                          spec.dispatch_delay_us * 1e-6,
-                                          spec.switch_delay_us * 1e-6};
-    const sim::RealExecutor executor(device, accelerator);
-    core::RealSampleSource source(executor, chain, std::move(mine), streams,
-                                  spec.warmup);
-    return run_source(source);
 }
 
 /// The header fields every shard file of `spec` carries: the plan identity,
@@ -122,15 +74,12 @@ ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
                     "between rounds — run the campaign through "
                     "run_coordinated_campaign (relperf_cli --coordinated "
                     "--run) instead of per-shard execution");
-    // Fail before measuring anything when this build cannot honor the
-    // plan's backends (validate() deliberately does not check availability:
-    // a collecting host without the backends must still be able to merge).
-    (void)linalg::backend(spec.backend);
-    for (const std::string& name : spec.variant_backends) {
-        (void)linalg::backend(name);
-    }
     const std::size_t count = effective_shard_count(spec, shard_count);
-    const Sharder sharder(spec.variants().size(), count);
+    const ShardPlan plan =
+        Sharder(spec.variants().size(), count).plan(shard_index);
+    // Built before the shard is counted: it fails up front when this build
+    // cannot honor the plan's backends.
+    GlobalSampleSource mine(spec, plan.assignment_indices);
 
     obs::Span span("shard.run", "campaign");
     span.arg("shard", static_cast<std::uint64_t>(shard_index))
@@ -141,50 +90,71 @@ ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
 
     ShardResult result;
     result.manifest = shard_manifest(spec, shard_index, count);
-    result.measurements = measure_plan(spec, sharder.plan(shard_index));
     if (spec.adaptive()) {
-        result.manifest.samples_per_algorithm.reserve(
-            result.measurements.size());
-        for (std::size_t i = 0; i < result.measurements.size(); ++i) {
-            result.manifest.samples_per_algorithm.push_back(
-                result.measurements.samples(i).size());
-        }
+        // Shard-local stopping: the engine clusters the shard's own
+        // algorithms.
+        core::AnalysisResult analysis =
+            core::analyze_source(mine.source(), spec.analysis_config());
+        result.measurements = std::move(analysis.measurements);
+        result.manifest.samples_per_algorithm =
+            std::move(analysis.samples_per_alg);
+        return result;
     }
+    // A fixed-N shard only measures. The engine's one-round plan would also
+    // cluster it, and the campaign clusters the merged set anyway.
+    // measure_all counts only actual draws; the plan cost is ours to report.
+    obs::metrics().samples_fixed_n_total.inc(plan.assignment_indices.size() *
+                                             spec.measurements);
+    result.measurements = core::measure_all(mine.source(), spec.measurements);
     return result;
 }
 
 struct GlobalSampleSource::Impl {
-    workloads::TaskChain chain;
-    std::vector<workloads::VariantAssignment> variants;
     // Construction order matters: the executors hold references into the
-    // model, and the sources into the executors.
+    // model, and the source into an executor.
     std::optional<sim::AnalyticCostModel> model;
     std::optional<sim::SimulatedExecutor> sim_executor;
     std::optional<sim::RealExecutor> real_executor;
-    std::optional<core::SimSampleSource> sim_source;
-    std::optional<core::RealSampleSource> real_source;
+    std::unique_ptr<core::SampleSource> source;
 };
 
-GlobalSampleSource::GlobalSampleSource(const CampaignSpec& spec)
+GlobalSampleSource::GlobalSampleSource(
+    const CampaignSpec& spec, const std::vector<std::size_t>& global_indices)
     : impl_(std::make_unique<Impl>()) {
     spec.validate();
     // This object measures, so the plan's backends must exist in this build
-    // (mirrors run_shard's pre-measurement check).
+    // (validate() deliberately does not check availability: a collecting
+    // host without the backends must still be able to merge).
     (void)linalg::backend(spec.backend);
     for (const std::string& name : spec.variant_backends) {
         (void)linalg::backend(name);
     }
-    impl_->chain = spec.chain();
-    impl_->variants = spec.variants();
-    const core::StreamFactory streams =
-        [seed = spec.measurement_seed](std::size_t global) {
-            return stats::Rng(core::assignment_stream_seed(seed, global));
-        };
+    const std::vector<workloads::VariantAssignment> all = spec.variants();
+    std::vector<std::size_t> globals = global_indices;
+    if (globals.empty()) {
+        globals.resize(all.size());
+        std::iota(globals.begin(), globals.end(), std::size_t{0});
+    }
+    std::vector<workloads::VariantAssignment> variants;
+    variants.reserve(globals.size());
+    for (const std::size_t global : globals) {
+        RELPERF_REQUIRE(global < all.size(),
+                        str::format("GlobalSampleSource: variant index %zu is "
+                                    "out of range (the plan has %zu)",
+                                    global, all.size()));
+        variants.push_back(all[global]);
+    }
+    core::StreamFactory streams = [seed = spec.measurement_seed,
+                                   globals = std::move(globals)](
+                                      std::size_t local) {
+        return stats::Rng(core::assignment_stream_seed(seed, globals[local]));
+    };
     if (spec.executor == ExecutorKind::Sim) {
         impl_->model.emplace(platform_preset(spec.platform));
         impl_->sim_executor.emplace(*impl_->model, sim::NoiseModel{});
-        impl_->sim_source.emplace(*impl_->sim_executor, impl_->chain,
-                                  impl_->variants, streams);
+        impl_->source = std::make_unique<core::SimSampleSource>(
+            *impl_->sim_executor, spec.chain(), std::move(variants),
+            std::move(streams));
         return;
     }
     const sim::EmulatedDevice device{spec.device_threads, 0.0, 0.0};
@@ -192,16 +162,14 @@ GlobalSampleSource::GlobalSampleSource(const CampaignSpec& spec)
                                           spec.dispatch_delay_us * 1e-6,
                                           spec.switch_delay_us * 1e-6};
     impl_->real_executor.emplace(device, accelerator);
-    impl_->real_source.emplace(*impl_->real_executor, impl_->chain,
-                               impl_->variants, streams, spec.warmup);
+    impl_->source = std::make_unique<core::RealSampleSource>(
+        *impl_->real_executor, spec.chain(), std::move(variants),
+        std::move(streams), spec.warmup);
 }
 
 GlobalSampleSource::~GlobalSampleSource() = default;
 
-core::SampleSource& GlobalSampleSource::source() {
-    if (impl_->sim_source) return *impl_->sim_source;
-    return *impl_->real_source;
-}
+core::SampleSource& GlobalSampleSource::source() { return *impl_->source; }
 
 CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
                                                    std::size_t shard_count) {
@@ -222,8 +190,7 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
                     "'adaptive_coordination = coordinated' — the key is part "
                     "of the measurement plan and must be recorded");
     const std::size_t count = effective_shard_count(spec, shard_count);
-    const std::vector<workloads::VariantAssignment> variants = spec.variants();
-    const Sharder sharder(variants.size(), count);
+    const Sharder sharder(spec.variants().size(), count);
 
     // The coordinator owns the round loop conceptually, but it does not need
     // to own it mechanically: every variant draws from the stream derived
@@ -234,14 +201,9 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
     // stop-set IS the engine's frozen set. The observer is where the
     // broadcast becomes observable: one coordination round and K stop-set
     // broadcasts per clustering, recorded for the shard manifests.
-    RELPERF_REQUIRE(source.count() == variants.size(),
+    RELPERF_REQUIRE(source.count() == sharder.assignment_count(),
                     "run_coordinated_campaign: the sample source must "
                     "enumerate the spec's full global variant list");
-    const core::AnalysisConfig analysis_cfg = spec.analysis_config();
-    const core::MeasurementEngine engine(
-        spec.adaptive_config(), analysis_cfg.comparator,
-        analysis_cfg.clustering);
-
     CoordinatedCampaignResult out;
     const core::RoundObserver observer = [&](const core::EngineRound& r) {
         obs::Span round("campaign.coordinate", "campaign");
@@ -256,8 +218,11 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
         out.stopset_rounds.push_back(r.stopped_total);
     };
 
-    core::EngineResult engine_result = engine.run(source, observer);
-    out.rounds = engine_result.rounds;
+    // The engine's published clustering is exactly what analyze_measurements
+    // would produce on the final merged measurements — no re-clustering.
+    out.analysis =
+        core::analyze_source(source, spec.analysis_config(), observer);
+    out.rounds = out.stopset_rounds.size();
 
     // Slice the global result into per-shard files. Manifests carry the
     // coordinated plan and the broadcast history so a later merge_shards can
@@ -272,23 +237,14 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
         const ShardPlan plan = sharder.plan(i);
         m.samples_per_algorithm.reserve(plan.assignment_indices.size());
         for (const std::size_t global : plan.assignment_indices) {
-            const auto samples = engine_result.measurements.samples(global);
-            shard.measurements.add(engine_result.measurements.name(global),
+            const auto samples = out.analysis.measurements.samples(global);
+            shard.measurements.add(out.analysis.measurements.name(global),
                                    {samples.begin(), samples.end()});
             m.samples_per_algorithm.push_back(
-                engine_result.samples_per_alg[global]);
+                out.analysis.samples_per_alg[global]);
         }
         out.shards.push_back(std::move(shard));
     }
-
-    // The engine's published clustering is exactly what analyze_measurements
-    // would produce on the final merged measurements, so the analysis bundle
-    // is assembled directly — no re-clustering.
-    out.analysis.total_samples = engine_result.total_samples;
-    out.analysis.fixed_n_samples = engine_result.fixed_n_samples;
-    out.analysis.measurements = std::move(engine_result.measurements);
-    out.analysis.clustering = std::move(engine_result.clustering);
-    out.analysis.samples_per_alg = std::move(engine_result.samples_per_alg);
     return out;
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 //! \file runner.hpp
-//! Shard execution. run_shard() measures exactly the assignments a shard
-//! owns, on per-assignment RNG streams derived from the campaign's
-//! measurement seed and each assignment's *global* index
+//! Shard execution. run_shard() measures exactly the variants a shard owns
+//! through a GlobalSampleSource, on per-variant RNG streams derived from the
+//! campaign's measurement seed and each variant's *global* index
 //! (core::assignment_stream_seed) — so the union of all shards reproduces
 //! the single-process pipeline bit-for-bit, no matter where or in which
 //! order the shards ran. LocalShardRunner fans the shards of one campaign
@@ -19,8 +19,10 @@
 namespace relperf::campaign {
 
 /// Measures shard `shard_index` of `spec`'s plan split into `shard_count`
-/// shards. Pass shard_count = 0 to use spec.shards. The result's manifest
-/// carries the spec hash, the shard reference and this host's name.
+/// shards. Pass shard_count = 0 to use spec.shards. A fixed-N shard only
+/// measures; an adaptive shard runs core::analyze_source over its own
+/// variants. The result's manifest carries the spec hash, the shard
+/// reference and this host's name.
 [[nodiscard]] ShardResult run_shard(const CampaignSpec& spec,
                                     std::size_t shard_index,
                                     std::size_t shard_count = 0);
@@ -39,7 +41,7 @@ struct CoordinatedCampaignResult {
     std::vector<ShardResult> shards;
     /// Cumulative global stop-set size after each coordinator round.
     std::vector<std::size_t> stopset_rounds;
-    std::size_t rounds = 0; ///< Coordinator rounds (clusterings consulted).
+    std::size_t rounds = 0; ///< Coordinator rounds, one per engine round.
 };
 
 /// Runs an adaptive campaign with cross-shard coordinated stopping: between
@@ -67,14 +69,18 @@ struct CoordinatedCampaignResult {
     const CampaignSpec& spec, std::size_t shard_count,
     core::SampleSource& source);
 
-/// Owns the spec's executor plus the engine sample source over the *full*
-/// global variant list (streams derived from global indices) — the building
-/// block for callers that drive measurement themselves rather than through
-/// run_shard, such as the result cache's prefix-extension path. The executor
-/// lives as long as the bundle, so the source reference stays valid.
+/// The one builder that turns a spec into an executor-backed sample source:
+/// validates the spec, checks that the plan's backends exist in this build,
+/// builds the sim or real executor and enumerates the variants at
+/// `global_indices` (all of them when empty; InvalidArgument on an index >=
+/// the variant count). Each variant draws on the stream of its global index,
+/// so a subset reproduces the matching rows of the full list bit for bit.
+/// The executor lives as long as the bundle, so the source stays valid.
 class GlobalSampleSource {
 public:
-    explicit GlobalSampleSource(const CampaignSpec& spec);
+    explicit GlobalSampleSource(
+        const CampaignSpec& spec,
+        const std::vector<std::size_t>& global_indices = {});
     ~GlobalSampleSource();
     GlobalSampleSource(const GlobalSampleSource&) = delete;
     GlobalSampleSource& operator=(const GlobalSampleSource&) = delete;

@@ -7,8 +7,8 @@
 //! striding balances work better than contiguous blocks, and the mapping is a
 //! pure function of (assignment_count, K, i) — no state, no RNG, no
 //! dependence on which machine computes it. Combined with the per-assignment
-//! measurement streams of core::measure_assignments, this makes every shard's
-//! output reproducible and independent of execution order.
+//! measurement streams of core::assignment_stream_seed, this makes every
+//! shard's output reproducible and independent of execution order.
 
 #include <cstddef>
 #include <string>

@@ -405,11 +405,7 @@ std::vector<workloads::VariantAssignment> CampaignSpec::variants() const {
     if (!variant_backends.empty()) {
         return workloads::enumerate_variants(sizes.size(), variant_backends);
     }
-    std::vector<workloads::VariantAssignment> out;
-    for (const workloads::DeviceAssignment& assignment : assignments()) {
-        out.emplace_back(assignment);
-    }
-    return out;
+    return workloads::to_variants(assignments());
 }
 
 core::AdaptiveConfig CampaignSpec::adaptive_config() const {

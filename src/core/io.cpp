@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
 namespace relperf::core {
@@ -60,9 +61,11 @@ MeasurementSet parse_measurements_stream(std::istream& in,
                     line + "'");
     }
 
-    // Preserve first-seen algorithm order.
+    // Preserve first-seen algorithm order. A repeated (algorithm, index)
+    // row would enter the sample twice, so it is an error.
     std::vector<std::string> order;
     std::map<std::string, std::vector<double>> samples;
+    std::map<std::string, std::set<std::size_t>> indices;
     while (std::getline(in, line)) {
         ++line_number;
         if (is_skippable(line)) continue;
@@ -76,6 +79,12 @@ MeasurementSet parse_measurements_stream(std::istream& in,
         if (name.empty()) {
             fail_at(source, line_number, "empty algorithm name");
         }
+        std::size_t index = 0;
+        try {
+            index = str::parse_size(fields[1], "measurement_index");
+        } catch (const InvalidArgument& e) {
+            fail_at(source, line_number, e.what());
+        }
         errno = 0;
         char* end = nullptr;
         const double value = std::strtod(fields[2].c_str(), &end);
@@ -83,6 +92,12 @@ MeasurementSet parse_measurements_stream(std::istream& in,
             errno == ERANGE || !std::isfinite(value)) {
             fail_at(source, line_number,
                     "bad seconds value '" + fields[2] + "'");
+        }
+        if (!indices[name].insert(index).second) {
+            fail_at(source, line_number,
+                    str::format("duplicate measurement_index %zu for "
+                                "algorithm '%s'",
+                                index, name.c_str()));
         }
         if (!samples.count(name)) order.push_back(name);
         samples[name].push_back(value);

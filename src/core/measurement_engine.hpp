@@ -24,7 +24,8 @@
 //! adaptive run's samples are literally a prefix of the fixed-N run's, and
 //! early-stopping one algorithm cannot perturb another's values. With
 //! `max_n == min_n` (adaptive off) the engine performs exactly one round and
-//! reproduces the legacy batch path bit for bit.
+//! reproduces the batch path (measure_all, then one clustering) bit for bit;
+//! core::analyze_source runs every fixed-N plan that way.
 
 #include "core/bootstrap_comparator.hpp"
 #include "core/clustering.hpp"
@@ -92,8 +93,8 @@ public:
 };
 
 /// Opens the measurement stream of the algorithm at (local) position i.
-/// The pipeline wrappers derive it from the master rng (`rng.child(i)`); the
-/// campaign runner from the *global* index via assignment_stream_seed.
+/// The pipeline derives it from the master rng (`rng.child(i)`);
+/// GlobalSampleSource from the *global* index via assignment_stream_seed.
 using StreamFactory = std::function<stats::Rng(std::size_t)>;
 
 /// Shared plumbing of the executor-backed sources: the variant list, the
@@ -156,9 +157,9 @@ private:
     std::size_t warmup_;
 };
 
-/// The single generic fixed-N measurement path: n samples of every
-/// algorithm, in source order. Every legacy measure_* wrapper and the
-/// engine's first round go through this loop.
+/// The single generic fixed-N measurement loop: n samples of every
+/// algorithm, in source order. measure_variants(_real), fixed-N campaign
+/// shards and the engine's first round all go through it.
 [[nodiscard]] MeasurementSet measure_all(SampleSource& source, std::size_t n);
 
 /// Outcome of one engine run.

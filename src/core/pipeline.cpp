@@ -7,17 +7,7 @@ namespace relperf::core {
 
 namespace {
 
-std::vector<workloads::VariantAssignment> to_variants(
-    const std::vector<workloads::DeviceAssignment>& assignments) {
-    std::vector<workloads::VariantAssignment> out;
-    out.reserve(assignments.size());
-    for (const workloads::DeviceAssignment& assignment : assignments) {
-        out.emplace_back(assignment);
-    }
-    return out;
-}
-
-/// The legacy per-assignment stream derivation: position i measures on
+/// The pipeline's per-variant stream derivation: position i measures on
 /// rng.child(i) (a pure function of the master rng's construction seed, see
 /// assignment_stream_seed).
 StreamFactory child_streams(const stats::Rng& rng) {
@@ -29,28 +19,6 @@ StreamFactory child_streams(const stats::Rng& rng) {
 std::uint64_t assignment_stream_seed(std::uint64_t master_seed,
                                      std::size_t index) noexcept {
     return stats::Rng(master_seed).child(index).seed();
-}
-
-MeasurementSet measure_assignments(
-    const sim::SimulatedExecutor& executor, const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments, std::size_t n,
-    stats::Rng& rng) {
-    RELPERF_REQUIRE(!assignments.empty(), "measure_assignments: no assignments");
-    SimSampleSource source(executor, chain, to_variants(assignments),
-                           child_streams(rng));
-    obs::metrics().samples_fixed_n_total.inc(assignments.size() * n);
-    return measure_all(source, n);
-}
-
-MeasurementSet measure_assignments_real(
-    const sim::RealExecutor& executor, const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments, std::size_t n,
-    stats::Rng& rng, std::size_t warmup) {
-    RELPERF_REQUIRE(!assignments.empty(), "measure_assignments_real: no assignments");
-    RealSampleSource source(executor, chain, to_variants(assignments),
-                            child_streams(rng), warmup);
-    obs::metrics().samples_fixed_n_total.inc(assignments.size() * n);
-    return measure_all(source, n);
 }
 
 MeasurementSet measure_variants(
@@ -74,29 +42,32 @@ MeasurementSet measure_variants_real(
     return measure_all(source, n);
 }
 
+AnalysisResult analyze_source(SampleSource& source,
+                              const AnalysisConfig& config,
+                              const RoundObserver& on_round) {
+    AdaptiveConfig one_round;
+    one_round.min_n = one_round.max_n = config.measurements_per_alg;
+    const MeasurementEngine engine(config.adaptive.value_or(one_round),
+                                   config.comparator, config.clustering);
+    EngineResult measured = engine.run(source, on_round);
+    AnalysisResult out;
+    out.measurements = std::move(measured.measurements);
+    out.clustering = std::move(measured.clustering);
+    out.samples_per_alg = std::move(measured.samples_per_alg);
+    out.total_samples = measured.total_samples;
+    out.fixed_n_samples = measured.fixed_n_samples;
+    return out;
+}
+
 AnalysisResult analyze_chain(
     const sim::SimulatedExecutor& executor, const workloads::TaskChain& chain,
     const std::vector<workloads::DeviceAssignment>& assignments,
     const AnalysisConfig& config) {
-    stats::Rng rng(config.measurement_seed);
-    if (config.adaptive) {
-        RELPERF_REQUIRE(!assignments.empty(), "analyze_chain: no assignments");
-        SimSampleSource source(executor, chain, to_variants(assignments),
-                               child_streams(rng));
-        const MeasurementEngine engine(*config.adaptive, config.comparator,
-                                       config.clustering);
-        EngineResult measured = engine.run(source);
-        AnalysisResult out;
-        out.measurements = std::move(measured.measurements);
-        out.clustering = std::move(measured.clustering);
-        out.samples_per_alg = std::move(measured.samples_per_alg);
-        out.total_samples = measured.total_samples;
-        out.fixed_n_samples = measured.fixed_n_samples;
-        return out;
-    }
-    MeasurementSet measurements = measure_assignments(
-        executor, chain, assignments, config.measurements_per_alg, rng);
-    return analyze_measurements(std::move(measurements), config);
+    RELPERF_REQUIRE(!assignments.empty(), "analyze_chain: no assignments");
+    const stats::Rng rng(config.measurement_seed);
+    SimSampleSource source(executor, chain, workloads::to_variants(assignments),
+                           child_streams(rng));
+    return analyze_source(source, config);
 }
 
 AnalysisResult analyze_measurements(MeasurementSet measurements,

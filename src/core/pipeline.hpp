@@ -1,16 +1,17 @@
 #pragma once
 //! \file pipeline.hpp
-//! End-to-end analysis pipeline: measure every device assignment of a task
-//! chain (simulated or real executor), then cluster the resulting
-//! distributions into performance classes. This is the library's main entry
-//! point — the examples and most benches go through it.
+//! End-to-end analysis pipeline: measure every algorithm of a task chain
+//! (simulated or real executor), then cluster the resulting distributions
+//! into performance classes. This is the library's main entry point — the
+//! examples and most benches go through it.
 //!
-//! Measurement itself lives in the MeasurementEngine
-//! (core/measurement_engine.hpp): the measure_* functions below are thin
-//! wrappers over the one generic source-backed path, kept for their
-//! historical signatures; their output is bit-identical to the pre-engine
-//! batch loops. AnalysisConfig::adaptive switches analyze_chain to the
-//! incremental early-stopping engine.
+//! analyze_source is the one path that measures a SampleSource and clusters
+//! it, through the MeasurementEngine (core/measurement_engine.hpp). A
+//! fixed-N plan is the engine's one-round plan (min_n == max_n), which is
+//! bit-identical to measure_all followed by analyze_measurements;
+//! AnalysisConfig::adaptive switches on the early-stopping rounds.
+//! measure_variants / measure_variants_real only measure, for callers that
+//! cluster (or compare) the set themselves.
 
 #include "core/bootstrap_comparator.hpp"
 #include "core/clustering.hpp"
@@ -37,36 +38,21 @@ namespace relperf::core {
 [[nodiscard]] std::uint64_t assignment_stream_seed(std::uint64_t master_seed,
                                                    std::size_t index) noexcept;
 
-/// Measures each assignment `n` times with the simulated executor.
-/// Algorithm names follow the paper's convention ("algDDA").
+/// Measures each variant `n` times with the simulated executor. Algorithm
+/// names are the variants' alg_name()s, so plain placements keep the paper's
+/// convention ("algDDA"); workloads::to_variants lifts DeviceAssignments.
 ///
-/// Each assignment is measured on its own independent RNG stream derived from
-/// the master rng's *construction seed* and the assignment's position in the
-/// list (see assignment_stream_seed). Measurements of one assignment are thus
-/// independent of every other assignment — the property the campaign sharder
+/// Each variant is measured on its own independent RNG stream derived from
+/// the master rng's *construction seed* and the variant's position in the
+/// list (see assignment_stream_seed). Measurements of one variant are thus
+/// independent of every other variant — the property the campaign sharder
 /// relies on to split the list across shards without changing any value.
-[[nodiscard]] MeasurementSet measure_assignments(
-    const sim::SimulatedExecutor& executor, const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments, std::size_t n,
-    stats::Rng& rng);
-
-/// Measured variant via the RealExecutor (wall-clock on this machine).
-/// Uses the same per-assignment stream derivation as measure_assignments.
-[[nodiscard]] MeasurementSet measure_assignments_real(
-    const sim::RealExecutor& executor, const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments, std::size_t n,
-    stats::Rng& rng, std::size_t warmup = 1);
-
-/// As measure_assignments, over per-task placement×backend variants. A
-/// variant at position i runs on the identical RNG stream a plain assignment
-/// at position i would — the sharding contract does not care which axis the
-/// algorithm list enumerates.
 [[nodiscard]] MeasurementSet measure_variants(
     const sim::SimulatedExecutor& executor, const workloads::TaskChain& chain,
     const std::vector<workloads::VariantAssignment>& variants, std::size_t n,
     stats::Rng& rng);
 
-/// As measure_assignments_real, over variants.
+/// As measure_variants, via the RealExecutor (wall-clock on this machine).
 [[nodiscard]] MeasurementSet measure_variants_real(
     const sim::RealExecutor& executor, const workloads::TaskChain& chain,
     const std::vector<workloads::VariantAssignment>& variants, std::size_t n,
@@ -79,10 +65,9 @@ struct AnalysisConfig {
     BootstrapComparatorConfig comparator;  ///< Comparison strategy knobs.
     ClustererConfig clustering;            ///< Rep + seed.
     std::uint64_t measurement_seed = 0xFEEDULL;
-    /// When set, analyze_chain measures through the adaptive
-    /// MeasurementEngine under these knobs (measurements_per_alg is ignored;
-    /// the engine's min_n/max_n govern). `max_n == min_n` reproduces the
-    /// fixed-N path bit for bit.
+    /// When set, analyze_source runs the adaptive rounds under these knobs
+    /// (measurements_per_alg is ignored; the engine's min_n/max_n govern).
+    /// Unset, it runs the one-round plan min_n = max_n = measurements_per_alg.
     std::optional<AdaptiveConfig> adaptive;
 };
 
@@ -96,12 +81,21 @@ struct AnalysisResult {
     /// What the fixed-N plan would have cost (count * max_n);
     /// total_samples < fixed_n_samples quantifies the adaptive savings.
     /// analyze_measurements cannot know the cap of an externally measured
-    /// set and defaults this to total_samples (zero savings); analyze_chain
+    /// set and defaults this to total_samples (zero savings); analyze_source
     /// and campaign::run_campaign fill in the true plan cost.
     std::size_t fixed_n_samples = 0;
 };
 
-/// One-call pipeline over a simulated platform.
+/// Measures `source` and clusters it — the one place a MeasurementEngine
+/// runs. The plan is config.adaptive when set, else min_n = max_n =
+/// measurements_per_alg: one round and one clustering, bit-identical to
+/// measure_all + analyze_measurements. `on_round` fires once per round.
+[[nodiscard]] AnalysisResult analyze_source(SampleSource& source,
+                                            const AnalysisConfig& config,
+                                            const RoundObserver& on_round = {});
+
+/// One-call pipeline over a simulated platform: analyze_source over the
+/// assignments, assignment i drawing on Rng(config.measurement_seed).child(i).
 [[nodiscard]] AnalysisResult analyze_chain(
     const sim::SimulatedExecutor& executor, const workloads::TaskChain& chain,
     const std::vector<workloads::DeviceAssignment>& assignments,

@@ -202,6 +202,16 @@ std::vector<DeviceAssignment> enumerate_assignments(std::size_t task_count) {
     return out;
 }
 
+std::vector<VariantAssignment> to_variants(
+    const std::vector<DeviceAssignment>& assignments) {
+    std::vector<VariantAssignment> out;
+    out.reserve(assignments.size());
+    for (const DeviceAssignment& assignment : assignments) {
+        out.emplace_back(assignment);
+    }
+    return out;
+}
+
 std::vector<VariantAssignment> enumerate_variants(
     std::size_t task_count, const std::vector<std::string>& backends) {
     RELPERF_REQUIRE(task_count > 0, "enumerate_variants: need at least one task");

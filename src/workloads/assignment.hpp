@@ -148,6 +148,11 @@ private:
 /// task_count is 0 or >= kMaxEnumeratedTasks (the message names k).
 [[nodiscard]] std::vector<DeviceAssignment> enumerate_assignments(std::size_t task_count);
 
+/// Each assignment as the variant that runs it with every task inheriting
+/// the chain backend, in the same order.
+[[nodiscard]] std::vector<VariantAssignment> to_variants(
+    const std::vector<DeviceAssignment>& assignments);
+
 /// All (2·B)^k per-task (placement, backend) variants of a k-task chain over
 /// the B given backends, ordered by placement string first (the
 /// enumerate_assignments order), then by backend tuple (most-significant task

@@ -6,22 +6,27 @@
 //!    single-process core::analyze_chain run (the ISSUE acceptance check);
 //!  * merging rejects foreign, duplicate and missing shards;
 //!  * the parallel LocalShardRunner agrees with serial execution;
+//!  * a GlobalSampleSource over any global indices draws the full list's rows;
 //!  * the CSV persistence round-trip changes nothing.
 
 #include "campaign/campaign.hpp"
 
 #include "core/pipeline.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "sim/analytic.hpp"
 #include "support/error.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <random>
 
 namespace campaign = relperf::campaign;
 namespace core = relperf::core;
+namespace obs = relperf::obs;
 namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
 
@@ -265,10 +270,40 @@ TEST(Campaign, RunShardRejectsUnavailableBackend) {
     spec.backend = "warp-core";
     // validate() accepts it (merge-only hosts need no kernels)...
     EXPECT_NO_THROW(spec.validate());
-    // ...but measuring a shard on this build must fail up front.
+    // ...but measuring a shard on this build must fail up front, before the
+    // shard is counted.
+    obs::set_metrics_enabled(true);
+    const std::uint64_t shards_before = obs::metrics().shards_total.value();
     EXPECT_THROW((void)campaign::run_shard(spec, 0, 2),
                  relperf::InvalidArgument);
     EXPECT_THROW((void)campaign::LocalShardRunner(1).run(spec, 2),
+                 relperf::InvalidArgument);
+    EXPECT_EQ(obs::metrics().shards_total.value(), shards_before);
+    obs::set_metrics_enabled(false);
+}
+
+TEST(Campaign, GlobalSampleSourceSubsetDrawsTheGlobalStreams) {
+    // Each variant of a subset draws on the stream of its global index, so
+    // the subset reproduces the matching rows of the full list bit for bit.
+    const campaign::CampaignSpec spec = small_spec();
+    const std::vector<std::size_t> picked = {1, 3, 5};
+    campaign::GlobalSampleSource full(spec);
+    campaign::GlobalSampleSource subset(spec, picked);
+    const core::MeasurementSet all = core::measure_all(full.source(), 6);
+    const core::MeasurementSet some = core::measure_all(subset.source(), 6);
+    ASSERT_EQ(some.size(), picked.size());
+    for (std::size_t row = 0; row < picked.size(); ++row) {
+        EXPECT_EQ(some.name(row), all.name(picked[row]));
+        const auto a = all.samples(picked[row]);
+        const auto b = some.samples(row);
+        EXPECT_EQ(std::vector<double>(b.begin(), b.end()),
+                  std::vector<double>(a.begin(), a.end()))
+            << some.name(row);
+    }
+
+    const std::size_t count = spec.variants().size();
+    const std::vector<std::size_t> past_end = {1, count};
+    EXPECT_THROW((void)campaign::GlobalSampleSource(spec, past_end),
                  relperf::InvalidArgument);
 }
 

@@ -130,6 +130,15 @@ TEST(MeasurementsCsv, ErrorsNameTheSourceAndLineNumber) {
     expect_message("wrong,header\n", "shard_3.csv:1:");
     expect_message("algorithm,measurement_index,seconds\n,0,1.0\n",
                    "shard_3.csv:2: empty algorithm name");
+    expect_message("algorithm,measurement_index,seconds\na,x,1.0\n",
+                   "shard_3.csv:2: measurement_index: expected a "
+                   "non-negative integer, got 'x'");
+    // The same index under another algorithm is fine; a repeat of the pair
+    // is not.
+    expect_message("algorithm,measurement_index,seconds\na,0,1.0\nb,0,2.0\n"
+                   "# c\na,0,1.5\n",
+                   "shard_3.csv:5: duplicate measurement_index 0 for "
+                   "algorithm 'a'");
 }
 
 TEST(MeasurementsCsv, FileAndStringEntryPointsShareOneParser) {

@@ -18,6 +18,8 @@ struct Fixture {
     sim::SimulatedExecutor executor{profile, sim::NoiseModel{}};
     std::vector<workloads::DeviceAssignment> assignments =
         workloads::enumerate_assignments(3);
+    std::vector<workloads::VariantAssignment> variants =
+        workloads::to_variants(assignments);
 };
 
 } // namespace
@@ -26,7 +28,7 @@ TEST(MeasureAssignments, ProducesNamedDistributions) {
     Fixture f;
     Rng rng(1);
     const core::MeasurementSet set =
-        core::measure_assignments(f.executor, f.chain, f.assignments, 25, rng);
+        core::measure_variants(f.executor, f.chain, f.variants, 25, rng);
     ASSERT_EQ(set.size(), 8u);
     EXPECT_EQ(set.name(0), "algDDD");
     EXPECT_EQ(set.name(7), "algAAA");
@@ -39,8 +41,8 @@ TEST(MeasureAssignments, SeedDeterministic) {
     Fixture f;
     Rng a(7);
     Rng b(7);
-    const auto sa = core::measure_assignments(f.executor, f.chain, f.assignments, 10, a);
-    const auto sb = core::measure_assignments(f.executor, f.chain, f.assignments, 10, b);
+    const auto sa = core::measure_variants(f.executor, f.chain, f.variants, 10, a);
+    const auto sb = core::measure_variants(f.executor, f.chain, f.variants, 10, b);
     for (std::size_t i = 0; i < sa.size(); ++i) {
         EXPECT_EQ(std::vector<double>(sa.samples(i).begin(), sa.samples(i).end()),
                   std::vector<double>(sb.samples(i).begin(), sb.samples(i).end()));
@@ -51,7 +53,7 @@ TEST(MeasureAssignments, EmptyAssignmentListThrows) {
     Fixture f;
     Rng rng(1);
     EXPECT_THROW(
-        (void)core::measure_assignments(f.executor, f.chain, {}, 10, rng),
+        (void)core::measure_variants(f.executor, f.chain, {}, 10, rng),
         relperf::InvalidArgument);
 }
 
@@ -104,9 +106,10 @@ TEST(MeasureAssignmentsReal, SmokeOnTinyChain) {
     const sim::RealExecutor real(sim::EmulatedDevice{1, 0.0, 0.0},
                                  sim::EmulatedDevice{2, 0.0, 0.0});
     Rng rng(5);
-    const auto assignments = workloads::enumerate_assignments(2);
+    const auto variants =
+        workloads::to_variants(workloads::enumerate_assignments(2));
     const core::MeasurementSet set =
-        core::measure_assignments_real(real, tiny, assignments, 3, rng, 1);
+        core::measure_variants_real(real, tiny, variants, 3, rng, 1);
     ASSERT_EQ(set.size(), 4u);
     for (std::size_t i = 0; i < set.size(); ++i) {
         for (const double s : set.samples(i)) EXPECT_GT(s, 0.0);
@@ -121,7 +124,7 @@ TEST(MeasureAssignments, EachAssignmentHasAnIndependentDerivedStream) {
     Fixture f;
     Rng rng(1234);
     const core::MeasurementSet all =
-        core::measure_assignments(f.executor, f.chain, f.assignments, 12, rng);
+        core::measure_variants(f.executor, f.chain, f.variants, 12, rng);
     for (std::size_t i = 0; i < f.assignments.size(); ++i) {
         Rng stream(core::assignment_stream_seed(1234, i));
         const std::vector<double> solo =
@@ -139,7 +142,7 @@ TEST(MeasureAssignments, SubsetMeasurementMatchesTheFullRun) {
     Fixture f;
     Rng full_rng(42);
     const core::MeasurementSet all =
-        core::measure_assignments(f.executor, f.chain, f.assignments, 9, full_rng);
+        core::measure_variants(f.executor, f.chain, f.variants, 9, full_rng);
 
     const std::vector<workloads::DeviceAssignment> subset = {
         f.assignments[1], f.assignments[3], f.assignments[5]};

@@ -169,14 +169,24 @@ TEST(AdaptiveOffInvariant, AnalyzeChainMatchesLegacyBitForBit) {
     off.min_n = off.max_n = 12;
     engine.adaptive = off;
 
-    const core::AnalysisResult a =
-        core::analyze_chain(executor, chain, assignments, legacy);
-    const core::AnalysisResult b =
-        core::analyze_chain(executor, chain, assignments, engine);
-    expect_sets_identical(a.measurements, b.measurements, true);
-    expect_clusterings_identical(a.clustering, b.clustering);
-    EXPECT_EQ(b.total_samples, b.fixed_n_samples);
-    EXPECT_EQ(a.samples_per_alg, b.samples_per_alg);
+    // The oracle is the batch path written out: N samples of every
+    // algorithm on the stream rng.child(i), then one clustering. analyze_chain
+    // must reproduce it with the fixed-N plan implicit and with an explicit
+    // min == max engine plan.
+    Rng rng(legacy.measurement_seed);
+    const core::AnalysisResult batch = core::analyze_measurements(
+        core::measure_variants(executor, chain,
+                               workloads::to_variants(assignments), 12, rng),
+        legacy);
+    for (const core::AnalysisConfig* config : {&legacy, &engine}) {
+        SCOPED_TRACE(config == &legacy ? "implicit fixed-N" : "min == max");
+        const core::AnalysisResult chained =
+            core::analyze_chain(executor, chain, assignments, *config);
+        expect_sets_identical(batch.measurements, chained.measurements, true);
+        expect_clusterings_identical(batch.clustering, chained.clustering);
+        EXPECT_EQ(chained.total_samples, chained.fixed_n_samples);
+        EXPECT_EQ(batch.samples_per_alg, chained.samples_per_alg);
+    }
 }
 
 TEST(AdaptiveCampaign, ShardedRunIsDeterministicAndPrefixOfFixed) {

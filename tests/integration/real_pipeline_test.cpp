@@ -33,9 +33,10 @@ TEST(RealPipeline, SingleLoopOffloadClustering) {
     const sim::RealExecutor executor(sim::EmulatedDevice{1, 0.0, 0.0},
                                      sim::EmulatedDevice{0, 0.0, 0.0});
     Rng rng(1);
-    const auto assignments = workloads::enumerate_assignments(1);
+    const auto variants =
+        workloads::to_variants(workloads::enumerate_assignments(1));
     core::MeasurementSet set =
-        core::measure_assignments_real(executor, chain, assignments, 12, rng, 2);
+        core::measure_variants_real(executor, chain, variants, 12, rng, 2);
 
     const double mean_d = set.summary(set.index_of("algD")).mean;
     const double mean_a = set.summary(set.index_of("algA")).mean;
@@ -59,9 +60,10 @@ TEST(RealPipeline, DispatchDelayMakesOffloadingSmallTasksLose) {
     const sim::RealExecutor executor(sim::EmulatedDevice{1, 0.0, 0.0},
                                      sim::EmulatedDevice{0, 2e-3, 0.0});
     Rng rng(2);
-    const auto assignments = workloads::enumerate_assignments(1);
+    const auto variants =
+        workloads::to_variants(workloads::enumerate_assignments(1));
     const core::MeasurementSet set =
-        core::measure_assignments_real(executor, chain, assignments, 8, rng, 1);
+        core::measure_variants_real(executor, chain, variants, 8, rng, 1);
     EXPECT_LT(set.summary(set.index_of("algD")).mean,
               set.summary(set.index_of("algA")).mean);
 }
@@ -71,8 +73,9 @@ TEST(RealPipeline, ReportRendersOnRealData) {
     const sim::RealExecutor executor(sim::EmulatedDevice{1, 0.0, 0.0},
                                      sim::EmulatedDevice{0, 0.0, 0.0});
     Rng rng(3);
-    core::MeasurementSet set = core::measure_assignments_real(
-        executor, chain, workloads::enumerate_assignments(2), 6, rng, 1);
+    core::MeasurementSet set = core::measure_variants_real(
+        executor, chain,
+        workloads::to_variants(workloads::enumerate_assignments(2)), 6, rng, 1);
     const std::string summary = core::render_summary_table(set);
     for (const char* alg : {"algDD", "algDA", "algAD", "algAA"}) {
         EXPECT_NE(summary.find(alg), std::string::npos);

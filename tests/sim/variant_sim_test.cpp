@@ -222,8 +222,8 @@ TEST(RealExecutor, PerTaskPolicyOverridesChainDefault) {
 }
 
 TEST(RealExecutor, MeasureVariantsRealUsesPerVariantStreams) {
-    // The variant batch API mirrors measure_assignments_real: one stream per
-    // variant position, names from alg_name(), n samples each.
+    // The variant batch API: one stream per variant position, names from
+    // alg_name(), n samples each.
     const sim::RealExecutor exec(sim::EmulatedDevice{1, 0.0, 0.0},
                                  sim::EmulatedDevice{1, 0.0, 0.0});
     const workloads::TaskChain chain =

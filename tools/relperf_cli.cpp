@@ -345,44 +345,31 @@ int campaign_run(const campaign::CampaignSpec& spec, std::size_t shard_count,
                     workers == 0 ? "all" : std::to_string(workers).c_str());
     }
 
-    core::AnalysisResult result;
-    std::vector<std::size_t> stopset_rounds;
-    std::size_t rounds = 0;
-    std::size_t cache_saved = 0;
+    // A disabled cache runs the plan straight through (coordinated plans via
+    // the coordinator, the rest shard by shard).
+    cache::ResultCache result_cache(cache_cfg);
+    const cache::CachedRunResult run = cache::run_campaign_cached(
+        spec, result_cache, shard_count, workers);
     if (cache_cfg.enabled()) {
-        cache::ResultCache result_cache(cache_cfg);
-        cache::CachedRunResult run = cache::run_campaign_cached(
-            spec, result_cache, shard_count, workers);
         std::printf("cache: %s%s\n", cache::to_string(run.cache),
                     run.bypassed ? " (shard-local adaptive stopping with "
                                    "K > 1 shards is not cacheable)"
                                  : "");
-        result = std::move(run.analysis);
-        stopset_rounds = std::move(run.stopset_rounds);
-        rounds = run.rounds;
-        cache_saved = run.samples_from_cache;
         if (cache_stats) print_cache_stats(result_cache);
-    } else if (spec.adaptive_coordinated) {
-        campaign::CoordinatedCampaignResult coord =
-            campaign::run_coordinated_campaign(spec, shard_count);
-        result = std::move(coord.analysis);
-        stopset_rounds = std::move(coord.stopset_rounds);
-        rounds = coord.rounds;
-    } else {
-        result = campaign::run_campaign(spec, shard_count, workers);
     }
 
+    const core::AnalysisResult& result = run.analysis;
     if (spec.adaptive_coordinated) {
         std::printf("coordinator: %zu rounds, final stop-set %zu/%zu "
                     "algorithms\n",
-                    rounds,
-                    stopset_rounds.empty() ? 0 : stopset_rounds.back(),
+                    run.rounds,
+                    run.stopset_rounds.empty() ? 0 : run.stopset_rounds.back(),
                     result.measurements.size());
         if (stopset_csv) {
             support::CsvWriter csv(*stopset_csv, {"round", "stopped_total"});
-            for (std::size_t i = 0; i < stopset_rounds.size(); ++i) {
+            for (std::size_t i = 0; i < run.stopset_rounds.size(); ++i) {
                 csv.add_row({std::to_string(i + 1),
-                             std::to_string(stopset_rounds[i])});
+                             std::to_string(run.stopset_rounds[i])});
             }
             std::printf("per-round stop-set written to %s\n",
                         stopset_csv->c_str());
@@ -393,7 +380,8 @@ int campaign_run(const campaign::CampaignSpec& spec, std::size_t shard_count,
         std::printf("merged measurements written to %s\n\n",
                     merged_csv->c_str());
     }
-    report_adaptive(spec, result.measurements, samples_csv, cache_saved);
+    report_adaptive(spec, result.measurements, samples_csv,
+                    run.samples_from_cache);
     report_analysis(result, out_path);
     return 0;
 }
