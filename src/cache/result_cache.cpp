@@ -222,7 +222,6 @@ CacheLookup ResultCache::lookup(const campaign::CampaignSpec& spec) {
     std::error_code ec;
     if (fs::exists(payload_path(plan), ec) && load_entry(spec, plan, out)) {
         out.kind = HitKind::Exact;
-        out.cached_budget = spec.measurements;
         MetaEntry meta{plan, spec.prefix_hash(), spec.measurements, 0};
         std::uint64_t prefix_ignored = 0;
         (void)parse_meta(meta_path(plan), meta.plan_hash, prefix_ignored,
@@ -257,7 +256,6 @@ CacheLookup ResultCache::lookup(const campaign::CampaignSpec& spec) {
         if (candidate.hash() != meta.plan_hash) continue; // stale sidecar
         if (!load_entry(candidate, meta.plan_hash, out)) continue;
         out.kind = HitKind::Prefix;
-        out.cached_budget = meta.budget;
         touch(meta);
         obs::metrics().cache_extensions_total.inc();
         span.arg("outcome", "prefix")

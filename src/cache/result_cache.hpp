@@ -72,7 +72,6 @@ struct CacheLookup {
     HitKind kind = HitKind::Miss;
     core::MeasurementSet merged;
     campaign::ShardManifest manifest;
-    std::size_t cached_budget = 0; ///< Entry's measurements budget (hits only).
 };
 
 /// On-disk state of the cache (the `--cache-stats` numbers).

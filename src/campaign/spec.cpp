@@ -416,10 +416,7 @@ core::AdaptiveConfig CampaignSpec::adaptive_config() const {
     config.max_n = measurements;
     config.batch = adaptive_batch;
     config.stability_rounds = adaptive_stability;
-    if (adaptive_confidence != 0.0) {
-        config.rule = core::StoppingRuleKind::Confidence;
-        config.confidence = adaptive_confidence;
-    }
+    config.confidence = adaptive_confidence;
     return config;
 }
 

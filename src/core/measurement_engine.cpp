@@ -1,5 +1,6 @@
 #include "core/measurement_engine.hpp"
 
+#include "core/stopping_rule.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -17,12 +18,8 @@ void AdaptiveConfig::validate() const {
     RELPERF_REQUIRE(max_n >= min_n,
                     "AdaptiveConfig: max_n must be >= min_n");
     RELPERF_REQUIRE(batch > 0, "AdaptiveConfig: batch must be positive");
-    RELPERF_REQUIRE(stability_rounds > 0,
-                    "AdaptiveConfig: stability_rounds must be positive");
-    if (rule == StoppingRuleKind::Confidence) {
-        RELPERF_REQUIRE(confidence > 0.5 && confidence < 1.0,
-                        "AdaptiveConfig: confidence must be in (0.5, 1)");
-    }
+    // The stopping rule owns the valid ranges of its two knobs.
+    (void)StoppingRule(stability_rounds, confidence);
 }
 
 VariantSampleSource::VariantSampleSource(
@@ -145,12 +142,13 @@ MeasurementEngine::MeasurementEngine(AdaptiveConfig adaptive,
 EngineResult MeasurementEngine::run(SampleSource& source,
                                     const RoundObserver& on_round) const {
     const std::size_t count = source.count();
+    StoppingRule rule(adaptive_.stability_rounds, adaptive_.confidence);
     obs::Span span("engine.run", "engine");
     span.arg("algorithms", static_cast<std::uint64_t>(count))
         .arg("min_n", static_cast<std::uint64_t>(adaptive_.min_n))
         .arg("max_n", static_cast<std::uint64_t>(adaptive_.max_n))
         .arg("batch", static_cast<std::uint64_t>(adaptive_.batch))
-        .arg("rule", to_string(adaptive_.rule));
+        .arg("rule", rule.name());
     // A round is one clustering consulted; the extension rounds beyond the
     // first add at most batch samples each, which bounds the meter.
     const std::size_t max_rounds =
@@ -171,8 +169,6 @@ EngineResult MeasurementEngine::run(SampleSource& source,
 
     const BootstrapComparator comparator(comparator_);
     const RelativeClusterer clusterer(comparator, clustering_);
-    const std::unique_ptr<StoppingRule> rule = make_stopping_rule(
-        adaptive_.rule, adaptive_.stability_rounds, adaptive_.confidence);
     std::vector<bool> stopped(count, false);
     std::size_t stopped_total = 0;
     while (true) {
@@ -184,14 +180,14 @@ EngineResult MeasurementEngine::run(SampleSource& source,
         Clustering clustering = clusterer.cluster(out.measurements);
         // Frozen algorithms stay frozen: their rule verdict is never read
         // again, so the rule may skip their bookkeeping.
-        rule->observe(clustering, stopped);
+        rule.observe(clustering, stopped);
 
         std::vector<std::size_t> extend;
         std::size_t newly_stopped = 0;
         for (std::size_t i = 0; i < count; ++i) {
             if (stopped[i]) continue;
             if (out.samples_per_alg[i] >= adaptive_.max_n ||
-                rule->should_stop(i)) {
+                rule.should_stop(i)) {
                 stopped[i] = true;
                 ++newly_stopped;
                 continue;

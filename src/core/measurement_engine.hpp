@@ -10,10 +10,11 @@
 //! samples of every algorithm, clusters, and then keeps extending only the
 //! algorithms whose final cluster membership changed recently — an algorithm
 //! whose membership has been identical for `stability_rounds` consecutive
-//! clusterings stops being measured. The decision is pluggable (see
-//! stopping_rule.hpp): the default membership-stability rule implements
-//! exactly that, and the confidence-targeted rule instead stops once the
-//! class-vs-runner-up score margin is significant at a configured confidence.
+//! clusterings stops being measured. One StoppingRule makes that decision
+//! (see stopping_rule.hpp): with `confidence == 0` it is exactly that
+//! stability rule, and with a confidence level it instead stops once the
+//! class repeated and the class-vs-runner-up score margin is significant at
+//! that level.
 //! On edge devices, where measurement cost dominates, this cuts the
 //! campaign's total measurements well below `count * max_n` while preserving
 //! the membership the fixed-N run finds.
@@ -30,7 +31,6 @@
 #include "core/bootstrap_comparator.hpp"
 #include "core/clustering.hpp"
 #include "core/measurement.hpp"
-#include "core/stopping_rule.hpp"
 #include "sim/executor.hpp"
 #include "sim/real_executor.hpp"
 #include "workloads/chain.hpp"
@@ -49,14 +49,14 @@ struct AdaptiveConfig {
     std::size_t min_n = 10; ///< Samples every algorithm gets before any stop.
     std::size_t max_n = 30; ///< Hard cap — the fixed-N budget per algorithm.
     std::size_t batch = 5;  ///< Samples added per algorithm per round.
-    /// Consecutive clusterings with unchanged final membership after which an
-    /// algorithm stops being measured (MembershipStabilityRule).
+    /// Stability rule: consecutive clusterings with unchanged final
+    /// membership after which an algorithm stops being measured. The
+    /// confidence rule ignores it.
     std::size_t stability_rounds = 2;
-    /// Which stopping rule decides when an algorithm is settled.
-    StoppingRuleKind rule = StoppingRuleKind::Stability;
-    /// One-sided confidence level of the ConfidenceTargetRule's margin CI,
-    /// in (0.5, 1). Only read when `rule == StoppingRuleKind::Confidence`.
-    double confidence = 0.95;
+    /// 0 selects the stability rule; a level in (0.5, 1) selects the
+    /// confidence rule, the one-sided coverage of its margin CI (see
+    /// stopping_rule.hpp).
+    double confidence = 0.0;
 
     /// True when early stopping can actually happen (max_n > min_n).
     [[nodiscard]] bool enabled() const noexcept { return max_n > min_n; }

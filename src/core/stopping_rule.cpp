@@ -3,131 +3,90 @@
 #include "stats/descriptive.hpp"
 #include "support/error.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace relperf::core {
 
-const char* to_string(StoppingRuleKind kind) noexcept {
-    switch (kind) {
-    case StoppingRuleKind::Stability: return "stability";
-    case StoppingRuleKind::Confidence: return "confidence";
+namespace {
+
+/// Does algorithm `alg`'s final class `rank` beat its runner-up class by a
+/// margin whose one-sided lower bound at critical value `z` clears zero?
+/// Never when the repetition count is unknown.
+bool margin_is_significant(const Clustering& clustering, std::size_t alg,
+                           int rank, double z) {
+    const std::size_t rep = clustering.repetitions;
+    if (rep == 0) return false;
+    // Relative scores are per-class win proportions over the clusterer's
+    // Rep repeated stochastic sorts (each repetition assigns the algorithm
+    // to exactly one class, so the scores are multinomial proportions).
+    // Margin of the winning class over the runner-up:
+    //   Var(p1_hat - p2_hat) = (p1(1-p1) + p2(1-p2) + 2 p1 p2) / Rep
+    // (the +2 p1 p2 term is -2 Cov for multinomial counts).
+    const double p1 = clustering.score_of(alg, rank);
+    double p2 = 0.0;
+    for (std::size_t r = 1; r <= clustering.clusters.size(); ++r) {
+        if (static_cast<int>(r) == rank) continue;
+        p2 = std::max(p2, clustering.score_of(alg, static_cast<int>(r)));
     }
-    return "unknown";
+    const double margin = p1 - p2;
+    const double se =
+        std::sqrt((p1 * (1.0 - p1) + p2 * (1.0 - p2) + 2.0 * p1 * p2) /
+                  static_cast<double>(rep));
+    return margin - z * se > 0.0;
 }
 
-MembershipStabilityRule::MembershipStabilityRule(std::size_t stability_rounds)
+} // namespace
+
+StoppingRule::StoppingRule(std::size_t stability_rounds, double confidence)
     : stability_rounds_(stability_rounds) {
     RELPERF_REQUIRE(stability_rounds > 0,
-                    "MembershipStabilityRule: stability_rounds must be > 0");
+                    "StoppingRule: stability_rounds must be > 0");
+    RELPERF_REQUIRE(confidence == 0.0 ||
+                        (confidence > 0.5 && confidence < 1.0),
+                    "StoppingRule: confidence must be 0 (the stability "
+                    "rule) or in (0.5, 1)");
+    if (confidence != 0.0) z_ = stats::normal_quantile(confidence);
 }
 
-void MembershipStabilityRule::observe(const Clustering& clustering,
-                                      const std::vector<bool>& stopped) {
+const char* StoppingRule::name() const noexcept {
+    return z_ == 0.0 ? "stability" : "confidence";
+}
+
+void StoppingRule::observe(const Clustering& clustering,
+                           const std::vector<bool>& stopped) {
     const std::size_t n = clustering.final_assignment.size();
     RELPERF_REQUIRE(stopped.size() == n,
-                    "MembershipStabilityRule: stopped/clustering size mismatch");
-    if (stable_.empty()) stable_.assign(n, 0);
-    RELPERF_REQUIRE(stable_.size() == n,
-                    "MembershipStabilityRule: algorithm count changed mid-run");
+                    "StoppingRule: stopped/clustering size mismatch");
+    if (repeats_.empty()) {
+        repeats_.assign(n, 0);
+        stop_.assign(n, false);
+    }
+    RELPERF_REQUIRE(repeats_.size() == n,
+                    "StoppingRule: algorithm count changed mid-run");
 
     std::vector<int> rank(n, 0);
     for (std::size_t i = 0; i < n; ++i) rank[i] = clustering.final_rank(i);
 
-    // The first clustering only seeds previous_rank_; the stability counter
-    // starts moving from the second, exactly as the engine's original inline
-    // bookkeeping did.
+    // The first clustering only seeds previous_rank_: no class has repeated
+    // yet, so nothing stops on it.
     if (!previous_rank_.empty()) {
         for (std::size_t i = 0; i < n; ++i) {
             if (stopped[i]) continue;
-            if (rank[i] == previous_rank_[i]) {
-                ++stable_[i];
-            } else {
-                stable_[i] = 0;
-            }
+            repeats_[i] = rank[i] == previous_rank_[i] ? repeats_[i] + 1 : 0;
+            stop_[i] = z_ == 0.0 ? repeats_[i] >= stability_rounds_
+                                 : repeats_[i] >= 1 &&
+                                       margin_is_significant(clustering, i,
+                                                             rank[i], z_);
         }
     }
     previous_rank_ = std::move(rank);
 }
 
-bool MembershipStabilityRule::should_stop(std::size_t alg) const {
-    RELPERF_REQUIRE(alg < stable_.size(),
-                    "MembershipStabilityRule: should_stop before observe");
-    return stable_[alg] >= stability_rounds_;
-}
-
-ConfidenceTargetRule::ConfidenceTargetRule(double confidence) {
-    RELPERF_REQUIRE(confidence > 0.5 && confidence < 1.0,
-                    "ConfidenceTargetRule: confidence must be in (0.5, 1)");
-    z_ = stats::normal_quantile(confidence);
-}
-
-void ConfidenceTargetRule::observe(const Clustering& clustering,
-                                   const std::vector<bool>& stopped) {
-    const std::size_t n = clustering.final_assignment.size();
-    RELPERF_REQUIRE(stopped.size() == n,
-                    "ConfidenceTargetRule: stopped/clustering size mismatch");
-    if (verdict_.empty()) verdict_.assign(n, false);
-    RELPERF_REQUIRE(verdict_.size() == n,
-                    "ConfidenceTargetRule: algorithm count changed mid-run");
-
-    const std::size_t rep = clustering.repetitions;
-    const std::size_t cluster_count = clustering.clusters.size();
-    std::vector<int> rank(n, 0);
-    for (std::size_t i = 0; i < n; ++i) rank[i] = clustering.final_rank(i);
-
-    for (std::size_t i = 0; i < n; ++i) {
-        if (stopped[i]) {
-            verdict_[i] = false;
-            continue;
-        }
-        // Never stop on the very first clustering, and require the winning
-        // class to repeat: a single round's margin can be confidently wrong
-        // while the empirical quantiles still drift under fresh samples.
-        const bool repeated =
-            !previous_rank_.empty() && rank[i] == previous_rank_[i];
-        if (!repeated || rep == 0) {
-            verdict_[i] = false;
-            continue;
-        }
-        // Relative scores are per-class win proportions over the clusterer's
-        // Rep repeated stochastic sorts (each repetition assigns the
-        // algorithm to exactly one class, so the scores are multinomial
-        // proportions). Margin of the winning class over the runner-up:
-        //   Var(p1_hat - p2_hat) = (p1(1-p1) + p2(1-p2) + 2 p1 p2) / Rep
-        // (the +2 p1 p2 term is -2 Cov for multinomial counts). Stop when
-        // the one-sided lower bound margin - z * SE clears zero.
-        const double p1 = clustering.score_of(i, rank[i]);
-        double p2 = 0.0;
-        for (std::size_t r = 1; r <= cluster_count; ++r) {
-            if (static_cast<int>(r) == rank[i]) continue;
-            p2 = std::max(p2, clustering.score_of(i, static_cast<int>(r)));
-        }
-        const double margin = p1 - p2;
-        const double se =
-            std::sqrt((p1 * (1.0 - p1) + p2 * (1.0 - p2) + 2.0 * p1 * p2) /
-                      static_cast<double>(rep));
-        verdict_[i] = margin - z_ * se > 0.0;
-    }
-    previous_rank_ = std::move(rank);
-}
-
-bool ConfidenceTargetRule::should_stop(std::size_t alg) const {
-    RELPERF_REQUIRE(alg < verdict_.size(),
-                    "ConfidenceTargetRule: should_stop before observe");
-    return verdict_[alg];
-}
-
-std::unique_ptr<StoppingRule> make_stopping_rule(StoppingRuleKind kind,
-                                                 std::size_t stability_rounds,
-                                                 double confidence) {
-    switch (kind) {
-    case StoppingRuleKind::Stability:
-        return std::make_unique<MembershipStabilityRule>(stability_rounds);
-    case StoppingRuleKind::Confidence:
-        return std::make_unique<ConfidenceTargetRule>(confidence);
-    }
-    RELPERF_REQUIRE(false, "make_stopping_rule: unknown StoppingRuleKind");
-    return nullptr;
+bool StoppingRule::should_stop(std::size_t alg) const {
+    RELPERF_REQUIRE(alg < stop_.size(), "StoppingRule: should_stop before observe");
+    return stop_[alg];
 }
 
 } // namespace relperf::core

@@ -1,117 +1,71 @@
 #pragma once
 //! \file stopping_rule.hpp
-//! Pluggable per-round stopping decisions for the adaptive
-//! MeasurementEngine. The engine measures in rounds and consults one
-//! clustering per round; a StoppingRule watches those clusterings and
-//! decides, per algorithm, when its performance-class membership is settled
-//! enough to stop measuring it. Two rules ship:
+//! When the adaptive MeasurementEngine stops measuring an algorithm. The
+//! engine measures in rounds and clusters once per round; the StoppingRule
+//! watches those clusterings and keeps one count per algorithm: the number
+//! of consecutive clusterings that gave it the same final class as the one
+//! before. The first clustering only seeds the previous classes, and a
+//! changed class resets the count to 0. Two stop conditions read that count:
 //!
-//!  * MembershipStabilityRule — the original PR 5 rule: stop once the final
-//!    class membership was unchanged for `stability_rounds` consecutive
-//!    clusterings. Purely ordinal; blind to *how decisively* the class won.
-//!  * ConfidenceTargetRule — stop once the relative-score margin of the
-//!    algorithm's final class over its runner-up class is significant at the
-//!    configured confidence level, and the same class won the previous
-//!    clustering too. The Rep repeated stochastic sorts of the clusterer are
-//!    themselves driven by bootstrap comparisons, so the per-class relative
-//!    scores are proportions over a Rep-draw bootstrap ensemble; the rule
-//!    puts a closed-form normal CI on the class-vs-runner-up margin of that
+//!  * the stability rule (`confidence == 0`): stop once the count reaches
+//!    `stability_rounds`. Purely ordinal; blind to *how decisively* the
+//!    class won.
+//!  * the confidence rule (`confidence` in (0.5, 1)): stop once the count is
+//!    at least 1 and the relative-score margin of the final class over its
+//!    runner-up class is significant at that confidence level. The Rep
+//!    repeated stochastic sorts of the clusterer are themselves driven by
+//!    bootstrap comparisons, so the per-class relative scores are
+//!    proportions over a Rep-draw bootstrap ensemble; the rule puts a
+//!    closed-form normal CI on the class-vs-runner-up margin of that
 //!    ensemble — no new randomness is drawn, and stopping early cannot
-//!    perturb any value (per-algorithm RNG prefix-extensibility). The
-//!    one-round class repeat is deliberate: a single clustering can be
-//!    confidently wrong while the empirical quantiles still drift with fresh
-//!    samples; requiring the winning class to survive one measurement
-//!    extension makes the confidence a statement about the measured
-//!    distribution, not about one batch.
+//!    perturb any value (per-algorithm RNG prefix-extensibility). The one
+//!    repeat is deliberate: a single clustering can be confidently wrong
+//!    while the empirical quantiles still drift with fresh samples;
+//!    requiring the winning class to survive one measurement extension
+//!    makes the confidence a statement about the measured distribution,
+//!    not about one batch. `stability_rounds` plays no part here.
 //!
-//! Rules are stateful per engine run (cross-round counters); the engine
-//! creates a fresh instance via make_stopping_rule() each run.
+//! A rule is stateful across the rounds of one engine run; the engine builds
+//! a fresh one per run.
 
 #include "core/clustering.hpp"
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 namespace relperf::core {
 
-/// Which stopping rule an AdaptiveConfig selects.
-enum class StoppingRuleKind {
-    Stability,  ///< MembershipStabilityRule (the PR 5 default).
-    Confidence, ///< ConfidenceTargetRule.
-};
-
-[[nodiscard]] const char* to_string(StoppingRuleKind kind) noexcept;
-
-/// Per-run stopping decision state machine. The engine calls observe() once
-/// per round with the fresh clustering over *all* algorithms, then queries
+/// Per-run stopping decisions. The engine calls observe() once per round
+/// with the fresh clustering over *all* algorithms, then queries
 /// should_stop() for each still-active algorithm.
 class StoppingRule {
 public:
-    virtual ~StoppingRule() = default;
+    /// `stability_rounds` > 0; `confidence` 0 (the stability rule) or in
+    /// (0.5, 1) (the confidence rule, one-sided coverage of the margin CI).
+    StoppingRule(std::size_t stability_rounds, double confidence);
 
-    [[nodiscard]] virtual const char* name() const noexcept = 0;
+    /// "stability" or "confidence".
+    [[nodiscard]] const char* name() const noexcept;
+
+    /// The z critical value the confidence level resolved to; 0 under the
+    /// stability rule (exposed for tests).
+    [[nodiscard]] double z() const noexcept { return z_; }
 
     /// One clustering consulted. `stopped[i]` marks algorithms whose
     /// measurement already ended — their verdicts are never read again, so
-    /// rules may skip their bookkeeping.
-    virtual void observe(const Clustering& clustering,
-                         const std::vector<bool>& stopped) = 0;
+    /// their bookkeeping is skipped.
+    void observe(const Clustering& clustering, const std::vector<bool>& stopped);
 
-    /// After observe(): is algorithm `alg`'s membership settled enough to
-    /// stop measuring it?
-    [[nodiscard]] virtual bool should_stop(std::size_t alg) const = 0;
-};
-
-/// Stop after `stability_rounds` consecutive clusterings with unchanged
-/// final class membership. Bit-identical to the engine's original inline
-/// bookkeeping (the first clustering only seeds the previous-rank state; the
-/// counter starts moving from the second).
-class MembershipStabilityRule final : public StoppingRule {
-public:
-    explicit MembershipStabilityRule(std::size_t stability_rounds);
-
-    [[nodiscard]] const char* name() const noexcept override {
-        return "stability";
-    }
-    void observe(const Clustering& clustering,
-                 const std::vector<bool>& stopped) override;
-    [[nodiscard]] bool should_stop(std::size_t alg) const override;
+    /// After observe(): is algorithm `alg`'s class settled enough to stop
+    /// measuring it?
+    [[nodiscard]] bool should_stop(std::size_t alg) const;
 
 private:
     std::size_t stability_rounds_;
-    std::vector<std::size_t> stable_;
-    std::vector<int> previous_rank_;
-};
-
-/// Stop once the algorithm's final class beat its runner-up class by a
-/// relative-score margin significant at `confidence` (one-sided normal CI
-/// over the Rep clustering repetitions) *and* the same class won the
-/// previous clustering. Never stops on the very first clustering.
-class ConfidenceTargetRule final : public StoppingRule {
-public:
-    /// `confidence` in (0.5, 1): one-sided coverage of the margin CI.
-    explicit ConfidenceTargetRule(double confidence);
-
-    [[nodiscard]] const char* name() const noexcept override {
-        return "confidence";
-    }
-    void observe(const Clustering& clustering,
-                 const std::vector<bool>& stopped) override;
-    [[nodiscard]] bool should_stop(std::size_t alg) const override;
-
-    /// The z critical value the confidence level resolved to (exposed for
-    /// tests).
-    [[nodiscard]] double z() const noexcept { return z_; }
-
-private:
     double z_ = 0.0;
+    std::vector<std::size_t> repeats_;
+    std::vector<bool> stop_;
     std::vector<int> previous_rank_;
-    std::vector<bool> verdict_;
 };
-
-/// Fresh rule instance for one engine run.
-[[nodiscard]] std::unique_ptr<StoppingRule> make_stopping_rule(
-    StoppingRuleKind kind, std::size_t stability_rounds, double confidence);
 
 } // namespace relperf::core

@@ -70,31 +70,18 @@ RankedSequence ThreeWaySorter::run(std::vector<std::size_t> order,
         }
     }
 
-    // Procedure 1 lines 1-4: ranks initialized 1..p along the sequence.
-    std::vector<int> ranks(p);
-    std::iota(ranks.begin(), ranks.end(), 1);
-
-    const auto shift_suffix = [&](std::size_t from, int delta) {
-        for (std::size_t i = from; i < p; ++i) ranks[i] += delta;
-    };
-
-    // O(1) per-step guard: every update touches the labels only through
-    // shift_suffix(j + 1, ±1), which moves a whole suffix uniformly, so a
-    // fresh invariant violation can only appear in the window around j. The
-    // full O(p) check_rank_invariant scan after every comparison made the
-    // sort O(p^3) — prohibitive at the 65536-algorithm scale — and runs once
-    // per sort at the end instead.
-    const auto check_rank_invariant_near = [&](std::size_t j) {
-        RELPERF_ASSERT(ranks.front() == 1,
-                       "rank invariant: first label must be 1");
-        const std::size_t lo = j > 0 ? j - 1 : 0;
-        const std::size_t hi = std::min(j + 2, p - 1);
-        for (std::size_t i = lo; i < hi; ++i) {
-            const int step = ranks[i + 1] - ranks[i];
-            RELPERF_ASSERT(step == 0 || step == 1,
-                           "rank invariant: labels must be non-decreasing "
-                           "with steps 0/1");
+    // Procedure 1 lines 1-4: ranks initialized 1..p along the sequence. The
+    // labels are kept as the 0/1 steps between neighbouring positions,
+    // step[i] = ranks[i + 1] - ranks[i] (true = 1): every update below moves
+    // a whole suffix of labels by one, which changes only the step in front
+    // of it, and labels that break the invariant cannot be expressed.
+    std::vector<bool> step(p - 1, true);
+    const auto labels = [&step] {
+        std::vector<int> ranks(step.size() + 1, 1);
+        for (std::size_t i = 0; i < step.size(); ++i) {
+            ranks[i + 1] = ranks[i] + (step[i] ? 1 : 0);
         }
+        return ranks;
     };
 
     // Procedure 1 lines 5-9: bubble passes; pass i compares positions
@@ -113,36 +100,28 @@ RankedSequence ThreeWaySorter::run(std::vector<std::size_t> order,
                 // Procedure 3, swap branch. After the swap the winner sits at
                 // position j; the virtual predecessor of position 0 has a
                 // distinct label (paper: an algorithm that beat every member
-                // of its class gets promoted).
-                const bool same_as_pred = j > 0 && ranks[j] == ranks[j - 1];
-                const bool same_as_succ = ranks[j] == ranks[j + 1];
-                if (!same_as_succ && same_as_pred) {
-                    // Winner joined the predecessor's class from above: the
-                    // old class of the loser merges up.
-                    shift_suffix(j + 1, -1);
-                } else if (same_as_succ && !same_as_pred) {
-                    // Winner defeated all peers of its class: split the class,
-                    // pushing the remaining members one rank down.
-                    shift_suffix(j + 1, +1);
-                }
+                // of its class gets promoted). Either the winner joined the
+                // predecessor's class from above and the loser's old class
+                // merges up (step 1 -> 0), or the winner defeated all peers
+                // of its class and splits it, pushing the remaining members
+                // one rank down (step 0 -> 1).
+                const bool same_as_pred = j > 0 && !step[j - 1];
+                const bool same_as_succ = !step[j];
+                if (same_as_pred != same_as_succ) step[j] = !step[j];
             } else if (outcome == Ordering::Equivalent) {
                 // Procedure 3, no-swap branch: merge the two classes.
-                if (ranks[j] != ranks[j + 1]) {
-                    shift_suffix(j + 1, -1);
-                }
+                step[j] = false;
             }
             // Ordering::Better: positions and ranks unchanged.
 
-            check_rank_invariant_near(j);
             if (trace != nullptr) {
                 trace->push_back(SortStep{pass, j, left, right, outcome, swapped,
-                                          order, ranks});
+                                          order, labels()});
             }
         }
     }
 
-    check_rank_invariant(ranks);
-    return RankedSequence{std::move(order), std::move(ranks)};
+    return RankedSequence{std::move(order), labels()};
 }
 
 } // namespace relperf::core

@@ -82,10 +82,9 @@ private:
 };
 
 /// Validates the rank-label invariant (non-decreasing from 1, steps in
-/// {0,1}); throws InternalError on violation. The sorter runs this full
-/// O(p) scan once per sort (each step uses an O(1) local check — the updates
-/// only touch the labels around the compared pair); property tests call it
-/// directly.
+/// {0,1}); throws InternalError on violation. The sorter keeps its labels as
+/// 0/1 steps, which cannot break the invariant, so it never calls this; the
+/// property tests use it as their oracle on the labels a sort returns.
 void check_rank_invariant(const std::vector<int>& ranks);
 
 } // namespace relperf::core

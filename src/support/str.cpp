@@ -19,10 +19,27 @@ namespace {
                           std::string(text) + "'");
 }
 
+/// strtoull over the whole trimmed `text` in `base` (0 = C prefixes).
+std::uint64_t parse_unsigned(std::string_view text, const std::string& context,
+                             int base) {
+    const std::string_view trimmed = trim(text);
+    if (trimmed.empty() || trimmed.front() == '-' || trimmed.front() == '+') {
+        bad_number(context, text, "a non-negative integer");
+    }
+    const std::string buf(trimmed);
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(buf.c_str(), &end, base);
+    if (end == nullptr || *end != '\0' || errno == ERANGE) {
+        bad_number(context, text, "a non-negative integer");
+    }
+    return static_cast<std::uint64_t>(value);
+}
+
 } // namespace
 
 std::size_t parse_size(std::string_view text, const std::string& context) {
-    const std::uint64_t value = parse_u64(text, context);
+    const std::uint64_t value = parse_unsigned(text, context, 10);
     if (value > std::numeric_limits<std::size_t>::max()) {
         bad_number(context, text, "a representable non-negative integer");
     }
@@ -39,18 +56,7 @@ std::size_t parse_positive_size(std::string_view text,
 }
 
 std::uint64_t parse_u64(std::string_view text, const std::string& context) {
-    const std::string_view trimmed = trim(text);
-    if (trimmed.empty() || trimmed.front() == '-' || trimmed.front() == '+') {
-        bad_number(context, text, "a non-negative integer");
-    }
-    const std::string buf(trimmed);
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(buf.c_str(), &end, 0);
-    if (end == nullptr || *end != '\0' || errno == ERANGE) {
-        bad_number(context, text, "a non-negative integer");
-    }
-    return static_cast<std::uint64_t>(value);
+    return parse_unsigned(text, context, 0);
 }
 
 double parse_double(std::string_view text, const std::string& context) {

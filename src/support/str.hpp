@@ -43,7 +43,9 @@ namespace relperf::str {
 /// naming `context` (e.g. "--sizes") when `text` is not entirely a number of
 /// the requested shape — a clean CLI/config error instead of the
 /// std::stoul/std::stod behaviour of silently accepting trailing junk or
-/// calling std::terminate through an unhandled exception.
+/// calling std::terminate through an unhandled exception. parse_size reads
+/// decimal only (`010` is 10, `0x1e` is rejected); parse_u64 also takes the
+/// C prefixes `0x` (hex) and `0` (octal), for seeds and hashes.
 [[nodiscard]] std::size_t parse_size(std::string_view text, const std::string& context);
 /// As parse_size, additionally rejecting 0 (for knobs where zero would
 /// silently mean "off" or "default" instead of what was typed).

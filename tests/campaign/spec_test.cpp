@@ -340,13 +340,10 @@ TEST(CampaignSpecCoordinated, Validation) {
     EXPECT_THROW(spec.validate(), relperf::Error);
     spec.adaptive_confidence = 0.95;
     EXPECT_NO_THROW(spec.validate());
-    const relperf::core::AdaptiveConfig config = spec.adaptive_config();
-    EXPECT_EQ(config.rule, relperf::core::StoppingRuleKind::Confidence);
-    EXPECT_DOUBLE_EQ(config.confidence, 0.95);
+    EXPECT_DOUBLE_EQ(spec.adaptive_config().confidence, 0.95);
     // Unset confidence keeps the stability rule.
     spec.adaptive_confidence = 0.0;
-    EXPECT_EQ(spec.adaptive_config().rule,
-              relperf::core::StoppingRuleKind::Stability);
+    EXPECT_EQ(spec.adaptive_config().confidence, 0.0);
 
     // Both knobs are inert without adaptive_min: rejected, not dropped.
     spec = sample_spec();

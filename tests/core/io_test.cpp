@@ -141,6 +141,32 @@ TEST(MeasurementsCsv, ErrorsNameTheSourceAndLineNumber) {
                    "algorithm 'a'");
 }
 
+TEST(MeasurementsCsv, ZeroPaddedIndicesAreDecimal) {
+    // Another tool may pad its indices: 07, 08 and 009 are three distinct
+    // samples, and 010 is index 10, so a later 10 repeats it.
+    const core::MeasurementSet set = core::parse_measurements_csv(
+        "algorithm,measurement_index,seconds\n"
+        "a,07,1.0\n"
+        "a,08,2.0\n"
+        "a,009,3.0\n");
+    ASSERT_EQ(set.size(), 1u);
+    const auto samples = set.samples(0);
+    EXPECT_EQ(std::vector<double>(samples.begin(), samples.end()),
+              (std::vector<double>{1.0, 2.0, 3.0}));
+    try {
+        (void)core::parse_measurements_csv(
+            "algorithm,measurement_index,seconds\na,010,1.0\na,10,2.0\n",
+            "padded.csv");
+        FAIL() << "expected a duplicate-index error";
+    } catch (const relperf::Error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "padded.csv:3: duplicate measurement_index 10 for "
+                      "algorithm 'a'"),
+                  std::string::npos)
+            << "message was: " << e.what();
+    }
+}
+
 TEST(MeasurementsCsv, FileAndStringEntryPointsShareOneParser) {
     // Both entry points stream through the same parser core; the awkward
     // cases (BOM, CRLF, comments, quoting, trailing blanks) must come out

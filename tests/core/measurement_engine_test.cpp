@@ -181,7 +181,6 @@ TEST(MeasurementEngine, ConfidenceRuleStopsOneRoundAfterMembershipRepeats) {
     adaptive.min_n = 5;
     adaptive.max_n = 30;
     adaptive.batch = 3;
-    adaptive.rule = core::StoppingRuleKind::Confidence;
     adaptive.confidence = 0.95;
     ScriptedSource source = two_classes();
     const core::EngineResult result = engine_for(adaptive).run(source);
@@ -202,17 +201,16 @@ TEST(MeasurementEngine, ConfidenceRuleStopsOneRoundAfterMembershipRepeats) {
 
 TEST(MeasurementEngine, ConfidenceConfigValidation) {
     core::AdaptiveConfig config;
-    config.rule = core::StoppingRuleKind::Confidence;
+    // 0 (the default) is the stability rule; any other level must lie in
+    // (0.5, 1).
+    EXPECT_EQ(config.confidence, 0.0);
+    EXPECT_NO_THROW(config.validate());
+    config.confidence = 0.95;
+    EXPECT_NO_THROW(config.validate());
     config.confidence = 0.5;
     EXPECT_THROW(config.validate(), relperf::InvalidArgument);
     config.confidence = 1.0;
     EXPECT_THROW(config.validate(), relperf::InvalidArgument);
-    config.confidence = 0.95;
-    EXPECT_NO_THROW(config.validate());
-    // The stability rule ignores the confidence field entirely.
-    config.rule = core::StoppingRuleKind::Stability;
-    config.confidence = 0.0;
-    EXPECT_NO_THROW(config.validate());
 }
 
 TEST(MeasurementEngine, RoundObserverSeesEveryRoundIncludingTheLast) {

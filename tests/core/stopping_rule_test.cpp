@@ -1,16 +1,18 @@
-//! The pluggable stopping rules in isolation, driven by hand-built
-//! clusterings (score_of falls back to scanning `clusters` when the
-//! memberships index is empty, so the fixtures only fill final_assignment,
-//! clusters and repetitions):
+//! The stopping rule in isolation, driven by hand-built clusterings
+//! (score_of falls back to scanning `clusters` when the memberships index is
+//! empty, so the fixtures only fill final_assignment, clusters and
+//! repetitions):
 //!
-//!  * MembershipStabilityRule replicates the original engine bookkeeping —
-//!    the first clustering only seeds the previous-rank state, the counter
-//!    resets on any membership change, and stopped algorithms are skipped;
-//!  * ConfidenceTargetRule never stops on the first clustering, demands a
+//!  * the stability rule (confidence 0) replicates the original engine
+//!    bookkeeping — the first clustering only seeds the previous-rank state,
+//!    the counter resets on any membership change, and stopped algorithms
+//!    are skipped;
+//!  * the confidence rule never stops on the first clustering, demands a
 //!    class repeat plus a significant class-vs-runner-up margin, declines
-//!    when Rep is unknown, and tightens monotonically with the confidence
-//!    level;
-//!  * make_stopping_rule dispatches the AdaptiveConfig knobs.
+//!    when Rep is unknown, tightens monotonically with the confidence level,
+//!    and ignores stability_rounds;
+//!  * the constructor picks the rule from the confidence and rejects
+//!    out-of-range knobs.
 
 #include "core/stopping_rule.hpp"
 
@@ -64,15 +66,8 @@ std::vector<bool> none_stopped(std::size_t n) {
 
 } // namespace
 
-TEST(StoppingRuleKind, ToString) {
-    EXPECT_STREQ(core::to_string(core::StoppingRuleKind::Stability),
-                 "stability");
-    EXPECT_STREQ(core::to_string(core::StoppingRuleKind::Confidence),
-                 "confidence");
-}
-
 TEST(MembershipStabilityRule, FirstObserveOnlySeeds) {
-    core::MembershipStabilityRule rule(1);
+    core::StoppingRule rule(1, 0.0);
     const core::Clustering c = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 10);
     rule.observe(c, none_stopped(2));
     // One clustering seen: no membership has been *repeated* yet.
@@ -84,7 +79,7 @@ TEST(MembershipStabilityRule, FirstObserveOnlySeeds) {
 }
 
 TEST(MembershipStabilityRule, CounterResetsOnMembershipChange) {
-    core::MembershipStabilityRule rule(2);
+    core::StoppingRule rule(2, 0.0);
     const core::Clustering ab = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 10);
     const core::Clustering ba = make_clustering({{{2, 1.0}}, {{1, 1.0}}}, 10);
     rule.observe(ab, none_stopped(2)); // seed
@@ -100,7 +95,7 @@ TEST(MembershipStabilityRule, CounterResetsOnMembershipChange) {
 }
 
 TEST(MembershipStabilityRule, SkipsStoppedAlgorithms) {
-    core::MembershipStabilityRule rule(1);
+    core::StoppingRule rule(1, 0.0);
     const core::Clustering ab = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 10);
     rule.observe(ab, none_stopped(2));
     rule.observe(ab, none_stopped(2));
@@ -112,8 +107,9 @@ TEST(MembershipStabilityRule, SkipsStoppedAlgorithms) {
 }
 
 TEST(MembershipStabilityRule, RejectsBadConstructionAndMismatchedSizes) {
-    EXPECT_THROW(core::MembershipStabilityRule(0), relperf::InvalidArgument);
-    core::MembershipStabilityRule rule(2);
+    EXPECT_THROW(core::StoppingRule(0, 0.0), relperf::InvalidArgument);
+    EXPECT_THROW(core::StoppingRule(0, 0.95), relperf::InvalidArgument);
+    core::StoppingRule rule(2, 0.0);
     const core::Clustering c = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 10);
     EXPECT_THROW(rule.observe(c, none_stopped(3)), relperf::InvalidArgument);
     rule.observe(c, none_stopped(2));
@@ -124,16 +120,21 @@ TEST(MembershipStabilityRule, RejectsBadConstructionAndMismatchedSizes) {
 }
 
 TEST(ConfidenceTargetRule, ValidatesConfidenceAndResolvesZ) {
-    EXPECT_THROW(core::ConfidenceTargetRule(0.5), relperf::InvalidArgument);
-    EXPECT_THROW(core::ConfidenceTargetRule(1.0), relperf::InvalidArgument);
-    EXPECT_THROW(core::ConfidenceTargetRule(0.0), relperf::InvalidArgument);
-    EXPECT_THROW(core::ConfidenceTargetRule(-0.9), relperf::InvalidArgument);
-    const core::ConfidenceTargetRule rule(0.95);
+    EXPECT_THROW(core::StoppingRule(2, 0.5), relperf::InvalidArgument);
+    EXPECT_THROW(core::StoppingRule(2, 1.0), relperf::InvalidArgument);
+    EXPECT_THROW(core::StoppingRule(2, 0.4), relperf::InvalidArgument);
+    EXPECT_THROW(core::StoppingRule(2, -0.9), relperf::InvalidArgument);
+    const core::StoppingRule rule(2, 0.95);
+    EXPECT_STREQ(rule.name(), "confidence");
     EXPECT_NEAR(rule.z(), 1.6448536269514722, 1e-9);
+    // Confidence 0 selects the stability rule, which has no critical value.
+    const core::StoppingRule stability(2, 0.0);
+    EXPECT_STREQ(stability.name(), "stability");
+    EXPECT_EQ(stability.z(), 0.0);
 }
 
 TEST(ConfidenceTargetRule, NeverStopsOnTheFirstClustering) {
-    core::ConfidenceTargetRule rule(0.95);
+    core::StoppingRule rule(2, 0.95);
     // Unanimous membership — as decisive as a clustering gets.
     const core::Clustering c = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 100);
     rule.observe(c, none_stopped(2));
@@ -146,7 +147,7 @@ TEST(ConfidenceTargetRule, NeverStopsOnTheFirstClustering) {
 }
 
 TEST(ConfidenceTargetRule, InsignificantMarginKeepsMeasuring) {
-    core::ConfidenceTargetRule rule(0.95);
+    core::StoppingRule rule(2, 0.95);
     // Rank 1 wins 55/45 over rank 2 across Rep = 20 repetitions: margin 0.1,
     // SE ~ 0.22 — nowhere near significant at 0.95.
     const core::Clustering c = make_clustering(
@@ -158,7 +159,7 @@ TEST(ConfidenceTargetRule, InsignificantMarginKeepsMeasuring) {
 }
 
 TEST(ConfidenceTargetRule, MembershipFlipBlocksStopping) {
-    core::ConfidenceTargetRule rule(0.95);
+    core::StoppingRule rule(2, 0.95);
     const core::Clustering ab = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 100);
     const core::Clustering ba = make_clustering({{{2, 1.0}}, {{1, 1.0}}}, 100);
     rule.observe(ab, none_stopped(2));
@@ -170,7 +171,7 @@ TEST(ConfidenceTargetRule, MembershipFlipBlocksStopping) {
 }
 
 TEST(ConfidenceTargetRule, UnknownRepetitionCountIsNotConfident) {
-    core::ConfidenceTargetRule rule(0.95);
+    core::StoppingRule rule(2, 0.95);
     const core::Clustering c = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 0);
     rule.observe(c, none_stopped(2));
     rule.observe(c, none_stopped(2));
@@ -182,25 +183,25 @@ TEST(ConfidenceTargetRule, HigherConfidenceIsMoreConservative) {
     // at z(0.8) = 0.84 but not at z(0.9999) = 3.72.
     const core::Clustering c = make_clustering(
         {{{1, 0.6}, {2, 0.4}}, {{1, 0.4}, {2, 0.6}}}, 100);
-    core::ConfidenceTargetRule loose(0.8);
+    core::StoppingRule loose(2, 0.8);
     loose.observe(c, none_stopped(2));
     loose.observe(c, none_stopped(2));
     EXPECT_TRUE(loose.should_stop(0));
 
-    core::ConfidenceTargetRule tight(0.9999);
+    core::StoppingRule tight(2, 0.9999);
     tight.observe(c, none_stopped(2));
     tight.observe(c, none_stopped(2));
     EXPECT_FALSE(tight.should_stop(0));
 }
 
-TEST(MakeStoppingRule, DispatchesTheConfiguredKind) {
-    const auto stability =
-        core::make_stopping_rule(core::StoppingRuleKind::Stability, 2, 0.0);
-    EXPECT_STREQ(stability->name(), "stability");
-    const auto confidence =
-        core::make_stopping_rule(core::StoppingRuleKind::Confidence, 2, 0.95);
-    EXPECT_STREQ(confidence->name(), "confidence");
-    EXPECT_THROW((void)core::make_stopping_rule(
-                     core::StoppingRuleKind::Confidence, 2, 0.4),
-                 relperf::InvalidArgument);
+TEST(ConfidenceTargetRule, IgnoresStabilityRounds) {
+    // One repeat of a unanimous class is enough under the confidence rule,
+    // whatever stability_rounds says: only the stability rule counts to it.
+    core::StoppingRule rule(5, 0.95);
+    const core::Clustering c = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 100);
+    rule.observe(c, none_stopped(2));
+    EXPECT_FALSE(rule.should_stop(0));
+    rule.observe(c, none_stopped(2));
+    EXPECT_TRUE(rule.should_stop(0));
+    EXPECT_TRUE(rule.should_stop(1));
 }

@@ -330,7 +330,7 @@ std::vector<std::size_t> counts_of(const core::MeasurementSet& set) {
 
 } // namespace
 
-// The stop decisions of the CI plan's two adaptive runs, pinned to the
+// The stop decisions of the CI plan's adaptive runs, pinned to the
 // per-algorithm counts CI archives: a change to the engine's round loop
 // that moves any decision fails here before it reaches the CLI artifacts.
 TEST(CiPlanStops, ShardLocalStabilityRule) {
@@ -361,5 +361,28 @@ TEST(CiPlanStops, CoordinatedConfidenceRule) {
     EXPECT_EQ(run.stopset_rounds, (std::vector<std::size_t>{0, 5, 8}));
     // Each round clusters once and the last round's clustering is the one
     // published: no clustering beyond the rounds.
+    EXPECT_EQ(clusterings, run.rounds);
+}
+
+TEST(CiPlanStops, CoordinatedStabilityRule) {
+    // Confidence 0 selects the stability rule on the coordinated path too;
+    // the counts match the shard-local run's, in one more round than the
+    // confidence rule needs.
+    campaign::CampaignSpec spec = ci_plan();
+    spec.adaptive_coordinated = true;
+    obs::registry().reset_values();
+    obs::set_metrics_enabled(true);
+    const campaign::CoordinatedCampaignResult run =
+        campaign::run_coordinated_campaign(spec, 4);
+    const std::uint64_t clusterings = obs::metrics().clusterings_total.value();
+    obs::set_metrics_enabled(false);
+    obs::registry().reset_values();
+
+    EXPECT_EQ(names_of(run.analysis.measurements), kCiPlanAlgorithms);
+    EXPECT_EQ(counts_of(run.analysis.measurements),
+              (std::vector<std::size_t>{25, 20, 25, 20, 20, 20, 20, 20}));
+    EXPECT_EQ(run.analysis.total_samples, 170u);
+    EXPECT_EQ(run.rounds, 4u);
+    EXPECT_EQ(run.stopset_rounds, (std::vector<std::size_t>{0, 0, 6, 8}));
     EXPECT_EQ(clusterings, run.rounds);
 }

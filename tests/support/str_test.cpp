@@ -85,6 +85,15 @@ TEST(StrParse, SizeAcceptsDecimalAndHex) {
               18446744073709551615ULL);
 }
 
+TEST(StrParse, SizeIsDecimalEvenWhenZeroPadded) {
+    // Sizes are counts and indices: a zero-padded field is decimal, never
+    // octal, and a C prefix is junk. Seeds keep the prefixes (see above).
+    EXPECT_EQ(str::parse_size("08", "measurement_index"), 8u);
+    EXPECT_EQ(str::parse_size("010", "measurement_index"), 10u);
+    EXPECT_THROW((void)str::parse_size("0x1e", "measurement_index"),
+                 relperf::InvalidArgument);
+}
+
 TEST(StrParse, RejectsJunkWithTheContextInTheMessage) {
     const auto expect_invalid = [](auto&& call, const char* context) {
         try {
