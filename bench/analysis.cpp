@@ -1,7 +1,9 @@
 //! Analysis hot paths at scale: comparator score ns/op (counting select
 //! against an in-bench loop that materializes and sorts every resample; the
 //! bench fails if the two score differently on the same stream), clusterer
-//! wall time vs p (sparse tallies, with the dense O(p^2) oracle at small p),
+//! wall time vs p (sparse tallies, with the dense O(p^2) oracle and the
+//! all-cores repetition pool at small p; the bench fails if the pool's
+//! clustering differs from the serial one),
 //! an adaptive engine run end to end, coordinated-stopping sample budgets vs
 //! shard count for both stopping rules, and the result cache's
 //! cold/exact-hit/prefix-extension run costs.
@@ -261,8 +263,29 @@ int main(int argc, char** argv) {
                 checksum += dense.final_assignment[0].score;
                 rows.push_back({"clusterer", "dense_wall_ms",
                                 "p=" + std::to_string(p), dense_ms});
-                std::printf("  p = %5zu : sparse %8.1f ms   dense %8.1f ms\n",
-                            p, sparse_ms, dense_ms);
+
+                // The repetitions on every hardware thread (capped at Rep):
+                // the same clustering bit for bit, or the bench fails.
+                const core::ClustererConfig all_cores{4, seed + 7, 0};
+                const core::RelativeClusterer pooled(comparator, all_cores);
+                start = std::chrono::steady_clock::now();
+                const core::Clustering parallel = pooled.cluster(set);
+                const double parallel_ms = seconds_since(start) * 1e3;
+                if (!(parallel == sparse)) {
+                    std::fprintf(stderr,
+                                 "error: the clustering on %zu threads "
+                                 "differs from the serial one at p = %zu\n",
+                                 all_cores.threads(), p);
+                    return 1;
+                }
+                rows.push_back({"clusterer", "sparse_wall_ms",
+                                str::format("p=%zu,workers=%zu", p,
+                                            all_cores.threads()),
+                                parallel_ms});
+                std::printf("  p = %5zu : sparse %8.1f ms   dense %8.1f ms   "
+                            "sparse on %zu threads %8.1f ms\n",
+                            p, sparse_ms, dense_ms, all_cores.threads(),
+                            parallel_ms);
             } else {
                 std::printf("  p = %5zu : sparse %8.1f ms   dense (skipped, "
                             "O(p^2) memory)\n",

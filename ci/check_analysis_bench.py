@@ -13,7 +13,11 @@ Asserts that
     against the loop that sorts every resample measured 7.5x on a 4-vCPU
     Xeon VM, GCC 12 Release; the floor leaves room for noisy CI runners
     while still catching the fast path regressing outright);
-  * the clusterer section covers the documented problem sizes;
+  * the clusterer section covers the documented problem sizes, and at
+    p = 64 and p = 256 also the run on all hardware threads (param
+    p=P,workers=N; bench_analysis itself fails if that clustering differs
+    from the serial one). No speedup floor: CI runners' parallel capacity
+    varies;
   * the engine section carries the 32-algorithm run's wall time, and its
     round count (4) and saved samples (1,520) are exactly the pinned values
     (the synthetic source and the default --seed fix them, so these are
@@ -103,6 +107,10 @@ def main() -> None:
     for expected in ("p=64", "p=256", "p=1024"):
         if expected not in sparse:
             fail(f"{path}: clusterer sparse_wall_ms missing {expected}")
+    for p in ("p=64", "p=256"):
+        if not any(param.startswith(f"{p},workers=") for param in sparse):
+            fail(f"{path}: clusterer sparse_wall_ms missing the all-cores "
+                 f"row {p},workers=N")
 
     if ENGINE_PARAM not in find("engine", "run_wall_ms"):
         fail(f"{path}: engine run_wall_ms missing {ENGINE_PARAM}")

@@ -17,7 +17,7 @@ CachedRunResult run_uncached(const campaign::CampaignSpec& spec,
     CachedRunResult out;
     if (spec.adaptive_coordinated) {
         campaign::CoordinatedCampaignResult coordinated =
-            campaign::run_coordinated_campaign(spec, shard_count);
+            campaign::run_coordinated_campaign(spec, shard_count, workers);
         out.analysis = std::move(coordinated.analysis);
         out.stopset_rounds = std::move(coordinated.stopset_rounds);
         out.rounds = coordinated.rounds;
@@ -61,8 +61,8 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
     if (lookup.kind == HitKind::Exact) {
         // Re-cluster the cached samples under the spec's analysis knobs —
         // byte-identical to the original analysis, zero executor draws.
-        out.analysis = core::analyze_measurements(std::move(lookup.merged),
-                                                  spec.analysis_config());
+        out.analysis = core::analyze_measurements(
+            std::move(lookup.merged), spec.analysis_config(workers));
         // analyze_measurements cannot know the plan's cap; restore it.
         out.analysis.fixed_n_samples =
             out.analysis.measurements.size() * spec.measurements;
@@ -83,7 +83,8 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
         CachedSampleSource replay(bundle.source(), lookup.merged);
         if (spec.adaptive_coordinated) {
             campaign::CoordinatedCampaignResult coordinated =
-                campaign::run_coordinated_campaign(spec, shard_count, replay);
+                campaign::run_coordinated_campaign(spec, shard_count, replay,
+                                                   workers);
             out.analysis = std::move(coordinated.analysis);
             out.stopset_rounds = std::move(coordinated.stopset_rounds);
             out.rounds = coordinated.rounds;
@@ -92,7 +93,7 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
             // K == 1: the engine over the full global variant list, of
             // which a fixed-N plan is the one-round case.
             out.analysis =
-                core::analyze_source(replay, spec.analysis_config());
+                core::analyze_source(replay, spec.analysis_config(workers));
         }
         out.samples_from_cache = replay.served();
         cache.store(spec, out.analysis.measurements, out.stopset_rounds);

@@ -57,7 +57,9 @@ struct CachedRunResult {
 
 /// campaign::run_campaign with the cache consulted first. A disabled cache
 /// (empty dir) or an uncacheable plan degrades to a plain run. `workers`
-/// only affects the miss path of non-coordinated plans (as in run_campaign).
+/// (0 = all cores) sizes the shard pool of a non-coordinated miss and the
+/// clustering pool of every tier — miss, exact hit and prefix extension —
+/// without moving a bit (as in run_campaign).
 [[nodiscard]] CachedRunResult run_campaign_cached(
     const campaign::CampaignSpec& spec, ResultCache& cache,
     std::size_t shard_count = 0, std::size_t workers = 1);

@@ -202,16 +202,15 @@ core::AnalysisResult run_campaign(const CampaignSpec& spec,
                                   std::size_t workers) {
     // Coordinated plans cannot run shard-by-shard (the stop decisions need
     // the merged view between rounds), so route them through the
-    // coordinator; `workers` is moot there — the coordinator is one process
-    // driving one global engine.
+    // coordinator: one global engine whose clusterings use `workers`.
     if (spec.adaptive_coordinated) {
-        return run_coordinated_campaign(spec, shard_count).analysis;
+        return run_coordinated_campaign(spec, shard_count, workers).analysis;
     }
     const LocalShardRunner runner(workers);
     const std::vector<ShardResult> shards = runner.run(spec, shard_count);
     core::MeasurementSet merged = merge_shards(spec, shards);
     core::AnalysisResult result = core::analyze_measurements(
-        std::move(merged), spec.analysis_config());
+        std::move(merged), spec.analysis_config(workers));
     // analyze_measurements cannot know the plan's cap; restore the true
     // fixed-N cost so result.saved quantities reflect the adaptive savings.
     result.fixed_n_samples = result.measurements.size() * spec.measurements;

@@ -26,14 +26,16 @@ namespace relperf::campaign {
     const CampaignSpec& spec, const std::vector<ShardResult>& shards);
 
 /// Convenience single-host campaign: run all shards (LocalShardRunner with
-/// `workers` threads), merge, cluster. shard_count = 0 uses spec.shards.
-/// For fixed-N specs this produces the exact AnalysisResult of
+/// `workers` threads), merge, cluster the merged set with its repetitions on
+/// `workers` threads (0 = all cores for both). shard_count = 0 uses
+/// spec.shards. For fixed-N specs this produces the exact AnalysisResult of
 /// core::analyze_chain on the same plan, for every choice of shard_count
 /// and workers. Adaptive specs are deterministic per shard_count, but
 /// shard-local early stopping decides per shard, so different K may keep
 /// different per-algorithm counts (the sample values stay prefix-identical).
 /// Coordinated specs (adaptive_coordination = coordinated) route through
-/// run_coordinated_campaign, whose counts are K-invariant.
+/// run_coordinated_campaign with the same `workers`; their counts are
+/// K-invariant.
 [[nodiscard]] core::AnalysisResult run_campaign(const CampaignSpec& spec,
                                                 std::size_t shard_count = 0,
                                                 std::size_t workers = 1);

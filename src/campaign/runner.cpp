@@ -10,15 +10,12 @@
 #include "sim/executor.hpp"
 #include "sim/real_executor.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "support/str.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <exception>
-#include <mutex>
 #include <numeric>
 #include <optional>
-#include <thread>
 
 namespace relperf::campaign {
 
@@ -172,14 +169,17 @@ GlobalSampleSource::~GlobalSampleSource() = default;
 core::SampleSource& GlobalSampleSource::source() { return *impl_->source; }
 
 CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
-                                                   std::size_t shard_count) {
+                                                   std::size_t shard_count,
+                                                   std::size_t workers) {
     GlobalSampleSource bundle(spec);
-    return run_coordinated_campaign(spec, shard_count, bundle.source());
+    return run_coordinated_campaign(spec, shard_count, bundle.source(),
+                                    workers);
 }
 
 CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
                                                    std::size_t shard_count,
-                                                   core::SampleSource& source) {
+                                                   core::SampleSource& source,
+                                                   std::size_t workers) {
     spec.validate();
     RELPERF_REQUIRE(spec.adaptive(),
                     "run_coordinated_campaign: spec is fixed-N — coordinated "
@@ -221,7 +221,7 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
     // The engine's published clustering is exactly what analyze_measurements
     // would produce on the final merged measurements — no re-clustering.
     out.analysis =
-        core::analyze_source(source, spec.analysis_config(), observer);
+        core::analyze_source(source, spec.analysis_config(workers), observer);
     out.rounds = out.stopset_rounds.size();
 
     // Slice the global result into per-shard files. Manifests carry the
@@ -248,11 +248,8 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
     return out;
 }
 
-LocalShardRunner::LocalShardRunner(std::size_t workers) : workers_(workers) {
-    if (workers_ == 0) {
-        workers_ = std::max(1u, std::thread::hardware_concurrency());
-    }
-}
+LocalShardRunner::LocalShardRunner(std::size_t workers)
+    : workers_(support::resolve_workers(workers)) {}
 
 std::vector<ShardResult> LocalShardRunner::run(const CampaignSpec& spec,
                                                std::size_t shard_count) const {
@@ -264,42 +261,15 @@ std::vector<ShardResult> LocalShardRunner::run(const CampaignSpec& spec,
     // Real campaigns measure wall-clock time on this machine: concurrent
     // shards would measure each other's contention, so run them serially.
     const std::size_t threads =
-        spec.executor == ExecutorKind::Real ? 1 : std::min(workers_, count);
+        spec.executor == ExecutorKind::Real ? 1 : workers_;
 
     std::vector<ShardResult> results(count);
-    obs::report_progress("shards", 0, count);
-    if (threads <= 1) {
-        for (std::size_t i = 0; i < count; ++i) {
-            results[i] = run_shard(spec, i, count);
-            obs::report_progress("shards", i + 1, count);
-        }
-        return results;
-    }
-
-    std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-        pool.emplace_back([&] {
-            while (true) {
-                const std::size_t i = next.fetch_add(1);
-                if (i >= count) return;
-                try {
-                    results[i] = run_shard(spec, i, count);
-                    obs::report_progress("shards", done.fetch_add(1) + 1,
-                                         count);
-                } catch (...) {
-                    const std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!first_error) first_error = std::current_exception();
-                }
-            }
-        });
-    }
-    for (std::thread& worker : pool) worker.join();
-    if (first_error) std::rethrow_exception(first_error);
+    obs::report_progress("shards", 0, count);
+    support::parallel_for(count, threads, [&](std::size_t i) {
+        results[i] = run_shard(spec, i, count);
+        obs::report_progress("shards", done.fetch_add(1) + 1, count);
+    });
     return results;
 }
 

@@ -55,9 +55,12 @@ struct CoordinatedCampaignResult {
 /// Requires an adaptive spec with adaptive_coordinated set (the key is
 /// measurement-determining, so the manifests and the plan hash must record
 /// it; relperf_cli --coordinated sets it on the loaded spec). shard_count =
-/// 0 uses spec.shards.
+/// 0 uses spec.shards. Each round's clustering runs its repetitions on
+/// `workers` threads (core::ClustererConfig::workers; 0 = all cores), which
+/// moves no bit of the result.
 [[nodiscard]] CoordinatedCampaignResult run_coordinated_campaign(
-    const CampaignSpec& spec, std::size_t shard_count = 0);
+    const CampaignSpec& spec, std::size_t shard_count = 0,
+    std::size_t workers = 1);
 
 /// As above, but drawing from `source` instead of building the spec's
 /// executor-backed source internally. `source` must enumerate the spec's
@@ -67,7 +70,7 @@ struct CoordinatedCampaignResult {
 /// while fresh draws fall through to the real executor.
 [[nodiscard]] CoordinatedCampaignResult run_coordinated_campaign(
     const CampaignSpec& spec, std::size_t shard_count,
-    core::SampleSource& source);
+    core::SampleSource& source, std::size_t workers = 1);
 
 /// The one builder that turns a spec into an executor-backed sample source:
 /// validates the spec, checks that the plan's backends exist in this build,
@@ -99,10 +102,13 @@ public:
     /// hardware thread. Campaigns with ExecutorKind::Real always run their
     /// shards sequentially regardless of `workers`: concurrent wall-clock
     /// measurement on one machine would contend for the CPUs being measured.
+    /// A shard-local adaptive shard clusters its own algorithms serially:
+    /// the shards already run `workers` wide.
     explicit LocalShardRunner(std::size_t workers = 0);
 
     /// Runs all `shard_count` (0 = spec.shards) shards; returns them ordered
-    /// by shard index. The first worker exception, if any, is rethrown.
+    /// by shard index. If shards throw, the lowest failing shard's exception
+    /// is rethrown.
     [[nodiscard]] std::vector<ShardResult> run(const CampaignSpec& spec,
                                                std::size_t shard_count = 0) const;
 

@@ -420,7 +420,7 @@ core::AdaptiveConfig CampaignSpec::adaptive_config() const {
     return config;
 }
 
-core::AnalysisConfig CampaignSpec::analysis_config() const {
+core::AnalysisConfig CampaignSpec::analysis_config(std::size_t workers) const {
     core::AnalysisConfig config;
     config.measurements_per_alg = measurements;
     config.measurement_seed = measurement_seed;
@@ -429,6 +429,7 @@ core::AnalysisConfig CampaignSpec::analysis_config() const {
     config.comparator.decision_threshold = decision_threshold;
     config.clustering.repetitions = clustering_repetitions;
     config.clustering.seed = clustering_seed;
+    config.clustering.workers = workers;
     if (adaptive()) config.adaptive = adaptive_config();
     return config;
 }

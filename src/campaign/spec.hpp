@@ -160,8 +160,11 @@ struct CampaignSpec {
     [[nodiscard]] core::AdaptiveConfig adaptive_config() const;
 
     /// Analysis configuration carrying the spec's knobs (including the
-    /// adaptive engine config when adaptive() is on).
-    [[nodiscard]] core::AnalysisConfig analysis_config() const;
+    /// adaptive engine config when adaptive() is on). `workers` sets
+    /// core::ClustererConfig::workers; it is a property of the run, not of
+    /// the plan, so it moves no bit and stays out of hash().
+    [[nodiscard]] core::AnalysisConfig analysis_config(
+        std::size_t workers = 1) const;
 };
 
 /// Maps a preset name to its sim::Platform. Known names:

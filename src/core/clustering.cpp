@@ -3,6 +3,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 
 #include <algorithm>
 #include <numeric>
@@ -69,23 +70,28 @@ Clustering build_clustering(std::size_t p, std::size_t repetitions,
 
 /// Procedure 4's repetition loop, shared by the sparse and dense tally
 /// paths: repetition r takes child stream r of the master seed, shuffles the
-/// algorithm order on it (line 4, Shuffle(A)), sorts on the rest of the
-/// stream (line 5, SortAlgs(A)) and hands every (algorithm, rank) outcome to
-/// `tally`. Returns the largest rank seen.
+/// algorithm order on it (line 4, Shuffle(A)) and sorts on the rest of the
+/// stream (line 5, SortAlgs(A)) into slot r, on config.threads() threads.
+/// Then every (algorithm, rank) outcome goes to `tally` in repetition order
+/// on the calling thread. Returns the largest rank seen.
 template <typename Tally>
 int run_repetitions(const RelativeClusterer& clusterer,
                     const MeasurementSet& measurements,
                     const ClustererConfig& config, Tally&& tally) {
     const std::size_t p = measurements.size();
     const stats::Rng master(config.seed);
+    std::vector<RankedSequence> slots(config.repetitions);
+    support::parallel_for(
+        config.repetitions, config.threads(), [&](std::size_t rep) {
+            stats::Rng rng = master.child(rep);
+            std::vector<std::size_t> order(p);
+            std::iota(order.begin(), order.end(), std::size_t{0});
+            rng.shuffle(order);
+            slots[rep] =
+                clusterer.sort_once(measurements, std::move(order), rng);
+        });
     int max_rank_seen = 0;
-    for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
-        stats::Rng rng = master.child(rep);
-        std::vector<std::size_t> order(p);
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        rng.shuffle(order);
-        const RankedSequence seq =
-            clusterer.sort_once(measurements, std::move(order), rng);
+    for (const RankedSequence& seq : slots) {
         for (std::size_t pos = 0; pos < p; ++pos) {
             const int rank = seq.ranks[pos];
             RELPERF_ASSERT(rank >= 1 && rank <= static_cast<int>(p),
@@ -128,6 +134,11 @@ void ClustererConfig::validate() const {
     RELPERF_REQUIRE(repetitions > 0, "ClustererConfig: repetitions must be positive");
 }
 
+std::size_t ClustererConfig::threads() const noexcept {
+    return std::min({support::resolve_workers(workers),
+                     support::hardware_threads(), repetitions});
+}
+
 RelativeClusterer::RelativeClusterer(const Comparator& comparator,
                                      ClustererConfig config)
     : comparator_(comparator), config_(config) {
@@ -160,7 +171,8 @@ Clustering RelativeClusterer::cluster(const MeasurementSet& measurements) const 
     const std::size_t p = measurements.size();
     obs::Span span("clusterer.cluster", "core");
     span.arg("algorithms", static_cast<std::uint64_t>(p))
-        .arg("repetitions", static_cast<std::uint64_t>(config_.repetitions));
+        .arg("repetitions", static_cast<std::uint64_t>(config_.repetitions))
+        .arg("workers", static_cast<std::uint64_t>(config_.threads()));
     obs::metrics().clusterings_total.inc();
 
     // counts[alg] = ascending (rank, count) pairs actually observed — at

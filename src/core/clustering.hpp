@@ -19,11 +19,17 @@
 //! comparator, config). That is why the engine can publish its last round's
 //! clustering as the analysis of the final measurements.
 //!
+//! The repetitions are independent, so they run on a pool of
+//! ClustererConfig::workers threads, each writing its sorted sequence into
+//! its own slot; the rank tally then reads the slots in repetition order on
+//! the calling thread. No output bit depends on the thread count.
+//!
 //! Scale note: an algorithm can only ever be observed in at most
 //! min(Rep, cluster-count) distinct ranks, so the rank tallies are kept as
 //! per-algorithm sparse (rank, count) lists — O(p * Rep) peak memory instead
 //! of the dense p x p counts matrix (32 GiB at the 65536-variant cap). The
-//! dense tally survives as cluster_dense(), the memory-hungry oracle the
+//! repetition slots add Rep * p * 12 bytes (order plus ranks). The dense
+//! tally survives as cluster_dense(), the memory-hungry oracle the
 //! equivalence tests assert bit-identical results against.
 
 #include "core/comparison.hpp"
@@ -39,6 +45,8 @@ namespace relperf::core {
 struct ClusterEntry {
     std::size_t alg = 0;
     double score = 0.0; ///< Fraction of repetitions with this rank, in (0, 1].
+
+    bool operator==(const ClusterEntry&) const = default;
 };
 
 /// Final unique assignment of one algorithm.
@@ -46,6 +54,8 @@ struct FinalAssignment {
     std::size_t alg = 0;
     int rank = 0;       ///< 1-based performance class.
     double score = 0.0; ///< Cumulated score over ranks <= rank.
+
+    bool operator==(const FinalAssignment&) const = default;
 };
 
 /// One algorithm's membership in one rank, as stored in the per-algorithm
@@ -53,6 +63,8 @@ struct FinalAssignment {
 struct RankScore {
     int rank = 0;
     double score = 0.0;
+
+    bool operator==(const RankScore&) const = default;
 };
 
 /// Full clustering result.
@@ -80,14 +92,26 @@ struct Clustering {
 
     /// Convenience: final rank of `alg`.
     [[nodiscard]] int final_rank(std::size_t alg) const;
+
+    /// Field-by-field equality, scores compared exactly.
+    bool operator==(const Clustering&) const = default;
 };
 
 /// Configuration of the repeated clustering.
 struct ClustererConfig {
     std::size_t repetitions = 100;    ///< Paper's Rep.
     std::uint64_t seed = 0xC0FFEEULL; ///< Master seed (shuffles + comparator).
+    /// Threads the repetitions run on; 0 means one per hardware thread.
+    /// Part of the run, not of the plan: the Clustering is bit-identical at
+    /// every count. Above 1 the comparator's compare() runs concurrently,
+    /// which the Comparator contract allows (comparison.hpp).
+    std::size_t workers = 1;
 
     void validate() const;
+
+    /// Threads cluster() uses: `workers`, capped at Rep and at the hardware
+    /// thread count.
+    [[nodiscard]] std::size_t threads() const noexcept;
 };
 
 /// Runs Procedure 4 over a MeasurementSet with any Comparator.

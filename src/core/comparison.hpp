@@ -41,6 +41,14 @@ enum class Ordering {
 /// resamples); all randomness flows through the caller's Rng so repeated
 /// clustering (Procedure 4) sees independent comparison draws while the whole
 /// analysis stays reproducible under a fixed seed.
+///
+/// compare() may run concurrently: a RelativeClusterer whose
+/// ClustererConfig::workers is greater than 1 calls it on one comparator
+/// object from several threads at once, each call with its own Rng. So an
+/// implementation must be safe to call concurrently, or be used with
+/// workers = 1. BootstrapComparator keeps its scratch thread_local and counts
+/// with relaxed atomics; MannWhitneyComparator, KsComparator and
+/// SummaryComparator are stateless.
 class Comparator {
 public:
     virtual ~Comparator() = default;

@@ -122,14 +122,21 @@ TEST(Campaign, ShardOrderDoesNotMatter) {
 }
 
 TEST(Campaign, ShardedMergedClusteringEqualsAnalyzeChainExactly) {
-    // The ISSUE acceptance criterion: run every shard, merge, cluster — the
-    // result must be the exact clustering of the single-process
-    // core::analyze_chain run of the same plan.
+    // Run every shard, merge, cluster: the result must be the exact
+    // clustering of the single-process core::analyze_chain run of the same
+    // plan, for every shard count and every worker count (shard threads and
+    // clustering threads alike).
     const campaign::CampaignSpec spec = small_spec();
     const core::AnalysisResult reference = reference_run(spec);
-    for (const std::size_t k : {1u, 2u, 4u, 7u}) {
-        const core::AnalysisResult sharded = campaign::run_campaign(spec, k);
-        expect_clusterings_identical(sharded.clustering, reference.clustering);
+    for (const std::size_t workers : {1u, 4u}) {
+        for (const std::size_t k : {1u, 2u, 4u, 7u}) {
+            SCOPED_TRACE("K = " + std::to_string(k) +
+                         ", workers = " + std::to_string(workers));
+            const core::AnalysisResult sharded =
+                campaign::run_campaign(spec, k, workers);
+            expect_clusterings_identical(sharded.clustering,
+                                         reference.clustering);
+        }
     }
 }
 
@@ -310,9 +317,9 @@ TEST(Campaign, GlobalSampleSourceSubsetDrawsTheGlobalStreams) {
 TEST(Campaign, ParallelRunnerErrorPathIsRaceFreeAndRethrowsOnce) {
     // Regression guard for the LocalShardRunner error path: with more
     // workers than cores every worker hits the throwing run_shard
-    // concurrently, so first_error assignment and the atomic `next` drain
-    // race if they are ever unsynchronized (TSan covers this test in CI).
-    // Exactly one of the concurrent exceptions must come back out.
+    // concurrently, so the per-shard exception slots and the atomic `next`
+    // drain race if they are ever unsynchronized (TSan covers this test in
+    // CI). Exactly one of the concurrent exceptions must come back out.
     campaign::CampaignSpec spec = small_spec();
     spec.backend = "warp-core";
     for (int round = 0; round < 5; ++round) {

@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 namespace core = relperf::core;
 using core::Ordering;
@@ -79,7 +83,8 @@ TEST(AdversarialSort, FlippingComparatorKeepsInvariantOnEveryStep) {
 
 namespace {
 
-/// Comparator that throws after a configurable number of comparisons.
+/// Comparator that throws after a configurable number of comparisons. Its
+/// budget is unsynchronised mutable state, so it clusters with one worker.
 class FaultyComparator final : public core::Comparator {
 public:
     explicit FaultyComparator(int budget) : budget_(budget) {}
@@ -113,6 +118,59 @@ TEST(FailureInjection, ZeroBudgetFailsImmediately) {
     const FaultyComparator faulty(0);
     const core::RelativeClusterer clusterer(faulty, core::ClustererConfig{1, 1});
     EXPECT_THROW((void)clusterer.cluster(tiny_set(2)), std::runtime_error);
+}
+
+namespace {
+
+/// Stateless comparator that throws whenever the caller's stream yields a
+/// draw divisible by 64, naming that draw. Two runs throw the same message
+/// exactly when the same comparison of the same repetition failed first.
+/// It pauses before throwing, so a failing repetition stays in flight while
+/// the other workers reach theirs and several failures really race.
+class TrippingComparator final : public core::Comparator {
+public:
+    Ordering compare(std::span<const double> a, std::span<const double> b,
+                     Rng& rng) const override {
+        const std::uint64_t bits = rng.bits();
+        if (bits % 64 == 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            throw std::runtime_error("comparator tripped on draw " +
+                                     std::to_string(bits));
+        }
+        const double ma = relperf::stats::mean(a);
+        const double mb = relperf::stats::mean(b);
+        if (ma == mb) return Ordering::Equivalent;
+        return ma < mb ? Ordering::Better : Ordering::Worse;
+    }
+
+    std::string name() const override { return "tripping"; }
+};
+
+std::string cluster_error(const core::Comparator& comparator,
+                          core::ClustererConfig config) {
+    try {
+        (void)core::RelativeClusterer(comparator, config).cluster(tiny_set(6));
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "no exception";
+}
+
+} // namespace
+
+TEST(FailureInjection, WorkerExceptionMatchesSerial) {
+    // An exception thrown on a worker thread must reach the caller (not
+    // std::terminate), and it must be the one the serial loop throws first:
+    // the lowest failing repetition's.
+    const TrippingComparator tripping;
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+        SCOPED_TRACE("seed = " + std::to_string(seed));
+        const std::string serial =
+            cluster_error(tripping, core::ClustererConfig{40, seed, 1});
+        ASSERT_NE(serial, "no exception");
+        EXPECT_EQ(cluster_error(tripping, core::ClustererConfig{40, seed, 4}),
+                  serial);
+    }
 }
 
 TEST(FailureInjection, SufficientBudgetSucceeds) {

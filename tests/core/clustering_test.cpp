@@ -1,6 +1,8 @@
 #include "core/clustering.hpp"
 
 #include "core/bootstrap_comparator.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "support/error.hpp"
 
 #include <gtest/gtest.h>
@@ -85,6 +87,25 @@ MeasurementSet overlapping_set(std::size_t p, std::uint64_t seed) {
         std::vector<double> samples;
         samples.reserve(5);
         for (int k = 0; k < 5; ++k) {
+            samples.push_back(base * (1.0 + 0.05 * rng.uniform(-1.0, 1.0)));
+        }
+        set.add("alg" + std::to_string(i), std::move(samples));
+    }
+    return set;
+}
+
+/// `pairs` tiers 30% apart, each holding two algorithms whose distributions
+/// sit 3% apart with 5% noise: the bootstrap comparator calls each pair
+/// differently from one repetition to the next.
+MeasurementSet overlapping_pairs(std::size_t pairs, std::uint64_t seed) {
+    Rng rng(seed);
+    MeasurementSet set;
+    for (std::size_t i = 0; i < 2 * pairs; ++i) {
+        const double base = (1.0 + 0.3 * static_cast<double>(i / 2)) *
+                            (i % 2 == 0 ? 1.0 : 1.03);
+        std::vector<double> samples;
+        samples.reserve(8);
+        for (int k = 0; k < 8; ++k) {
             samples.push_back(base * (1.0 + 0.05 * rng.uniform(-1.0, 1.0)));
         }
         set.add("alg" + std::to_string(i), std::move(samples));
@@ -324,4 +345,43 @@ TEST(RelativeClusterer, SparseMatchesDenseOracleBitForBit) {
         const RelativeClusterer clusterer(cmp, ClustererConfig{reps, 42});
         expect_identical(clusterer.cluster(set), clusterer.cluster_dense(set));
     }
+}
+
+TEST(RelativeClusterer, WorkersDoNotMoveABit) {
+    // The repetitions run on ClustererConfig::workers threads and the tally
+    // reads their slots in repetition order, so neither a bit of the
+    // clustering nor the comparison count may depend on the thread count.
+    // Rep = 13 is a multiple of no pool size tried, 0 asks for one thread
+    // per hardware thread and 20 for more threads than repetitions.
+    namespace obs = relperf::obs;
+    const MeasurementSet set = overlapping_pairs(6, 2);
+    const core::BootstrapComparator cmp(
+        core::BootstrapComparatorConfig{.rounds = 30});
+    const auto run = [&](std::size_t workers, std::uint64_t& resamples) {
+        obs::registry().reset_values();
+        obs::set_metrics_enabled(true);
+        const RelativeClusterer clusterer(cmp, ClustererConfig{13, 21, workers});
+        Clustering out = clusterer.cluster(set);
+        resamples = obs::metrics().bootstrap_resamples_total.value();
+        obs::set_metrics_enabled(false);
+        obs::registry().reset_values();
+        return out;
+    };
+    std::uint64_t serial_resamples = 0;
+    const Clustering serial = run(1, serial_resamples);
+    ASSERT_GT(serial_resamples, 0u);
+    // The overlapping pairs split algorithms across ranks, so the
+    // repetitions really differ from one another.
+    bool split = false;
+    for (const auto& ranks : serial.memberships) split |= ranks.size() > 1;
+    ASSERT_TRUE(split);
+
+    for (const std::size_t workers : {2u, 3u, 4u, 0u, 20u}) {
+        SCOPED_TRACE("workers = " + std::to_string(workers));
+        std::uint64_t resamples = 0;
+        expect_identical(run(workers, resamples), serial);
+        EXPECT_EQ(resamples, serial_resamples);
+    }
+    const RelativeClusterer pooled(cmp, ClustererConfig{13, 21, 4});
+    expect_identical(pooled.cluster_dense(set), serial);
 }

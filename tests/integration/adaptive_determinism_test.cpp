@@ -341,48 +341,64 @@ TEST(CiPlanStops, ShardLocalStabilityRule) {
     EXPECT_EQ(run.total_samples, 170u);
 }
 
-TEST(CiPlanStops, CoordinatedConfidenceRule) {
+namespace {
+
+/// The CI plan's 4-shard coordinated run, with the clusterings it made.
+struct CoordinatedCiRun {
+    campaign::CoordinatedCampaignResult result;
+    std::uint64_t clusterings = 0;
+};
+
+CoordinatedCiRun run_coordinated_ci_plan(double confidence,
+                                         std::size_t workers) {
     campaign::CampaignSpec spec = ci_plan();
     spec.adaptive_coordinated = true;
-    spec.adaptive_confidence = 0.95;
+    spec.adaptive_confidence = confidence;
     obs::registry().reset_values();
     obs::set_metrics_enabled(true);
-    const campaign::CoordinatedCampaignResult run =
-        campaign::run_coordinated_campaign(spec, 4);
-    const std::uint64_t clusterings = obs::metrics().clusterings_total.value();
+    CoordinatedCiRun run;
+    run.result = campaign::run_coordinated_campaign(spec, 4, workers);
+    run.clusterings = obs::metrics().clusterings_total.value();
     obs::set_metrics_enabled(false);
     obs::registry().reset_values();
+    return run;
+}
 
-    EXPECT_EQ(names_of(run.analysis.measurements), kCiPlanAlgorithms);
-    EXPECT_EQ(counts_of(run.analysis.measurements),
-              (std::vector<std::size_t>{20, 15, 20, 15, 15, 15, 15, 20}));
-    EXPECT_EQ(run.analysis.total_samples, 135u);
-    EXPECT_EQ(run.rounds, 3u);
-    EXPECT_EQ(run.stopset_rounds, (std::vector<std::size_t>{0, 5, 8}));
-    // Each round clusters once and the last round's clustering is the one
-    // published: no clustering beyond the rounds.
-    EXPECT_EQ(clusterings, run.rounds);
+} // namespace
+
+// Both coordinated rules stop the same way whether each round's clustering
+// runs its repetitions on one thread or on four.
+TEST(CiPlanStops, CoordinatedConfidenceRule) {
+    for (const std::size_t workers : {1u, 4u}) {
+        SCOPED_TRACE("workers = " + std::to_string(workers));
+        const CoordinatedCiRun ci = run_coordinated_ci_plan(0.95, workers);
+        const campaign::CoordinatedCampaignResult& run = ci.result;
+        EXPECT_EQ(names_of(run.analysis.measurements), kCiPlanAlgorithms);
+        EXPECT_EQ(counts_of(run.analysis.measurements),
+                  (std::vector<std::size_t>{20, 15, 20, 15, 15, 15, 15, 20}));
+        EXPECT_EQ(run.analysis.total_samples, 135u);
+        EXPECT_EQ(run.rounds, 3u);
+        EXPECT_EQ(run.stopset_rounds, (std::vector<std::size_t>{0, 5, 8}));
+        // Each round clusters once and the last round's clustering is the
+        // one published: no clustering beyond the rounds.
+        EXPECT_EQ(ci.clusterings, run.rounds);
+    }
 }
 
 TEST(CiPlanStops, CoordinatedStabilityRule) {
     // Confidence 0 selects the stability rule on the coordinated path too;
     // the counts match the shard-local run's, in one more round than the
     // confidence rule needs.
-    campaign::CampaignSpec spec = ci_plan();
-    spec.adaptive_coordinated = true;
-    obs::registry().reset_values();
-    obs::set_metrics_enabled(true);
-    const campaign::CoordinatedCampaignResult run =
-        campaign::run_coordinated_campaign(spec, 4);
-    const std::uint64_t clusterings = obs::metrics().clusterings_total.value();
-    obs::set_metrics_enabled(false);
-    obs::registry().reset_values();
-
-    EXPECT_EQ(names_of(run.analysis.measurements), kCiPlanAlgorithms);
-    EXPECT_EQ(counts_of(run.analysis.measurements),
-              (std::vector<std::size_t>{25, 20, 25, 20, 20, 20, 20, 20}));
-    EXPECT_EQ(run.analysis.total_samples, 170u);
-    EXPECT_EQ(run.rounds, 4u);
-    EXPECT_EQ(run.stopset_rounds, (std::vector<std::size_t>{0, 0, 6, 8}));
-    EXPECT_EQ(clusterings, run.rounds);
+    for (const std::size_t workers : {1u, 4u}) {
+        SCOPED_TRACE("workers = " + std::to_string(workers));
+        const CoordinatedCiRun ci = run_coordinated_ci_plan(0.0, workers);
+        const campaign::CoordinatedCampaignResult& run = ci.result;
+        EXPECT_EQ(names_of(run.analysis.measurements), kCiPlanAlgorithms);
+        EXPECT_EQ(counts_of(run.analysis.measurements),
+                  (std::vector<std::size_t>{25, 20, 25, 20, 20, 20, 20, 20}));
+        EXPECT_EQ(run.analysis.total_samples, 170u);
+        EXPECT_EQ(run.rounds, 4u);
+        EXPECT_EQ(run.stopset_rounds, (std::vector<std::size_t>{0, 0, 6, 8}));
+        EXPECT_EQ(ci.clusterings, run.rounds);
+    }
 }

@@ -333,17 +333,15 @@ int campaign_run(const campaign::CampaignSpec& spec, std::size_t shard_count,
                    stderr);
         return 2;
     }
+    std::printf("campaign '%s': %zu shards, %s workers", spec.name.c_str(),
+                shard_count,
+                workers == 0 ? "all" : std::to_string(workers).c_str());
     if (spec.adaptive_coordinated) {
-        std::printf("campaign '%s': %zu shards, coordinated stopping "
-                    "(%s rule)\n\n",
-                    spec.name.c_str(), shard_count,
+        std::printf(", coordinated stopping (%s rule)",
                     spec.adaptive_confidence != 0.0 ? "confidence"
                                                     : "stability");
-    } else {
-        std::printf("campaign '%s': %zu shards, %s workers\n\n",
-                    spec.name.c_str(), shard_count,
-                    workers == 0 ? "all" : std::to_string(workers).c_str());
     }
+    std::printf("\n\n");
 
     // A disabled cache runs the plan straight through (coordinated plans via
     // the coordinator, the rest shard by shard).
@@ -473,7 +471,8 @@ support::CliParser build_cli() {
     cli.add_flag("run", "run the whole campaign on this machine and cluster");
     cli.add_option("shards", "override the spec's shard count for --run "
                              "(0 = spec value)", "0");
-    cli.add_option("workers", "worker threads for --run (0 = all cores)", "1");
+    cli.add_option("workers", "shard and clustering threads for --run "
+                              "(0 = all cores)", "1");
     cli.add_option("merged-csv", "also write the merged measurements CSV here "
                                  "(--merge/--run modes)", "");
     cli.add_option("backend", "chain-default linalg backend for campaign "
