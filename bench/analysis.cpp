@@ -6,7 +6,8 @@
 //! clustering differs from the serial one),
 //! an adaptive engine run end to end, coordinated-stopping sample budgets vs
 //! shard count for both stopping rules, and the result cache's
-//! cold/exact-hit/prefix-extension run costs.
+//! cold/exact-hit/prefix-extension run costs (the bench fails if the exact
+//! hit's clustering differs from the cold run's).
 //! This bench times its own loops with steady_clock (allowlisted in
 //! ci/lint_allow.txt); nothing here feeds measurement CSVs.
 
@@ -385,10 +386,13 @@ int main(int argc, char** argv) {
     }
 
     // --- Section 5: result cache — cold run vs exact hit vs extension. ----
-    // The cache's pitch in numbers: a repeat query pays only re-clustering
-    // (exact hit), a budget bump pays only the delta (prefix extension).
-    // Sim measurement is cheap, so the wall times mostly show the analysis
-    // floor; the samples_from_cache rows carry the actual avoided work.
+    // The cache's pitch in numbers: a repeat query pays neither measurement
+    // nor clustering (the exact hit rebuilds the stored clustering from its
+    // rank tally), a budget bump pays only the delta (prefix extension).
+    // Sim measurement is cheap, so the cold and prefix wall times mostly
+    // show the analysis floor; the samples_from_cache rows carry the
+    // avoided measurement work. The bench fails if the exact hit's
+    // clustering differs from the cold run's.
     bench::section("Result cache (fixed-N sim campaign, budget 40 -> 60)");
     {
         namespace fs = std::filesystem;
@@ -416,9 +420,10 @@ int main(int argc, char** argv) {
                 cache::run_campaign_cached(plan, result_cache, 1);
             const double wall_ms = seconds_since(start) * 1e3;
             checksum += run.analysis.clustering.final_assignment[0].score;
-            std::printf("  %-6s : %8.1f ms — %s, %zu/%zu samples from "
+            std::printf("  %-6s : %8.1f ms — %s%s, %zu/%zu samples from "
                         "cache\n",
                         tier, wall_ms, cache::to_string(run.cache),
+                        run.stored_clustering ? " (stored clustering)" : "",
                         run.samples_from_cache, run.analysis.total_samples);
             const std::string param = std::string("tier=") + tier;
             rows.push_back({"cache", "run_wall_ms", param, wall_ms});
@@ -427,8 +432,17 @@ int main(int argc, char** argv) {
             return run;
         };
 
-        (void)timed_run(spec, "cold");   // miss: measures and publishes
-        (void)timed_run(spec, "exact");  // exact hit: zero executor draws
+        // miss: measures and publishes; exact hit: zero executor draws and
+        // zero comparisons.
+        const cache::CachedRunResult cold = timed_run(spec, "cold");
+        const cache::CachedRunResult exact = timed_run(spec, "exact");
+        if (exact.analysis.clustering != cold.analysis.clustering) {
+            std::fprintf(stderr,
+                         "bench_analysis: the cache's exact hit clustering "
+                         "differs from the cold run's\n");
+            fs::remove_all(dir);
+            return 1;
+        }
         campaign::CampaignSpec bigger = spec;
         bigger.measurements = 60;
         (void)timed_run(bigger, "prefix"); // extension: only the delta drawn

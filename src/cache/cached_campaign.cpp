@@ -59,11 +59,18 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
     out.cache = lookup.kind;
 
     if (lookup.kind == HitKind::Exact) {
-        // Re-cluster the cached samples under the spec's analysis knobs —
-        // byte-identical to the original analysis, zero executor draws.
-        out.analysis = core::analyze_measurements(
-            std::move(lookup.merged), spec.analysis_config(workers));
-        // analyze_measurements cannot know the plan's cap; restore it.
+        // Zero executor draws. A validated tally is the clustering itself;
+        // without one, re-cluster under the spec's analysis knobs (the
+        // same bits, a pure function of samples and knobs) and repair the
+        // tally through the ordinary store.
+        out.stored_clustering = lookup.clustering.has_value();
+        out.analysis =
+            out.stored_clustering
+                ? core::analysis_result(std::move(lookup.merged),
+                                        std::move(*lookup.clustering))
+                : core::analyze_measurements(std::move(lookup.merged),
+                                             spec.analysis_config(workers));
+        // Neither bundle can know the plan's cap; restore it.
         out.analysis.fixed_n_samples =
             out.analysis.measurements.size() * spec.measurements;
         out.samples_from_cache = out.analysis.total_samples;
@@ -71,6 +78,10 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
             out.samples_from_cache);
         out.stopset_rounds = std::move(lookup.manifest.stopset_rounds);
         out.rounds = out.stopset_rounds.size();
+        if (!out.stored_clustering) {
+            cache.store(spec, out.analysis.measurements, out.stopset_rounds,
+                        &out.analysis.clustering);
+        }
         return out;
     }
 
@@ -96,13 +107,15 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
                 core::analyze_source(replay, spec.analysis_config(workers));
         }
         out.samples_from_cache = replay.served();
-        cache.store(spec, out.analysis.measurements, out.stopset_rounds);
+        cache.store(spec, out.analysis.measurements, out.stopset_rounds,
+                    &out.analysis.clustering);
         return out;
     }
 
     // Miss: measure cold, publish the result for the next run.
     out = run_uncached(spec, shard_count, workers);
-    cache.store(spec, out.analysis.measurements, out.stopset_rounds);
+    cache.store(spec, out.analysis.measurements, out.stopset_rounds,
+                &out.analysis.clustering);
     return out;
 }
 

@@ -4,9 +4,12 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/str.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -61,6 +64,143 @@ void atomic_write(const std::string& path, const std::string& content) {
     }
 }
 
+std::string read_whole(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) throw Error("cannot open '" + path + "'");
+    std::ostringstream content;
+    content << in.rdbuf();
+    return content.str();
+}
+
+/// The analysis a stored clustering was computed under: the analysis
+/// version plus every spec knob that moves a clustering bit. A tally serves
+/// only a query with the same key.
+std::string analysis_key(const campaign::CampaignSpec& spec) {
+    return str::format(
+        "version=%u;clustering_repetitions=%zu;clustering_seed=%llu;"
+        "bootstrap_rounds=%zu;tie_epsilon=%.17g;decision_threshold=%.17g",
+        static_cast<unsigned>(core::kAnalysisVersion),
+        spec.clustering_repetitions,
+        static_cast<unsigned long long>(spec.clustering_seed),
+        spec.bootstrap_rounds, spec.tie_epsilon, spec.decision_threshold);
+}
+
+std::uint64_t fold_word(std::uint64_t h, std::uint64_t word) {
+    char bytes[8];
+    for (std::size_t k = 0; k < 8; ++k) {
+        bytes[k] = static_cast<char>(word >> (8 * k));
+    }
+    return support::fnv1a(std::string_view(bytes, sizeof bytes), h);
+}
+
+/// FNV-1a over every name and the bit pattern of every sample, with the
+/// lengths folded in so no two sets share a byte stream.
+std::uint64_t measurements_digest(const core::MeasurementSet& set) {
+    std::uint64_t h = support::kFnv1aOffset;
+    for (std::size_t i = 0; i < set.size(); ++i) {
+        h = fold_word(h, set.name(i).size());
+        h = support::fnv1a(set.name(i), h);
+        h = fold_word(h, set.samples(i).size());
+        for (const double v : set.samples(i)) {
+            h = fold_word(h, std::bit_cast<std::uint64_t>(v));
+        }
+    }
+    return h;
+}
+
+constexpr std::string_view kTallyHeader = "# relperf-tally v1";
+
+/// A `.tally` file: header, analysis key, measurement digest, one
+/// `row = rank:count ...` line per algorithm, then a checksum line over all
+/// the bytes before it.
+std::string tally_text(const std::string& key, std::uint64_t digest,
+                       const core::RankTally& tally) {
+    std::string body(kTallyHeader);
+    body += "\nanalysis = " + key + "\nmeasurements = " + hash_name(digest) +
+            '\n';
+    for (const auto& row : tally) {
+        body += "row =";
+        for (const auto& [rank, count] : row) {
+            body += str::format(" %d:%zu", rank, count);
+        }
+        body += '\n';
+    }
+    return body + "checksum = " + hash_name(support::fnv1a(body)) + '\n';
+}
+
+/// Exactly 16 lowercase hex digits, as hash_name writes them.
+std::uint64_t parse_hex16(std::string_view text, const char* what) {
+    if (text.size() != 16 ||
+        text.find_first_not_of("0123456789abcdef") != std::string_view::npos) {
+        throw Error(std::string("malformed ") + what);
+    }
+    return str::parse_u64("0x" + std::string(text), what);
+}
+
+struct StoredTally {
+    std::string key;
+    std::uint64_t digest = 0;
+    core::RankTally rows;
+};
+
+/// Parses tally_text() output. Any deviation — a checksum mismatch, a
+/// missing, repeated or reordered line, a malformed number — throws Error.
+StoredTally parse_tally(const std::string& content) {
+    if (content.size() < 2 || content.back() != '\n') {
+        throw Error("tally is truncated");
+    }
+    const std::size_t last = content.rfind('\n', content.size() - 2);
+    const std::size_t checksum_at = last == std::string::npos ? 0 : last + 1;
+    const std::string_view checksum_line(content.data() + checksum_at,
+                                         content.size() - 1 - checksum_at);
+    constexpr std::string_view kChecksum = "checksum = ";
+    if (!str::starts_with(checksum_line, kChecksum)) {
+        throw Error("tally has no checksum line");
+    }
+    const std::string_view body(content.data(), checksum_at);
+    if (parse_hex16(checksum_line.substr(kChecksum.size()), "checksum") !=
+        support::fnv1a(body)) {
+        throw Error("tally checksum mismatch");
+    }
+
+    const std::vector<std::string> lines = str::split(body, '\n');
+    // split() leaves one empty field after the body's final newline.
+    if (lines.size() < 5 || lines[0] != kTallyHeader || !lines.back().empty()) {
+        throw Error("tally header or layout is malformed");
+    }
+    const auto value_of = [](const std::string& line, std::string_view key) {
+        const std::string prefix = std::string(key) + " = ";
+        if (!str::starts_with(line, prefix)) {
+            throw Error("tally line '" + line + "' is not '" +
+                        std::string(key) + "'");
+        }
+        return std::string_view(line).substr(prefix.size());
+    };
+    StoredTally out;
+    out.key = std::string(value_of(lines[1], "analysis"));
+    out.digest = parse_hex16(value_of(lines[2], "measurements"),
+                             "measurement digest");
+    for (std::size_t i = 3; i + 1 < lines.size(); ++i) {
+        const std::string_view row = value_of(lines[i], "row");
+        auto& parsed = out.rows.emplace_back();
+        for (const std::string& pair : str::split(row, ' ')) {
+            const std::size_t colon = pair.find(':');
+            if (pair.empty() || colon == std::string::npos) {
+                throw Error("tally row entry '" + pair + "' is not rank:count");
+            }
+            const std::size_t rank =
+                str::parse_size(pair.substr(0, colon), "tally rank");
+            if (rank > static_cast<std::size_t>(INT_MAX)) {
+                throw Error("tally rank out of range");
+            }
+            parsed.emplace_back(
+                static_cast<int>(rank),
+                str::parse_size(pair.substr(colon + 1), "tally count"));
+        }
+    }
+    return out;
+}
+
 } // namespace
 
 const char* to_string(HitKind kind) noexcept {
@@ -76,6 +216,10 @@ ResultCache::ResultCache(CacheConfig config) : config_(std::move(config)) {}
 
 std::string ResultCache::payload_path(std::uint64_t plan_hash) const {
     return (fs::path(config_.dir) / (hash_name(plan_hash) + ".csv")).string();
+}
+
+std::string ResultCache::tally_path(std::uint64_t plan_hash) const {
+    return (fs::path(config_.dir) / (hash_name(plan_hash) + ".tally")).string();
 }
 
 std::string ResultCache::meta_path(std::uint64_t plan_hash) const {
@@ -209,6 +353,42 @@ bool ResultCache::load_entry(const campaign::CampaignSpec& spec,
     }
 }
 
+const char* ResultCache::load_tally(const campaign::CampaignSpec& spec,
+                                    std::uint64_t plan_hash,
+                                    CacheLookup& out) const {
+    const std::string entry = hash_name(plan_hash);
+    const std::string path = tally_path(plan_hash);
+    std::error_code ec;
+    if (!fs::exists(path, ec)) {
+        warn("entry " + entry + " has no stored clustering; re-clustering");
+        return "absent";
+    }
+    try {
+        const StoredTally stored = parse_tally(read_whole(path));
+        if (stored.key != analysis_key(spec)) {
+            warn("stored clustering of entry " + entry +
+                 " was made under other analysis knobs or another analysis "
+                 "version; re-clustering");
+            return "stale";
+        }
+        if (stored.digest != measurements_digest(out.merged)) {
+            warn("stored clustering of entry " + entry +
+                 " belongs to other measurements; re-clustering");
+            return "stale";
+        }
+        if (stored.rows.size() != out.merged.size()) {
+            throw Error("tally has the wrong number of rows");
+        }
+        out.clustering =
+            core::build_clustering(stored.rows, spec.clustering_repetitions);
+        return "served";
+    } catch (const std::exception& e) {
+        warn("ignoring stored clustering of entry " + entry + ": " + e.what() +
+             "; re-clustering");
+        return "invalid";
+    }
+}
+
 CacheLookup ResultCache::lookup(const campaign::CampaignSpec& spec) {
     RELPERF_REQUIRE(config_.enabled(),
                     "ResultCache::lookup: cache directory not configured");
@@ -228,7 +408,7 @@ CacheLookup ResultCache::lookup(const campaign::CampaignSpec& spec) {
                          meta.budget, meta.last_use);
         touch(meta);
         obs::metrics().cache_hits_total.inc();
-        span.arg("outcome", "exact");
+        span.arg("outcome", "exact").arg("tally", load_tally(spec, plan, out));
         return out;
     }
 
@@ -270,11 +450,22 @@ CacheLookup ResultCache::lookup(const campaign::CampaignSpec& spec) {
 
 void ResultCache::store(const campaign::CampaignSpec& spec,
                         const core::MeasurementSet& merged,
-                        const std::vector<std::size_t>& stopset_rounds) {
+                        const std::vector<std::size_t>& stopset_rounds,
+                        const core::Clustering* clustering) {
     if (!config_.enabled()) return;
     try {
         spec.validate();
         RELPERF_REQUIRE(!merged.empty(), "store: empty measurement set");
+        std::string tally;
+        if (clustering != nullptr) {
+            RELPERF_REQUIRE(
+                clustering->final_assignment.size() == merged.size() &&
+                    clustering->repetitions == spec.clustering_repetitions,
+                "store: the clustering is not of these measurements under "
+                "this spec");
+            tally = tally_text(analysis_key(spec), measurements_digest(merged),
+                               core::rank_tally(*clustering));
+        }
         std::error_code ec;
         fs::create_directories(config_.dir, ec);
 
@@ -302,10 +493,14 @@ void ResultCache::store(const campaign::CampaignSpec& spec,
         }
         entry.measurements = merged;
 
-        // Publish payload first, sidecar second: a reader that sees the
-        // sidecar can rely on the payload already being in place, and an
-        // orphan payload (crash between the renames) is still exact-hittable
-        // while its sidecar is recreated on the next touch.
+        // Old tally out, then payload, tally and sidecar in: no reader pairs
+        // the new payload with the old tally (and the measurement digest
+        // catches a racing writer's), a reader that sees the sidecar can
+        // rely on the payload already being in place, and an orphan payload
+        // (crash between the renames) is still exact-hittable while its
+        // sidecar is recreated on the next touch.
+        fs::remove(tally_path(plan), ec);
+        if (ec) throw Error("cannot remove '" + tally_path(plan) + "'");
         const std::string payload = payload_path(plan);
         const std::string tmp = payload + temp_suffix();
         campaign::write_shard_csv(entry, tmp);
@@ -314,6 +509,7 @@ void ResultCache::store(const campaign::CampaignSpec& spec,
             fs::remove(tmp, ec);
             throw Error("cannot publish '" + payload + "'");
         }
+        if (clustering != nullptr) atomic_write(tally_path(plan), tally);
         std::uint64_t max_use = 0;
         for (const MetaEntry& other : scan_metas()) {
             max_use = std::max(max_use, other.last_use);
@@ -339,12 +535,12 @@ void ResultCache::evict() {
     std::error_code ec;
     for (const MetaEntry& meta : scan_metas()) {
         Sized sized{meta, 0};
-        const std::uintmax_t payload =
-            fs::file_size(payload_path(meta.plan_hash), ec);
-        if (!ec) sized.bytes += payload;
-        const std::uintmax_t sidecar =
-            fs::file_size(meta_path(meta.plan_hash), ec);
-        if (!ec) sized.bytes += sidecar;
+        for (const std::string& path :
+             {payload_path(meta.plan_hash), tally_path(meta.plan_hash),
+              meta_path(meta.plan_hash)}) {
+            const std::uintmax_t size = fs::file_size(path, ec);
+            if (!ec) sized.bytes += size;
+        }
         total_bytes += sized.bytes;
         entries.push_back(sized);
     }
@@ -363,6 +559,7 @@ void ResultCache::evict() {
             (config_.max_bytes != 0 && total_bytes > config_.max_bytes))) {
         const Sized& victim = entries[next++];
         fs::remove(payload_path(victim.meta.plan_hash), ec);
+        fs::remove(tally_path(victim.meta.plan_hash), ec);
         fs::remove(meta_path(victim.meta.plan_hash), ec);
         --count;
         total_bytes -= std::min<std::uintmax_t>(total_bytes, victim.bytes);
@@ -381,7 +578,8 @@ CacheStats ResultCache::stats() const {
     std::sort(paths.begin(), paths.end());
     for (const std::string& path : paths) {
         const fs::path p(path);
-        if (p.extension() == ".meta" || p.extension() == ".csv") {
+        if (p.extension() == ".meta" || p.extension() == ".csv" ||
+            p.extension() == ".tally") {
             const std::uintmax_t size = fs::file_size(p, ec);
             if (!ec) out.bytes += static_cast<std::size_t>(size);
         }

@@ -1,6 +1,7 @@
 #include "campaign/spec.hpp"
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/str.hpp"
 #include "workloads/assignment.hpp"
 
@@ -374,13 +375,7 @@ std::uint64_t CampaignSpec::hash() const {
         }
     }
 
-    // FNV-1a 64-bit.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : plan.str()) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    return support::fnv1a(plan.str());
 }
 
 std::uint64_t CampaignSpec::prefix_hash() const {

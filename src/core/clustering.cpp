@@ -6,31 +6,48 @@
 #include "support/parallel.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <utility>
 
 namespace relperf::core {
 
-namespace {
+Clustering build_clustering(const RankTally& tally, std::size_t repetitions) {
+    RELPERF_REQUIRE(!tally.empty(), "build_clustering: no algorithms");
+    RELPERF_REQUIRE(repetitions > 0,
+                    "build_clustering: repetitions must be positive");
+    const std::size_t p = tally.size();
+    int max_rank = 0;
+    for (const auto& row : tally) {
+        RELPERF_REQUIRE(!row.empty(), "build_clustering: empty tally row");
+        int previous = 0;
+        std::size_t sum = 0;
+        for (const auto& [rank, w] : row) {
+            RELPERF_REQUIRE(rank >= 1 && static_cast<std::size_t>(rank) <= p,
+                            "build_clustering: rank outside [1, p]");
+            RELPERF_REQUIRE(rank > previous,
+                            "build_clustering: tally row not ascending");
+            RELPERF_REQUIRE(w > 0 && w <= repetitions - sum,
+                            "build_clustering: tally row does not sum to "
+                            "repetitions");
+            sum += w;
+            previous = rank;
+        }
+        RELPERF_REQUIRE(sum == repetitions,
+                        "build_clustering: tally row does not sum to "
+                        "repetitions");
+        max_rank = std::max(max_rank, previous);
+    }
 
-/// Shared by the sparse and dense tally paths: turns max_rank_seen plus a
-/// callback yielding one algorithm's ascending (rank, count) pairs into the
-/// final Clustering (clusters, memberships, final assignment). Keeping one
-/// builder guarantees the two paths cannot drift apart in the score
-/// arithmetic or the tie rules.
-template <typename PerAlgRankCounts>
-Clustering build_clustering(std::size_t p, std::size_t repetitions,
-                            int max_rank_seen,
-                            const PerAlgRankCounts& rank_counts_of) {
     Clustering out;
     out.repetitions = repetitions;
-    out.clusters.resize(static_cast<std::size_t>(max_rank_seen));
+    out.clusters.resize(static_cast<std::size_t>(max_rank));
     out.memberships.resize(p);
 
     // Relative scores (Procedure 4 lines 10-12).
     const double rep = static_cast<double>(repetitions);
     for (std::size_t alg = 0; alg < p; ++alg) {
-        for (const auto& [rank, w] : rank_counts_of(alg)) {
+        for (const auto& [rank, w] : tally[alg]) {
             const double score = static_cast<double>(w) / rep;
             out.clusters[static_cast<std::size_t>(rank - 1)].push_back(
                 ClusterEntry{alg, score});
@@ -51,15 +68,14 @@ Clustering build_clustering(std::size_t p, std::size_t repetitions,
     for (std::size_t alg = 0; alg < p; ++alg) {
         int best_rank = 1;
         std::size_t best_count = 0;
-        for (const auto& [rank, w] : rank_counts_of(alg)) {
+        for (const auto& [rank, w] : tally[alg]) {
             if (w > best_count) {
                 best_count = w;
                 best_rank = rank;
             }
         }
-        RELPERF_ASSERT(best_count > 0, "RelativeClusterer: algorithm never ranked");
         double cumulated = 0.0;
-        for (const auto& [rank, w] : rank_counts_of(alg)) {
+        for (const auto& [rank, w] : tally[alg]) {
             if (rank > best_rank) break; // ascending rank order
             cumulated += static_cast<double>(w) / rep;
         }
@@ -68,16 +84,34 @@ Clustering build_clustering(std::size_t p, std::size_t repetitions,
     return out;
 }
 
+RankTally rank_tally(const Clustering& clustering) {
+    RELPERF_REQUIRE(clustering.repetitions > 0 &&
+                        clustering.memberships.size() ==
+                            clustering.final_assignment.size(),
+                    "rank_tally: needs a clusterer-built Clustering");
+    const double rep = static_cast<double>(clustering.repetitions);
+    RankTally tally(clustering.memberships.size());
+    for (std::size_t alg = 0; alg < tally.size(); ++alg) {
+        for (const RankScore& m : clustering.memberships[alg]) {
+            tally[alg].emplace_back(
+                m.rank, static_cast<std::size_t>(std::llround(m.score * rep)));
+        }
+    }
+    return tally;
+}
+
+namespace {
+
 /// Procedure 4's repetition loop, shared by the sparse and dense tally
 /// paths: repetition r takes child stream r of the master seed, shuffles the
 /// algorithm order on it (line 4, Shuffle(A)) and sorts on the rest of the
 /// stream (line 5, SortAlgs(A)) into slot r, on config.threads() threads.
 /// Then every (algorithm, rank) outcome goes to `tally` in repetition order
-/// on the calling thread. Returns the largest rank seen.
+/// on the calling thread.
 template <typename Tally>
-int run_repetitions(const RelativeClusterer& clusterer,
-                    const MeasurementSet& measurements,
-                    const ClustererConfig& config, Tally&& tally) {
+void run_repetitions(const RelativeClusterer& clusterer,
+                     const MeasurementSet& measurements,
+                     const ClustererConfig& config, Tally&& tally) {
     const std::size_t p = measurements.size();
     const stats::Rng master(config.seed);
     std::vector<RankedSequence> slots(config.repetitions);
@@ -90,17 +124,14 @@ int run_repetitions(const RelativeClusterer& clusterer,
             slots[rep] =
                 clusterer.sort_once(measurements, std::move(order), rng);
         });
-    int max_rank_seen = 0;
     for (const RankedSequence& seq : slots) {
         for (std::size_t pos = 0; pos < p; ++pos) {
             const int rank = seq.ranks[pos];
             RELPERF_ASSERT(rank >= 1 && rank <= static_cast<int>(p),
                            "RelativeClusterer: rank out of range");
             tally(seq.order[pos], rank);
-            max_rank_seen = std::max(max_rank_seen, rank);
         }
     }
-    return max_rank_seen;
 }
 
 } // namespace
@@ -177,8 +208,8 @@ Clustering RelativeClusterer::cluster(const MeasurementSet& measurements) const 
 
     // counts[alg] = ascending (rank, count) pairs actually observed — at
     // most min(Rep, cluster count) entries, never p.
-    std::vector<std::vector<std::pair<int, std::size_t>>> counts(p);
-    const int max_rank_seen = run_repetitions(
+    RankTally counts(p);
+    run_repetitions(
         *this, measurements, config_, [&counts](std::size_t alg, int rank) {
             auto& per_alg = counts[alg];
             auto it = std::find_if(per_alg.begin(), per_alg.end(),
@@ -196,10 +227,7 @@ Clustering RelativeClusterer::cluster(const MeasurementSet& measurements) const 
         std::sort(per_alg.begin(), per_alg.end(),
                   [](const auto& a, const auto& b) { return a.first < b.first; });
     }
-    return build_clustering(p, config_.repetitions, max_rank_seen,
-                            [&counts](std::size_t alg) -> const auto& {
-                                return counts[alg];
-                            });
+    return build_clustering(counts, config_.repetitions);
 }
 
 Clustering RelativeClusterer::cluster_dense(const MeasurementSet& measurements) const {
@@ -208,24 +236,20 @@ Clustering RelativeClusterer::cluster_dense(const MeasurementSet& measurements) 
 
     // The original dense tally: counts[alg][rank-1], O(p^2) memory.
     std::vector<std::vector<std::size_t>> counts(p, std::vector<std::size_t>(p, 0));
-    const int max_rank_seen = run_repetitions(
+    run_repetitions(
         *this, measurements, config_, [&counts](std::size_t alg, int rank) {
             ++counts[alg][static_cast<std::size_t>(rank - 1)];
         });
 
-    // Adapt the dense rows to the ascending sparse view the builder expects.
-    std::vector<std::pair<int, std::size_t>> row;
-    return build_clustering(
-        p, config_.repetitions, max_rank_seen,
-        [&counts, &row, max_rank_seen](std::size_t alg) -> const auto& {
-            row.clear();
-            for (int rank = 1; rank <= max_rank_seen; ++rank) {
-                const std::size_t w =
-                    counts[alg][static_cast<std::size_t>(rank - 1)];
-                if (w > 0) row.emplace_back(rank, w);
-            }
-            return row;
-        });
+    // Adapt the dense rows to the ascending sparse rows the builder takes.
+    RankTally tally(p);
+    for (std::size_t alg = 0; alg < p; ++alg) {
+        for (std::size_t r = 0; r < p; ++r) {
+            const std::size_t w = counts[alg][r];
+            if (w > 0) tally[alg].emplace_back(static_cast<int>(r + 1), w);
+        }
+    }
+    return build_clustering(tally, config_.repetitions);
 }
 
 } // namespace relperf::core

@@ -37,9 +37,16 @@
 #include "core/threeway_sort.hpp"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace relperf::core {
+
+/// Version of the analysis semantics. Bump on any change that moves a bit
+/// of a Clustering for given measurements and config (comparator, sort,
+/// tally or builder arithmetic, or a constant such as the quantile range).
+/// Stored clusterings carry it, so a bump makes them stale.
+inline constexpr std::uint32_t kAnalysisVersion = 1;
 
 /// Membership of one algorithm in one cluster, with its relative score.
 struct ClusterEntry {
@@ -96,6 +103,25 @@ struct Clustering {
     /// Field-by-field equality, scores compared exactly.
     bool operator==(const Clustering&) const = default;
 };
+
+/// Procedure 4's tally: row `alg` lists each rank the algorithm obtained, in
+/// ascending rank order, with the number of repetitions that gave it.
+using RankTally = std::vector<std::vector<std::pair<int, std::size_t>>>;
+
+/// The Clustering a tally over `repetitions` repetitions stands for: scores
+/// count / Rep (Procedure 4 lines 10-12), clusters sorted by descending
+/// score, and the final unique assignment. The one builder: cluster() and
+/// cluster_dense() end here. Throws InvalidArgument when the tally is empty
+/// or Rep is 0, or when a row is empty, is not strictly ascending in rank,
+/// holds a rank outside [1, p] or a zero count, or does not sum to Rep.
+[[nodiscard]] Clustering build_clustering(const RankTally& tally,
+                                          std::size_t repetitions);
+
+/// The tally a clusterer-built Clustering came from, read back from its
+/// memberships as llround(score * Rep). Exact: each score is the correctly
+/// rounded count / Rep with count <= Rep. Throws InvalidArgument for a
+/// Clustering without memberships or repetitions.
+[[nodiscard]] RankTally rank_tally(const Clustering& clustering);
 
 /// Configuration of the repeated clustering.
 struct ClustererConfig {

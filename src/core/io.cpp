@@ -55,7 +55,7 @@ MeasurementSet parse_measurements_stream(std::istream& in,
     }
     const std::vector<std::string> header = support::csv_split_row(line);
     if (header.size() != 3 || header[0] != "algorithm" ||
-        header[2] != "seconds") {
+        header[1] != "measurement_index" || header[2] != "seconds") {
         fail_at(source, line_number,
                 "expected header 'algorithm,measurement_index,seconds', got '" +
                     line + "'");
@@ -92,6 +92,10 @@ MeasurementSet parse_measurements_stream(std::istream& in,
             errno == ERANGE || !std::isfinite(value)) {
             fail_at(source, line_number,
                     "bad seconds value '" + fields[2] + "'");
+        }
+        if (value < 0.0) {
+            fail_at(source, line_number,
+                    "negative seconds value '" + fields[2] + "'");
         }
         if (!indices[name].insert(index).second) {
             fail_at(source, line_number,

@@ -13,7 +13,8 @@ namespace relperf::core {
 
 /// Parses a measurements CSV. Algorithms appear in first-seen order and row
 /// order defines the sample order; measurement_index must be a non-negative
-/// integer, and a repeated (algorithm, measurement_index) pair is an error.
+/// integer, seconds a finite non-negative number, and a repeated
+/// (algorithm, measurement_index) pair is an error.
 /// Tolerates CRLF line endings, a UTF-8 BOM, `#` comment lines and blank
 /// lines. Throws relperf::Error on missing file, bad header or malformed
 /// rows; the message names the file and the 1-based line number.

@@ -75,6 +75,11 @@ AnalysisResult analyze_measurements(MeasurementSet measurements,
     const BootstrapComparator comparator(config.comparator);
     const RelativeClusterer clusterer(comparator, config.clustering);
     Clustering clustering = clusterer.cluster(measurements);
+    return analysis_result(std::move(measurements), std::move(clustering));
+}
+
+AnalysisResult analysis_result(MeasurementSet measurements,
+                               Clustering clustering) {
     AnalysisResult out;
     out.samples_per_alg.reserve(measurements.size());
     for (std::size_t i = 0; i < measurements.size(); ++i) {

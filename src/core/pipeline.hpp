@@ -105,4 +105,9 @@ struct AnalysisResult {
 [[nodiscard]] AnalysisResult analyze_measurements(MeasurementSet measurements,
                                                   const AnalysisConfig& config);
 
+/// Bundles a set with a clustering of it that is already in hand (the result
+/// cache's stored one) the way analyze_measurements bundles its own.
+[[nodiscard]] AnalysisResult analysis_result(MeasurementSet measurements,
+                                             Clustering clustering);
+
 } // namespace relperf::core

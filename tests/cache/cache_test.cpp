@@ -1,7 +1,12 @@
 //! The result cache's contract, end to end:
 //!
-//!  * exact hit — zero executor draws, byte-identical re-clustering, across
-//!    shard counts (the entry is keyed by the plan, not the split);
+//!  * exact hit — zero executor draws and, from the stored rank tally, zero
+//!    comparisons, field-for-field equal to the cold run across shard and
+//!    worker counts (the entry is keyed by the plan, not the split);
+//!  * the tally — keyed by the analysis knobs and bound to the payload: a
+//!    new knob, an absent, damaged, stale or mutated tally re-clusters the
+//!    same bits and is rewritten, never served wrong; evicted and counted
+//!    with its entry;
 //!  * prefix extension — bit-identical to a cold full run (fixed-N,
 //!    single-shard adaptive and coordinated adaptive), only the budget delta
 //!    drawn, and the entry upgraded in place;
@@ -17,14 +22,21 @@
 #include "cache/cached_source.hpp"
 #include "cache/result_cache.hpp"
 #include "campaign/campaign.hpp"
+#include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "obs/trace.hpp"
+#include "stats/rng.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
+#include "support/str.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -93,7 +105,7 @@ void expect_clusterings_identical(const core::Clustering& a,
 }
 
 std::string read_file(const std::string& path) {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     EXPECT_TRUE(in) << path;
     std::ostringstream content;
     content << in.rdbuf();
@@ -101,9 +113,33 @@ std::string read_file(const std::string& path) {
 }
 
 void write_file(const std::string& path, const std::string& content) {
-    std::ofstream out(path);
+    std::ofstream out(path, std::ios::binary);
     ASSERT_TRUE(out) << path;
     out << content;
+}
+
+/// Replaces the checksum line of a tally with one over its (edited) body, so
+/// a test reaches the checks behind the checksum.
+std::string reseal(const std::string& tally) {
+    const std::size_t at = tally.rfind("checksum = ");
+    const std::string body = tally.substr(0, at);
+    return body + relperf::str::format(
+                      "checksum = %016llx\n",
+                      static_cast<unsigned long long>(
+                          relperf::support::fnv1a(body)));
+}
+
+/// The `tally` arg of the last buffered cache.lookup span (JSON-quoted).
+std::string last_lookup_tally_arg() {
+    std::string tally;
+    for (const obs::TraceEvent& e : obs::trace_events()) {
+        if (e.name != "cache.lookup") continue;
+        tally.clear();
+        for (const auto& [key, value] : e.args) {
+            if (key == "tally") tally = value;
+        }
+    }
+    return tally;
 }
 
 /// Fresh cache directory per test, obs off and zeroed around each case.
@@ -127,7 +163,7 @@ protected:
         return cache::ResultCache(cache::CacheConfig{dir_, 0, 0});
     }
 
-    /// The single on-disk file with `extension` ("csv"/"meta") — entries are
+    /// The single on-disk file with `extension` ("csv"/"tally"/"meta") — entries are
     /// content-addressed, so tests locate them by suffix, not by hash.
     [[nodiscard]] std::string only_file(const std::string& extension) const {
         std::vector<std::string> matches;
@@ -145,37 +181,287 @@ protected:
 
 } // namespace
 
-TEST_F(CacheTest, ExactHitDrawsNothingAndReclustersByteIdentically) {
+TEST_F(CacheTest, ExactHitServesTheStoredClustering) {
+    const campaign::CampaignSpec spec = small_spec();
+    for (const std::size_t workers : {1u, 4u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        fs::remove_all(dir_);
+        obs::set_metrics_enabled(false);
+        cache::ResultCache result_cache = make_cache();
+
+        const cache::CachedRunResult cold =
+            cache::run_campaign_cached(spec, result_cache, 2, workers);
+        EXPECT_EQ(cold.cache, cache::HitKind::Miss);
+        EXPECT_FALSE(cold.bypassed);
+        EXPECT_FALSE(cold.stored_clustering);
+        EXPECT_EQ(cold.samples_from_cache, 0u);
+        EXPECT_EQ(result_cache.stats().entries, 1u);
+
+        obs::set_metrics_enabled(true);
+        obs::registry().reset_values();
+        const obs::Metrics& m = obs::metrics();
+        // Served across a different shard split: the entry is keyed by the
+        // plan hash, which does not include K.
+        const cache::CachedRunResult warm =
+            cache::run_campaign_cached(spec, result_cache, 3, workers);
+        EXPECT_EQ(warm.cache, cache::HitKind::Exact);
+        EXPECT_TRUE(warm.stored_clustering);
+        EXPECT_EQ(m.samples_total.value(), 0u) << "an exact hit must not draw";
+        EXPECT_EQ(m.executions_total.value(), 0u);
+        EXPECT_EQ(m.clusterings_total.value(), 0u)
+            << "a stored tally must not re-cluster";
+        EXPECT_EQ(m.bootstrap_resamples_total.value(), 0u);
+        EXPECT_EQ(m.cache_hits_total.value(), 1u);
+        EXPECT_EQ(warm.samples_from_cache, warm.analysis.total_samples);
+        EXPECT_EQ(m.cache_extension_samples_saved_total.value(),
+                  warm.samples_from_cache);
+
+        expect_sets_identical(warm.analysis.measurements,
+                              cold.analysis.measurements);
+        EXPECT_EQ(warm.analysis.clustering, cold.analysis.clustering);
+        EXPECT_EQ(warm.analysis.samples_per_alg, cold.analysis.samples_per_alg);
+        EXPECT_EQ(warm.analysis.total_samples, cold.analysis.total_samples);
+        EXPECT_EQ(warm.analysis.fixed_n_samples,
+                  cold.analysis.fixed_n_samples);
+    }
+}
+
+TEST_F(CacheTest, NewAnalysisKnobReclustersOnceThenServes) {
+    // A fixed-N plan hash leaves the analysis knobs out, so each change
+    // below is still an exact hit of the same entry. The tally's analysis
+    // key differs: one re-clustering equal to a cold run under the new
+    // knobs, then the rewritten tally serves the repeat.
+    campaign::CampaignSpec spec = small_spec();
+    cache::ResultCache result_cache = make_cache();
+    (void)cache::run_campaign_cached(spec, result_cache, 1);
+    const std::uint64_t plan = spec.hash();
+
+    const std::vector<std::pair<const char*,
+                                std::function<void(campaign::CampaignSpec&)>>>
+        knobs = {
+            {"clustering_repetitions",
+             [](campaign::CampaignSpec& s) { s.clustering_repetitions = 37; }},
+            {"clustering_seed",
+             [](campaign::CampaignSpec& s) { s.clustering_seed += 1; }},
+            {"bootstrap_rounds",
+             [](campaign::CampaignSpec& s) { s.bootstrap_rounds = 60; }},
+            {"tie_epsilon",
+             [](campaign::CampaignSpec& s) { s.tie_epsilon = 0.05; }},
+            {"decision_threshold",
+             [](campaign::CampaignSpec& s) { s.decision_threshold = 0.8; }},
+        };
+    obs::set_metrics_enabled(true);
+    const obs::Metrics& m = obs::metrics();
+    for (const auto& [knob, change] : knobs) {
+        SCOPED_TRACE(knob);
+        change(spec);
+        ASSERT_EQ(spec.hash(), plan);
+        const core::AnalysisResult cold = campaign::run_campaign(spec, 1);
+
+        obs::registry().reset_values();
+        testing::internal::CaptureStderr();
+        const cache::CachedRunResult first =
+            cache::run_campaign_cached(spec, result_cache, 1);
+        const std::string warnings = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(first.cache, cache::HitKind::Exact);
+        EXPECT_FALSE(first.stored_clustering);
+        EXPECT_NE(warnings.find("re-clustering"), std::string::npos);
+        EXPECT_EQ(m.clusterings_total.value(), 1u);
+        EXPECT_EQ(m.samples_total.value(), 0u);
+        EXPECT_EQ(first.analysis.clustering, cold.clustering);
+
+        obs::registry().reset_values();
+        const cache::CachedRunResult repeat =
+            cache::run_campaign_cached(spec, result_cache, 1);
+        EXPECT_EQ(repeat.cache, cache::HitKind::Exact);
+        EXPECT_TRUE(repeat.stored_clustering);
+        EXPECT_EQ(m.clusterings_total.value(), 0u);
+        EXPECT_EQ(m.bootstrap_resamples_total.value(), 0u);
+        EXPECT_EQ(repeat.analysis.clustering, cold.clustering);
+    }
+}
+
+TEST_F(CacheTest, BadTallyWarnsReclustersIdenticallyAndIsRewritten) {
     const campaign::CampaignSpec spec = small_spec();
     cache::ResultCache result_cache = make_cache();
-
     const cache::CachedRunResult cold =
-        cache::run_campaign_cached(spec, result_cache, 2);
-    EXPECT_EQ(cold.cache, cache::HitKind::Miss);
-    EXPECT_FALSE(cold.bypassed);
-    EXPECT_EQ(cold.samples_from_cache, 0u);
-    EXPECT_EQ(result_cache.stats().entries, 1u);
+        cache::run_campaign_cached(spec, result_cache, 1);
+    const std::string path = only_file("tally");
+    const std::string pristine = read_file(path);
 
+    const std::string version =
+        relperf::str::format("version=%u;", core::kAnalysisVersion);
+    const std::size_t version_at = pristine.find(version);
+    ASSERT_NE(version_at, std::string::npos);
+    std::string other_version = pristine;
+    other_version.replace(
+        version_at, version.size(),
+        relperf::str::format("version=%u;", core::kAnalysisVersion + 1));
+    const std::size_t digest_at =
+        pristine.find("measurements = ") + std::string("measurements = ").size();
+    std::string other_digest = pristine;
+    other_digest[digest_at] = other_digest[digest_at] == '0' ? '1' : '0';
+
+    const std::vector<std::pair<const char*, std::string>> damage = {
+        {"absent", ""},
+        {"garbage", "not a tally at all\n"},
+        {"truncated", pristine.substr(0, pristine.size() / 2)},
+        {"wrong version", reseal(other_version)},
+        {"wrong measurement digest", reseal(other_digest)},
+    };
     obs::set_metrics_enabled(true);
-    obs::registry().reset_values();
-    const obs::Metrics& m = obs::metrics();
-    // Served across a different shard split: the entry is keyed by the plan
-    // hash, which does not include K.
-    const cache::CachedRunResult warm =
-        cache::run_campaign_cached(spec, result_cache, 3);
-    EXPECT_EQ(warm.cache, cache::HitKind::Exact);
-    EXPECT_EQ(m.samples_total.value(), 0u) << "an exact hit must not draw";
-    EXPECT_EQ(m.executions_total.value(), 0u);
-    EXPECT_EQ(m.cache_hits_total.value(), 1u);
-    EXPECT_EQ(warm.samples_from_cache, warm.analysis.total_samples);
-    EXPECT_EQ(m.cache_extension_samples_saved_total.value(),
-              warm.samples_from_cache);
+    obs::set_tracing_enabled(true);
+    for (const auto& [name, content] : damage) {
+        SCOPED_TRACE(name);
+        if (std::string(name) == "absent") {
+            fs::remove(path);
+        } else {
+            write_file(path, content);
+        }
+        obs::registry().reset_values();
+        obs::clear_trace();
+        testing::internal::CaptureStderr();
+        const cache::CachedRunResult run =
+            cache::run_campaign_cached(spec, result_cache, 1);
+        const std::string warnings = testing::internal::GetCapturedStderr();
+        EXPECT_NE(warnings.find("warning: result cache:"), std::string::npos);
+        EXPECT_EQ(run.cache, cache::HitKind::Exact);
+        EXPECT_FALSE(run.stored_clustering);
+        EXPECT_EQ(obs::metrics().clusterings_total.value(), 1u);
+        EXPECT_EQ(run.analysis.clustering, cold.analysis.clustering);
+        const char* state = std::string(name) == "absent" ? "\"absent\""
+                            : std::string(name).rfind("wrong", 0) == 0
+                                ? "\"stale\""
+                                : "\"invalid\"";
+        EXPECT_EQ(last_lookup_tally_arg(), state);
+        EXPECT_EQ(read_file(path), pristine) << "the repair rewrites the tally";
+    }
+    obs::clear_trace();
+    (void)result_cache.lookup(spec);
+    EXPECT_EQ(last_lookup_tally_arg(), "\"served\"");
+    obs::set_tracing_enabled(false);
+    obs::clear_trace();
+}
 
-    expect_sets_identical(warm.analysis.measurements,
-                          cold.analysis.measurements);
-    expect_clusterings_identical(warm.analysis.clustering,
-                                 cold.analysis.clustering);
-    EXPECT_EQ(warm.analysis.fixed_n_samples, cold.analysis.fixed_n_samples);
+TEST_F(CacheTest, TallyParserSurvivesSeededMutations) {
+    // A deterministic mutation fuzzer over a real tally file. Whatever the
+    // bytes, lookup() must not throw, and the exact tier must yield the
+    // cold clustering: served only when the file is intact, re-clustered
+    // otherwise. The resealed mutations pass the checksum, so they reach
+    // the parser and build_clustering's validation behind it.
+    campaign::CampaignSpec spec = small_spec();
+    spec.clustering_repetitions = 12;
+    spec.bootstrap_rounds = 20;
+    cache::ResultCache result_cache = make_cache();
+    const cache::CachedRunResult cold =
+        cache::run_campaign_cached(spec, result_cache, 1);
+    const std::string path = only_file("tally");
+    const std::string pristine = read_file(path);
+    const std::vector<std::string> lines = relperf::str::split(pristine, '\n');
+    ASSERT_GE(lines.size(), 6u);
+    const std::size_t line_count = lines.size() - 1; // trailing ""
+    const auto join = [](const std::vector<std::string>& parts) {
+        std::string out;
+        for (const std::string& line : parts) out += line + '\n';
+        return out;
+    };
+
+    std::vector<std::string> mutants;
+    relperf::stats::Rng rng(20261017);
+    for (int i = 0; i < 150; ++i) { // byte flips
+        std::string m = pristine;
+        const std::size_t at = rng.uniform_index(m.size());
+        m[at] = static_cast<char>(m[at] ^ (1u << rng.uniform_index(8)));
+        mutants.push_back(std::move(m));
+    }
+    for (std::size_t cut = 0; cut <= pristine.size(); ++cut) { // truncation
+        mutants.push_back(pristine.substr(0, cut));
+    }
+    for (std::size_t i = 0; i < line_count; ++i) { // duplicated lines
+        std::vector<std::string> m(lines.begin(), lines.end() - 1);
+        m.insert(m.begin() + static_cast<std::ptrdiff_t>(i), lines[i]);
+        mutants.push_back(join(m));
+    }
+    for (std::size_t i = 0; i + 1 < line_count; ++i) { // reordered lines
+        std::vector<std::string> m(lines.begin(), lines.end() - 1);
+        std::swap(m[i], m[i + 1]);
+        mutants.push_back(join(m));
+    }
+    {
+        std::string crlf;
+        for (const char c : pristine) {
+            if (c == '\n') crlf += '\r';
+            crlf += c;
+        }
+        mutants.push_back(crlf);
+        mutants.push_back("\xEF\xBB\xBF" + pristine);
+    }
+    for (const char* number : {"99999999999999999999", "-1", "-12"}) {
+        for (int i = 0; i < 20; ++i) { // 20-digit and negative numbers
+            const std::size_t colon =
+                pristine.find(':', rng.uniform_index(pristine.size()));
+            if (colon == std::string::npos) continue;
+            std::string m = pristine;
+            m.replace(colon + 1, m.find_first_not_of("0123456789", colon + 1) -
+                                     (colon + 1),
+                      number);
+            mutants.push_back(m);
+        }
+    }
+    const std::size_t raw_count = mutants.size();
+    // Resealed: structurally broken bodies behind a valid checksum.
+    const std::string body = pristine.substr(0, pristine.rfind("checksum = "));
+    const std::size_t first_row = body.find("row = ");
+    const std::size_t second_row = body.find("row = ", first_row + 1);
+    for (const std::string& b : {
+             body + "row = 1:12\n",                          // extra row
+             body.substr(0, first_row) + body.substr(second_row), // one short
+             body + "analysis = duplicate\n",                // duplicate key
+             body.substr(0, first_row) + "row = 0:12\n" +
+                 body.substr(second_row),                    // rank 0
+             body.substr(0, first_row) + "row = 9:12\n" +
+                 body.substr(second_row),                    // rank > p
+             body.substr(0, first_row) + "row = 2:6 1:6\n" +
+                 body.substr(second_row),                    // unsorted
+             body.substr(0, first_row) + "row = 1:11\n" +
+                 body.substr(second_row),                    // sum != Rep
+             body.substr(0, first_row) + "row = 1:12 2:0\n" +
+                 body.substr(second_row),                    // zero count
+             body.substr(0, first_row) + "row =\n" +
+                 body.substr(second_row),                    // empty row
+             body.substr(0, first_row) + "row = 1:-12\n" +
+                 body.substr(second_row),                    // negative
+             body.substr(0, first_row) + "row = 99999999999999999999:12\n" +
+                 body.substr(second_row),                    // 20 digits
+         }) {
+        mutants.push_back(reseal(b + "checksum = \n"));
+    }
+    ASSERT_GT(mutants.size(), 300u);
+
+    std::size_t served = 0;
+    testing::internal::CaptureStderr();
+    for (std::size_t i = 0; i < mutants.size(); ++i) {
+        SCOPED_TRACE("mutant " + std::to_string(i));
+        write_file(path, mutants[i]);
+        cache::CacheLookup hit;
+        ASSERT_NO_THROW(hit = result_cache.lookup(spec));
+        ASSERT_EQ(hit.kind, cache::HitKind::Exact);
+        if (hit.clustering) {
+            ++served;
+            EXPECT_EQ(*hit.clustering, cold.analysis.clustering);
+            EXPECT_EQ(mutants[i], pristine) << "a changed tally was served";
+        }
+        if (i >= raw_count) {
+            EXPECT_FALSE(hit.clustering) << "a resealed broken body was served";
+        }
+        write_file(path, mutants[i]);
+        const cache::CachedRunResult run =
+            cache::run_campaign_cached(spec, result_cache, 1);
+        EXPECT_EQ(run.analysis.clustering, cold.analysis.clustering);
+    }
+    (void)testing::internal::GetCapturedStderr();
+    EXPECT_EQ(served, 1u) << "only the no-op truncation keeps the tally";
+    EXPECT_EQ(read_file(path), pristine);
 }
 
 TEST_F(CacheTest, FixedNPrefixExtensionIsBitIdenticalToAColdRun) {
@@ -247,14 +533,18 @@ TEST_F(CacheTest, CoordinatedExactHitRestoresTheStopHistory) {
         cache::run_campaign_cached(spec, result_cache, 2);
     EXPECT_EQ(warm.cache, cache::HitKind::Exact);
     EXPECT_EQ(obs::metrics().samples_total.value(), 0u);
+    // The coordinator's final clustering rides in the tally: no clustering,
+    // no comparison.
+    EXPECT_TRUE(warm.stored_clustering);
+    EXPECT_EQ(obs::metrics().clusterings_total.value(), 0u);
+    EXPECT_EQ(obs::metrics().bootstrap_resamples_total.value(), 0u);
     // The broadcast history rides in the entry manifest, so the CLI's
     // coordinator report is reproducible from the cache alone.
     EXPECT_EQ(warm.stopset_rounds, cold.stopset_rounds);
     EXPECT_EQ(warm.rounds, cold.rounds);
     expect_sets_identical(warm.analysis.measurements,
                           cold.analysis.measurements);
-    expect_clusterings_identical(warm.analysis.clustering,
-                                 cold.analysis.clustering);
+    EXPECT_EQ(warm.analysis.clustering, cold.analysis.clustering);
 }
 
 TEST_F(CacheTest, CoordinatedPrefixExtensionMatchesAColdCoordinatedRun) {
@@ -465,6 +755,81 @@ TEST_F(CacheTest, ByteCapEvictsDownToTheBudget) {
     EXPECT_LE(result_cache.stats().bytes, cap);
     EXPECT_EQ(result_cache.lookup(b).kind, cache::HitKind::Exact)
         << "the just-stored entry survives; the older one was evicted";
+}
+
+TEST_F(CacheTest, TallyIsCountedEvictedAndNeverOutlivesItsPayload) {
+    campaign::CampaignSpec a = small_spec();
+    campaign::CampaignSpec b = small_spec();
+    b.measurement_seed += 1;
+    const core::AnalysisResult run_a = campaign::run_campaign(a, 1);
+    const core::AnalysisResult run_b = campaign::run_campaign(b, 1);
+    const auto files = [this] {
+        std::vector<std::string> names;
+        for (const fs::directory_entry& e : fs::directory_iterator(dir_)) {
+            names.push_back(e.path().filename().string());
+        }
+        std::sort(names.begin(), names.end());
+        return names;
+    };
+    const auto name_of = [](std::uint64_t hash, const char* extension) {
+        return relperf::str::format("%016llx.%s",
+                                    static_cast<unsigned long long>(hash),
+                                    extension);
+    };
+
+    // stats() counts all three files of an entry.
+    cache::ResultCache one_entry(cache::CacheConfig{dir_, 1, 0});
+    one_entry.store(a, run_a.measurements, {}, &run_a.clustering);
+    std::size_t on_disk = 0;
+    for (const std::string& name : files()) {
+        on_disk += static_cast<std::size_t>(fs::file_size(dir_ + "/" + name));
+    }
+    EXPECT_EQ(files(),
+              (std::vector<std::string>{name_of(a.hash(), "csv"),
+                                        name_of(a.hash(), "meta"),
+                                        name_of(a.hash(), "tally")}));
+    EXPECT_EQ(one_entry.stats().bytes, on_disk);
+
+    // Eviction takes the tally with the entry.
+    one_entry.store(b, run_b.measurements, {}, &run_b.clustering);
+    EXPECT_EQ(files(),
+              (std::vector<std::string>{name_of(b.hash(), "csv"),
+                                        name_of(b.hash(), "meta"),
+                                        name_of(b.hash(), "tally")}));
+
+    // A re-store drops the old tally before the new payload lands. Another
+    // payload of the same plan (a Real-executor rerun measures new values)
+    // stored without a clustering leaves no tally, and an old tally put
+    // back beside it, as a racing writer could, is stale, not served.
+    fs::remove_all(dir_);
+    cache::ResultCache result_cache = make_cache();
+    result_cache.store(a, run_a.measurements, {}, &run_a.clustering);
+    const std::string old_tally = read_file(only_file("tally"));
+    core::MeasurementSet rerun;
+    for (std::size_t i = 0; i < run_a.measurements.size(); ++i) {
+        std::vector<double> samples(run_a.measurements.samples(i).begin(),
+                                    run_a.measurements.samples(i).end());
+        for (double& v : samples) v *= 1.25;
+        rerun.add(run_a.measurements.name(i), std::move(samples));
+    }
+    result_cache.store(a, rerun);
+    EXPECT_FALSE(fs::exists(dir_ + "/" + name_of(a.hash(), "tally")));
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(result_cache.lookup(a).clustering) << "absent";
+    write_file(dir_ + "/" + name_of(a.hash(), "tally"), old_tally);
+    const cache::CacheLookup paired = result_cache.lookup(a);
+    const std::string warnings = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(paired.kind, cache::HitKind::Exact);
+    EXPECT_FALSE(paired.clustering) << "an old tally beside a new payload";
+    EXPECT_NE(warnings.find("belongs to other measurements"),
+              std::string::npos);
+
+    const core::AnalysisResult reclustered =
+        core::analyze_measurements(rerun, a.analysis_config());
+    result_cache.store(a, rerun, {}, &reclustered.clustering);
+    const cache::CacheLookup served = result_cache.lookup(a);
+    ASSERT_TRUE(served.clustering);
+    EXPECT_EQ(*served.clustering, reclustered.clustering);
 }
 
 TEST_F(CacheTest, SkipThenDrawEqualsAPureDrawOnTheGlobalSource) {

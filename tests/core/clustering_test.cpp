@@ -1,14 +1,20 @@
 #include "core/clustering.hpp"
 
+#include "campaign/campaign.hpp"
 #include "core/bootstrap_comparator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
+#include "support/str.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
+#include <numeric>
 #include <string>
 
 namespace core = relperf::core;
@@ -139,6 +145,42 @@ void expect_identical(const Clustering& a, const Clustering& b) {
         EXPECT_EQ(a.final_assignment[alg].rank, b.final_assignment[alg].rank);
         EXPECT_EQ(a.final_assignment[alg].score, b.final_assignment[alg].score);
     }
+}
+
+/// The clustering of the CI plan (the `--campaign-init` defaults: 8
+/// algorithms, N = 30, Rep = R = 100), whose clusters CSV is
+/// ci/golden/campaign_clusters.csv.
+const Clustering& ci_plan_clustering() {
+    static const Clustering clustering =
+        relperf::campaign::run_campaign(relperf::campaign::CampaignSpec{}, 1, 4)
+            .clustering;
+    return clustering;
+}
+
+/// A random valid tally: each of the p rows takes 1..min(p, Rep) distinct
+/// ranks in [1, p] and splits Rep into that many positive counts.
+core::RankTally random_tally(std::size_t p, std::size_t rep, Rng& rng) {
+    core::RankTally tally(p);
+    for (auto& row : tally) {
+        const std::size_t k = 1 + rng.uniform_index(std::min(p, rep));
+        std::vector<int> ranks(p);
+        std::iota(ranks.begin(), ranks.end(), 1);
+        rng.shuffle(ranks);
+        ranks.resize(k);
+        std::sort(ranks.begin(), ranks.end());
+        std::vector<std::size_t> cuts = {0, rep};
+        while (cuts.size() < k + 1) {
+            const std::size_t cut = 1 + rng.uniform_index(rep - 1);
+            if (std::find(cuts.begin(), cuts.end(), cut) == cuts.end()) {
+                cuts.push_back(cut);
+            }
+        }
+        std::sort(cuts.begin(), cuts.end());
+        for (std::size_t i = 0; i < k; ++i) {
+            row.emplace_back(ranks[i], cuts[i + 1] - cuts[i]);
+        }
+    }
+    return tally;
 }
 
 MeasurementSet three_tier_set() {
@@ -384,4 +426,84 @@ TEST(RelativeClusterer, WorkersDoNotMoveABit) {
     }
     const RelativeClusterer pooled(cmp, ClustererConfig{13, 21, 4});
     expect_identical(pooled.cluster_dense(set), serial);
+}
+
+TEST(Clustering, BuildClusteringInvertsRankTally) {
+    // The tally is the clustering's integer form: rank_tally reads it back
+    // exactly and build_clustering rebuilds every field, scores bit for bit.
+    const Clustering& ci = ci_plan_clustering();
+    EXPECT_EQ(core::build_clustering(core::rank_tally(ci), ci.repetitions), ci);
+
+    Rng rng(2026);
+    for (const std::size_t rep : {std::size_t{1}, std::size_t{3}, std::size_t{7},
+                                  std::size_t{100}, std::size_t{1000003}}) {
+        for (const std::size_t p : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{5}, std::size_t{9}}) {
+            SCOPED_TRACE("Rep = " + std::to_string(rep) +
+                         ", p = " + std::to_string(p));
+            for (int trial = 0; trial < 4; ++trial) {
+                const core::RankTally tally = random_tally(p, rep, rng);
+                const Clustering built = core::build_clustering(tally, rep);
+                EXPECT_EQ(core::rank_tally(built), tally);
+                EXPECT_EQ(core::build_clustering(core::rank_tally(built), rep),
+                          built);
+            }
+        }
+    }
+}
+
+TEST(Clustering, BuildClusteringRejectsMalformedTallies) {
+    using relperf::InvalidArgument;
+    const core::RankTally good = {{{1, 2}, {2, 1}}, {{1, 1}, {2, 2}}};
+    EXPECT_NO_THROW((void)core::build_clustering(good, 3));
+    const std::size_t huge = std::numeric_limits<std::size_t>::max();
+    const std::vector<std::pair<const char*, core::RankTally>> bad = {
+        {"empty row", {{{1, 3}}, {}}},
+        {"unsorted row", {{{2, 1}, {1, 2}}, {{1, 3}}}},
+        {"repeated rank", {{{1, 1}, {1, 2}}, {{1, 3}}}},
+        {"rank 0", {{{0, 3}}, {{1, 3}}}},
+        {"rank above p", {{{3, 3}}, {{1, 3}}}},
+        {"negative rank", {{{-1, 3}}, {{1, 3}}}},
+        {"row short of Rep", {{{1, 2}}, {{1, 3}}}},
+        {"row over Rep", {{{1, 2}, {2, 2}}, {{1, 3}}}},
+        {"row wrapping past Rep", {{{1, huge}, {2, 4}}, {{1, 3}}}},
+        {"zero count", {{{1, 3}, {2, 0}}, {{1, 3}}}},
+        {"no rows", {}},
+    };
+    for (const auto& [what, tally] : bad) {
+        EXPECT_THROW((void)core::build_clustering(tally, 3), InvalidArgument)
+            << what;
+    }
+    EXPECT_THROW((void)core::build_clustering(good, 0), InvalidArgument);
+
+    Clustering hand_built;
+    hand_built.clusters = {{core::ClusterEntry{0, 1.0}}};
+    hand_built.final_assignment = {core::FinalAssignment{0, 1, 1.0}};
+    hand_built.repetitions = 1;
+    EXPECT_THROW((void)core::rank_tally(hand_built), InvalidArgument)
+        << "no memberships to read the tally from";
+}
+
+TEST(Clustering, AnalysisVersionPinsTheCiPlanTally) {
+    // Stored clusterings (the result cache's .tally files) are served only
+    // under the kAnalysisVersion they were made with. This pins the pair:
+    // a change that moves a bit of the CI plan's clustering fails here
+    // until the version is bumped, so no stale stored clustering is served.
+    std::string text;
+    for (const auto& row : core::rank_tally(ci_plan_clustering())) {
+        for (const auto& [rank, count] : row) {
+            text += relperf::str::format("%d:%zu ", rank, count);
+        }
+        text += '\n';
+    }
+    const std::pair<std::uint32_t, std::uint64_t> pinned = {
+        1, 0xb36b65a984fe01f1ULL};
+    const std::pair<std::uint32_t, std::uint64_t> now = {
+        core::kAnalysisVersion, relperf::support::fnv1a(text)};
+    EXPECT_EQ(now, pinned)
+        << "The CI plan's rank tally is now 0x" << std::hex << now.second
+        << ". If a change moved a bit of a Clustering on purpose, bump "
+           "core::kAnalysisVersion (src/core/clustering.hpp) so stored "
+           "clusterings go stale, and re-pin this pair to the new version "
+           "and digest. If it did not mean to, the change is a bug.";
 }

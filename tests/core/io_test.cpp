@@ -1,5 +1,6 @@
 #include "core/io.hpp"
 
+#include "campaign/shard_io.hpp"
 #include "core/report.hpp"
 #include "support/error.hpp"
 
@@ -247,4 +248,72 @@ TEST(MeasurementsCsv, RejectsNonFiniteSecondsValues) {
                      relperf::Error)
             << bad;
     }
+}
+
+TEST(MeasurementsCsv, HeaderChecksEveryColumn) {
+    // All three column names are the contract, the middle one included.
+    for (const char* header : {"algorithm,foo,seconds",
+                               "algorithm,,seconds",
+                               "algorithm,seconds,measurement_index"}) {
+        const std::string content = std::string(header) + "\na,0,1.0\n";
+        try {
+            (void)core::parse_measurements_csv(content, "m.csv");
+            FAIL() << "accepted header " << header;
+        } catch (const relperf::Error& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "m.csv:1: expected header "
+                          "'algorithm,measurement_index,seconds'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(MeasurementsCsv, NegativeSecondsNameTheFileAndLine) {
+    // Caught by the parser, with the file and line, not later by
+    // MeasurementSet's own check (which can name neither).
+    const std::string content =
+        "algorithm,measurement_index,seconds\na,0,1.0\n# c\na,1,-0.5\n";
+    try {
+        (void)core::parse_measurements_csv(content, "m.csv");
+        FAIL() << "accepted a negative seconds value";
+    } catch (const relperf::Error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "m.csv:4: negative seconds value '-0.5'"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Zero (and negative zero) are valid durations.
+    const core::MeasurementSet set = core::parse_measurements_csv(
+        "algorithm,measurement_index,seconds\na,0,0\na,1,-0.0\n");
+    EXPECT_EQ(set.samples(0).size(), 2u);
+}
+
+TEST(MeasurementsCsv, ShardFilesReportBothContractErrorsByLine) {
+    // read_shard_csv hands the rows after its manifest to the same parser,
+    // so its errors carry the shard file's own line numbers.
+    const std::string manifest =
+        "# relperf-shard v1\n# spec_hash = 00000000000000aa\n"
+        "# shard_index = 0\n# shard_count = 1\n";
+    const std::string bad_header =
+        write_temp("io_bad_header_shard.csv",
+                   manifest + "algorithm,foo,seconds\na,0,1.0\n");
+    const std::string negative = write_temp(
+        "io_negative_shard.csv",
+        manifest + "algorithm,measurement_index,seconds\na,0,1.0\na,1,-2\n");
+    const auto expect_message = [](const std::string& path,
+                                   const std::string& fragment) {
+        try {
+            (void)relperf::campaign::read_shard_csv(path);
+            FAIL() << "accepted " << path;
+        } catch (const relperf::Error& e) {
+            EXPECT_NE(std::string(e.what()).find(path + fragment),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expect_message(bad_header, ":5: expected header");
+    expect_message(negative, ":7: negative seconds value '-2'");
+    std::remove(bad_header.c_str());
+    std::remove(negative.c_str());
 }

@@ -349,10 +349,15 @@ int campaign_run(const campaign::CampaignSpec& spec, std::size_t shard_count,
     const cache::CachedRunResult run = cache::run_campaign_cached(
         spec, result_cache, shard_count, workers);
     if (cache_cfg.enabled()) {
-        std::printf("cache: %s%s\n", cache::to_string(run.cache),
-                    run.bypassed ? " (shard-local adaptive stopping with "
-                                   "K > 1 shards is not cacheable)"
-                                 : "");
+        const char* detail = "";
+        if (run.bypassed) {
+            detail = " (shard-local adaptive stopping with K > 1 shards is "
+                     "not cacheable)";
+        } else if (run.cache == cache::HitKind::Exact) {
+            detail = run.stored_clustering ? " (stored clustering)"
+                                           : " (re-clustered)";
+        }
+        std::printf("cache: %s%s\n", cache::to_string(run.cache), detail);
         if (cache_stats) print_cache_stats(result_cache);
     }
 
@@ -512,9 +517,11 @@ support::CliParser build_cli() {
                                   "here (campaign modes)", "");
     cli.add_option("cache-dir", "campaign --run: persistent result cache "
                                 "directory — an exact plan-hash hit skips "
-                                "measurement entirely, a smaller-budget entry "
-                                "of the same plan is extended by measuring "
-                                "only the delta", "");
+                                "measurement entirely (and clustering, when "
+                                "its stored clustering has the same analysis "
+                                "knobs), a smaller-budget entry of the same "
+                                "plan is extended by measuring only the "
+                                "delta", "");
     cli.add_option("cache-max-entries", "evict least-recently-used cache "
                                         "entries beyond this count "
                                         "(0 = unlimited)", "0");
