@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
     const auto assignments = workloads::enumerate_assignments(chain.size());
+    const auto variants = workloads::to_variants(assignments);
 
     const core::AnalysisConfig config = bench::analysis_config(
         cli, static_cast<std::size_t>(cli.value_int("n")));
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
         core::analyze_chain(executor, chain, assignments, config);
 
     model::PerformancePredictor predictor;
-    predictor.fit(chain, assignments, analysis.measurements);
+    predictor.fit(chain, variants, analysis.measurements);
 
     bench::section("True vs predicted mean execution times (trained on all 8)");
     support::AsciiTable table({"Algorithm", "Measured", "Predicted", "Error"},
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
                                support::Align::Right, support::Align::Right});
     for (std::size_t i = 0; i < assignments.size(); ++i) {
         const double measured = analysis.measurements.summary(i).mean;
-        const double predicted = predictor.predict_seconds(chain, assignments[i]);
+        const double predicted = predictor.predict_seconds(chain, variants[i]);
         table.add_row({analysis.measurements.name(i),
                        str::human_seconds(measured),
                        str::human_seconds(predicted),
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
     std::fputs(table.render().c_str(), stdout);
 
     const model::PredictionEval eval = model::evaluate_predictor(
-        predictor, chain, assignments, analysis.measurements, analysis.clustering);
+        predictor, chain, variants, analysis.measurements, analysis.clustering);
     bench::section("Ordering quality");
     std::printf("Kendall tau-b          : %.3f\n", eval.kendall_tau);
     std::printf("Spearman rho           : %.3f\n", eval.spearman_rho);
@@ -75,11 +76,11 @@ int main(int argc, char** argv) {
             for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
             subset_rng.shuffle(order);
 
-            std::vector<workloads::DeviceAssignment> train;
+            std::vector<workloads::VariantAssignment> train;
             core::MeasurementSet train_set;
             for (std::size_t i = 0; i < train_count; ++i) {
                 const std::size_t idx = order[i];
-                train.push_back(assignments[idx]);
+                train.push_back(variants[idx]);
                 const auto samples = analysis.measurements.samples(idx);
                 train_set.add(analysis.measurements.name(idx),
                               {samples.begin(), samples.end()});
@@ -87,7 +88,7 @@ int main(int argc, char** argv) {
             model::PerformancePredictor sub;
             sub.fit(chain, train, train_set);
             const model::PredictionEval sub_eval = model::evaluate_predictor(
-                sub, chain, assignments, analysis.measurements,
+                sub, chain, variants, analysis.measurements,
                 analysis.clustering);
             tau_sum += sub_eval.kendall_tau;
             err_sum += sub_eval.mean_abs_rel_error;
@@ -103,7 +104,8 @@ int main(int argc, char** argv) {
         stats::Rng triplet_rng(static_cast<std::uint64_t>(cli.value_int("seed")) +
                                1234);
         const model::TripletScorer scorer = model::fit_triplet_scorer(
-            chain, assignments, analysis.clustering, 600, triplet_rng);
+            chain, variants, analysis.clustering, 600, triplet_rng);
+        const auto universe = model::resolved_backends(chain, variants);
         std::vector<double> scores;
         std::vector<double> measured;
         support::AsciiTable ttable({"Algorithm", "Class", "Triplet score"},
@@ -111,7 +113,8 @@ int main(int argc, char** argv) {
                                     support::Align::Right});
         for (std::size_t i = 0; i < assignments.size(); ++i) {
             const double s_i = scorer.score(
-                model::extract_features(chain, assignments[i]).values);
+                model::extract_variant_features(chain, variants[i], universe)
+                    .values);
             scores.push_back(s_i);
             measured.push_back(analysis.measurements.summary(i).mean);
             ttable.add_row(

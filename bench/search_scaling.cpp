@@ -1,10 +1,12 @@
 //! Extension bench (paper Sec. V outlook): model-guided search in exponential
 //! assignment spaces. For chains of growing length k the bench runs the
-//! measure-fit-predict-refine loop and reports how many of the 2^k
-//! assignments had to be *executed* to find a split inside the top percentile
-//! of the space (regret measured against the exhaustive noise-free optimum).
+//! measure-fit-predict-refine loop on a `paper-cpu-gpu` campaign spec and
+//! reports how many of the 2^k assignments had to be *executed* to find a
+//! split inside the top percentile of the space (regret measured against the
+//! exhaustive noise-free optimum).
 
 #include "bench_common.hpp"
+#include "campaign/spec.hpp"
 #include "search/model_guided_search.hpp"
 #include "sim/analytic.hpp"
 #include "support/str.hpp"
@@ -26,8 +28,8 @@ struct Exhaustive {
 
 Exhaustive exhaustive_reference(const sim::SimulatedExecutor& executor,
                                 const workloads::TaskChain& chain,
-                                const workloads::DeviceAssignment& found) {
-    const auto space = workloads::enumerate_assignments(chain.size());
+                                const std::vector<workloads::VariantAssignment>& space,
+                                const workloads::VariantAssignment& found) {
     double best = 1e300;
     const double found_time = executor.expected_seconds(chain, found);
     std::size_t better = 0;
@@ -46,7 +48,8 @@ int main(int argc, char** argv) {
     bench::add_common_options(cli);
     if (!cli.parse(argc, argv)) return 0;
 
-    const sim::AnalyticCostModel cost_model(sim::paper_cpu_gpu_platform());
+    const sim::AnalyticCostModel cost_model(
+        campaign::platform_preset("paper-cpu-gpu"));
     const sim::SimulatedExecutor executor(cost_model, sim::NoiseModel{});
 
     bench::section("Model-guided search vs exhaustive optimum");
@@ -58,22 +61,25 @@ int main(int argc, char** argv) {
 
     for (const std::size_t k : {6u, 8u, 10u, 12u}) {
         // Mixed sizes: repeat a ramp so every chain length is comparable.
-        std::vector<std::size_t> sizes;
+        campaign::CampaignSpec spec;
+        spec.name = "k" + std::to_string(k);
+        spec.sizes.clear();
         const std::size_t ramp[] = {40, 80, 140, 220, 300, 380};
-        for (std::size_t i = 0; i < k; ++i) sizes.push_back(ramp[i % 6]);
-        const workloads::TaskChain chain =
-            workloads::make_rls_chain(sizes, 5, "k" + std::to_string(k));
+        for (std::size_t i = 0; i < k; ++i) spec.sizes.push_back(ramp[i % 6]);
+        spec.iters = 5;
+        spec.measurements = 10;
+        spec.measurement_seed = static_cast<std::uint64_t>(cli.value_int("seed"));
 
         search::SearchConfig config;
         config.initial_samples = 3 * k;
         config.refinement_rounds = 4;
         config.batch_size = k;
-        config.measurements_per_alg = 10;
         config.seed = static_cast<std::uint64_t>(cli.value_int("seed"));
-        const search::ModelGuidedSearch searcher(executor, chain, config);
+        const search::ModelGuidedSearch searcher(spec, config);
         const search::SearchResult result = searcher.run();
 
-        const Exhaustive ref = exhaustive_reference(executor, chain, result.best);
+        const Exhaustive ref = exhaustive_reference(
+            executor, spec.chain(), spec.variants(), result.best);
         const double regret =
             result.best_measured_mean / ref.best_seconds - 1.0;
         table.add_row({std::to_string(k), std::to_string(result.space_size),

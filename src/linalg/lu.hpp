@@ -1,8 +1,7 @@
 #pragma once
 //! \file lu.hpp
 //! LU factorization with partial pivoting — the general-purpose solver,
-//! used as an independent oracle for the Cholesky path in tests and as a
-//! fallback when a regularized system is near-singular.
+//! used as an independent oracle for the Cholesky path in tests.
 
 #include "linalg/matrix.hpp"
 

@@ -2,76 +2,31 @@
 
 #include "support/error.hpp"
 
+#include <algorithm>
+
 namespace relperf::model {
 
 using workloads::Placement;
 
-std::vector<std::string> feature_names(const workloads::TaskChain& chain) {
-    std::vector<std::string> names;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-        const std::string suffix = "[" + chain.tasks[i].name + "]";
-        names.push_back("dev_iters" + suffix);
-        names.push_back("acc_iters" + suffix);
-        names.push_back("enter_acc" + suffix);
-        names.push_back("enter_dev" + suffix);
-        names.push_back("resident" + suffix);
-    }
-    names.emplace_back("ends_on_acc");
-    names.emplace_back("device_flops");
-    names.emplace_back("accel_flops");
-    names.emplace_back("accel_launches");
-    names.emplace_back("link_bytes");
-    return names;
-}
-
-FeatureVector extract_features(const workloads::TaskChain& chain,
-                               const workloads::DeviceAssignment& assignment) {
-    RELPERF_REQUIRE(chain.size() == assignment.size(),
-                    "extract_features: assignment length must match chain length");
-    FeatureVector features;
-    features.values.reserve(5 * chain.size() + 5);
-
-    double accel_launches = 0.0;
-    Placement prev = Placement::Device;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-        const Placement p = assignment.at(i);
-        const double iters = static_cast<double>(chain.tasks[i].iters);
-        const bool on_accel = p == Placement::Accelerator;
-        features.values.push_back(on_accel ? 0.0 : iters);
-        features.values.push_back(on_accel ? iters : 0.0);
-        features.values.push_back(on_accel && prev == Placement::Device ? 1.0 : 0.0);
-        features.values.push_back(!on_accel && prev == Placement::Accelerator ? 1.0
-                                                                              : 0.0);
-        features.values.push_back(on_accel && prev == Placement::Accelerator ? 1.0
-                                                                             : 0.0);
-        if (on_accel) {
-            accel_launches += workloads::task_cost(chain.tasks[i]).op_launches;
-        }
-        prev = p;
-    }
-    features.values.push_back(prev == Placement::Accelerator ? 1.0 : 0.0);
-
-    const workloads::FlopSplit split = workloads::flop_split(chain, assignment);
-    features.values.push_back(split.on_device);
-    features.values.push_back(split.on_accelerator);
-    features.values.push_back(accel_launches);
-    features.values.push_back(workloads::bytes_over_link(chain, assignment));
-    return features;
-}
-
-std::vector<FeatureVector> extract_features(
-    const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments) {
-    std::vector<FeatureVector> out;
-    out.reserve(assignments.size());
-    for (const workloads::DeviceAssignment& assignment : assignments) {
-        out.push_back(extract_features(chain, assignment));
-    }
-    return out;
-}
-
 std::string backend_feature_label(const std::string& backend) {
     return backend.empty() ? "inherit" : backend;
+}
+
+std::vector<std::string> resolved_backends(
+    const workloads::TaskChain& chain,
+    const std::vector<workloads::VariantAssignment>& variants) {
+    std::vector<std::string> universe;
+    for (const workloads::VariantAssignment& variant : variants) {
+        for (std::size_t i = 0; i < variant.size(); ++i) {
+            const std::string& resolved =
+                variant.resolved_backend(i, chain.backend);
+            if (std::find(universe.begin(), universe.end(), resolved) ==
+                universe.end()) {
+                universe.push_back(resolved);
+            }
+        }
+    }
+    return universe;
 }
 
 namespace {

@@ -4,11 +4,17 @@
 //! future-work direction (Sec. V): "performance models that predict relative
 //! scores without having to execute all the algorithms".
 //!
-//! The features describe a (chain, assignment) pair with physical quantities
-//! a cost model would consume: per-task placement-weighted work, staging
-//! transitions and residency pairs. They are chosen so that the conditional
-//! cost models of src/sim lie exactly in the span of a linear predictor —
-//! property-tested in tests/model/predictor_test.cpp.
+//! The features describe a (chain, variant) pair with physical quantities a
+//! cost model would consume: per-task, per-backend placement-weighted work,
+//! staging transitions and residency pairs. They are chosen so that the
+//! conditional cost models of src/sim lie exactly in the span of a linear
+//! predictor — property-tested in tests/model/predictor_test.cpp and
+//! tests/model/variant_features_test.cpp. There is one feature space: a
+//! plain placement is the variant whose tasks all inherit the chain backend,
+//! and over the one-backend universe {chain backend} its row is the 5k + 5
+//! placement layout (per task dev_iters, acc_iters, enter_acc, enter_dev,
+//! resident; then ends_on_acc, device_flops, accel_flops, accel_launches,
+//! link_bytes).
 
 #include "workloads/chain.hpp"
 
@@ -17,40 +23,22 @@
 
 namespace relperf::model {
 
-/// Dense feature vector with stable ordering (see feature_names).
+/// Dense feature vector with stable ordering (see variant_feature_names).
 struct FeatureVector {
     std::vector<double> values;
 };
 
-/// Names of the features produced by extract_features for a k-task chain,
-/// in order:
-///   per task i in 0..k-1:
-///     dev_iters[i]    — iterations executed on the Device (0 when on A),
-///     acc_iters[i]    — iterations executed on the Accelerator,
-///     enter_acc[i]    — 1 when task i switches D -> A,
-///     enter_dev[i]    — 1 when task i switches A -> D,
-///     resident[i]     — 1 when task i and its predecessor both run on A,
-///   chain-level:
-///     ends_on_acc     — 1 when the last task runs on the Accelerator,
-///     device_flops    — FLOPs executed on the Device,
-///     accel_flops     — FLOPs executed on the Accelerator,
-///     accel_launches  — kernel launches dispatched to the Accelerator,
-///     link_bytes      — bytes crossing the link.
-[[nodiscard]] std::vector<std::string> feature_names(const workloads::TaskChain& chain);
-
-/// Extracts the features of one assignment; assignment length must match the
-/// chain.
-[[nodiscard]] FeatureVector extract_features(const workloads::TaskChain& chain,
-                                             const workloads::DeviceAssignment& assignment);
-
-/// Feature matrix for many assignments (rows in the given order).
-[[nodiscard]] std::vector<FeatureVector> extract_features(
-    const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments);
-
 /// The label used in variant feature names for the empty "inherit the
 /// ambient backend" bucket.
 [[nodiscard]] std::string backend_feature_label(const std::string& backend);
+
+/// The distinct resolved backends of `variants` on `chain` (each task's
+/// policy backend, else the chain default), in first-seen order — the
+/// feature universe a fit derives when it is given none. Deterministic for a
+/// deterministic variant list.
+[[nodiscard]] std::vector<std::string> resolved_backends(
+    const workloads::TaskChain& chain,
+    const std::vector<workloads::VariantAssignment>& variants);
 
 /// Names of the variant features for a k-task chain over the backend
 /// universe `backends` (the distinct resolved backends of the variant set;

@@ -19,44 +19,9 @@ PerformancePredictor::PerformancePredictor(PredictorConfig config)
 
 void PerformancePredictor::fit(
     const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments,
-    const core::MeasurementSet& measurements) {
-    RELPERF_REQUIRE(assignments.size() == measurements.size(),
-                    "PerformancePredictor: assignments/measurements mismatch");
-    RELPERF_REQUIRE(assignments.size() >= 2,
-                    "PerformancePredictor: need at least two training points");
-
-    std::vector<std::vector<double>> rows;
-    std::vector<double> targets;
-    rows.reserve(assignments.size());
-    targets.reserve(assignments.size());
-    for (std::size_t i = 0; i < assignments.size(); ++i) {
-        rows.push_back(extract_features(chain, assignments[i]).values);
-        targets.push_back(stats::mean(measurements.samples(i)));
-    }
-    regressor_.fit(rows, targets, config_.ridge_lambda);
-    variant_mode_ = false;
-    backend_universe_.clear();
-}
-
-void PerformancePredictor::fit(
-    const workloads::TaskChain& chain,
     const std::vector<workloads::VariantAssignment>& variants,
     const core::MeasurementSet& measurements) {
-    // The backend universe: every resolved backend of the training set, in
-    // first-seen order (deterministic for a deterministic variant list).
-    std::vector<std::string> universe;
-    for (const workloads::VariantAssignment& variant : variants) {
-        for (std::size_t i = 0; i < variant.size(); ++i) {
-            const std::string& resolved =
-                variant.resolved_backend(i, chain.backend);
-            if (std::find(universe.begin(), universe.end(), resolved) ==
-                universe.end()) {
-                universe.push_back(resolved);
-            }
-        }
-    }
-    fit(chain, variants, measurements, std::move(universe));
+    fit(chain, variants, measurements, resolved_backends(chain, variants));
 }
 
 void PerformancePredictor::fit(
@@ -82,31 +47,12 @@ void PerformancePredictor::fit(
         targets.push_back(stats::mean(measurements.samples(i)));
     }
     regressor_.fit(rows, targets, config_.ridge_lambda);
-    variant_mode_ = true;
     backend_universe_ = std::move(backend_universe);
 }
 
 double PerformancePredictor::predict_seconds(
     const workloads::TaskChain& chain,
-    const workloads::DeviceAssignment& assignment) const {
-    if (variant_mode_) {
-        return predict_seconds(chain, workloads::VariantAssignment(assignment));
-    }
-    return regressor_.predict(extract_features(chain, assignment).values);
-}
-
-double PerformancePredictor::predict_seconds(
-    const workloads::TaskChain& chain,
     const workloads::VariantAssignment& variant) const {
-    if (!variant_mode_) {
-        // Fitted on plain assignments: only the backend-inherit projection is
-        // representable in the legacy feature space.
-        RELPERF_REQUIRE(variant.uniform_inherit(),
-                        "PerformancePredictor: fitted on plain assignments; "
-                        "cannot predict a mixed-backend variant");
-        return regressor_.predict(
-            extract_features(chain, variant.device_assignment()).values);
-    }
     return regressor_.predict(
         extract_variant_features(chain, variant, backend_universe_).values);
 }
@@ -123,27 +69,10 @@ core::Ordering compare_predicted(double ta, double tb, double tie_epsilon) {
 } // namespace
 
 core::Ordering PerformancePredictor::compare(
-    const workloads::TaskChain& chain, const workloads::DeviceAssignment& a,
-    const workloads::DeviceAssignment& b) const {
-    return compare_predicted(predict_seconds(chain, a),
-                             predict_seconds(chain, b), config_.tie_epsilon);
-}
-
-core::Ordering PerformancePredictor::compare(
     const workloads::TaskChain& chain, const workloads::VariantAssignment& a,
     const workloads::VariantAssignment& b) const {
     return compare_predicted(predict_seconds(chain, a),
                              predict_seconds(chain, b), config_.tie_epsilon);
-}
-
-core::RankedSequence PerformancePredictor::rank(
-    const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments) const {
-    RELPERF_REQUIRE(!assignments.empty(), "PerformancePredictor: empty set");
-    const core::ThreeWaySorter sorter([&](std::size_t a, std::size_t b) {
-        return compare(chain, assignments[a], assignments[b]);
-    });
-    return sorter.sort(assignments.size());
 }
 
 core::RankedSequence PerformancePredictor::rank(
@@ -158,19 +87,19 @@ core::RankedSequence PerformancePredictor::rank(
 
 PredictionEval evaluate_predictor(
     const PerformancePredictor& predictor, const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments,
+    const std::vector<workloads::VariantAssignment>& variants,
     const core::MeasurementSet& measurements, const core::Clustering& clustering) {
-    RELPERF_REQUIRE(assignments.size() == measurements.size(),
-                    "evaluate_predictor: assignments/measurements mismatch");
-    RELPERF_REQUIRE(assignments.size() >= 2,
-                    "evaluate_predictor: need at least two assignments");
+    RELPERF_REQUIRE(variants.size() == measurements.size(),
+                    "evaluate_predictor: variants/measurements mismatch");
+    RELPERF_REQUIRE(variants.size() >= 2,
+                    "evaluate_predictor: need at least two variants");
 
     std::vector<double> measured;
     std::vector<double> predicted;
     double rel_error = 0.0;
-    for (std::size_t i = 0; i < assignments.size(); ++i) {
+    for (std::size_t i = 0; i < variants.size(); ++i) {
         measured.push_back(stats::mean(measurements.samples(i)));
-        predicted.push_back(predictor.predict_seconds(chain, assignments[i]));
+        predicted.push_back(predictor.predict_seconds(chain, variants[i]));
         rel_error += std::fabs(predicted[i] - measured[i]) / measured[i];
     }
 
@@ -178,16 +107,16 @@ PredictionEval evaluate_predictor(
     eval.kendall_tau = stats::kendall_tau_b(predicted, measured);
     eval.spearman_rho = stats::spearman_rho(predicted, measured);
     eval.pairwise_disagreement = stats::pairwise_disagreement(measured, predicted);
-    eval.mean_abs_rel_error = rel_error / static_cast<double>(assignments.size());
+    eval.mean_abs_rel_error = rel_error / static_cast<double>(variants.size());
 
     const core::RankedSequence predicted_ranks =
-        predictor.rank(chain, assignments);
+        predictor.rank(chain, variants);
     std::size_t agree = 0;
-    for (std::size_t i = 0; i < assignments.size(); ++i) {
+    for (std::size_t i = 0; i < variants.size(); ++i) {
         if (predicted_ranks.rank_of(i) == clustering.final_rank(i)) ++agree;
     }
     eval.rank_agreement =
-        static_cast<double>(agree) / static_cast<double>(assignments.size());
+        static_cast<double>(agree) / static_cast<double>(variants.size());
     return eval;
 }
 

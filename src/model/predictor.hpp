@@ -2,13 +2,16 @@
 //! \file predictor.hpp
 //! Execution-less relative-performance prediction — the paper's Sec. V
 //! outlook made concrete: train on the measured subset (clusters as ground
-//! truth), predict the performance class of assignments that were never
+//! truth), predict the performance class of variants that were never
 //! executed.
 //!
-//! The predictor regresses mean execution time on the structural features of
-//! (chain, assignment) and converts predicted times back into three-way
-//! comparisons and ranked classes with a relative tie band (mirroring the
-//! measured comparator's equivalence semantics).
+//! The predictor regresses mean execution time on the variant features of
+//! (chain, variant) over a backend universe (features.hpp) and converts
+//! predicted times back into three-way comparisons and ranked classes with a
+//! relative tie band (mirroring the measured comparator's equivalence
+//! semantics). Plain placements enter as workloads::to_variants: their
+//! universe is {chain backend}, and a variant on any other backend is an
+//! InvalidArgument.
 
 #include "core/clustering.hpp"
 #include "core/measurement.hpp"
@@ -28,16 +31,11 @@ class PerformancePredictor {
 public:
     explicit PerformancePredictor(PredictorConfig config = {});
 
-    /// Trains on measured assignments: targets are the sample means of each
-    /// algorithm's distribution.
-    void fit(const workloads::TaskChain& chain,
-             const std::vector<workloads::DeviceAssignment>& assignments,
-             const core::MeasurementSet& measurements);
-
-    /// Trains on measured placement×backend variants. The backend feature
-    /// universe is derived from the training variants (first-seen order of
-    /// each task's resolved backend) and stored, so later predictions can
-    /// only name backends the model has seen — unknown ones throw.
+    /// Trains on measured variants: targets are the sample means of each
+    /// algorithm's distribution. The backend universe is
+    /// resolved_backends(chain, variants) and is stored, so later
+    /// predictions can only name backends the model has seen — unknown ones
+    /// throw.
     void fit(const workloads::TaskChain& chain,
              const std::vector<workloads::VariantAssignment>& variants,
              const core::MeasurementSet& measurements);
@@ -51,35 +49,25 @@ public:
              const core::MeasurementSet& measurements,
              std::vector<std::string> backend_universe);
 
-    /// Predicted mean execution time of an (unseen) assignment.
-    [[nodiscard]] double predict_seconds(const workloads::TaskChain& chain,
-                                         const workloads::DeviceAssignment& assignment) const;
+    /// Predicted mean execution time of an (unseen) variant.
     [[nodiscard]] double predict_seconds(const workloads::TaskChain& chain,
                                          const workloads::VariantAssignment& variant) const;
 
     /// Predicted three-way comparison (Better = `a` faster), using the tie
     /// band on predicted times.
     [[nodiscard]] core::Ordering compare(const workloads::TaskChain& chain,
-                                         const workloads::DeviceAssignment& a,
-                                         const workloads::DeviceAssignment& b) const;
-    [[nodiscard]] core::Ordering compare(const workloads::TaskChain& chain,
                                          const workloads::VariantAssignment& a,
                                          const workloads::VariantAssignment& b) const;
 
     /// Predicted ranked sequence (performance classes) over a set of
-    /// assignments, via the paper's three-way sort driven by predicted
+    /// variants, via the paper's three-way sort driven by predicted
     /// comparisons.
-    [[nodiscard]] core::RankedSequence rank(
-        const workloads::TaskChain& chain,
-        const std::vector<workloads::DeviceAssignment>& assignments) const;
     [[nodiscard]] core::RankedSequence rank(
         const workloads::TaskChain& chain,
         const std::vector<workloads::VariantAssignment>& variants) const;
 
     [[nodiscard]] bool is_fitted() const noexcept { return regressor_.is_fitted(); }
-    /// True when the model was fitted on variants (backend-split features).
-    [[nodiscard]] bool variant_mode() const noexcept { return variant_mode_; }
-    /// The stored backend universe (empty unless variant_mode()).
+    /// The stored backend universe (empty before the first fit).
     [[nodiscard]] const std::vector<std::string>& backend_universe() const noexcept {
         return backend_universe_;
     }
@@ -90,7 +78,6 @@ public:
 private:
     PredictorConfig config_;
     RidgeRegressor regressor_;
-    bool variant_mode_ = false;
     std::vector<std::string> backend_universe_;
 };
 
@@ -104,11 +91,11 @@ struct PredictionEval {
                                        ///< measured final class.
 };
 
-/// Evaluates a fitted predictor on (typically held-out) measured assignments
+/// Evaluates a fitted predictor on (typically held-out) measured variants
 /// whose measured clustering is available.
 [[nodiscard]] PredictionEval evaluate_predictor(
     const PerformancePredictor& predictor, const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments,
+    const std::vector<workloads::VariantAssignment>& variants,
     const core::MeasurementSet& measurements, const core::Clustering& clustering);
 
 } // namespace relperf::model

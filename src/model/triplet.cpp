@@ -188,15 +188,16 @@ double TripletScorer::triplet_satisfaction(
 
 TripletScorer fit_triplet_scorer(
     const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments,
+    const std::vector<workloads::VariantAssignment>& variants,
     const core::Clustering& clustering, std::size_t triplet_count,
     stats::Rng& rng, TripletScorerConfig config) {
-    RELPERF_REQUIRE(assignments.size() == clustering.final_assignment.size(),
-                    "fit_triplet_scorer: assignments/clustering mismatch");
+    RELPERF_REQUIRE(variants.size() == clustering.final_assignment.size(),
+                    "fit_triplet_scorer: variants/clustering mismatch");
+    const std::vector<std::string> universe = resolved_backends(chain, variants);
     std::vector<std::vector<double>> rows;
-    rows.reserve(assignments.size());
-    for (const auto& assignment : assignments) {
-        rows.push_back(extract_features(chain, assignment).values);
+    rows.reserve(variants.size());
+    for (const auto& variant : variants) {
+        rows.push_back(extract_variant_features(chain, variant, universe).values);
     }
     const std::vector<Triplet> triplets =
         sample_triplets(clustering, triplet_count, rng);

@@ -81,11 +81,12 @@ private:
     bool fitted_ = false;
 };
 
-/// Convenience: fit a scorer for a chain's assignments directly from a
-/// measured clustering (class labels only).
+/// Convenience: fit a scorer for a chain's variants directly from a
+/// measured clustering (class labels only). The rows are the variant
+/// features over resolved_backends(chain, variants).
 [[nodiscard]] TripletScorer fit_triplet_scorer(
     const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments,
+    const std::vector<workloads::VariantAssignment>& variants,
     const core::Clustering& clustering, std::size_t triplet_count,
     stats::Rng& rng, TripletScorerConfig config = {});
 

@@ -1,6 +1,7 @@
 #include "search/model_guided_search.hpp"
 
-#include "core/bootstrap_comparator.hpp"
+#include "campaign/runner.hpp"
+#include "core/pipeline.hpp"
 #include "stats/descriptive.hpp"
 #include "support/error.hpp"
 
@@ -17,55 +18,35 @@ void SearchConfig::validate() const {
     RELPERF_REQUIRE(batch_size >= 1, "SearchConfig: batch size must be >= 1");
     RELPERF_REQUIRE(explore_fraction >= 0.0 && explore_fraction <= 1.0,
                     "SearchConfig: explore fraction must be in [0, 1]");
-    RELPERF_REQUIRE(measurements_per_alg >= 2,
-                    "SearchConfig: need at least two measurements per algorithm");
 }
 
-ModelGuidedSearch::ModelGuidedSearch(const sim::SimulatedExecutor& executor,
-                                     const workloads::TaskChain& chain,
+ModelGuidedSearch::ModelGuidedSearch(campaign::CampaignSpec spec,
                                      SearchConfig config)
-    : executor_(executor), chain_(chain), config_(config) {
+    : spec_(std::move(spec)), config_(config) {
+    spec_.validate();
     config_.validate();
-    RELPERF_REQUIRE(chain_.size() >= 1 &&
-                        chain_.size() < workloads::kMaxEnumeratedTasks,
-                    "ModelGuidedSearch: chain length out of range");
+    RELPERF_REQUIRE(!spec_.adaptive(),
+                    "ModelGuidedSearch: the search measures a fixed N per "
+                    "variant; the spec is adaptive");
+    RELPERF_REQUIRE(spec_.measurements >= 2,
+                    "ModelGuidedSearch: need at least two measurements per "
+                    "variant");
 }
 
 SearchResult ModelGuidedSearch::run() const {
-    // The candidate space: plain placements, or placement×backend variants
-    // when a backend axis was configured. Legacy (placement-only) searches
-    // keep their exact pre-variant numerics: the measurement streams are
-    // unchanged and the predictor is fitted in its legacy feature space.
-    const bool variant_space = !config_.backends.empty();
-    std::vector<workloads::VariantAssignment> space;
-    if (variant_space) {
-        space = workloads::enumerate_variants(chain_.size(), config_.backends);
-    } else {
-        for (const workloads::DeviceAssignment& assignment :
-             workloads::enumerate_assignments(chain_.size())) {
-            space.emplace_back(assignment);
+    const workloads::TaskChain chain = spec_.chain();
+    const std::vector<workloads::VariantAssignment> space = spec_.variants();
+    campaign::GlobalSampleSource bundle(spec_);
+
+    // drawn[i] holds variant i's N samples once measured; empty = unmeasured.
+    std::vector<std::vector<double>> drawn(space.size());
+    const auto measure = [&](std::size_t index) {
+        if (drawn[index].empty()) {
+            drawn[index] = bundle.source().draw(index, spec_.measurements);
         }
-    }
+    };
 
     stats::Rng rng(config_.seed);
-    stats::Rng measure_rng = rng.child(1);
-
-    std::vector<bool> measured(space.size(), false);
-    std::vector<workloads::VariantAssignment> measured_variants;
-    std::vector<workloads::DeviceAssignment> measured_placements;
-    core::MeasurementSet measurements;
-    std::vector<double> measured_means;
-
-    const auto measure_candidate = [&](std::size_t index) {
-        if (measured[index]) return;
-        measured[index] = true;
-        std::vector<double> samples = executor_.measure(
-            chain_, space[index], config_.measurements_per_alg, measure_rng);
-        measured_means.push_back(stats::mean(samples));
-        measurements.add(space[index].alg_name(), std::move(samples));
-        measured_variants.push_back(space[index]);
-        measured_placements.push_back(space[index].device_assignment());
-    };
 
     // Phase 1: random subset.
     {
@@ -74,48 +55,52 @@ SearchResult ModelGuidedSearch::run() const {
         rng.shuffle(order);
         const std::size_t initial =
             std::min(config_.initial_samples, space.size());
-        for (std::size_t i = 0; i < initial; ++i) measure_candidate(order[i]);
+        for (std::size_t i = 0; i < initial; ++i) measure(order[i]);
     }
 
     // Phase 2: fit / predict / measure the most promising batch.
-    model::PerformancePredictor predictor(config_.predictor);
-    // Fit over the *configured* backend universe, not the backends the
-    // sampled subset happens to cover: phase 2 predicts across the whole
-    // space, and a universe derived from an unlucky initial sample would
-    // reject variants on the missing backend. The chain's default backend
-    // rides along so the returned predictor can also price plain
-    // (backend-inherit) assignments.
-    std::vector<std::string> universe = config_.backends;
-    if (variant_space &&
-        std::find(universe.begin(), universe.end(), chain_.backend) ==
-            universe.end()) {
-        universe.push_back(chain_.backend);
+    SearchResult result;
+    result.predictor = model::PerformancePredictor(config_.predictor);
+    // Fit over the plan's backend axis, not the backends the sampled subset
+    // happens to cover: phase 2 predicts across the whole space, and a
+    // universe derived from an unlucky initial sample would reject variants
+    // on the missing backend. The chain's backend rides along so the
+    // returned predictor can also price plain (backend-inherit) variants.
+    std::vector<std::string> universe = spec_.variant_backends;
+    if (std::find(universe.begin(), universe.end(), chain.backend) ==
+        universe.end()) {
+        universe.push_back(chain.backend);
     }
+    // Collects the measured rows in ascending global-index order and refits.
     const auto fit = [&] {
-        if (variant_space) {
-            predictor.fit(chain_, measured_variants, measurements, universe);
-        } else {
-            predictor.fit(chain_, measured_placements, measurements);
+        result.measured_indices.clear();
+        result.measured_variants.clear();
+        result.measurements = {};
+        for (std::size_t i = 0; i < space.size(); ++i) {
+            if (drawn[i].empty()) continue;
+            result.measured_indices.push_back(i);
+            result.measured_variants.push_back(space[i]);
+            result.measurements.add(space[i].alg_name(), drawn[i]);
         }
+        result.predictor.fit(chain, result.measured_variants,
+                             result.measurements, universe);
     };
-    const auto predict = [&](std::size_t index) {
-        return variant_space
-                   ? predictor.predict_seconds(chain_, space[index])
-                   : predictor.predict_seconds(
-                         chain_, space[index].device_assignment());
-    };
+    std::vector<double> predicted(space.size());
     for (std::size_t round = 0; round < config_.refinement_rounds; ++round) {
         fit();
 
         std::vector<std::size_t> unmeasured;
         for (std::size_t i = 0; i < space.size(); ++i) {
-            if (!measured[i]) unmeasured.push_back(i);
+            if (drawn[i].empty()) {
+                unmeasured.push_back(i);
+                predicted[i] = result.predictor.predict_seconds(chain, space[i]);
+            }
         }
         if (unmeasured.empty()) break;
 
         std::sort(unmeasured.begin(), unmeasured.end(),
                   [&](std::size_t a, std::size_t b) {
-                      return predict(a) < predict(b);
+                      return predicted[a] < predicted[b];
                   });
 
         const std::size_t batch = std::min(config_.batch_size, unmeasured.size());
@@ -124,41 +109,32 @@ SearchResult ModelGuidedSearch::run() const {
         const std::size_t exploit = batch - explore;
 
         // Exploit: best predicted candidates.
-        for (std::size_t i = 0; i < exploit; ++i) measure_candidate(unmeasured[i]);
+        for (std::size_t i = 0; i < exploit; ++i) measure(unmeasured[i]);
         // Explore: random unmeasured candidates (keeps the model honest).
         for (std::size_t i = 0; i < explore; ++i) {
             const std::size_t pick =
                 exploit +
                 static_cast<std::size_t>(rng.uniform_index(unmeasured.size() - exploit));
-            measure_candidate(unmeasured[pick]);
+            measure(unmeasured[pick]);
         }
     }
     fit();
 
-    // Phase 3: cluster the measured subset with the paper methodology.
-    const core::BootstrapComparator comparator;
-    const core::RelativeClusterer clusterer(comparator, config_.clustering);
-
-    SearchResult result;
+    // Phase 3: cluster the measured subset with the paper methodology,
+    // under the spec's analysis knobs.
+    result.clustering =
+        core::analyze_measurements(result.measurements, spec_.analysis_config())
+            .clustering;
     result.space_size = space.size();
-    result.measured_count = measured_variants.size();
-    result.clustering = clusterer.cluster(measurements);
-
-    std::size_t best_index = 0;
-    double best_mean = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < measured_means.size(); ++i) {
-        if (measured_means[i] < best_mean) {
-            best_mean = measured_means[i];
-            best_index = i;
+    result.measured_count = result.measured_indices.size();
+    result.best_measured_mean = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < result.measured_count; ++i) {
+        const double mean = stats::mean(result.measurements.samples(i));
+        if (mean < result.best_measured_mean) {
+            result.best_measured_mean = mean;
+            result.best = result.measured_variants[i];
         }
     }
-    result.best = measured_placements[best_index];
-    result.best_variant = measured_variants[best_index];
-    result.best_measured_mean = best_mean;
-    result.measurements = std::move(measurements);
-    result.measured_variants = std::move(measured_variants);
-    result.measured_assignments = std::move(measured_placements);
-    result.predictor = std::move(predictor);
     return result;
 }
 

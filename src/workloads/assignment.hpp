@@ -28,8 +28,10 @@ enum class Placement : char {
 [[nodiscard]] Placement placement_from_char(char c);
 
 /// Enumeration explosion guard shared by enumerate_assignments and
-/// enumerate_variants: chains of kMaxEnumeratedTasks or more tasks must go
-/// through subset search (search::ModelGuidedSearch), not full enumeration.
+/// enumerate_variants: chains of kMaxEnumeratedTasks or more tasks are
+/// rejected. Subset search does not lift the limit — search::ModelGuidedSearch
+/// enumerates its campaign spec's space as well (it measures a subset), and
+/// a spec caps a plan at 16 tasks.
 inline constexpr std::size_t kMaxEnumeratedTasks = 20;
 
 /// Upper bound on the *number* of enumerated variants ((2B)^k grows much

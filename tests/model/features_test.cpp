@@ -1,3 +1,8 @@
+//! The placement features: a plain assignment is the variant whose tasks all
+//! inherit the chain backend, featurized over the one-backend universe
+//! {chain backend} — the 5k + 5 layout the predictor fits plain placements
+//! in.
+
 #include "model/features.hpp"
 
 #include "support/error.hpp"
@@ -9,13 +14,22 @@
 namespace model = relperf::model;
 namespace workloads = relperf::workloads;
 using workloads::DeviceAssignment;
+using workloads::VariantAssignment;
 
 namespace {
 
+/// The placement universe: the chain backend alone ("" for the paper chain,
+/// whose features are labelled "inherit").
+std::vector<std::string> placement_universe(const workloads::TaskChain& chain) {
+    return {chain.backend};
+}
+
 std::map<std::string, double> named_features(const workloads::TaskChain& chain,
                                              const DeviceAssignment& assignment) {
-    const auto names = model::feature_names(chain);
-    const auto features = model::extract_features(chain, assignment);
+    const auto universe = placement_universe(chain);
+    const auto names = model::variant_feature_names(chain, universe);
+    const auto features = model::extract_variant_features(
+        chain, VariantAssignment(assignment), universe);
     std::map<std::string, double> out;
     for (std::size_t i = 0; i < names.size(); ++i) {
         out[names[i]] = features.values[i];
@@ -27,9 +41,10 @@ std::map<std::string, double> named_features(const workloads::TaskChain& chain,
 
 TEST(Features, DimensionMatchesNames) {
     const auto chain = workloads::paper_rls_chain(10);
-    const auto names = model::feature_names(chain);
-    const auto features =
-        model::extract_features(chain, DeviceAssignment("DDA"));
+    const auto universe = placement_universe(chain);
+    const auto names = model::variant_feature_names(chain, universe);
+    const auto features = model::extract_variant_features(
+        chain, VariantAssignment("DDA"), universe);
     EXPECT_EQ(names.size(), features.values.size());
     EXPECT_EQ(names.size(), 5 * chain.size() + 5);
 }
@@ -37,11 +52,11 @@ TEST(Features, DimensionMatchesNames) {
 TEST(Features, PlacementItersAreExclusive) {
     const auto chain = workloads::paper_rls_chain(10);
     const auto f = named_features(chain, DeviceAssignment("DAD"));
-    EXPECT_DOUBLE_EQ(f.at("dev_iters[L1]"), 10.0);
-    EXPECT_DOUBLE_EQ(f.at("acc_iters[L1]"), 0.0);
-    EXPECT_DOUBLE_EQ(f.at("dev_iters[L2]"), 0.0);
-    EXPECT_DOUBLE_EQ(f.at("acc_iters[L2]"), 10.0);
-    EXPECT_DOUBLE_EQ(f.at("dev_iters[L3]"), 10.0);
+    EXPECT_DOUBLE_EQ(f.at("dev_iters@inherit[L1]"), 10.0);
+    EXPECT_DOUBLE_EQ(f.at("acc_iters@inherit[L1]"), 0.0);
+    EXPECT_DOUBLE_EQ(f.at("dev_iters@inherit[L2]"), 0.0);
+    EXPECT_DOUBLE_EQ(f.at("acc_iters@inherit[L2]"), 10.0);
+    EXPECT_DOUBLE_EQ(f.at("dev_iters@inherit[L3]"), 10.0);
 }
 
 TEST(Features, TransitionIndicators) {
@@ -68,7 +83,8 @@ TEST(Features, FlopsPartitionTotal) {
         workloads::flop_split(chain, DeviceAssignment("DDD")).total();
     for (const auto& a : workloads::enumerate_assignments(3)) {
         const auto f = named_features(chain, a);
-        EXPECT_NEAR(f.at("device_flops") + f.at("accel_flops"), total, 1.0)
+        EXPECT_NEAR(f.at("device_flops@inherit") + f.at("accel_flops@inherit"),
+                    total, 1.0)
             << a.str();
     }
 }
@@ -86,17 +102,21 @@ TEST(Features, AccelLaunchesCountOnlyOffloadedTasks) {
 
 TEST(Features, BatchExtractionMatchesSingle) {
     const auto chain = workloads::paper_rls_chain(5);
-    const auto assignments = workloads::enumerate_assignments(3);
-    const auto batch = model::extract_features(chain, assignments);
-    ASSERT_EQ(batch.size(), assignments.size());
-    for (std::size_t i = 0; i < assignments.size(); ++i) {
+    const auto universe = placement_universe(chain);
+    const auto variants =
+        workloads::to_variants(workloads::enumerate_assignments(3));
+    const auto batch = model::extract_variant_features(chain, variants, universe);
+    ASSERT_EQ(batch.size(), variants.size());
+    for (std::size_t i = 0; i < variants.size(); ++i) {
         EXPECT_EQ(batch[i].values,
-                  model::extract_features(chain, assignments[i]).values);
+                  model::extract_variant_features(chain, variants[i], universe)
+                      .values);
     }
 }
 
 TEST(Features, LengthMismatchThrows) {
     const auto chain = workloads::paper_rls_chain(10);
-    EXPECT_THROW((void)model::extract_features(chain, DeviceAssignment("DD")),
+    EXPECT_THROW((void)model::extract_variant_features(
+                     chain, VariantAssignment("DD"), placement_universe(chain)),
                  relperf::InvalidArgument);
 }

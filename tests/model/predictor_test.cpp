@@ -11,6 +11,7 @@ namespace model = relperf::model;
 namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
 using workloads::DeviceAssignment;
+using workloads::VariantAssignment;
 
 namespace {
 
@@ -19,6 +20,7 @@ struct Fixture {
     sim::CalibratedProfile profile = sim::paper_rls_profile();
     sim::SimulatedExecutor executor{profile, sim::NoiseModel{}};
     std::vector<DeviceAssignment> assignments = workloads::enumerate_assignments(3);
+    std::vector<VariantAssignment> variants = workloads::to_variants(assignments);
     core::AnalysisResult analysis = [this] {
         core::AnalysisConfig config;
         config.measurements_per_alg = 30;
@@ -42,9 +44,9 @@ TEST(Predictor, LinearModelSpansTheCalibratedCostModel) {
                        exact.expected_seconds(f.chain, a)});
     }
     model::PerformancePredictor predictor(model::PredictorConfig{1e-9, 0.02});
-    predictor.fit(f.chain, f.assignments, noiseless);
+    predictor.fit(f.chain, f.variants, noiseless);
     for (const auto& a : f.assignments) {
-        EXPECT_NEAR(predictor.predict_seconds(f.chain, a),
+        EXPECT_NEAR(predictor.predict_seconds(f.chain, VariantAssignment(a)),
                     exact.expected_seconds(f.chain, a), 1e-6)
             << a.str();
     }
@@ -53,10 +55,10 @@ TEST(Predictor, LinearModelSpansTheCalibratedCostModel) {
 TEST(Predictor, OrdersTheFullSpaceFromNoisyMeasurements) {
     Fixture f;
     model::PerformancePredictor predictor;
-    predictor.fit(f.chain, f.assignments, f.analysis.measurements);
+    predictor.fit(f.chain, f.variants, f.analysis.measurements);
 
     const model::PredictionEval eval = model::evaluate_predictor(
-        predictor, f.chain, f.assignments, f.analysis.measurements,
+        predictor, f.chain, f.variants, f.analysis.measurements,
         f.analysis.clustering);
     EXPECT_GT(eval.kendall_tau, 0.8);
     EXPECT_GT(eval.spearman_rho, 0.85);
@@ -67,22 +69,22 @@ TEST(Predictor, OrdersTheFullSpaceFromNoisyMeasurements) {
 TEST(Predictor, GeneralizesFromSubsetToHeldOutAssignments) {
     Fixture f;
     // Train on 6 assignments, predict the 2 held out.
-    std::vector<DeviceAssignment> train_assignments;
+    std::vector<VariantAssignment> train_variants;
     core::MeasurementSet train_set;
-    std::vector<DeviceAssignment> held_out;
-    for (std::size_t i = 0; i < f.assignments.size(); ++i) {
-        const std::string name = f.assignments[i].alg_name();
+    std::vector<VariantAssignment> held_out;
+    for (std::size_t i = 0; i < f.variants.size(); ++i) {
+        const std::string name = f.variants[i].alg_name();
         if (name == "algDDA" || name == "algAAD") {
-            held_out.push_back(f.assignments[i]);
+            held_out.push_back(f.variants[i]);
             continue;
         }
-        train_assignments.push_back(f.assignments[i]);
+        train_variants.push_back(f.variants[i]);
         const auto samples = f.analysis.measurements.samples(i);
         train_set.add(name, {samples.begin(), samples.end()});
     }
 
     model::PerformancePredictor predictor;
-    predictor.fit(f.chain, train_assignments, train_set);
+    predictor.fit(f.chain, train_variants, train_set);
 
     // Predicted times of the held-out extremes must land on the right side:
     // algDDA near the fast end, algAAD clearly slowest.
@@ -98,27 +100,27 @@ TEST(Predictor, GeneralizesFromSubsetToHeldOutAssignments) {
 TEST(Predictor, CompareUsesTieBand) {
     Fixture f;
     model::PerformancePredictor predictor(model::PredictorConfig{1e-3, 0.5});
-    predictor.fit(f.chain, f.assignments, f.analysis.measurements);
+    predictor.fit(f.chain, f.variants, f.analysis.measurements);
     // A 50% tie band makes nearly everything equivalent.
-    EXPECT_EQ(predictor.compare(f.chain, DeviceAssignment("DDD"),
-                                DeviceAssignment("DDA")),
+    EXPECT_EQ(predictor.compare(f.chain, VariantAssignment("DDD"),
+                                VariantAssignment("DDA")),
               core::Ordering::Equivalent);
 
     model::PerformancePredictor sharp(model::PredictorConfig{1e-3, 0.0});
-    sharp.fit(f.chain, f.assignments, f.analysis.measurements);
-    EXPECT_EQ(sharp.compare(f.chain, DeviceAssignment("DDA"),
-                            DeviceAssignment("AAD")),
+    sharp.fit(f.chain, f.variants, f.analysis.measurements);
+    EXPECT_EQ(sharp.compare(f.chain, VariantAssignment("DDA"),
+                            VariantAssignment("AAD")),
               core::Ordering::Better);
-    EXPECT_EQ(sharp.compare(f.chain, DeviceAssignment("AAD"),
-                            DeviceAssignment("DDA")),
+    EXPECT_EQ(sharp.compare(f.chain, VariantAssignment("AAD"),
+                            VariantAssignment("DDA")),
               core::Ordering::Worse);
 }
 
 TEST(Predictor, RankProducesValidRankedSequence) {
     Fixture f;
     model::PerformancePredictor predictor;
-    predictor.fit(f.chain, f.assignments, f.analysis.measurements);
-    const core::RankedSequence seq = predictor.rank(f.chain, f.assignments);
+    predictor.fit(f.chain, f.variants, f.analysis.measurements);
+    const core::RankedSequence seq = predictor.rank(f.chain, f.variants);
     ASSERT_EQ(seq.order.size(), 8u);
     core::check_rank_invariant(seq.ranks);
     // The predicted winner class contains algDDA.
@@ -130,11 +132,11 @@ TEST(Predictor, RankProducesValidRankedSequence) {
 TEST(Predictor, InvalidUsageThrows) {
     Fixture f;
     model::PerformancePredictor predictor;
-    EXPECT_THROW((void)predictor.predict_seconds(f.chain, DeviceAssignment("DDD")),
+    EXPECT_THROW((void)predictor.predict_seconds(f.chain, VariantAssignment("DDD")),
                  relperf::InvalidArgument);
     core::MeasurementSet tiny;
     tiny.add("algDDD", {1.0});
-    EXPECT_THROW(predictor.fit(f.chain, {DeviceAssignment("DDD")}, tiny),
+    EXPECT_THROW(predictor.fit(f.chain, {VariantAssignment("DDD")}, tiny),
                  relperf::InvalidArgument);
     EXPECT_THROW(model::PerformancePredictor(model::PredictorConfig{-1.0, 0.0}),
                  relperf::InvalidArgument);

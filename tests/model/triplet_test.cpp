@@ -37,6 +37,8 @@ struct PaperFixture {
     sim::SimulatedExecutor executor{profile, sim::NoiseModel{}};
     std::vector<workloads::DeviceAssignment> assignments =
         workloads::enumerate_assignments(3);
+    std::vector<workloads::VariantAssignment> variants =
+        workloads::to_variants(assignments);
     core::AnalysisResult analysis = [this] {
         core::AnalysisConfig config;
         config.measurements_per_alg = 30;
@@ -128,13 +130,15 @@ TEST(TripletScorer, ClassLabelsAloneRecoverTheMeasuredOrdering) {
     PaperFixture f;
     Rng rng(5);
     const model::TripletScorer scorer = model::fit_triplet_scorer(
-        f.chain, f.assignments, f.analysis.clustering, 600, rng);
+        f.chain, f.variants, f.analysis.clustering, 600, rng);
 
+    const auto universe = model::resolved_backends(f.chain, f.variants);
     std::vector<double> scores;
     std::vector<double> measured;
-    for (std::size_t i = 0; i < f.assignments.size(); ++i) {
+    for (std::size_t i = 0; i < f.variants.size(); ++i) {
         scores.push_back(scorer.score(
-            model::extract_features(f.chain, f.assignments[i]).values));
+            model::extract_variant_features(f.chain, f.variants[i], universe)
+                .values));
         measured.push_back(f.analysis.measurements.summary(i).mean);
     }
     EXPECT_GT(relperf::stats::kendall_tau_b(scores, measured), 0.6);

@@ -110,7 +110,6 @@ TEST(VariantPredictor, SpansTheMixedBackendCostModelExactly) {
 
     model::PerformancePredictor predictor(model::PredictorConfig{1e-9, 0.02});
     predictor.fit(chain, variants, noiseless);
-    EXPECT_TRUE(predictor.variant_mode());
     EXPECT_EQ(predictor.backend_universe().size(), kBackends.size());
 
     for (const VariantAssignment& v : variants) {
@@ -193,24 +192,29 @@ TEST(VariantPredictor, ExplicitUniverseCoversUnsampledBackends) {
                  relperf::InvalidArgument);
 }
 
-TEST(VariantPredictor, LegacyFitRejectsMixedVariants) {
+TEST(VariantPredictor, PlacementFitRejectsUnseenBackends) {
+    // A fit on plain placements (every task inheriting the chain backend)
+    // has the universe {chain backend}: it prices any variant on that
+    // backend and refuses one on a backend it never saw.
     const workloads::TaskChain chain = variant_chain();
     const sim::AnalyticCostModel priced(gained_platform());
     const sim::SimulatedExecutor exact(priced, sim::NoiseModel::none());
 
-    const auto assignments = workloads::enumerate_assignments(chain.size());
+    const auto variants =
+        workloads::to_variants(workloads::enumerate_assignments(chain.size()));
     core::MeasurementSet noiseless;
-    for (const auto& a : assignments) {
-        const double t = exact.expected_seconds(chain, a);
-        noiseless.add(a.alg_name(), {t, t});
+    for (const VariantAssignment& v : variants) {
+        const double t = exact.expected_seconds(chain, v);
+        noiseless.add(v.alg_name(), {t, t});
     }
     model::PerformancePredictor predictor(model::PredictorConfig{1e-9, 0.02});
-    predictor.fit(chain, assignments, noiseless);
-    EXPECT_FALSE(predictor.variant_mode());
-    // Plain and all-inherit predictions work; mixed ones cannot be
-    // represented and must throw.
+    predictor.fit(chain, variants, noiseless);
+    EXPECT_EQ(predictor.backend_universe(),
+              std::vector<std::string>{chain.backend});
     EXPECT_NO_THROW(
         (void)predictor.predict_seconds(chain, VariantAssignment("DDA")));
+    EXPECT_NO_THROW((void)predictor.predict_seconds(
+        chain, VariantAssignment("D:portable,D,A")));
     EXPECT_THROW((void)predictor.predict_seconds(
                      chain, VariantAssignment("D:blas,D,D")),
                  relperf::InvalidArgument);
