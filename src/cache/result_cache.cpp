@@ -471,26 +471,8 @@ void ResultCache::store(const campaign::CampaignSpec& spec,
 
         const std::uint64_t plan = spec.hash();
         campaign::ShardResult entry;
-        campaign::ShardManifest& m = entry.manifest;
-        m.spec_hash = plan;
-        m.shard_index = 0;
-        m.shard_count = 1;
-        m.campaign = spec.name;
-        m.host = campaign::host_name();
-        m.backend = spec.backend;
-        m.variant_backends = spec.variant_backends;
-        if (spec.adaptive()) {
-            m.adaptive_min = spec.adaptive_min;
-            m.adaptive_batch = spec.adaptive_batch;
-            m.adaptive_stability = spec.adaptive_stability;
-            m.adaptive_coordinated = spec.adaptive_coordinated;
-            m.adaptive_confidence = spec.adaptive_confidence;
-            m.stopset_rounds = stopset_rounds;
-            m.samples_per_algorithm.reserve(merged.size());
-            for (std::size_t i = 0; i < merged.size(); ++i) {
-                m.samples_per_algorithm.push_back(merged.samples(i).size());
-            }
-        }
+        entry.manifest = campaign::shard_manifest(spec, 0, 1);
+        entry.manifest.stopset_rounds = stopset_rounds;
         entry.measurements = merged;
 
         // Old tally out, then payload, tally and sidecar in: no reader pairs

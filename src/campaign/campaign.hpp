@@ -5,7 +5,8 @@
 //!
 //!   1. describe the plan once      — CampaignSpec (spec.hpp), saved to a file;
 //!   2. run shards anywhere         — run_shard / LocalShardRunner (runner.hpp),
-//!                                    persisted via shard_io.hpp;
+//!                                    persisted via shard_io.hpp with the
+//!                                    spec's own entries as the manifest;
 //!   3. merge and cluster centrally — merge_shards / run_campaign (merge.hpp).
 //!
 //! Every variant draws on the RNG stream of its global index

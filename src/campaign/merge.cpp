@@ -7,9 +7,58 @@
 #include "support/error.hpp"
 #include "support/str.hpp"
 
+#include <map>
 #include <vector>
 
 namespace relperf::campaign {
+
+namespace {
+
+/// The plan a shard was measured under: `spec` with the shard's entries set
+/// on top, after resetting the keys whose absence has always meant
+/// something (portable backend, no variant axis, fixed N, shard-local
+/// stopping, stability rule) — so a manifest from before a key was recorded
+/// reads the way it was written.
+CampaignSpec recorded_plan(const CampaignSpec& spec, const ShardManifest& m) {
+    CampaignSpec plan = spec;
+    plan.backend = "portable";
+    plan.variant_backends.clear();
+    plan.adaptive_min = 0;
+    plan.adaptive_coordinated = false;
+    plan.adaptive_confidence = 0.0;
+    for (const auto& [key, value] : m.plan) {
+        const bool known = plan.set(key, value);
+        RELPERF_REQUIRE(known, "merge_shards: shard manifest records the "
+                               "unknown plan key '" + key + "'");
+    }
+    return plan;
+}
+
+/// "key = value (this spec: value)" for each entry of `recorded` that alone
+/// moves `spec`'s hash, then "key = absent (this spec: value)" for each spec
+/// entry `recorded` leaves out; "; "-joined.
+std::string plan_difference(const CampaignSpec& spec,
+                            const CampaignSpec& recorded) {
+    const std::vector<SpecEntry> entries = spec.entries();
+    std::map<std::string, std::string> left_out(entries.begin(), entries.end());
+    std::vector<std::string> lines;
+    for (const auto& [key, value] : recorded.entries()) {
+        const auto it = left_out.find(key);
+        const std::string was = it == left_out.end() ? "absent" : it->second;
+        if (it != left_out.end()) left_out.erase(it);
+        CampaignSpec probe = spec;
+        (void)probe.set(key, value);
+        if (probe.hash() != spec.hash()) {
+            lines.push_back(key + " = " + value + " (this spec: " + was + ")");
+        }
+    }
+    for (const auto& [key, value] : left_out) {
+        lines.push_back(key + " = absent (this spec: " + value + ")");
+    }
+    return str::join(lines, "; ");
+}
+
+} // namespace
 
 core::MeasurementSet merge_shards(const CampaignSpec& spec,
                                   const std::vector<ShardResult>& shards) {
@@ -26,89 +75,20 @@ core::MeasurementSet merge_shards(const CampaignSpec& spec,
 
     for (const ShardResult& shard : shards) {
         const ShardManifest& m = shard.manifest;
-        // Backend first: a cross-backend merge also fails the hash check,
-        // but "different backend" is the actionable message — mixing
-        // portable and vendor measurements of the same math would cluster
-        // different variants as one.
-        if (m.backend != spec.backend) {
-            throw Error(str::format(
-                "merge_shards: shard %zu was measured on the '%s' linalg "
-                "backend, this spec demands '%s' — same algorithm on a "
-                "different backend is a different variant, refusing to merge",
-                m.shard_index, m.backend.c_str(), spec.backend.c_str()));
-        }
-        if (m.variant_backends != spec.variant_backends) {
-            const auto describe = [](const std::vector<std::string>& list) {
-                return list.empty() ? std::string("<none>")
-                                    : str::join(list, ",");
-            };
-            throw Error(str::format(
-                "merge_shards: shard %zu was measured over the per-task "
-                "backend axis [%s], this spec demands [%s] — the variant "
-                "spaces differ, refusing to merge",
-                m.shard_index, describe(m.variant_backends).c_str(),
-                describe(spec.variant_backends).c_str()));
-        }
-        if (m.adaptive_min != spec.adaptive_min ||
-            (spec.adaptive() && (m.adaptive_batch != spec.adaptive_batch ||
-                                 m.adaptive_stability != spec.adaptive_stability))) {
-            const auto describe = [](std::size_t min, std::size_t batch,
-                                     std::size_t stability) {
-                return min == 0 ? std::string("fixed-N")
-                                : str::format("adaptive min=%zu batch=%zu "
-                                              "stability=%zu",
-                                              min, batch, stability);
-            };
-            throw Error(str::format(
-                "merge_shards: shard %zu was measured under a %s plan, this "
-                "spec demands %s — the per-algorithm sample counts differ, "
-                "refusing to merge",
-                m.shard_index,
-                describe(m.adaptive_min, m.adaptive_batch, m.adaptive_stability)
-                    .c_str(),
-                describe(spec.adaptive_min, spec.adaptive_batch,
-                         spec.adaptive_stability)
-                    .c_str()));
-        }
-        if (m.adaptive_coordinated != spec.adaptive_coordinated) {
-            throw Error(str::format(
-                "merge_shards: shard %zu was measured under %s stopping, "
-                "this spec demands %s — the stop decisions watched a "
-                "different clustering, refusing to merge",
-                m.shard_index,
-                m.adaptive_coordinated ? "coordinated" : "shard-local",
-                spec.adaptive_coordinated ? "coordinated" : "shard-local"));
-        }
-        if (m.adaptive_confidence != spec.adaptive_confidence) {
-            const auto describe = [](double q) {
-                return q == 0.0 ? std::string("the stability rule")
-                                : str::format("confidence %.12g", q);
-            };
-            throw Error(str::format(
-                "merge_shards: shard %zu stopped on %s, this spec demands %s "
-                "— the per-algorithm sample counts differ, refusing to merge",
-                m.shard_index, describe(m.adaptive_confidence).c_str(),
-                describe(spec.adaptive_confidence).c_str()));
-        }
-        // Every shard of a coordinated run received the same broadcast
-        // history; a disagreement means the files come from different
-        // coordinator runs even if the plan hashes match.
-        if (spec.adaptive_coordinated &&
-            m.stopset_rounds != shards.front().manifest.stopset_rounds) {
-            throw Error(str::format(
-                "merge_shards: shard %zu records a different coordinator "
-                "stop-set history than shard %zu — the files come from "
-                "different coordinated runs, refusing to merge",
-                m.shard_index, shards.front().manifest.shard_index));
-        }
-        if (m.spec_hash != expected_hash) {
-            throw Error(str::format(
+        // One plan check: the shard's recorded plan and its manifest hash
+        // must both be this spec's plan. The label, the shard count and (on
+        // a fixed-N plan) the analysis knobs stay out of hash(), so they
+        // stay out of the verdict.
+        const CampaignSpec recorded = recorded_plan(spec, m);
+        if (recorded.hash() != expected_hash || m.spec_hash != expected_hash) {
+            std::string message = str::format(
                 "merge_shards: shard %zu was measured under a different plan "
-                "(manifest spec_hash %016llx, this spec hashes to %016llx) — "
-                "refusing to merge",
-                m.shard_index,
-                static_cast<unsigned long long>(m.spec_hash),
-                static_cast<unsigned long long>(expected_hash)));
+                "(manifest spec_hash %016llx, this spec hashes to %016llx)",
+                m.shard_index, static_cast<unsigned long long>(m.spec_hash),
+                static_cast<unsigned long long>(expected_hash));
+            const std::string differences = plan_difference(spec, recorded);
+            if (!differences.empty()) message += " [" + differences + "]";
+            throw Error(message + " — refusing to merge");
         }
         if (m.shard_count != shard_count) {
             throw Error(str::format(
@@ -205,6 +185,15 @@ core::AnalysisResult run_campaign(const CampaignSpec& spec,
     // coordinator: one global engine whose clusterings use `workers`.
     if (spec.adaptive_coordinated) {
         return run_coordinated_campaign(spec, shard_count, workers).analysis;
+    }
+    // One shard-local adaptive shard is the engine over the whole plan, and
+    // the engine's last clustering is the merged set's: run it directly
+    // rather than re-cluster what a shard already clustered.
+    const std::size_t count = shard_count == 0 ? spec.shards : shard_count;
+    if (spec.adaptive() && count == 1) {
+        GlobalSampleSource bundle(spec);
+        return core::analyze_source(bundle.source(),
+                                    spec.analysis_config(workers));
     }
     const LocalShardRunner runner(workers);
     const std::vector<ShardResult> shards = runner.run(spec, shard_count);

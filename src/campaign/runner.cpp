@@ -4,7 +4,6 @@
 #include "linalg/backend.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "obs/provenance.hpp"
 #include "obs/trace.hpp"
 #include "sim/analytic.hpp"
 #include "sim/executor.hpp"
@@ -24,38 +23,6 @@ namespace {
 std::size_t effective_shard_count(const CampaignSpec& spec,
                                   std::size_t shard_count) {
     return shard_count == 0 ? spec.shards : shard_count;
-}
-
-/// The header fields every shard file of `spec` carries: the plan identity,
-/// the shard's place in the split, the producing host and build, and for an
-/// adaptive plan the stopping knobs merge_shards checks the counts against.
-/// Callers add the per-algorithm counts (and the coordinator its stop-set
-/// history).
-ShardManifest shard_manifest(const CampaignSpec& spec, std::size_t shard_index,
-                             std::size_t shard_count) {
-    ShardManifest m;
-    m.spec_hash = spec.hash();
-    m.shard_index = shard_index;
-    m.shard_count = shard_count;
-    m.campaign = spec.name;
-    m.host = host_name();
-    m.backend = spec.backend;
-    m.variant_backends = spec.variant_backends;
-    // The provenance record is a pure function of build + host + spec, so
-    // attaching it keeps shard files byte-identical with obs on or off.
-    for (const obs::ProvenanceEntry& e : obs::provenance()) {
-        m.provenance.emplace_back(e.key, e.value);
-    }
-    if (spec.adaptive()) {
-        m.adaptive_min = spec.adaptive_min;
-        m.adaptive_batch = spec.adaptive_batch;
-        m.adaptive_stability = spec.adaptive_stability;
-        m.adaptive_coordinated = spec.adaptive_coordinated;
-        // The stopping rule is part of the plan: counts stopped by the
-        // confidence rule are not counts the stability rule produced.
-        m.adaptive_confidence = spec.adaptive_confidence;
-    }
-    return m;
 }
 
 } // namespace
@@ -200,7 +167,7 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
     // clustering IS the engine's per-round clustering, and the global
     // stop-set IS the engine's frozen set. The observer is where the
     // broadcast becomes observable: one coordination round and K stop-set
-    // broadcasts per clustering, recorded for the shard manifests.
+    // broadcasts per clustering, recorded in the stop-set history.
     RELPERF_REQUIRE(source.count() == sharder.assignment_count(),
                     "run_coordinated_campaign: the sample source must "
                     "enumerate the spec's full global variant list");
@@ -223,28 +190,6 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
     out.analysis =
         core::analyze_source(source, spec.analysis_config(workers), observer);
     out.rounds = out.stopset_rounds.size();
-
-    // Slice the global result into per-shard files. Manifests carry the
-    // coordinated plan and the broadcast history so a later merge_shards can
-    // verify every file came from the same coordinator run.
-    out.shards.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        obs::metrics().shards_total.inc();
-        ShardResult shard;
-        shard.manifest = shard_manifest(spec, i, count);
-        ShardManifest& m = shard.manifest;
-        m.stopset_rounds = out.stopset_rounds;
-        const ShardPlan plan = sharder.plan(i);
-        m.samples_per_algorithm.reserve(plan.assignment_indices.size());
-        for (const std::size_t global : plan.assignment_indices) {
-            const auto samples = out.analysis.measurements.samples(global);
-            shard.measurements.add(out.analysis.measurements.name(global),
-                                   {samples.begin(), samples.end()});
-            m.samples_per_algorithm.push_back(
-                out.analysis.samples_per_alg[global]);
-        }
-        out.shards.push_back(std::move(shard));
-    }
     return out;
 }
 

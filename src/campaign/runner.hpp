@@ -21,24 +21,19 @@ namespace relperf::campaign {
 /// Measures shard `shard_index` of `spec`'s plan split into `shard_count`
 /// shards. Pass shard_count = 0 to use spec.shards. A fixed-N shard only
 /// measures; an adaptive shard runs core::analyze_source over its own
-/// variants. The result's manifest carries the spec hash, the shard
-/// reference and this host's name.
+/// variants. The result's manifest is shard_manifest() plus, for an
+/// adaptive plan, the per-algorithm counts.
 [[nodiscard]] ShardResult run_shard(const CampaignSpec& spec,
                                     std::size_t shard_index,
                                     std::size_t shard_count = 0);
 
-/// Outcome of a coordinated adaptive campaign: the merged analysis plus the
-/// per-shard results (for shard-file emission) and the coordinator's
-/// broadcast history.
+/// Outcome of a coordinated adaptive campaign: the merged analysis and the
+/// coordinator's broadcast history.
 struct CoordinatedCampaignResult {
     /// Final merged analysis — measurements in global enumeration order,
     /// clustering identical to analyze_measurements on them, with
     /// fixed_n_samples restored to the plan's true cap.
     core::AnalysisResult analysis;
-    /// Per-shard slices of the coordinated run, ordered by shard index. Each
-    /// manifest records the coordinated plan and the broadcast history, so
-    /// the files a coordinated campaign writes re-merge like any others.
-    std::vector<ShardResult> shards;
     /// Cumulative global stop-set size after each coordinator round.
     std::vector<std::size_t> stopset_rounds;
     std::size_t rounds = 0; ///< Coordinator rounds, one per engine round.
@@ -49,9 +44,10 @@ struct CoordinatedCampaignResult {
 /// shards and broadcasts the global stop-set, so stop decisions watch the
 /// same statistic the final analysis reports. Because every variant draws
 /// from the stream derived from its global index and the stop-set is global,
-/// per-algorithm sample counts are K-invariant: shard_count only changes how
-/// the results are sliced into shard files, never a measured value — and
-/// with shard_count = 1 the run is bit-identical to the shard-local engine.
+/// per-algorithm sample counts are K-invariant: shard_count only sets how
+/// many shards each stop-set broadcast reaches, never a measured value —
+/// and with shard_count = 1 the run is bit-identical to the shard-local
+/// engine.
 /// Requires an adaptive spec with adaptive_coordinated set (the key is
 /// measurement-determining, so the manifests and the plan hash must record
 /// it; relperf_cli --coordinated sets it on the loaded spec). shard_count =

@@ -1,6 +1,7 @@
 #include "campaign/shard_io.hpp"
 
 #include "core/io.hpp"
+#include "obs/provenance.hpp"
 #include "support/csv.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
@@ -30,6 +31,22 @@ std::string host_name() {
     return "unknown";
 }
 
+ShardManifest shard_manifest(const CampaignSpec& spec, std::size_t shard_index,
+                             std::size_t shard_count) {
+    ShardManifest m;
+    m.spec_hash = spec.hash();
+    m.shard_index = shard_index;
+    m.shard_count = shard_count;
+    m.host = host_name();
+    m.plan = spec.entries();
+    // The provenance record is a pure function of build + host + spec, so
+    // attaching it keeps shard files byte-identical with obs on or off.
+    for (const obs::ProvenanceEntry& e : obs::provenance()) {
+        m.provenance.emplace_back(e.key, e.value);
+    }
+    return m;
+}
+
 void write_shard_csv(const ShardResult& shard, const std::string& path) {
     RELPERF_REQUIRE(!shard.measurements.empty(),
                     "write_shard_csv: shard has no measurements");
@@ -56,7 +73,6 @@ void write_shard_csv(const ShardResult& shard, const std::string& path) {
     }
     const ShardManifest& m = shard.manifest;
     out << "# relperf-shard v1\n";
-    out << "# campaign = " << m.campaign << '\n';
     out << "# spec_hash = " << str::format("%016llx",
                                            static_cast<unsigned long long>(
                                                m.spec_hash))
@@ -81,48 +97,25 @@ void write_shard_csv(const ShardResult& shard, const std::string& path) {
             out << "# provenance = " << str::join(facts, ";") << '\n';
         }
     }
-    out << "# backend = " << m.backend << '\n';
-    // Only written for per-task-variant campaigns: plain campaigns keep the
-    // exact pre-variant file form.
-    if (!m.variant_backends.empty()) {
-        out << "# variant_backends = " << str::join(m.variant_backends, ",")
+    bool adaptive = false;
+    for (const auto& [key, value] : m.plan) {
+        out << "# " << key << " = " << value << '\n';
+        adaptive = adaptive || key == "adaptive_min_measurements";
+    }
+    if (!m.stopset_rounds.empty()) {
+        out << "# stopset_rounds = " << str::format_size_list(m.stopset_rounds)
             << '\n';
     }
-    // Only written for adaptive campaigns: fixed-N files keep the exact
-    // pre-adaptive form. The per-algorithm counts declare what early
-    // stopping decided, so a merge can validate the rows against them.
-    if (m.adaptive_min != 0) {
-        out << "# adaptive_min_measurements = " << m.adaptive_min << '\n';
-        out << "# adaptive_batch = " << m.adaptive_batch << '\n';
-        out << "# adaptive_stability_rounds = " << m.adaptive_stability << '\n';
-        // Coordination lines only when the coordinator drove the plan:
-        // shard-local adaptive files keep the exact pre-coordination form.
-        if (m.adaptive_coordinated) {
-            out << "# adaptive_coordination = coordinated\n";
-        }
-        if (m.adaptive_confidence != 0.0) {
-            out << "# adaptive_confidence = "
-                << str::format("%.12g", m.adaptive_confidence) << '\n';
-        }
-        if (!m.stopset_rounds.empty()) {
-            std::vector<std::string> rounds;
-            rounds.reserve(m.stopset_rounds.size());
-            for (const std::size_t n : m.stopset_rounds) {
-                rounds.push_back(std::to_string(n));
-            }
-            out << "# stopset_rounds = " << str::join(rounds, ",") << '\n';
-        }
-        // The declared counts (validated above) when the caller set them,
-        // else derived from the rows — one source of truth either way.
-        std::vector<std::string> counts;
-        counts.reserve(shard.measurements.size());
+    // An adaptive plan declares the counts early stopping decided, so a
+    // reader can check the rows against them. They are the rows' own counts
+    // (any declared ones were checked equal above).
+    if (adaptive) {
+        std::vector<std::size_t> counts;
         for (std::size_t i = 0; i < shard.measurements.size(); ++i) {
-            counts.push_back(std::to_string(
-                m.samples_per_algorithm.empty()
-                    ? shard.measurements.samples(i).size()
-                    : m.samples_per_algorithm[i]));
+            counts.push_back(shard.measurements.samples(i).size());
         }
-        out << "# samples_per_algorithm = " << str::join(counts, ",") << '\n';
+        out << "# samples_per_algorithm = " << str::format_size_list(counts)
+            << '\n';
     }
     out << "algorithm,measurement_index,seconds\n";
     for (std::size_t i = 0; i < shard.measurements.size(); ++i) {
@@ -150,6 +143,7 @@ ShardResult read_shard_csv(const std::string& path) {
 
     // Manifest: `# key = value` comment lines before the CSV header.
     ShardResult out;
+    CampaignSpec plan; // scratch target of the plan entries' set() checks
     std::set<std::string> seen;
     std::istringstream lines(content);
     std::string line;
@@ -178,38 +172,8 @@ ShardResult read_shard_csv(const std::string& path) {
                 out.manifest.shard_index = str::parse_size(value, key);
             } else if (key == "shard_count") {
                 out.manifest.shard_count = str::parse_size(value, key);
-            } else if (key == "campaign") {
-                out.manifest.campaign = value;
             } else if (key == "host") {
                 out.manifest.host = value;
-            } else if (key == "backend") {
-                out.manifest.backend = value;
-            } else if (key == "variant_backends") {
-                out.manifest.variant_backends =
-                    str::parse_name_list(value, key);
-            } else if (key == "adaptive_min_measurements") {
-                // Zero-rejecting, like CampaignSpec::parse: an explicit 0
-                // would silently read back as a fixed-N manifest.
-                out.manifest.adaptive_min = str::parse_positive_size(value, key);
-            } else if (key == "adaptive_batch") {
-                out.manifest.adaptive_batch =
-                    str::parse_positive_size(value, key);
-            } else if (key == "adaptive_stability_rounds") {
-                out.manifest.adaptive_stability =
-                    str::parse_positive_size(value, key);
-            } else if (key == "adaptive_coordination") {
-                if (value == "coordinated") {
-                    out.manifest.adaptive_coordinated = true;
-                } else if (value == "shard-local") {
-                    out.manifest.adaptive_coordinated = false;
-                } else {
-                    fail("adaptive_coordination must be 'coordinated' or "
-                         "'shard-local', got '" +
-                         value + "'");
-                }
-            } else if (key == "adaptive_confidence") {
-                out.manifest.adaptive_confidence =
-                    str::parse_double(value, key);
             } else if (key == "stopset_rounds") {
                 // Cumulative counts may legitimately start at 0 (a first
                 // round that froze nobody), so plain parse_size_list.
@@ -225,6 +189,9 @@ ShardResult read_shard_csv(const std::string& path) {
                         std::string(str::trim(fact.substr(0, sep))),
                         std::string(str::trim(fact.substr(sep + 1))));
                 }
+            } else if (plan.set(key, value)) {
+                // A plan entry, its value checked by the spec's own setter.
+                out.manifest.plan.emplace_back(key, value);
             }
             // Unknown keys are ignored: forward compatibility for future
             // manifest fields.

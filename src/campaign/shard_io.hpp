@@ -2,22 +2,27 @@
 //! \file shard_io.hpp
 //! Persistence of one shard's output: the standard measurements CSV
 //! (`algorithm,measurement_index,seconds`, readable by core::io and by
-//! relperf_cli --input) prefixed with a small manifest in `#` comment lines
-//! — spec hash, shard index/count, campaign label and producing host — so a
-//! merge on the collecting machine can verify every file belongs to the same
-//! measurement plan before clustering.
+//! relperf_cli --input) prefixed with a manifest in `#` comment lines — spec
+//! hash, shard index/count, producing host and the producing spec's own
+//! entries — so a merge on the collecting machine can verify every file
+//! belongs to the same measurement plan, and name the key when it does not.
 //!
-//! Example file:
+//! Example file (an adaptive plan adds its keys and samples_per_algorithm):
 //!
 //!     # relperf-shard v1
-//!     # campaign = edge-sweep
 //!     # spec_hash = 9e1b7c2a44f00d1c
 //!     # shard_index = 0
 //!     # shard_count = 4
 //!     # host = rpi-kitchen
+//!     # provenance = host=rpi-kitchen;build=Release;...
+//!     # campaign = edge-sweep
+//!     # sizes = 50,75,300
+//!     # ...                  (every other entry of the spec, in file order)
+//!     # decision_threshold = 0.9
 //!     algorithm,measurement_index,seconds
 //!     algDDD,0,0.0406...
 
+#include "campaign/spec.hpp"
 #include "core/measurement.hpp"
 
 #include <cstdint>
@@ -32,37 +37,17 @@ struct ShardManifest {
     std::uint64_t spec_hash = 0;  ///< CampaignSpec::hash() of the plan.
     std::size_t shard_index = 0;  ///< i in [0, K).
     std::size_t shard_count = 1;  ///< K.
-    std::string campaign;         ///< Spec label (informational).
     std::string host;             ///< Producing host name (informational).
-    /// Chain-default linalg backend the shard was measured on. Files from
-    /// before the backend axis carry no `# backend` line and read back as
-    /// "portable" (which is exactly what they ran on). merge_shards rejects
-    /// a backend that disagrees with the spec *before* comparing hashes, so
-    /// a cross-backend merge fails with a message naming the real cause.
-    std::string backend = "portable";
-    /// Per-task backend axis of the plan (`# variant_backends = a,b`); empty
-    /// for plain-placement campaigns and for files from before the variant
-    /// axis. Checked against the spec by merge_shards like `backend`.
-    std::vector<std::string> variant_backends;
-    /// Adaptive plan of the shard (0 = fixed-N, the pre-adaptive file form).
-    /// Checked against the spec by merge_shards like `backend`.
-    std::size_t adaptive_min = 0;       ///< `# adaptive_min_measurements`.
-    std::size_t adaptive_batch = 0;     ///< `# adaptive_batch`.
-    std::size_t adaptive_stability = 0; ///< `# adaptive_stability_rounds`.
-    /// Coordinated stop-set plan of the shard (`# adaptive_coordination =
-    /// coordinated`); absent for shard-local files (including every file
-    /// from before coordination). Checked against the spec by merge_shards.
-    bool adaptive_coordinated = false;
-    /// Confidence-targeted stopping rule level (`# adaptive_confidence`);
-    /// 0 = the membership-stability rule. Checked like `backend`.
-    double adaptive_confidence = 0.0;
+    /// The producing spec's entries(), one `# key = value` line each. Older
+    /// files carry a subset (label, backend, optional axes); merge_shards
+    /// reads a missing optional key as the default they were measured under.
+    std::vector<SpecEntry> plan;
     /// Cumulative global stop-set size after each coordinator round
-    /// (`# stopset_rounds = 0,5,8`). Written only by coordinated shards; the
-    /// coordinator hands every shard the same broadcast history, so
-    /// merge_shards requires the lists to be identical across files.
+    /// (`# stopset_rounds = 0,5,8`). Written only for coordinated plans;
+    /// informational for a merge.
     std::vector<std::size_t> stopset_rounds;
     /// Per-algorithm sample counts in CSV order (`# samples_per_algorithm =
-    /// 10,15,30`). Written only by adaptive shards — fixed-N counts are
+    /// 10,15,30`). Always written for an adaptive plan — fixed-N counts are
     /// implied by the plan — and cross-checked against the CSV rows on read,
     /// so a truncated or hand-edited file dies before it reaches a merge.
     std::vector<std::size_t> samples_per_algorithm;
@@ -72,6 +57,13 @@ struct ShardManifest {
     /// layer carry no line and read back empty.
     std::vector<std::pair<std::string, std::string>> provenance;
 };
+
+/// The one manifest builder: `spec`'s hash and entries, the shard's place in
+/// the split, this host and the provenance record. Callers add the counts
+/// (and a coordinated plan's stop-set history).
+[[nodiscard]] ShardManifest shard_manifest(const CampaignSpec& spec,
+                                           std::size_t shard_index,
+                                           std::size_t shard_count);
 
 /// One shard's manifest plus its measured distributions (the algorithms of
 /// the shard's assignment plan, in plan order).
@@ -90,6 +82,8 @@ void write_shard_csv(const ShardResult& shard, const std::string& path);
 
 /// Reads a shard file; throws relperf::Error naming the file (and line, for
 /// malformed content) on missing/incomplete manifests or bad measurement rows.
+/// A manifest key that CampaignSpec::set accepts joins `plan` (a malformed
+/// value is a `file:line` error); other unknown keys are ignored.
 [[nodiscard]] ShardResult read_shard_csv(const std::string& path);
 
 /// Expands a shard-file pattern into sorted paths: a POSIX glob when the

@@ -114,66 +114,121 @@ void CampaignSpec::validate() const {
     }
 }
 
-namespace {
-
-std::string sizes_to_text(const std::vector<std::size_t>& sizes) {
-    std::vector<std::string> parts;
-    parts.reserve(sizes.size());
-    for (const std::size_t s : sizes) parts.push_back(std::to_string(s));
-    return str::join(parts, ",");
+std::vector<SpecEntry> CampaignSpec::entries() const {
+    std::vector<SpecEntry> out;
+    const auto add = [&out](const char* key, std::string value) {
+        out.emplace_back(key, std::move(value));
+    };
+    const auto real = [](double v) { return str::format("%.12g", v); };
+    add("campaign", name);
+    add("sizes", str::format_size_list(sizes));
+    add("iters", std::to_string(iters));
+    add("executor", to_string(executor));
+    add("platform", platform);
+    add("backend", backend);
+    // The optional axes appear only when set — the per-task axis, adaptive
+    // measurement, and within it coordination and confidence — so specs
+    // without them keep their earlier bytes.
+    if (!variant_backends.empty()) {
+        add("variant_backends", str::join(variant_backends, ","));
+    }
+    add("measurements", std::to_string(measurements));
+    add("measurement_seed", std::to_string(measurement_seed));
+    if (adaptive_min != 0) {
+        add("adaptive_min_measurements", std::to_string(adaptive_min));
+        add("adaptive_batch", std::to_string(adaptive_batch));
+        add("adaptive_stability_rounds", std::to_string(adaptive_stability));
+        if (adaptive_coordinated) add("adaptive_coordination", "coordinated");
+        if (adaptive_confidence != 0.0) {
+            add("adaptive_confidence", real(adaptive_confidence));
+        }
+    }
+    add("device_threads", std::to_string(device_threads));
+    add("accelerator_threads", std::to_string(accelerator_threads));
+    add("dispatch_delay_us", real(dispatch_delay_us));
+    add("switch_delay_us", real(switch_delay_us));
+    add("warmup", std::to_string(warmup));
+    add("shards", std::to_string(shards));
+    add("clustering_repetitions", std::to_string(clustering_repetitions));
+    add("clustering_seed", std::to_string(clustering_seed));
+    add("bootstrap_rounds", std::to_string(bootstrap_rounds));
+    add("tie_epsilon", real(tie_epsilon));
+    add("decision_threshold", real(decision_threshold));
+    return out;
 }
 
-} // namespace
-
 std::string CampaignSpec::to_text() const {
-    std::ostringstream out;
-    out << "# relperf campaign spec\n";
-    out << "campaign = " << name << '\n';
-    out << "sizes = " << sizes_to_text(sizes) << '\n';
-    out << "iters = " << iters << '\n';
-    out << "executor = " << to_string(executor) << '\n';
-    out << "platform = " << platform << '\n';
-    out << "backend = " << backend << '\n';
-    // Only emitted when the per-task axis is on: uniform specs keep their
-    // pre-variant text (and therefore byte-identical spec files).
-    if (!variant_backends.empty()) {
-        out << "variant_backends = " << str::join(variant_backends, ",")
-            << '\n';
+    std::string out = "# relperf campaign spec\n";
+    for (const auto& [key, value] : entries()) {
+        out += key + " = " + value + '\n';
     }
-    out << "measurements = " << measurements << '\n';
-    out << "measurement_seed = " << measurement_seed << '\n';
-    // Only emitted when adaptive measurement is on: fixed-N specs keep their
-    // pre-adaptive text (and therefore byte-identical spec files).
-    if (adaptive_min != 0) {
-        out << "adaptive_min_measurements = " << adaptive_min << '\n';
-        out << "adaptive_batch = " << adaptive_batch << '\n';
-        out << "adaptive_stability_rounds = " << adaptive_stability << '\n';
-        // Same rule again one level down: the coordination and confidence
-        // keys appear only when set, so pre-coordination adaptive specs keep
-        // their exact bytes.
-        if (adaptive_coordinated) {
-            out << "adaptive_coordination = coordinated\n";
+    return out;
+}
+
+bool CampaignSpec::set(const std::string& key, const std::string& value) {
+    if (key == "campaign") {
+        name = value;
+    } else if (key == "sizes") {
+        sizes = str::parse_size_list(value, key);
+    } else if (key == "iters") {
+        iters = str::parse_size(value, key);
+    } else if (key == "executor") {
+        executor = executor_kind_from_string(value);
+    } else if (key == "platform") {
+        platform = value;
+    } else if (key == "backend") {
+        backend = value;
+    } else if (key == "variant_backends") {
+        variant_backends = str::parse_name_list(value, key);
+    } else if (key == "measurements") {
+        measurements = str::parse_size(value, key);
+    } else if (key == "measurement_seed") {
+        measurement_seed = str::parse_u64(value, key);
+    } else if (key == "adaptive_min_measurements") {
+        // An explicit 0 would silently mean "fixed-N" and drop the other
+        // adaptive keys on the next round trip: omitting the key is how a
+        // spec says adaptive-off.
+        adaptive_min = str::parse_positive_size(value, key);
+    } else if (key == "adaptive_batch") {
+        adaptive_batch = str::parse_positive_size(value, key);
+    } else if (key == "adaptive_stability_rounds") {
+        adaptive_stability = str::parse_positive_size(value, key);
+    } else if (key == "adaptive_coordination") {
+        if (value != "coordinated" && value != "shard-local") {
+            throw InvalidArgument(
+                "adaptive_coordination must be 'coordinated' or "
+                "'shard-local', got '" +
+                value + "'");
         }
-        if (adaptive_confidence != 0.0) {
-            out << "adaptive_confidence = "
-                << str::format("%.12g", adaptive_confidence) << '\n';
-        }
+        adaptive_coordinated = value == "coordinated";
+    } else if (key == "adaptive_confidence") {
+        adaptive_confidence = str::parse_double(value, key);
+    } else if (key == "device_threads") {
+        device_threads = static_cast<int>(str::parse_size(value, key));
+    } else if (key == "accelerator_threads") {
+        accelerator_threads = static_cast<int>(str::parse_size(value, key));
+    } else if (key == "dispatch_delay_us") {
+        dispatch_delay_us = str::parse_double(value, key);
+    } else if (key == "switch_delay_us") {
+        switch_delay_us = str::parse_double(value, key);
+    } else if (key == "warmup") {
+        warmup = str::parse_size(value, key);
+    } else if (key == "shards") {
+        shards = str::parse_size(value, key);
+    } else if (key == "clustering_repetitions") {
+        clustering_repetitions = str::parse_size(value, key);
+    } else if (key == "clustering_seed") {
+        clustering_seed = str::parse_u64(value, key);
+    } else if (key == "bootstrap_rounds") {
+        bootstrap_rounds = str::parse_size(value, key);
+    } else if (key == "tie_epsilon") {
+        tie_epsilon = str::parse_double(value, key);
+    } else if (key == "decision_threshold") {
+        decision_threshold = str::parse_double(value, key);
+    } else {
+        return false;
     }
-    out << "device_threads = " << device_threads << '\n';
-    out << "accelerator_threads = " << accelerator_threads << '\n';
-    out << "dispatch_delay_us = " << str::format("%.12g", dispatch_delay_us)
-        << '\n';
-    out << "switch_delay_us = " << str::format("%.12g", switch_delay_us)
-        << '\n';
-    out << "warmup = " << warmup << '\n';
-    out << "shards = " << shards << '\n';
-    out << "clustering_repetitions = " << clustering_repetitions << '\n';
-    out << "clustering_seed = " << clustering_seed << '\n';
-    out << "bootstrap_rounds = " << bootstrap_rounds << '\n';
-    out << "tie_epsilon = " << str::format("%.12g", tie_epsilon) << '\n';
-    out << "decision_threshold = " << str::format("%.12g", decision_threshold)
-        << '\n';
-    return out.str();
+    return true;
 }
 
 CampaignSpec CampaignSpec::parse(const std::string& text,
@@ -206,79 +261,13 @@ CampaignSpec CampaignSpec::parse(const std::string& text,
         if (key.empty()) fail("empty key");
         if (!seen.insert(key).second) fail("duplicate key '" + key + "'");
 
-        bool known = true;
         try {
-            if (key == "campaign") {
-                spec.name = value;
-            } else if (key == "sizes") {
-                spec.sizes = str::parse_size_list(value, key);
-            } else if (key == "iters") {
-                spec.iters = str::parse_size(value, key);
-            } else if (key == "executor") {
-                spec.executor = executor_kind_from_string(value);
-            } else if (key == "platform") {
-                spec.platform = value;
-            } else if (key == "backend") {
-                spec.backend = value;
-            } else if (key == "variant_backends") {
-                spec.variant_backends = str::parse_name_list(value, key);
-            } else if (key == "measurements") {
-                spec.measurements = str::parse_size(value, key);
-            } else if (key == "measurement_seed") {
-                spec.measurement_seed = str::parse_u64(value, key);
-            } else if (key == "adaptive_min_measurements") {
-                // An explicit 0 would silently mean "fixed-N" and drop the
-                // other adaptive keys on the next round trip: omitting the
-                // key is how a spec says adaptive-off.
-                spec.adaptive_min = str::parse_positive_size(value, key);
-            } else if (key == "adaptive_batch") {
-                spec.adaptive_batch = str::parse_positive_size(value, key);
-            } else if (key == "adaptive_stability_rounds") {
-                spec.adaptive_stability = str::parse_positive_size(value, key);
-            } else if (key == "adaptive_coordination") {
-                if (value == "coordinated") {
-                    spec.adaptive_coordinated = true;
-                } else if (value == "shard-local") {
-                    spec.adaptive_coordinated = false;
-                } else {
-                    throw InvalidArgument(
-                        "adaptive_coordination must be 'coordinated' or "
-                        "'shard-local', got '" +
-                        value + "'");
-                }
-            } else if (key == "adaptive_confidence") {
-                spec.adaptive_confidence = str::parse_double(value, key);
-            } else if (key == "device_threads") {
-                spec.device_threads = static_cast<int>(str::parse_size(value, key));
-            } else if (key == "accelerator_threads") {
-                spec.accelerator_threads =
-                    static_cast<int>(str::parse_size(value, key));
-            } else if (key == "dispatch_delay_us") {
-                spec.dispatch_delay_us = str::parse_double(value, key);
-            } else if (key == "switch_delay_us") {
-                spec.switch_delay_us = str::parse_double(value, key);
-            } else if (key == "warmup") {
-                spec.warmup = str::parse_size(value, key);
-            } else if (key == "shards") {
-                spec.shards = str::parse_size(value, key);
-            } else if (key == "clustering_repetitions") {
-                spec.clustering_repetitions = str::parse_size(value, key);
-            } else if (key == "clustering_seed") {
-                spec.clustering_seed = str::parse_u64(value, key);
-            } else if (key == "bootstrap_rounds") {
-                spec.bootstrap_rounds = str::parse_size(value, key);
-            } else if (key == "tie_epsilon") {
-                spec.tie_epsilon = str::parse_double(value, key);
-            } else if (key == "decision_threshold") {
-                spec.decision_threshold = str::parse_double(value, key);
-            } else {
-                known = false; // reported below, outside the re-anchoring catch
-            }
+            if (!spec.set(key, value)) throw Error("unknown key '" + key + "'");
         } catch (const Error& e) {
-            // Re-anchor value errors (parse_size etc.) to file + line.
+            // Anchor unknown keys and value errors (parse_size etc.) to
+            // file + line.
             fail(e.what());
         }
-        if (!known) fail("unknown key '" + key + "'");
     }
 
     // Inert adaptive knobs are almost certainly a typo'd plan: batch and
@@ -328,7 +317,7 @@ void CampaignSpec::save(const std::string& path) const {
 std::uint64_t CampaignSpec::hash() const {
     // Canonical text of the measurement plan only (see header).
     std::ostringstream plan;
-    plan << "sizes=" << sizes_to_text(sizes) << ";iters=" << iters
+    plan << "sizes=" << str::format_size_list(sizes) << ";iters=" << iters
          << ";executor=" << to_string(executor);
     if (executor == ExecutorKind::Sim) {
         plan << ";platform=" << platform;

@@ -6,6 +6,8 @@
 //! measurements per algorithm, and the analysis knobs. One spec file is
 //! shipped to every shard runner; its hash ties shard outputs back to the
 //! plan so a merge can reject results produced under a different plan.
+//! The spec is the one record of a plan: entries() writes it and set() reads
+//! it, key by key, for spec files and shard manifests alike.
 
 #include "core/pipeline.hpp"
 #include "sim/spec.hpp"
@@ -13,9 +15,13 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace relperf::campaign {
+
+/// One `key = value` line of a spec file, value in its file format.
+using SpecEntry = std::pair<std::string, std::string>;
 
 /// Which measurement apparatus a campaign uses.
 enum class ExecutorKind {
@@ -109,12 +115,21 @@ struct CampaignSpec {
     /// Throws InvalidArgument on out-of-range fields.
     void validate() const;
 
-    /// INI-style `key = value` serialization (round-trips through parse).
+    /// The spec's entries in file order; the optional axes (variant and
+    /// adaptive keys) appear only when set.
+    [[nodiscard]] std::vector<SpecEntry> entries() const;
+
+    /// Sets one entry's field from its file-format value: false for an
+    /// unknown key, InvalidArgument on a malformed value, no validate().
+    bool set(const std::string& key, const std::string& value);
+
+    /// INI-style rendering of entries() (round-trips through parse).
     [[nodiscard]] std::string to_text() const;
 
-    /// Parses to_text() output. Unknown or duplicate keys, malformed values
-    /// and junk lines are errors naming `source` and the 1-based line number.
-    /// Blank lines, `#` comments and CRLF endings are tolerated.
+    /// Parses to_text() output, one set() per line. Unknown or duplicate
+    /// keys, malformed values and junk lines are errors naming `source` and
+    /// the 1-based line number. Blank lines, `#` comments, a UTF-8 BOM and
+    /// CRLF endings are tolerated.
     [[nodiscard]] static CampaignSpec parse(const std::string& text,
                                             const std::string& source =
                                                 "<string>");

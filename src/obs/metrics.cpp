@@ -76,8 +76,7 @@ struct Registry::Impl {
     struct Entry {
         std::string help;
         // unique_ptr: handles must stay at fixed addresses across rehashes.
-        std::variant<std::unique_ptr<Counter>, std::unique_ptr<Gauge>,
-                     std::unique_ptr<Histogram>>
+        std::variant<std::unique_ptr<Counter>, std::unique_ptr<Histogram>>
             metric;
     };
     mutable std::mutex mutex;
@@ -95,20 +94,6 @@ Counter& Registry::counter(const std::string& name, const std::string& help) {
         it = impl_->entries.emplace(name, std::move(entry)).first;
     }
     auto* held = std::get_if<std::unique_ptr<Counter>>(&it->second.metric);
-    RELPERF_REQUIRE(held != nullptr && it->second.help == help,
-                    "Registry: metric re-registered with a different "
-                    "type or help: " + name);
-    return **held;
-}
-
-Gauge& Registry::gauge(const std::string& name, const std::string& help) {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    auto it = impl_->entries.find(name);
-    if (it == impl_->entries.end()) {
-        Impl::Entry entry{help, std::unique_ptr<Gauge>(new Gauge())};
-        it = impl_->entries.emplace(name, std::move(entry)).first;
-    }
-    auto* held = std::get_if<std::unique_ptr<Gauge>>(&it->second.metric);
     RELPERF_REQUIRE(held != nullptr && it->second.help == help,
                     "Registry: metric re-registered with a different "
                     "type or help: " + name);
@@ -156,10 +141,6 @@ std::string Registry::render_prometheus() const {
                 std::get_if<std::unique_ptr<Counter>>(&entry.metric)) {
             out += "# TYPE " + name + " counter\n";
             out += name + " " + std::to_string((*c)->value()) + "\n";
-        } else if (const auto* g =
-                       std::get_if<std::unique_ptr<Gauge>>(&entry.metric)) {
-            out += "# TYPE " + name + " gauge\n";
-            out += name + " " + format_double((*g)->value()) + "\n";
         } else {
             const Histogram& h =
                 *std::get<std::unique_ptr<Histogram>>(entry.metric);
@@ -185,9 +166,6 @@ void Registry::reset_values() {
     for (auto& [name, entry] : impl_->entries) {
         if (auto* c = std::get_if<std::unique_ptr<Counter>>(&entry.metric)) {
             (*c)->reset();
-        } else if (auto* g =
-                       std::get_if<std::unique_ptr<Gauge>>(&entry.metric)) {
-            (*g)->reset();
         } else {
             std::get<std::unique_ptr<Histogram>>(entry.metric)->reset();
         }

@@ -1,7 +1,7 @@
 #pragma once
 //! \file metrics.hpp
-//! Process-wide metrics registry: counters, gauges and fixed-bucket
-//! histograms with a Prometheus-text-format dump.
+//! Process-wide metrics registry: counters and fixed-bucket histograms with
+//! a Prometheus-text-format dump (plus the relperf_build_info info metric).
 //!
 //! Hot-path contract: increments are a relaxed atomic check plus a relaxed
 //! fetch_add — no locks, no allocation. Registration (name -> handle) is
@@ -41,28 +41,6 @@ private:
     void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
     std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-write-wins gauge.
-class Gauge {
-public:
-    Gauge(const Gauge&) = delete;
-    Gauge& operator=(const Gauge&) = delete;
-
-    void set(double v) noexcept {
-        if (!metrics_enabled()) return;
-        value_.store(v, std::memory_order_relaxed);
-    }
-    [[nodiscard]] double value() const noexcept {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-private:
-    friend class Registry;
-    Gauge() = default;
-    void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
-
-    std::atomic<double> value_{0.0};
 };
 
 /// Fixed-bucket histogram (cumulative buckets in the Prometheus dump).
@@ -106,7 +84,6 @@ private:
 class Registry {
 public:
     Counter& counter(const std::string& name, const std::string& help);
-    Gauge& gauge(const std::string& name, const std::string& help);
     Histogram& histogram(const std::string& name, const std::string& help,
                          std::vector<double> bounds);
 

@@ -17,7 +17,7 @@ namespace relperf::obs {
 /// True when trace spans record events (relperf_cli --trace).
 [[nodiscard]] bool tracing_enabled() noexcept;
 
-/// True when metric counters/gauges/histograms accumulate.
+/// True when metric counters and histograms accumulate.
 [[nodiscard]] bool metrics_enabled() noexcept;
 
 void set_tracing_enabled(bool on) noexcept;

@@ -1,6 +1,5 @@
 #include "stats/bootstrap.hpp"
 
-#include "stats/descriptive.hpp"
 #include "support/error.hpp"
 
 namespace relperf::stats {
@@ -19,31 +18,6 @@ std::vector<double> resample(std::span<const double> sample, std::size_t m, Rng&
     std::vector<double> out;
     resample(sample, m, rng, out);
     return out;
-}
-
-std::vector<double> bootstrap_distribution(std::span<const double> sample,
-                                           const Statistic& stat,
-                                           std::size_t rounds, Rng& rng) {
-    RELPERF_REQUIRE(rounds > 0, "bootstrap_distribution: rounds must be positive");
-    std::vector<double> out;
-    out.reserve(rounds);
-    std::vector<double> scratch;
-    for (std::size_t r = 0; r < rounds; ++r) {
-        resample(sample, sample.size(), rng, scratch);
-        out.push_back(stat(scratch));
-    }
-    return out;
-}
-
-Interval bootstrap_ci(std::span<const double> sample, const Statistic& stat,
-                      std::size_t rounds, double alpha, Rng& rng) {
-    RELPERF_REQUIRE(alpha > 0.0 && alpha < 1.0, "bootstrap_ci: alpha must be in (0,1)");
-    std::vector<double> dist = bootstrap_distribution(sample, stat, rounds, rng);
-    const std::vector<double> sorted = sorted_copy(dist);
-    Interval ci;
-    ci.lo = quantile_sorted(sorted, alpha / 2.0);
-    ci.hi = quantile_sorted(sorted, 1.0 - alpha / 2.0);
-    return ci;
 }
 
 } // namespace relperf::stats

@@ -4,20 +4,17 @@
 //! three-way comparison (Sec. III; methodology of ref. [15]).
 //!
 //! The core operation is: draw a with-replacement resample of a measurement
-//! sample and evaluate a statistic on it; repeating this yields the bootstrap
-//! distribution of the statistic, from which confidence intervals and the
-//! pair-wise win/tie/loss scores of the comparator are derived.
+//! sample and evaluate a statistic on it. core::BootstrapComparator draws the
+//! same indices without copying the values (it tallies their ranks);
+//! resample() is the copying form, kept as that comparator's oracle and for
+//! the benches that time it.
 
 #include "stats/rng.hpp"
 
-#include <functional>
 #include <span>
 #include <vector>
 
 namespace relperf::stats {
-
-/// Statistic evaluated on a (re)sample.
-using Statistic = std::function<double(std::span<const double>)>;
 
 /// Draws one bootstrap resample (size `m`, with replacement) from `sample`
 /// into `out` (resized as needed).
@@ -27,25 +24,5 @@ void resample(std::span<const double> sample, std::size_t m, Rng& rng,
 /// Convenience overload returning a fresh vector.
 [[nodiscard]] std::vector<double> resample(std::span<const double> sample,
                                            std::size_t m, Rng& rng);
-
-/// Bootstrap distribution of `stat` over `rounds` resamples of size
-/// `sample.size()`.
-[[nodiscard]] std::vector<double> bootstrap_distribution(std::span<const double> sample,
-                                                         const Statistic& stat,
-                                                         std::size_t rounds, Rng& rng);
-
-/// Two-sided percentile bootstrap confidence interval.
-struct Interval {
-    double lo = 0.0;
-    double hi = 0.0;
-    /// True if the interval excludes `value`.
-    [[nodiscard]] bool excludes(double value) const noexcept {
-        return value < lo || value > hi;
-    }
-};
-
-/// Percentile CI of `stat` at confidence `1 - alpha` (e.g. alpha = 0.05).
-[[nodiscard]] Interval bootstrap_ci(std::span<const double> sample, const Statistic& stat,
-                                    std::size_t rounds, double alpha, Rng& rng);
 
 } // namespace relperf::stats

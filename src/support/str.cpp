@@ -82,6 +82,13 @@ std::vector<std::size_t> parse_size_list(std::string_view text,
     return out;
 }
 
+std::string format_size_list(const std::vector<std::size_t>& values) {
+    std::vector<std::string> parts;
+    parts.reserve(values.size());
+    for (const std::size_t v : values) parts.push_back(std::to_string(v));
+    return join(parts, ",");
+}
+
 std::vector<std::string> parse_name_list(std::string_view text,
                                          const std::string& context) {
     std::vector<std::string> out;

@@ -59,6 +59,9 @@ namespace relperf::str {
 [[nodiscard]] std::vector<std::size_t> parse_size_list(std::string_view text,
                                                        const std::string& context);
 
+/// Renders `values` the way parse_size_list reads them ("64,256").
+[[nodiscard]] std::string format_size_list(const std::vector<std::size_t>& values);
+
 /// Parses a comma-separated list of names ("portable,blas"); fields are
 /// trimmed, empty fields dropped. Throws InvalidArgument naming `context`
 /// when no name remains (e.g. "", "," or ", ,").

@@ -256,6 +256,98 @@ TEST(Campaign, MergeRejectsCrossBackendShardsWithAClearError) {
     }
 }
 
+TEST(Campaign, MergeNamesTheDifferingPlanKey) {
+    campaign::CampaignSpec fixed = small_spec();
+    fixed.sizes = {32, 64};
+    fixed.measurements = 6;
+    campaign::CampaignSpec adaptive = fixed;
+    adaptive.adaptive_min = 2;
+    adaptive.adaptive_batch = 2;
+    adaptive.adaptive_stability = 1;
+    const auto value_of = [](const campaign::CampaignSpec& spec,
+                             const std::string& key) -> std::string {
+        for (const auto& [k, v] : spec.entries()) {
+            if (k == key) return v;
+        }
+        return "absent";
+    };
+    // Only the manifest differs: the rows are the merging plan's own.
+    const auto shard_of = [](const campaign::CampaignSpec& producer,
+                             const campaign::CampaignSpec& rows) {
+        campaign::ShardResult shard;
+        shard.manifest = campaign::shard_manifest(producer, 0, 1);
+        shard.measurements = campaign::run_shard(rows, 0, 1).measurements;
+        return shard;
+    };
+    const auto refusal = [](const campaign::CampaignSpec& spec,
+                            const campaign::ShardResult& shard) {
+        try {
+            (void)campaign::merge_shards(spec, {shard});
+        } catch (const relperf::Error& e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+
+    struct Case {
+        const campaign::CampaignSpec* base;
+        std::string key;
+        std::string value;
+    };
+    const std::vector<Case> hashed = {
+        {&fixed, "sizes", "32,96"},
+        {&fixed, "iters", "5"},
+        {&fixed, "platform", "rpi-server"},
+        {&fixed, "backend", "reference"},
+        {&fixed, "variant_backends", "portable,reference"},
+        {&fixed, "measurements", "8"},
+        {&fixed, "measurement_seed", "77"},
+        {&adaptive, "adaptive_min_measurements", "4"},
+        {&adaptive, "adaptive_batch", "1"},
+        {&adaptive, "adaptive_stability_rounds", "2"},
+        {&adaptive, "adaptive_coordination", "coordinated"},
+        {&adaptive, "adaptive_confidence", "0.9"},
+        // An adaptive plan's stops consult the clusterer, so its analysis
+        // knobs are plan keys too.
+        {&adaptive, "clustering_seed", "7"},
+    };
+    for (const Case& c : hashed) {
+        const campaign::CampaignSpec& base = *c.base;
+        campaign::CampaignSpec other = base;
+        ASSERT_TRUE(other.set(c.key, c.value)) << c.key;
+        const std::string was = value_of(base, c.key);
+        // Both directions: the other plan's shard under the base spec, and
+        // the base plan's shard under the other spec.
+        const std::string forward = refusal(base, shard_of(other, base));
+        EXPECT_NE(forward.find(c.key + " = " + c.value + " (this spec: " +
+                               was + ")"),
+                  std::string::npos)
+            << c.key << ": " << forward;
+        const std::string backward = refusal(other, shard_of(base, base));
+        EXPECT_NE(backward.find(c.key + " = " + was + " (this spec: " +
+                                c.value + ")"),
+                  std::string::npos)
+            << c.key << ": " << backward;
+    }
+
+    // The label, the shard count and a fixed-N plan's analysis knobs stay
+    // out of hash(), so they stay out of the verdict.
+    const std::vector<Case> unhashed = {
+        {&fixed, "campaign", "renamed"},
+        {&fixed, "shards", "3"},
+        {&fixed, "clustering_repetitions", "7"},
+        {&fixed, "clustering_seed", "7"},
+        {&fixed, "bootstrap_rounds", "7"},
+        {&fixed, "tie_epsilon", "0.1"},
+        {&fixed, "decision_threshold", "0.75"},
+    };
+    for (const Case& c : unhashed) {
+        campaign::CampaignSpec other = fixed;
+        ASSERT_TRUE(other.set(c.key, c.value)) << c.key;
+        EXPECT_EQ(refusal(fixed, shard_of(other, fixed)), "") << c.key;
+    }
+}
+
 TEST(Campaign, NonDefaultBackendCampaignMergesAndMatchesItself) {
     // A reference-backend campaign shards and merges exactly like a portable
     // one; for the Sim executor the measured values do not depend on the
@@ -267,7 +359,7 @@ TEST(Campaign, NonDefaultBackendCampaignMergesAndMatchesItself) {
     std::vector<campaign::ShardResult> shards;
     for (std::size_t i = 0; i < 3; ++i) {
         shards.push_back(campaign::run_shard(spec, i, 3));
-        EXPECT_EQ(shards.back().manifest.backend, "reference");
+        EXPECT_EQ(shards.back().manifest.plan, spec.entries());
     }
     expect_sets_identical(campaign::merge_shards(spec, shards), reference);
 }
@@ -412,9 +504,7 @@ TEST(CampaignAdaptive, EndToEndSavesMeasurementsAndKeepsMembership) {
 TEST(CampaignAdaptive, ShardManifestsCarryThePlanAndTheCounts) {
     const campaign::CampaignSpec spec = adaptive_spec();
     const campaign::ShardResult shard = campaign::run_shard(spec, 0, 2);
-    EXPECT_EQ(shard.manifest.adaptive_min, spec.adaptive_min);
-    EXPECT_EQ(shard.manifest.adaptive_batch, spec.adaptive_batch);
-    EXPECT_EQ(shard.manifest.adaptive_stability, spec.adaptive_stability);
+    EXPECT_EQ(shard.manifest.plan, spec.entries());
     ASSERT_EQ(shard.manifest.samples_per_algorithm.size(),
               shard.measurements.size());
     for (std::size_t i = 0; i < shard.measurements.size(); ++i) {
@@ -423,9 +513,9 @@ TEST(CampaignAdaptive, ShardManifestsCarryThePlanAndTheCounts) {
         EXPECT_GE(shard.measurements.samples(i).size(), spec.adaptive_min);
         EXPECT_LE(shard.measurements.samples(i).size(), spec.measurements);
     }
-    // Fixed-N shards carry no adaptive manifest fields.
+    // Fixed-N shards carry no adaptive entries and no counts.
     const campaign::ShardResult fixed = campaign::run_shard(small_spec(), 0, 2);
-    EXPECT_EQ(fixed.manifest.adaptive_min, 0u);
+    EXPECT_EQ(fixed.manifest.plan, small_spec().entries());
     EXPECT_TRUE(fixed.manifest.samples_per_algorithm.empty());
 }
 
@@ -474,6 +564,32 @@ TEST(CampaignAdaptive, MergeRejectsCountsThePlanCannotReach) {
     EXPECT_THROW((void)campaign::merge_shards(spec, {s0, s1}), relperf::Error);
 }
 
+TEST(CampaignAdaptive, SingleShardRunClustersOncePerRound) {
+    // One shard-local shard is the engine over the whole plan, whose last
+    // clustering is the merged set's: run_campaign must not cluster again,
+    // and must return what a shard plus a re-clustering of its rows did.
+    const campaign::CampaignSpec spec = adaptive_spec();
+    obs::registry().reset_values();
+    obs::set_metrics_enabled(true);
+    const core::AnalysisResult once = campaign::run_campaign(spec, 1, 2);
+    const std::uint64_t rounds = obs::metrics().adaptive_rounds.value();
+    const std::uint64_t clusterings = obs::metrics().clusterings_total.value();
+    obs::set_metrics_enabled(false);
+    obs::registry().reset_values();
+    EXPECT_GT(rounds, 1u);
+    EXPECT_EQ(clusterings, rounds);
+
+    const campaign::ShardResult shard = campaign::run_shard(spec, 0, 1);
+    const core::AnalysisResult twice = core::analyze_measurements(
+        campaign::merge_shards(spec, {shard}), spec.analysis_config());
+    expect_sets_identical(once.measurements, twice.measurements);
+    expect_clusterings_identical(once.clustering, twice.clustering);
+    EXPECT_EQ(once.samples_per_alg, shard.manifest.samples_per_algorithm);
+    EXPECT_EQ(once.total_samples, twice.total_samples);
+    EXPECT_EQ(once.fixed_n_samples,
+              once.measurements.size() * spec.measurements);
+}
+
 namespace {
 
 campaign::CampaignSpec coordinated_spec() {
@@ -508,7 +624,6 @@ TEST(CampaignCoordinated, CountsAreKInvariantAndStopHistoryAgrees) {
                               k1.analysis.measurements);
         expect_clusterings_identical(kr.analysis.clustering,
                                      k1.analysis.clustering);
-        ASSERT_EQ(kr.shards.size(), k);
     }
 }
 
@@ -522,10 +637,25 @@ TEST(CampaignCoordinated, SingleShardEqualsShardLocalBitForBit) {
         campaign::run_coordinated_campaign(coordinated, 1);
     const campaign::ShardResult local = campaign::run_shard(shard_local, 0, 1);
     expect_sets_identical(coord.analysis.measurements, local.measurements);
-    ASSERT_EQ(coord.shards.size(), 1u);
-    EXPECT_EQ(coord.shards[0].manifest.samples_per_algorithm,
+    EXPECT_EQ(coord.analysis.samples_per_alg,
               local.manifest.samples_per_algorithm);
 }
+
+namespace {
+
+/// A coordinated run persisted the way the result cache stores one: a
+/// single shard whose manifest comes from the shared builder.
+campaign::ShardResult coordinated_shard(
+    const campaign::CampaignSpec& spec,
+    const campaign::CoordinatedCampaignResult& coord) {
+    campaign::ShardResult shard;
+    shard.manifest = campaign::shard_manifest(spec, 0, 1);
+    shard.manifest.stopset_rounds = coord.stopset_rounds;
+    shard.measurements = coord.analysis.measurements;
+    return shard;
+}
+
+} // namespace
 
 TEST(CampaignCoordinated, ShardManifestsCarryThePlanAndMergeRoundTrips) {
     const campaign::CampaignSpec spec = [] {
@@ -535,31 +665,19 @@ TEST(CampaignCoordinated, ShardManifestsCarryThePlanAndMergeRoundTrips) {
     }();
     const campaign::CoordinatedCampaignResult coord =
         campaign::run_coordinated_campaign(spec, 3);
-    for (const campaign::ShardResult& shard : coord.shards) {
-        EXPECT_TRUE(shard.manifest.adaptive_coordinated);
-        EXPECT_DOUBLE_EQ(shard.manifest.adaptive_confidence, 0.95);
-        EXPECT_EQ(shard.manifest.stopset_rounds, coord.stopset_rounds);
-        EXPECT_EQ(shard.manifest.spec_hash, spec.hash());
-        ASSERT_EQ(shard.manifest.samples_per_algorithm.size(),
-                  shard.measurements.size());
-        for (std::size_t i = 0; i < shard.measurements.size(); ++i) {
-            EXPECT_EQ(shard.manifest.samples_per_algorithm[i],
-                      shard.measurements.samples(i).size());
-        }
-    }
 
-    // The slices merge back to exactly the coordinator's merged set —
-    // through the on-disk shard files, like a distributed collect would.
-    std::vector<campaign::ShardResult> loaded;
-    for (const campaign::ShardResult& shard : coord.shards) {
-        const std::string path =
-            testing::TempDir() + "relperf_coord_shard_" +
-            std::to_string(shard.manifest.shard_index) + ".csv";
-        campaign::write_shard_csv(shard, path);
-        loaded.push_back(campaign::read_shard_csv(path));
-        std::remove(path.c_str());
-    }
-    expect_sets_identical(campaign::merge_shards(spec, loaded),
+    // Through the on-disk shard file, like a later exact cache hit.
+    const std::string path = testing::TempDir() + "relperf_coord_shard.csv";
+    campaign::write_shard_csv(coordinated_shard(spec, coord), path);
+    const campaign::ShardResult loaded = campaign::read_shard_csv(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded.manifest.plan, spec.entries());
+    EXPECT_EQ(loaded.manifest.stopset_rounds, coord.stopset_rounds);
+    EXPECT_EQ(loaded.manifest.spec_hash, spec.hash());
+    // The writer derives the truncation canary from the rows.
+    EXPECT_EQ(loaded.manifest.samples_per_algorithm,
+              coord.analysis.samples_per_alg);
+    expect_sets_identical(campaign::merge_shards(spec, {loaded}),
                           coord.analysis.measurements);
 }
 
@@ -567,26 +685,30 @@ TEST(CampaignCoordinated, MergeRejectsMismatchedCoordinationPlans) {
     const campaign::CampaignSpec spec = coordinated_spec();
     const campaign::CoordinatedCampaignResult coord =
         campaign::run_coordinated_campaign(spec, 2);
+    const campaign::ShardResult shard = coordinated_shard(spec, coord);
+    const auto entry = [](campaign::ShardResult& s, const std::string& key) {
+        return std::find_if(s.manifest.plan.begin(), s.manifest.plan.end(),
+                            [&](const campaign::SpecEntry& e) {
+                                return e.first == key;
+                            });
+    };
 
-    // Shard-local shards under a coordinated spec (and vice versa).
-    std::vector<campaign::ShardResult> shards = coord.shards;
-    shards[1].manifest.adaptive_coordinated = false;
-    EXPECT_THROW((void)campaign::merge_shards(spec, shards), relperf::Error);
+    // A shard-local shard under a coordinated spec (the manifest hash still
+    // matches: only the recorded plan gives it away), and vice versa.
+    campaign::ShardResult edited = shard;
+    edited.manifest.plan.erase(entry(edited, "adaptive_coordination"));
+    EXPECT_THROW((void)campaign::merge_shards(spec, {edited}), relperf::Error);
     const campaign::CampaignSpec shard_local = adaptive_spec();
-    EXPECT_THROW((void)campaign::merge_shards(shard_local, coord.shards),
+    EXPECT_THROW((void)campaign::merge_shards(shard_local, {shard}),
                  relperf::Error);
 
     // A shard that stopped on a different rule.
-    shards = coord.shards;
-    shards[0].manifest.adaptive_confidence = 0.99;
-    EXPECT_THROW((void)campaign::merge_shards(spec, shards), relperf::Error);
+    edited = shard;
+    edited.manifest.plan.insert(entry(edited, "device_threads"),
+                                {"adaptive_confidence", "0.99"});
+    EXPECT_THROW((void)campaign::merge_shards(spec, {edited}), relperf::Error);
 
-    // A shard from a different coordinator run (divergent stop-set history).
-    shards = coord.shards;
-    shards[1].manifest.stopset_rounds.back() += 1;
-    EXPECT_THROW((void)campaign::merge_shards(spec, shards), relperf::Error);
-
-    EXPECT_NO_THROW((void)campaign::merge_shards(spec, coord.shards));
+    EXPECT_NO_THROW((void)campaign::merge_shards(spec, {shard}));
 }
 
 TEST(CampaignCoordinated, RunShardRejectsCoordinatedSpecs) {

@@ -1,10 +1,14 @@
 #include "campaign/shard_io.hpp"
 
+#include "campaign/merge.hpp"
+#include "campaign/runner.hpp"
 #include "core/io.hpp"
 #include "support/error.hpp"
+#include "support/str.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -18,9 +22,8 @@ campaign::ShardResult sample_shard() {
     shard.manifest.spec_hash = 0xDEADBEEFCAFEF00DULL;
     shard.manifest.shard_index = 1;
     shard.manifest.shard_count = 3;
-    shard.manifest.campaign = "edge-sweep";
     shard.manifest.host = "rpi-kitchen";
-    shard.manifest.backend = "blas";
+    shard.manifest.plan = {{"campaign", "edge-sweep"}, {"backend", "blas"}};
     shard.measurements.add("algDA", {0.25, 0.26, 0.24});
     shard.measurements.add("algAA", {0.125, 1.0 / 3.0, 0.1275});
     return shard;
@@ -45,9 +48,8 @@ TEST(ShardIo, RoundTripsManifestAndMeasurementsExactly) {
     EXPECT_EQ(loaded.manifest.spec_hash, original.manifest.spec_hash);
     EXPECT_EQ(loaded.manifest.shard_index, original.manifest.shard_index);
     EXPECT_EQ(loaded.manifest.shard_count, original.manifest.shard_count);
-    EXPECT_EQ(loaded.manifest.campaign, original.manifest.campaign);
     EXPECT_EQ(loaded.manifest.host, original.manifest.host);
-    EXPECT_EQ(loaded.manifest.backend, original.manifest.backend);
+    EXPECT_EQ(loaded.manifest.plan, original.manifest.plan);
 
     ASSERT_EQ(loaded.measurements.size(), original.measurements.size());
     for (std::size_t i = 0; i < original.measurements.size(); ++i) {
@@ -142,25 +144,46 @@ TEST(ShardIo, HostNameIsNonEmpty) {
 
 TEST(ShardIo, PreBackendShardFilesReadAsPortable) {
     // Files written before the backend axis have no `# backend` line; they
-    // were measured on the (only) portable kernels, and must read as such.
+    // were measured on the (only) portable kernels, and must merge as such.
+    campaign::CampaignSpec spec;
+    spec.sizes = {32};
+    spec.iters = 2;
+    spec.measurements = 2;
     const std::string path = write_temp(
-        "# spec_hash = 00000000000000ff\n"
-        "# shard_index = 0\n"
-        "# shard_count = 2\n"
-        "algorithm,measurement_index,seconds\nalgD,0,1.0\n",
+        relperf::str::format("# campaign = pre-backend\n"
+                             "# spec_hash = %016llx\n"
+                             "# shard_index = 0\n"
+                             "# shard_count = 1\n"
+                             "algorithm,measurement_index,seconds\n"
+                             "algD,0,1.0\nalgD,1,1.5\nalgA,0,2.0\nalgA,1,2.5\n",
+                             static_cast<unsigned long long>(spec.hash())),
         "relperf_shard_prebackend.csv");
     const campaign::ShardResult loaded = campaign::read_shard_csv(path);
     std::remove(path.c_str());
-    EXPECT_EQ(loaded.manifest.backend, "portable");
+    EXPECT_EQ(loaded.manifest.plan,
+              (std::vector<campaign::SpecEntry>{{"campaign", "pre-backend"}}));
+    EXPECT_NO_THROW((void)campaign::merge_shards(spec, {loaded}));
+    campaign::CampaignSpec reference = spec;
+    reference.backend = "reference";
+    try {
+        (void)campaign::merge_shards(reference, {loaded});
+        FAIL() << "expected the missing backend to read as portable";
+    } catch (const relperf::Error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "backend = portable (this spec: reference)"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 namespace {
 
 campaign::ShardResult adaptive_shard() {
     campaign::ShardResult shard = sample_shard();
-    shard.manifest.adaptive_min = 2;
-    shard.manifest.adaptive_batch = 1;
-    shard.manifest.adaptive_stability = 2;
+    shard.manifest.plan.insert(shard.manifest.plan.end(),
+                               {{"adaptive_min_measurements", "2"},
+                                {"adaptive_batch", "1"},
+                                {"adaptive_stability_rounds", "2"}});
     shard.manifest.samples_per_algorithm = {3, 3};
     return shard;
 }
@@ -173,14 +196,12 @@ TEST(ShardIoAdaptive, ManifestRoundTripsAndFixedFilesStayClean) {
     campaign::write_shard_csv(original, path);
     const campaign::ShardResult loaded = campaign::read_shard_csv(path);
     std::remove(path.c_str());
-    EXPECT_EQ(loaded.manifest.adaptive_min, 2u);
-    EXPECT_EQ(loaded.manifest.adaptive_batch, 1u);
-    EXPECT_EQ(loaded.manifest.adaptive_stability, 2u);
+    EXPECT_EQ(loaded.manifest.plan, original.manifest.plan);
     EXPECT_EQ(loaded.manifest.samples_per_algorithm,
               (std::vector<std::size_t>{3, 3}));
 
     // A fixed-N shard keeps the exact pre-adaptive file form: no adaptive
-    // manifest lines at all, and the reader defaults to fixed-N.
+    // manifest lines at all, and no adaptive entry in the plan.
     const std::string fixed_path = testing::TempDir() + "relperf_shard_fixed.csv";
     campaign::write_shard_csv(sample_shard(), fixed_path);
     std::ifstream in(fixed_path);
@@ -190,7 +211,7 @@ TEST(ShardIoAdaptive, ManifestRoundTripsAndFixedFilesStayClean) {
     EXPECT_EQ(content.find("samples_per_algorithm"), std::string::npos);
     const campaign::ShardResult fixed = campaign::read_shard_csv(fixed_path);
     std::remove(fixed_path.c_str());
-    EXPECT_EQ(fixed.manifest.adaptive_min, 0u);
+    EXPECT_EQ(fixed.manifest.plan, sample_shard().manifest.plan);
     EXPECT_TRUE(fixed.manifest.samples_per_algorithm.empty());
 }
 
@@ -247,21 +268,21 @@ TEST(ShardIoAdaptive, WriterRejectsDivergentDeclaredCounts) {
 
 TEST(ShardIoCoordinated, ManifestRoundTripsAndPlainAdaptiveFilesStayClean) {
     campaign::ShardResult original = adaptive_shard();
-    original.manifest.adaptive_coordinated = true;
-    original.manifest.adaptive_confidence = 0.95;
+    original.manifest.plan.insert(original.manifest.plan.end(),
+                                  {{"adaptive_coordination", "coordinated"},
+                                   {"adaptive_confidence", "0.95"}});
     original.manifest.stopset_rounds = {0, 1, 2};
     const std::string path =
         testing::TempDir() + "relperf_shard_coordinated.csv";
     campaign::write_shard_csv(original, path);
     const campaign::ShardResult loaded = campaign::read_shard_csv(path);
     std::remove(path.c_str());
-    EXPECT_TRUE(loaded.manifest.adaptive_coordinated);
-    EXPECT_DOUBLE_EQ(loaded.manifest.adaptive_confidence, 0.95);
+    EXPECT_EQ(loaded.manifest.plan, original.manifest.plan);
     EXPECT_EQ(loaded.manifest.stopset_rounds,
               (std::vector<std::size_t>{0, 1, 2}));
 
     // A shard-local adaptive shard keeps the exact pre-coordination file
-    // form, and the reader defaults all three new fields off.
+    // form: no coordination or confidence entry and no stop-set history.
     const std::string plain_path =
         testing::TempDir() + "relperf_shard_plain_adaptive.csv";
     campaign::write_shard_csv(adaptive_shard(), plain_path);
@@ -273,14 +294,13 @@ TEST(ShardIoCoordinated, ManifestRoundTripsAndPlainAdaptiveFilesStayClean) {
     EXPECT_EQ(content.find("stopset"), std::string::npos);
     const campaign::ShardResult plain = campaign::read_shard_csv(plain_path);
     std::remove(plain_path.c_str());
-    EXPECT_FALSE(plain.manifest.adaptive_coordinated);
-    EXPECT_DOUBLE_EQ(plain.manifest.adaptive_confidence, 0.0);
+    EXPECT_EQ(plain.manifest.plan, adaptive_shard().manifest.plan);
     EXPECT_TRUE(plain.manifest.stopset_rounds.empty());
 }
 
 TEST(ShardIoCoordinated, BadCoordinationValueNamesTheLine) {
     campaign::ShardResult shard = adaptive_shard();
-    shard.manifest.adaptive_coordinated = true;
+    shard.manifest.plan.emplace_back("adaptive_coordination", "coordinated");
     const std::string path = testing::TempDir() + "relperf_shard_badcoord.csv";
     campaign::write_shard_csv(shard, path);
     std::ifstream in(path);
@@ -295,4 +315,132 @@ TEST(ShardIoCoordinated, BadCoordinationValueNamesTheLine) {
     EXPECT_THROW((void)campaign::read_shard_csv(bad), relperf::Error);
     std::remove(bad.c_str());
     std::remove(path.c_str());
+}
+
+TEST(ShardIo, ManifestCarriesTheSpecEntries) {
+    campaign::CampaignSpec spec;
+    spec.name = "entries";
+    spec.sizes = {32, 64};
+    spec.iters = 2;
+    spec.measurements = 4;
+    spec.adaptive_min = 2;
+    spec.adaptive_batch = 1;
+    spec.adaptive_confidence = 0.9;
+    const campaign::ShardResult shard = campaign::run_shard(spec, 1, 2);
+    EXPECT_EQ(shard.manifest.plan, spec.entries());
+
+    const std::string path = testing::TempDir() + "relperf_shard_entries.csv";
+    campaign::write_shard_csv(shard, path);
+    EXPECT_EQ(campaign::read_shard_csv(path).manifest.plan, spec.entries());
+
+    // A malformed plan value is a file:line error, as in a spec file.
+    std::ifstream in(path);
+    std::string content((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    in.close();
+    std::remove(path.c_str());
+    const std::string line = "# iters = 2\n";
+    const std::size_t at = content.find(line);
+    ASSERT_NE(at, std::string::npos);
+    content.replace(at, line.size(), "# iters = two\n");
+    const std::size_t line_number =
+        1 + static_cast<std::size_t>(
+                std::count(content.begin(), content.begin() + at, '\n'));
+    const std::string bad = write_temp(content, "relperf_shard_bad_entry.csv");
+    try {
+        (void)campaign::read_shard_csv(bad);
+        FAIL() << "expected a malformed plan value to be rejected";
+    } catch (const relperf::Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(bad + ":" + std::to_string(line_number) + ":"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("iters"), std::string::npos) << what;
+    }
+    std::remove(bad.c_str());
+}
+
+namespace {
+
+/// The message merge_shards refuses `shard` with under `spec` ("" if none).
+std::string merge_error(const campaign::CampaignSpec& spec,
+                        const campaign::ShardResult& shard) {
+    try {
+        (void)campaign::merge_shards(spec, {shard});
+    } catch (const relperf::Error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(ShardIo, ParentFormatShardsStillMerge) {
+    // The manifests of the previous file form, byte for byte: they recorded
+    // the label, the backend and the optional axes of the plan, not the
+    // whole plan.
+    campaign::CampaignSpec fixed;
+    fixed.name = "parent-form";
+    fixed.sizes = {32};
+    fixed.iters = 2;
+    fixed.measurements = 3;
+    campaign::CampaignSpec adaptive = fixed;
+    adaptive.adaptive_min = 2;
+    adaptive.adaptive_batch = 1;
+    // The hashes these files were written under: hash() must not move.
+    ASSERT_EQ(fixed.hash(), 0x0afb1d6996e5f6d5ULL);
+    ASSERT_EQ(adaptive.hash(), 0xcfee6604b9bd76e9ULL);
+    const std::string fixed_path = write_temp(
+        "# relperf-shard v1\n"
+        "# campaign = parent-form\n"
+        "# spec_hash = 0afb1d6996e5f6d5\n"
+        "# shard_index = 0\n"
+        "# shard_count = 1\n"
+        "# host = rpi-kitchen\n"
+        "# provenance = host=rpi-kitchen;build=Release;openmp=on\n"
+        "# backend = portable\n"
+        "algorithm,measurement_index,seconds\n"
+        "algD,0,0.25\nalgD,1,0.5\nalgD,2,0.75\n"
+        "algA,0,0.125\nalgA,1,0.25\nalgA,2,0.375\n",
+        "relperf_shard_parent_fixed.csv");
+    const std::string adaptive_path = write_temp(
+        "# relperf-shard v1\n"
+        "# campaign = parent-form\n"
+        "# spec_hash = cfee6604b9bd76e9\n"
+        "# shard_index = 0\n"
+        "# shard_count = 1\n"
+        "# host = rpi-kitchen\n"
+        "# backend = portable\n"
+        "# adaptive_min_measurements = 2\n"
+        "# adaptive_batch = 1\n"
+        "# adaptive_stability_rounds = 2\n"
+        "# samples_per_algorithm = 2,3\n"
+        "algorithm,measurement_index,seconds\n"
+        "algD,0,0.25\nalgD,1,0.5\n"
+        "algA,0,0.125\nalgA,1,0.25\nalgA,2,0.375\n",
+        "relperf_shard_parent_adaptive.csv");
+    const campaign::ShardResult f = campaign::read_shard_csv(fixed_path);
+    const campaign::ShardResult a = campaign::read_shard_csv(adaptive_path);
+    std::remove(fixed_path.c_str());
+    std::remove(adaptive_path.c_str());
+
+    EXPECT_EQ(merge_error(fixed, f), "");
+    EXPECT_EQ(merge_error(adaptive, a), "");
+
+    // A mismatched backend or adaptive plan is refused by name.
+    campaign::CampaignSpec reference = fixed;
+    reference.backend = "reference";
+    EXPECT_NE(merge_error(reference, f)
+                  .find("backend = portable (this spec: reference)"),
+              std::string::npos);
+    EXPECT_NE(merge_error(fixed, a)
+                  .find("adaptive_min_measurements = 2 (this spec: absent)"),
+              std::string::npos);
+    EXPECT_NE(merge_error(adaptive, f)
+                  .find("adaptive_min_measurements = absent (this spec: 2)"),
+              std::string::npos);
+    campaign::CampaignSpec batch = adaptive;
+    batch.adaptive_batch = 2;
+    EXPECT_NE(merge_error(batch, a).find("adaptive_batch = 1 (this spec: 2)"),
+              std::string::npos);
 }

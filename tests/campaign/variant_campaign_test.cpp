@@ -152,7 +152,7 @@ TEST(VariantCampaign, ShardedMergeIsBitIdenticalToSingleProcess) {
 TEST(VariantCampaign, ShardFileRoundTripKeepsTheAxis) {
     const campaign::CampaignSpec spec = variant_spec();
     const campaign::ShardResult shard = campaign::run_shard(spec, 0, 2);
-    EXPECT_EQ(shard.manifest.variant_backends, spec.variant_backends);
+    EXPECT_EQ(shard.manifest.plan, spec.entries());
 
     const TempFile file("variant_shard_roundtrip.csv");
     campaign::write_shard_csv(shard, file.path);
@@ -166,7 +166,7 @@ TEST(VariantCampaign, ShardFileRoundTripKeepsTheAxis) {
 
     // ...and reads back identically, mergeable with its sibling.
     const campaign::ShardResult loaded = campaign::read_shard_csv(file.path);
-    EXPECT_EQ(loaded.manifest.variant_backends, spec.variant_backends);
+    EXPECT_EQ(loaded.manifest.plan, spec.entries());
     const campaign::ShardResult other = campaign::run_shard(spec, 1, 2);
     EXPECT_NO_THROW((void)campaign::merge_shards(spec, {loaded, other}));
 }
@@ -181,8 +181,8 @@ TEST(VariantCampaign, PlainShardFilesCarryNoAxisLine) {
     std::string content((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
     EXPECT_EQ(content.find("variant_backends"), std::string::npos);
-    EXPECT_TRUE(campaign::read_shard_csv(file.path)
-                    .manifest.variant_backends.empty());
+    EXPECT_EQ(campaign::read_shard_csv(file.path).manifest.plan,
+              plain.entries());
 }
 
 TEST(VariantCampaign, MergeRejectsAxisMismatch) {
@@ -196,7 +196,7 @@ TEST(VariantCampaign, MergeRejectsAxisMismatch) {
         FAIL() << "expected Error";
     } catch (const relperf::Error& e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find("per-task backend axis"), std::string::npos) << what;
+        EXPECT_NE(what.find("variant_backends"), std::string::npos) << what;
         EXPECT_NE(what.find("portable,reference"), std::string::npos) << what;
     }
 

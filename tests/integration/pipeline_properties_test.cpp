@@ -5,7 +5,8 @@
 #include "core/pipeline.hpp"
 #include "sim/analytic.hpp"
 #include "stats/descriptive.hpp"
-#include "workloads/generator.hpp"
+
+#include "generator.hpp"
 
 #include <gtest/gtest.h>
 

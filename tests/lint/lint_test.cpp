@@ -158,6 +158,13 @@ TEST(SpecHashField, ParsedButUnhashedKeysAreFlagged) {
                   {24, "spec-hash-field", "warmup"}});
 }
 
+TEST(SpecHashField, KeysDispatchedInSetAreFlagged) {
+    // parse() hands every line to set(); the rule must follow the dispatch
+    // there instead of passing a parse() with no key comparisons.
+    expect_exact(lint_fixture("spec_hash_set_bad.cpp"),
+                 {{25, "spec-hash-field", "warmup"}});
+}
+
 TEST(SpecHashField, AbbreviatedHashLiteralCoversLongKey) {
     // Only the (allowlistable) label field fires; measurements and the
     // abbreviated-literal adaptive key are covered.
@@ -182,7 +189,7 @@ TEST(Allowlist, SuppressesByFileSuffixAndSubjectWithoutStaleEntries) {
             << d.str();
     }
     // Everything else still fires, and no entry is stale.
-    EXPECT_EQ(result.diagnostics.size(), 16u) << [&] {
+    EXPECT_EQ(result.diagnostics.size(), 17u) << [&] {
         std::ostringstream out;
         for (const lint::Diagnostic& d : result.diagnostics)
             out << d.str() << '\n';

@@ -192,8 +192,8 @@ TEST_F(DeterminismTest, AnalyzeChainIsByteIdenticalWithObsOn) {
 
 // Coordinated campaigns add a coordinator loop and two counters on top of
 // the engine; the byte guarantee must survive them. run_shard refuses
-// coordinated specs, so the shard bytes come from the coordinator's own
-// shard slices instead.
+// coordinated specs, so the shard bytes come from a run_shard of the same
+// plan with shard-local stopping.
 TEST_F(DeterminismTest, CoordinatedCampaignIsByteIdenticalWithObsOn) {
     campaign::CampaignSpec spec = base_spec();
     spec.adaptive_min = 5;
@@ -224,7 +224,10 @@ TEST_F(DeterminismTest, CoordinatedCampaignIsByteIdenticalWithObsOn) {
         core::write_clustering_csv(coord.analysis.clustering,
                                    coord.analysis.measurements,
                                    clustering_path);
-        campaign::write_shard_csv(coord.shards.front(), shard_path);
+        campaign::CampaignSpec shard_local = spec;
+        shard_local.adaptive_coordinated = false;
+        campaign::write_shard_csv(campaign::run_shard(shard_local, 0, 2),
+                                  shard_path);
 
         if (instrumented) {
             EXPECT_GT(obs::metrics().coordination_rounds.value(), 0u);

@@ -1,4 +1,4 @@
-//! The metrics registry: counter/gauge/histogram semantics, the
+//! The metrics registry: counter/histogram semantics, the
 //! metrics_enabled() gate, the Prometheus dump format, and — the invariant
 //! the CLI savings line rests on — engine-fed counters matching a scripted
 //! source's exact sample counts.
@@ -92,14 +92,6 @@ TEST_F(MetricsTest, CounterIsGatedOnMetricsEnabled) {
     EXPECT_EQ(c.value(), 6u);
 }
 
-TEST_F(MetricsTest, GaugeKeepsLastWrite) {
-    obs::Gauge& g = obs::registry().gauge("relperf_test_gauge", "gauge test");
-    obs::set_metrics_enabled(true);
-    g.set(2.5);
-    g.set(-1.25);
-    EXPECT_EQ(g.value(), -1.25);
-}
-
 TEST_F(MetricsTest, HistogramBucketsSumAndCount) {
     obs::Histogram& h = obs::registry().histogram(
         "relperf_test_hist", "histogram test", {1.0, 10.0});
@@ -121,8 +113,8 @@ TEST_F(MetricsTest, RegistryReturnsSameHandleAndRejectsTypeChange) {
     obs::Counter& b = obs::registry().counter("relperf_test_stable_total",
                                               "stable handle");
     EXPECT_EQ(&a, &b);
-    EXPECT_THROW((void)obs::registry().gauge("relperf_test_stable_total",
-                                             "stable handle"),
+    EXPECT_THROW((void)obs::registry().histogram("relperf_test_stable_total",
+                                                 "stable handle", {1.0}),
                  relperf::Error);
     EXPECT_THROW((void)obs::registry().counter("relperf_test_stable_total",
                                                "different help"),

@@ -1,12 +1,10 @@
 #include "stats/bootstrap.hpp"
 
-#include "stats/descriptive.hpp"
 #include "support/error.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 namespace stats = relperf::stats;
@@ -43,54 +41,4 @@ TEST(Resample, InvalidInputsThrow) {
     stats::Rng rng(1);
     EXPECT_THROW((void)stats::resample(empty, 5, rng), relperf::InvalidArgument);
     EXPECT_THROW((void)stats::resample(xs, 0, rng), relperf::InvalidArgument);
-}
-
-TEST(BootstrapDistribution, MeanStatisticCentersOnSampleMean) {
-    std::vector<double> xs;
-    stats::Rng gen(9);
-    for (int i = 0; i < 200; ++i) xs.push_back(gen.normal(5.0, 1.0));
-    const double sample_mean = stats::mean(xs);
-
-    stats::Rng rng(10);
-    const std::vector<double> dist = stats::bootstrap_distribution(
-        xs, [](std::span<const double> s) { return stats::mean(s); }, 500, rng);
-    ASSERT_EQ(dist.size(), 500u);
-    EXPECT_NEAR(stats::mean(dist), sample_mean, 0.02);
-    // Bootstrap SE of the mean ~ sd/sqrt(n).
-    EXPECT_NEAR(stats::stddev(dist), stats::stddev(xs) / std::sqrt(200.0), 0.02);
-}
-
-TEST(BootstrapCi, CoversTheSampleStatistic) {
-    std::vector<double> xs;
-    stats::Rng gen(12);
-    for (int i = 0; i < 100; ++i) xs.push_back(gen.lognormal(0.0, 0.5));
-    stats::Rng rng(13);
-    const stats::Interval ci = stats::bootstrap_ci(
-        xs, [](std::span<const double> s) { return stats::median(s); }, 1000, 0.05,
-        rng);
-    const double observed = stats::median(xs);
-    EXPECT_LE(ci.lo, observed);
-    EXPECT_GE(ci.hi, observed);
-    EXPECT_LT(ci.lo, ci.hi);
-    EXPECT_FALSE(ci.excludes(observed));
-    EXPECT_TRUE(ci.excludes(ci.hi + 1.0));
-}
-
-TEST(BootstrapCi, InvalidAlphaThrows) {
-    const std::vector<double> xs = {1.0, 2.0};
-    stats::Rng rng(1);
-    const auto stat = [](std::span<const double> s) { return stats::mean(s); };
-    EXPECT_THROW((void)stats::bootstrap_ci(xs, stat, 10, 0.0, rng),
-                 relperf::InvalidArgument);
-    EXPECT_THROW((void)stats::bootstrap_ci(xs, stat, 10, 1.0, rng),
-                 relperf::InvalidArgument);
-}
-
-TEST(BootstrapDistribution, ZeroRoundsThrows) {
-    const std::vector<double> xs = {1.0, 2.0};
-    stats::Rng rng(1);
-    EXPECT_THROW((void)stats::bootstrap_distribution(
-                     xs, [](std::span<const double> s) { return stats::mean(s); }, 0,
-                     rng),
-                 relperf::InvalidArgument);
 }

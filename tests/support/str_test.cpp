@@ -123,3 +123,11 @@ TEST(StrParse, SizeListSplitsTrimsAndValidates) {
     EXPECT_THROW((void)str::parse_size_list("", "--sizes"),
                  relperf::InvalidArgument);
 }
+
+TEST(StrParse, SizeListFormatRoundTrips) {
+    const std::vector<std::size_t> values = {0, 50, 300};
+    EXPECT_EQ(str::format_size_list(values), "0,50,300");
+    EXPECT_EQ(str::parse_size_list(str::format_size_list(values), "sizes"),
+              values);
+    EXPECT_EQ(str::format_size_list({7}), "7");
+}

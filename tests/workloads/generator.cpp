@@ -1,4 +1,4 @@
-#include "workloads/generator.hpp"
+#include "generator.hpp"
 
 #include "support/error.hpp"
 

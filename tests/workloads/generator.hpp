@@ -1,7 +1,7 @@
 #pragma once
 //! \file generator.hpp
-//! Randomized workload generation for property tests and ablation benches:
-//! chains with random lengths/sizes/iteration counts, drawn reproducibly.
+//! Randomized workload generation for the property tests: chains with random
+//! lengths/sizes/iteration counts, drawn reproducibly.
 
 #include "stats/rng.hpp"
 #include "workloads/chain.hpp"

@@ -41,8 +41,8 @@ const std::vector<RuleInfo>& rules() {
          "omp_*() call or <omp.h> include outside #ifdef _OPENMP; serial "
          "builds must compile"},
         {"spec-hash-field", Severity::Error,
-         "spec key parsed in CampaignSpec::parse() but absent from "
-         "CampaignSpec::hash(); two plans could share a hash"},
+         "spec key dispatched in CampaignSpec::parse() or set() but absent "
+         "from CampaignSpec::hash(); two plans could share a hash"},
         {"unsorted-dir-iteration", Severity::Warning,
          "directory-iteration results feed an output sink (or are collected "
          "but never sorted); filesystem enumeration order is unspecified"},
@@ -734,9 +734,8 @@ method_body(const std::vector<Token>& toks, const char* name) {
 void check_spec_hash_fields(const std::vector<Token>& toks,
                             const std::string& path,
                             std::vector<Diagnostic>& diags) {
-    const auto [parse_begin, parse_end] = method_body(toks, "parse");
     const auto [hash_begin, hash_end] = method_body(toks, "hash");
-    if (parse_begin == parse_end || hash_begin == hash_end) return;
+    if (hash_begin == hash_end) return;
 
     // Words appearing in any string literal inside hash().
     std::set<std::string> hash_words;
@@ -755,30 +754,34 @@ void check_spec_hash_fields(const std::vector<Token>& toks,
         if (!word.empty()) hash_words.insert(word);
     }
 
-    // Keys compared against `key` in parse().
-    for (std::size_t i = parse_begin; i + 2 < parse_end; ++i) {
-        if (!is_ident(toks, i, "key") || !is_punct(toks, i + 1, "==") ||
-            toks[i + 2].kind != TokenKind::String) {
-            continue;
-        }
-        const std::string& key = toks[i + 2].text;
-        bool covered = false;
-        for (const std::string& word : hash_words) {
-            // Exact, or the hash uses an abbreviated field name
-            // ("adaptive_min" covers "adaptive_min_measurements"); the
-            // 4-char floor keeps incidental short words from matching.
-            if (word == key ||
-                (word.size() >= 4 && key.rfind(word, 0) == 0)) {
-                covered = true;
-                break;
+    // Keys compared against `key` in parse() and in set(), the key dispatch
+    // parse() calls.
+    for (const char* method : {"parse", "set"}) {
+        const auto [begin, end] = method_body(toks, method);
+        for (std::size_t i = begin; i + 2 < end; ++i) {
+            if (!is_ident(toks, i, "key") || !is_punct(toks, i + 1, "==") ||
+                toks[i + 2].kind != TokenKind::String) {
+                continue;
             }
-        }
-        if (!covered) {
-            add(diags, path, toks[i + 2].line, "spec-hash-field", key,
-                "spec key '" + key +
-                    "' is parsed but never contributes to "
-                    "CampaignSpec::hash(); hash it or allowlist it with a "
-                    "justification");
+            const std::string& key = toks[i + 2].text;
+            bool covered = false;
+            for (const std::string& word : hash_words) {
+                // Exact, or the hash uses an abbreviated field name
+                // ("adaptive_min" covers "adaptive_min_measurements"); the
+                // 4-char floor keeps incidental short words from matching.
+                if (word == key ||
+                    (word.size() >= 4 && key.rfind(word, 0) == 0)) {
+                    covered = true;
+                    break;
+                }
+            }
+            if (!covered) {
+                add(diags, path, toks[i + 2].line, "spec-hash-field", key,
+                    "spec key '" + key +
+                        "' is parsed but never contributes to "
+                        "CampaignSpec::hash(); hash it or allowlist it with "
+                        "a justification");
+            }
         }
     }
 }

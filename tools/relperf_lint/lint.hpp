@@ -43,8 +43,10 @@
 //!                     `#ifdef _OPENMP` region. Serial builds must compile
 //!                     (OpenMP is optional since PR 1); `#pragma omp` lines
 //!                     need no guard and are not flagged.
-//!   spec-hash-field   a spec key parsed in CampaignSpec::parse() whose
-//!                     field never appears in CampaignSpec::hash(). A parsed
+//!   spec-hash-field   a spec key dispatched in CampaignSpec::parse() or
+//!                     CampaignSpec::set() (the key setter parse() and the
+//!                     shard-manifest reader call) whose field never
+//!                     appears in CampaignSpec::hash(). A parsed
 //!                     but unhashed field is exactly the bug class PR 5 had
 //!                     to hand-audit: two different measurement plans with
 //!                     the same plan hash. Fields that genuinely do not
