@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
     const workloads::TaskChain chain = workloads::paper_rls_chain(10);
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
-    const auto variants =
-        workloads::to_variants(workloads::enumerate_assignments(chain.size()));
+    const auto variants = workloads::enumerate_assignments(chain.size());
 
     stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
     const core::MeasurementSet set = core::measure_variants(

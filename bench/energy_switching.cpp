@@ -14,10 +14,11 @@
 #include "workloads/chain.hpp"
 
 #include <cstdio>
+#include <exception>
 
 using namespace relperf;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli("energy_switching — paper Sec. IV energy-budget policy");
     bench::add_common_options(cli);
     cli.add_option("runs", "total chain executions in the duty cycle", "400");
@@ -25,6 +26,12 @@ int main(int argc, char** argv) {
     cli.add_option("window", "runs per monitoring window", "40");
     cli.add_option("cooldown", "runs on the off-loading algorithm", "15");
     if (!cli.parse(argc, argv)) return 0;
+    const std::size_t runs = str::parse_positive_size(cli.value("runs"), "--runs");
+    core::SwitchPolicyConfig policy;
+    policy.device_energy_budget_j = cli.value_double("budget-j");
+    policy.window_runs = str::parse_positive_size(cli.value("window"), "--window");
+    policy.cooldown_runs =
+        str::parse_positive_size(cli.value("cooldown"), "--cooldown");
 
     const workloads::TaskChain chain = workloads::paper_rls_chain(10);
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
@@ -52,16 +59,10 @@ int main(int argc, char** argv) {
                 alternate.device_flops);
 
     const core::EnergyBudgetSwitcher switcher(executor, energy, chain);
-    core::SwitchPolicyConfig policy;
-    policy.device_energy_budget_j = cli.value_double("budget-j");
-    policy.window_runs = static_cast<std::size_t>(cli.value_int("window"));
-    policy.cooldown_runs = static_cast<std::size_t>(cli.value_int("cooldown"));
-
-    stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
-    const core::SwitchTrace trace = switcher.simulate(
-        workloads::DeviceAssignment(primary.name.substr(3)),
-        workloads::DeviceAssignment(alternate.name.substr(3)),
-        static_cast<std::size_t>(cli.value_int("runs")), policy, rng);
+    stats::Rng rng(config.measurement_seed);
+    const core::SwitchTrace trace =
+        switcher.simulate(assignments[primary.alg], assignments[alternate.alg],
+                          runs, policy, rng);
 
     bench::section("Duty-cycle segments");
     support::AsciiTable table({"Algorithm", "Runs", "Seconds", "Device energy"},
@@ -87,4 +88,7 @@ int main(int argc, char** argv) {
                 100.0 * (1.0 - trace.total_device_energy_j /
                                    trace.baseline_device_energy_j));
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

@@ -78,8 +78,7 @@ int main(int argc, char** argv) {
 
     stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
     core::MeasurementSet set = core::measure_variants(
-        executor, chain,
-        workloads::to_variants(workloads::enumerate_assignments(2)),
+        executor, chain, workloads::enumerate_assignments(2),
         static_cast<std::size_t>(cli.value_int("n")), rng);
 
     // Paper's initial sequence <DD, AA, DA, AD>.

@@ -27,13 +27,12 @@ int main(int argc, char** argv) {
     const workloads::TaskChain chain = workloads::paper_rls_chain(10);
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
-    const auto assignments = workloads::enumerate_assignments(chain.size());
-    const auto variants = workloads::to_variants(assignments);
+    const auto variants = workloads::enumerate_assignments(chain.size());
 
     const core::AnalysisConfig config = bench::analysis_config(
         cli, static_cast<std::size_t>(cli.value_int("n")));
     const core::AnalysisResult analysis =
-        core::analyze_chain(executor, chain, assignments, config);
+        core::analyze_chain(executor, chain, variants, config);
 
     model::PerformancePredictor predictor;
     predictor.fit(chain, variants, analysis.measurements);
@@ -42,7 +41,7 @@ int main(int argc, char** argv) {
     support::AsciiTable table({"Algorithm", "Measured", "Predicted", "Error"},
                               {support::Align::Left, support::Align::Right,
                                support::Align::Right, support::Align::Right});
-    for (std::size_t i = 0; i < assignments.size(); ++i) {
+    for (std::size_t i = 0; i < variants.size(); ++i) {
         const double measured = analysis.measurements.summary(i).mean;
         const double predicted = predictor.predict_seconds(chain, variants[i]);
         table.add_row({analysis.measurements.name(i),
@@ -72,7 +71,7 @@ int main(int argc, char** argv) {
         double err_sum = 0.0;
         constexpr int kTrials = 10;
         for (int trial = 0; trial < kTrials; ++trial) {
-            std::vector<std::size_t> order(assignments.size());
+            std::vector<std::size_t> order(variants.size());
             for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
             subset_rng.shuffle(order);
 
@@ -111,7 +110,7 @@ int main(int argc, char** argv) {
         support::AsciiTable ttable({"Algorithm", "Class", "Triplet score"},
                                    {support::Align::Left, support::Align::Left,
                                     support::Align::Right});
-        for (std::size_t i = 0; i < assignments.size(); ++i) {
+        for (std::size_t i = 0; i < variants.size(); ++i) {
             const double s_i = scorer.score(
                 model::extract_variant_features(chain, variants[i], universe)
                     .values);

@@ -119,14 +119,10 @@ int main(int argc, char** argv) try {
                       : engine_defaults.stability_rounds;
     // The measured algorithm list (identical across platforms): plain
     // placements, or placement x backend variants when an axis was given.
-    std::vector<workloads::VariantAssignment> variants;
-    if (variant_backends.empty()) {
-        for (const auto& a : workloads::enumerate_assignments(sizes.size())) {
-            variants.emplace_back(a);
-        }
-    } else {
-        variants = workloads::enumerate_variants(sizes.size(), variant_backends);
-    }
+    const std::vector<workloads::VariantAssignment> variants =
+        variant_backends.empty()
+            ? workloads::enumerate_assignments(sizes.size())
+            : workloads::enumerate_variants(sizes.size(), variant_backends);
 
     std::vector<std::string> header = {"Algorithm"};
     std::vector<core::AnalysisResult> results;

@@ -44,9 +44,9 @@ int main(int argc, char** argv) {
     for (const std::size_t n : sweep) {
         const workloads::TaskChain chain = workloads::paper_rls_chain(n);
         const double ddd = stats::mean(executor.measure(
-            chain, workloads::DeviceAssignment("DDD"), n_meas, rng));
+            chain, workloads::VariantAssignment("DDD"), n_meas, rng));
         const double dda = stats::mean(executor.measure(
-            chain, workloads::DeviceAssignment("DDA"), n_meas, rng));
+            chain, workloads::VariantAssignment("DDA"), n_meas, rng));
         const double speedup = ddd / dda;
         table.add_row({std::to_string(n), str::human_seconds(ddd),
                        str::human_seconds(dda), str::human_seconds(ddd - dda),

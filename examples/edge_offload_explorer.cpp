@@ -19,10 +19,11 @@
 #include "support/str.hpp"
 
 #include <cstdio>
+#include <exception>
 
 using namespace relperf;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli("edge_offload_explorer — split a task chain across devices");
     cli.add_option("sizes", "comma-separated stage sizes", "64,128,384");
     cli.add_option("iters", "loop iterations per stage", "6");
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
     const std::vector<std::size_t> sizes =
         str::parse_size_list(cli.value("sizes"), "--sizes");
     const workloads::TaskChain chain = workloads::make_rls_chain(
-        sizes, static_cast<std::size_t>(cli.value_int("iters")),
+        sizes, str::parse_positive_size(cli.value("iters"), "--iters"),
         "digital-twin-chain");
 
     // 2. Pick the platform.
@@ -51,8 +52,8 @@ int main(int argc, char** argv) {
     // 3. Enumerate every split and analyze.
     const auto assignments = workloads::enumerate_assignments(chain.size());
     core::AnalysisConfig config;
-    config.measurements_per_alg = static_cast<std::size_t>(cli.value_int("n"));
-    config.measurement_seed = static_cast<std::uint64_t>(cli.value_int("seed"));
+    config.measurements_per_alg = str::parse_positive_size(cli.value("n"), "--n");
+    config.measurement_seed = str::parse_u64(cli.value("seed"), "--seed");
     const core::AnalysisResult result =
         core::analyze_chain(executor, chain, assignments, config);
 
@@ -84,4 +85,7 @@ int main(int argc, char** argv) {
                 greenest.name.c_str(), greenest.device_flops,
                 fastest.device_flops, fastest.name.c_str());
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

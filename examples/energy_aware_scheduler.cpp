@@ -19,10 +19,11 @@
 #include "support/str.hpp"
 
 #include <cstdio>
+#include <exception>
 
 using namespace relperf;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli("energy_aware_scheduler — duty-cycle switching demo");
     cli.add_option("runs", "chain executions to simulate", "300");
     cli.add_option("budget-j", "device energy budget per window (J)", "14");
@@ -30,6 +31,13 @@ int main(int argc, char** argv) {
     cli.add_option("cooldown", "cool-down runs on the offloader", "12");
     cli.add_option("seed", "simulation seed", "11");
     if (!cli.parse(argc, argv)) return 0;
+    const std::size_t runs = str::parse_positive_size(cli.value("runs"), "--runs");
+    const std::uint64_t seed = str::parse_u64(cli.value("seed"), "--seed");
+    core::SwitchPolicyConfig policy;
+    policy.device_energy_budget_j = cli.value_double("budget-j");
+    policy.window_runs = str::parse_positive_size(cli.value("window"), "--window");
+    policy.cooldown_runs =
+        str::parse_positive_size(cli.value("cooldown"), "--cooldown");
 
     const workloads::TaskChain chain = workloads::paper_rls_chain(10);
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
@@ -40,7 +48,7 @@ int main(int argc, char** argv) {
     // Cluster once; derive the switching pair from the classes.
     core::AnalysisConfig config;
     config.measurements_per_alg = 30;
-    config.measurement_seed = static_cast<std::uint64_t>(cli.value_int("seed"));
+    config.measurement_seed = seed;
     const core::AnalysisResult analysis =
         core::analyze_chain(executor, chain, assignments, config);
     const auto candidates = core::build_candidate_profiles(
@@ -62,19 +70,12 @@ int main(int argc, char** argv) {
                 alternate.final_rank);
 
     const core::EnergyBudgetSwitcher switcher(executor, energy, chain);
-    core::SwitchPolicyConfig policy;
-    policy.device_energy_budget_j = cli.value_double("budget-j");
-    policy.window_runs = static_cast<std::size_t>(cli.value_int("window"));
-    policy.cooldown_runs = static_cast<std::size_t>(cli.value_int("cooldown"));
+    stats::Rng rng(seed + 1);
+    const core::SwitchTrace trace =
+        switcher.simulate(assignments[primary.alg], assignments[alternate.alg],
+                          runs, policy, rng);
 
-    stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")) + 1);
-    const core::SwitchTrace trace = switcher.simulate(
-        workloads::DeviceAssignment(primary.name.substr(3)),
-        workloads::DeviceAssignment(alternate.name.substr(3)),
-        static_cast<std::size_t>(cli.value_int("runs")), policy, rng);
-
-    std::printf("\nduty cycle: %zu runs, %zu switch(es)\n",
-                static_cast<std::size_t>(cli.value_int("runs")), trace.switches);
+    std::printf("\nduty cycle: %zu runs, %zu switch(es)\n", runs, trace.switches);
     for (const auto& seg : trace.segments) {
         std::printf("  %-8s %4zu runs  %8s  %7.3f J on device\n",
                     seg.alg_name.c_str(), seg.runs,
@@ -88,4 +89,7 @@ int main(int argc, char** argv) {
                              trace.baseline_device_energy_j -
                          1.0));
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

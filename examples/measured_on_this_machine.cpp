@@ -48,8 +48,7 @@ int main(int argc, char** argv) {
 
     stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
     core::MeasurementSet measurements = core::measure_variants_real(
-        executor, chain,
-        workloads::to_variants(workloads::enumerate_assignments(chain.size())),
+        executor, chain, workloads::enumerate_assignments(chain.size()),
         static_cast<std::size_t>(cli.value_int("n")), rng, /*warmup=*/2);
 
     std::fputs(core::render_summary_table(measurements).c_str(), stdout);

@@ -150,6 +150,9 @@ ShardResult read_shard_csv(const std::string& path) {
     std::size_t line_number = 0;
     while (std::getline(lines, line)) {
         ++line_number;
+        if (line_number == 1 && str::starts_with(line, "\xEF\xBB\xBF")) {
+            line.erase(0, 3);
+        }
         const std::string_view trimmed = str::trim(line);
         if (trimmed.empty()) continue;
         if (trimmed.front() != '#') break; // CSV part begins

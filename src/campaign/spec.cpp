@@ -6,6 +6,7 @@
 #include "workloads/assignment.hpp"
 
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -165,6 +166,23 @@ std::string CampaignSpec::to_text() const {
     return out;
 }
 
+namespace {
+
+/// An emulated-device team size: it must fit the executor's int, so a huge
+/// value is refused instead of wrapping to a small thread count.
+int parse_thread_count(const std::string& value, const std::string& key) {
+    const std::size_t threads = str::parse_size(value, key);
+    if (threads > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+        throw InvalidArgument(str::format("%s must be at most %d, got '%s'",
+                                          key.c_str(),
+                                          std::numeric_limits<int>::max(),
+                                          value.c_str()));
+    }
+    return static_cast<int>(threads);
+}
+
+} // namespace
+
 bool CampaignSpec::set(const std::string& key, const std::string& value) {
     if (key == "campaign") {
         name = value;
@@ -204,9 +222,9 @@ bool CampaignSpec::set(const std::string& key, const std::string& value) {
     } else if (key == "adaptive_confidence") {
         adaptive_confidence = str::parse_double(value, key);
     } else if (key == "device_threads") {
-        device_threads = static_cast<int>(str::parse_size(value, key));
+        device_threads = parse_thread_count(value, key);
     } else if (key == "accelerator_threads") {
-        accelerator_threads = static_cast<int>(str::parse_size(value, key));
+        accelerator_threads = parse_thread_count(value, key);
     } else if (key == "dispatch_delay_us") {
         dispatch_delay_us = str::parse_double(value, key);
     } else if (key == "switch_delay_us") {
@@ -381,15 +399,11 @@ workloads::TaskChain CampaignSpec::chain() const {
     return workloads::make_rls_chain(sizes, iters, name + "-chain", backend);
 }
 
-std::vector<workloads::DeviceAssignment> CampaignSpec::assignments() const {
-    return workloads::enumerate_assignments(sizes.size());
-}
-
 std::vector<workloads::VariantAssignment> CampaignSpec::variants() const {
     if (!variant_backends.empty()) {
         return workloads::enumerate_variants(sizes.size(), variant_backends);
     }
-    return workloads::to_variants(assignments());
+    return workloads::enumerate_assignments(sizes.size());
 }
 
 core::AdaptiveConfig CampaignSpec::adaptive_config() const {

@@ -157,13 +157,9 @@ struct CampaignSpec {
     /// The chain this campaign measures.
     [[nodiscard]] workloads::TaskChain chain() const;
 
-    /// The 2^tasks plain device assignments, in enumeration order (the
-    /// placement axis only; ignores variant_backends).
-    [[nodiscard]] std::vector<workloads::DeviceAssignment> assignments() const;
-
-    /// The campaign's full measured algorithm list: the plain assignments
-    /// (backend-inherit) when variant_backends is empty, else the (2·B)^k
-    /// placement×backend variants. Positions in this list are the global
+    /// The campaign's full measured algorithm list: the 2^k plain
+    /// (backend-inherit) assignments when variant_backends is empty, else
+    /// the (2·B)^k placement×backend variants. Positions in this list are the global
     /// indices the sharder partitions and the merge stitches back.
     [[nodiscard]] std::vector<workloads::VariantAssignment> variants() const;
 

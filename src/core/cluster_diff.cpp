@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -96,18 +97,20 @@ FinalClusters parse_final_clusters_csv(const std::string& content,
         }
         const std::string& name = fields[alg_col];
         if (name.empty()) fail_at(source, line_number, "empty algorithm name");
-        int rank = 0;
+        std::size_t parsed = 0;
         try {
-            rank = static_cast<int>(str::parse_size(fields[rank_col],
-                                                    "final_cluster"));
+            parsed = str::parse_size(fields[rank_col], "final_cluster");
         } catch (const Error& e) {
             fail_at(source, line_number, e.what());
         }
-        if (rank <= 0) {
+        // Ranks are ints: a value past INT_MAX must not wrap to a valid rank.
+        if (parsed == 0 ||
+            parsed > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
             fail_at(source, line_number,
                     "final_cluster must be a positive rank, got '" +
                         fields[rank_col] + "'");
         }
+        const int rank = static_cast<int>(parsed);
         const auto [it, inserted] = seen.emplace(name, rank);
         if (inserted) {
             out.algorithms.push_back(name);

@@ -10,7 +10,7 @@ namespace relperf::core {
 std::vector<CandidateProfile> build_candidate_profiles(
     const MeasurementSet& measurements, const Clustering& clustering,
     const sim::SimulatedExecutor& executor, const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments) {
+    const std::vector<workloads::VariantAssignment>& assignments) {
     RELPERF_REQUIRE(measurements.size() == assignments.size(),
                     "build_candidate_profiles: measurements/assignments mismatch");
     RELPERF_REQUIRE(clustering.final_assignment.size() == assignments.size(),
@@ -87,8 +87,8 @@ EnergyBudgetSwitcher::EnergyBudgetSwitcher(const sim::SimulatedExecutor& executo
     : executor_(executor), energy_(energy), chain_(chain) {}
 
 SwitchTrace EnergyBudgetSwitcher::simulate(
-    const workloads::DeviceAssignment& primary,
-    const workloads::DeviceAssignment& alternate, std::size_t total_runs,
+    const workloads::VariantAssignment& primary,
+    const workloads::VariantAssignment& alternate, std::size_t total_runs,
     const SwitchPolicyConfig& config, stats::Rng& rng) const {
     RELPERF_REQUIRE(total_runs > 0, "EnergyBudgetSwitcher: total_runs must be positive");
     RELPERF_REQUIRE(config.window_runs > 0 && config.cooldown_runs > 0,
@@ -110,7 +110,7 @@ SwitchTrace EnergyBudgetSwitcher::simulate(
     };
 
     for (std::size_t run = 0; run < total_runs; ++run) {
-        const workloads::DeviceAssignment& current =
+        const workloads::VariantAssignment& current =
             on_alternate ? alternate : primary;
         const sim::TimeBreakdown t = executor_.run_once(chain_, current, rng);
         const double device_j = energy_.device_energy(t);

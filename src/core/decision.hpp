@@ -39,7 +39,7 @@ struct CandidateProfile {
 [[nodiscard]] std::vector<CandidateProfile> build_candidate_profiles(
     const MeasurementSet& measurements, const Clustering& clustering,
     const sim::SimulatedExecutor& executor, const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments);
+    const std::vector<workloads::VariantAssignment>& assignments);
 
 /// Section IV application 1: cost-aware selection.
 /// Utility(alg) = mean_seconds + cost_per_accelerator_second * accel_seconds.
@@ -95,8 +95,8 @@ public:
                          const workloads::TaskChain& chain);
 
     [[nodiscard]] SwitchTrace simulate(
-        const workloads::DeviceAssignment& primary,
-        const workloads::DeviceAssignment& alternate, std::size_t total_runs,
+        const workloads::VariantAssignment& primary,
+        const workloads::VariantAssignment& alternate, std::size_t total_runs,
         const SwitchPolicyConfig& config, stats::Rng& rng) const;
 
 private:

@@ -61,12 +61,11 @@ AnalysisResult analyze_source(SampleSource& source,
 
 AnalysisResult analyze_chain(
     const sim::SimulatedExecutor& executor, const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments,
+    const std::vector<workloads::VariantAssignment>& variants,
     const AnalysisConfig& config) {
-    RELPERF_REQUIRE(!assignments.empty(), "analyze_chain: no assignments");
+    RELPERF_REQUIRE(!variants.empty(), "analyze_chain: no assignments");
     const stats::Rng rng(config.measurement_seed);
-    SimSampleSource source(executor, chain, workloads::to_variants(assignments),
-                           child_streams(rng));
+    SimSampleSource source(executor, chain, variants, child_streams(rng));
     return analyze_source(source, config);
 }
 

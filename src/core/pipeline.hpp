@@ -40,7 +40,7 @@ namespace relperf::core {
 
 /// Measures each variant `n` times with the simulated executor. Algorithm
 /// names are the variants' alg_name()s, so plain placements keep the paper's
-/// convention ("algDDA"); workloads::to_variants lifts DeviceAssignments.
+/// convention ("algDDA").
 ///
 /// Each variant is measured on its own independent RNG stream derived from
 /// the master rng's *construction seed* and the variant's position in the
@@ -95,10 +95,10 @@ struct AnalysisResult {
                                             const RoundObserver& on_round = {});
 
 /// One-call pipeline over a simulated platform: analyze_source over the
-/// assignments, assignment i drawing on Rng(config.measurement_seed).child(i).
+/// variants, variant i drawing on Rng(config.measurement_seed).child(i).
 [[nodiscard]] AnalysisResult analyze_chain(
     const sim::SimulatedExecutor& executor, const workloads::TaskChain& chain,
-    const std::vector<workloads::DeviceAssignment>& assignments,
+    const std::vector<workloads::VariantAssignment>& variants,
     const AnalysisConfig& config);
 
 /// One-call pipeline over an existing MeasurementSet (any source).

@@ -118,8 +118,7 @@ FeatureVector extract_variant_features(
         features.values.push_back(accel_flops[b]);
     }
     features.values.push_back(accel_launches);
-    features.values.push_back(
-        workloads::bytes_over_link(chain, variant.device_assignment()));
+    features.values.push_back(workloads::bytes_over_link(chain, variant));
     return features;
 }
 

@@ -9,8 +9,8 @@
 //! (chain, variant) over a backend universe (features.hpp) and converts
 //! predicted times back into three-way comparisons and ranked classes with a
 //! relative tie band (mirroring the measured comparator's equivalence
-//! semantics). Plain placements enter as workloads::to_variants: their
-//! universe is {chain backend}, and a variant on any other backend is an
+//! semantics). Plain (backend-inherit) assignments have the universe
+//! {chain backend}, and a variant on any other backend is an
 //! InvalidArgument.
 
 #include "core/clustering.hpp"

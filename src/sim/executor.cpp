@@ -51,21 +51,9 @@ TimeBreakdown SimulatedExecutor::simulate(
 }
 
 TimeBreakdown SimulatedExecutor::run_once(const workloads::TaskChain& chain,
-                                          const workloads::DeviceAssignment& assignment,
-                                          stats::Rng& rng) const {
-    return simulate(chain, workloads::VariantAssignment(assignment), &rng);
-}
-
-TimeBreakdown SimulatedExecutor::run_once(const workloads::TaskChain& chain,
                                           const workloads::VariantAssignment& variant,
                                           stats::Rng& rng) const {
     return simulate(chain, variant, &rng);
-}
-
-std::vector<double> SimulatedExecutor::measure(const workloads::TaskChain& chain,
-                                               const workloads::DeviceAssignment& assignment,
-                                               std::size_t n, stats::Rng& rng) const {
-    return measure(chain, workloads::VariantAssignment(assignment), n, rng);
 }
 
 std::vector<double> SimulatedExecutor::measure(const workloads::TaskChain& chain,
@@ -89,21 +77,8 @@ std::vector<double> SimulatedExecutor::measure(const workloads::TaskChain& chain
 
 double SimulatedExecutor::expected_seconds(
     const workloads::TaskChain& chain,
-    const workloads::DeviceAssignment& assignment) const {
-    return simulate(chain, workloads::VariantAssignment(assignment), nullptr)
-        .total_s;
-}
-
-double SimulatedExecutor::expected_seconds(
-    const workloads::TaskChain& chain,
     const workloads::VariantAssignment& variant) const {
     return simulate(chain, variant, nullptr).total_s;
-}
-
-TimeBreakdown SimulatedExecutor::expected_breakdown(
-    const workloads::TaskChain& chain,
-    const workloads::DeviceAssignment& assignment) const {
-    return simulate(chain, workloads::VariantAssignment(assignment), nullptr);
 }
 
 TimeBreakdown SimulatedExecutor::expected_breakdown(

@@ -5,12 +5,11 @@
 //! producing the execution-time *distributions* the relative-performance
 //! methodology consumes.
 //!
-//! Assignments come in two flavors: the paper's plain DeviceAssignment
-//! (placement only) and the per-task VariantAssignment (placement × linalg
-//! backend). A variant's backend scales the compute part of each task by the
-//! cost model's backend_multiplier; the portable/inherit multiplier is 1.0,
-//! so plain assignments — and variants whose backends all multiply by 1.0 —
-//! simulate bit-identically to the pre-variant executor.
+//! Each algorithm is a VariantAssignment (placement × linalg backend per
+//! task). A task's backend scales its compute part by the cost model's
+//! backend_multiplier. The portable/inherit multiplier is 1.0, so a plain
+//! letter-string assignment ("DAD") and a variant whose backends all
+//! multiply by 1.0 simulate bit-identically.
 
 #include "sim/cost_model.hpp"
 #include "sim/noise.hpp"
@@ -37,30 +36,19 @@ public:
     /// One stochastic run; each deterministic cost component is perturbed by
     /// an independent mean-one noise factor.
     [[nodiscard]] TimeBreakdown run_once(const workloads::TaskChain& chain,
-                                         const workloads::DeviceAssignment& assignment,
-                                         stats::Rng& rng) const;
-    [[nodiscard]] TimeBreakdown run_once(const workloads::TaskChain& chain,
                                          const workloads::VariantAssignment& variant,
                                          stats::Rng& rng) const;
 
     /// `n` measurements of total wall-clock seconds (the paper's N).
-    [[nodiscard]] std::vector<double> measure(const workloads::TaskChain& chain,
-                                              const workloads::DeviceAssignment& assignment,
-                                              std::size_t n, stats::Rng& rng) const;
     [[nodiscard]] std::vector<double> measure(const workloads::TaskChain& chain,
                                               const workloads::VariantAssignment& variant,
                                               std::size_t n, stats::Rng& rng) const;
 
     /// Noise-free expected wall-clock seconds (calibration/test oracle).
     [[nodiscard]] double expected_seconds(const workloads::TaskChain& chain,
-                                          const workloads::DeviceAssignment& assignment) const;
-    [[nodiscard]] double expected_seconds(const workloads::TaskChain& chain,
                                           const workloads::VariantAssignment& variant) const;
 
     /// Noise-free expected breakdown.
-    [[nodiscard]] TimeBreakdown expected_breakdown(
-        const workloads::TaskChain& chain,
-        const workloads::DeviceAssignment& assignment) const;
     [[nodiscard]] TimeBreakdown expected_breakdown(
         const workloads::TaskChain& chain,
         const workloads::VariantAssignment& variant) const;

@@ -62,12 +62,6 @@ RealExecutor::RealExecutor(EmulatedDevice device, EmulatedDevice accelerator)
 }
 
 double RealExecutor::run_once(const workloads::TaskChain& chain,
-                              const workloads::DeviceAssignment& assignment,
-                              stats::Rng& rng) const {
-    return run_once(chain, workloads::VariantAssignment(assignment), rng);
-}
-
-double RealExecutor::run_once(const workloads::TaskChain& chain,
                               const workloads::VariantAssignment& variant,
                               stats::Rng& rng) const {
     RELPERF_REQUIRE(chain.size() == variant.size(),
@@ -113,14 +107,6 @@ double RealExecutor::run_once(const workloads::TaskChain& chain,
 
     (void)carry; // the scalar result is intentionally unused: timing only
     return std::chrono::duration<double>(stop - start).count();
-}
-
-std::vector<double> RealExecutor::measure(const workloads::TaskChain& chain,
-                                          const workloads::DeviceAssignment& assignment,
-                                          std::size_t n, stats::Rng& rng,
-                                          std::size_t warmup) const {
-    return measure(chain, workloads::VariantAssignment(assignment), n, rng,
-                   warmup);
 }
 
 std::vector<double> RealExecutor::measure(const workloads::TaskChain& chain,

@@ -36,9 +36,6 @@ public:
 
     /// Runs (chain, assignment) once; returns wall-clock seconds.
     [[nodiscard]] double run_once(const workloads::TaskChain& chain,
-                                  const workloads::DeviceAssignment& assignment,
-                                  stats::Rng& rng) const;
-    [[nodiscard]] double run_once(const workloads::TaskChain& chain,
                                   const workloads::VariantAssignment& variant,
                                   stats::Rng& rng) const;
 
@@ -46,10 +43,6 @@ public:
     /// Warmup runs execute on a hoisted child stream and never consume the
     /// measurement stream: the measured runs draw the identical prefix of
     /// `rng` for every warmup count.
-    [[nodiscard]] std::vector<double> measure(const workloads::TaskChain& chain,
-                                              const workloads::DeviceAssignment& assignment,
-                                              std::size_t n, stats::Rng& rng,
-                                              std::size_t warmup = 1) const;
     [[nodiscard]] std::vector<double> measure(const workloads::TaskChain& chain,
                                               const workloads::VariantAssignment& variant,
                                               std::size_t n, stats::Rng& rng,

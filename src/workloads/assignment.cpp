@@ -38,13 +38,6 @@ void require_policy_backend(const std::string& backend) {
                         "' must contain only [A-Za-z0-9_-] characters");
 }
 
-std::vector<Placement> placements_of(const std::vector<ExecutionPolicy>& policies) {
-    std::vector<Placement> out;
-    out.reserve(policies.size());
-    for (const ExecutionPolicy& policy : policies) out.push_back(policy.placement);
-    return out;
-}
-
 /// Parses either assignment syntax into policies. Plain letter strings
 /// ("DDA") mean backend-inherit per task; the extended syntax is
 /// comma-separated `P[:backend]` fields, one per task.
@@ -83,66 +76,14 @@ std::vector<ExecutionPolicy> parse_policies(const std::string& text) {
 
 } // namespace
 
-DeviceAssignment::DeviceAssignment(const std::string& letters) {
-    RELPERF_REQUIRE(!letters.empty(), "DeviceAssignment: empty letter string");
-    placements_.reserve(letters.size());
-    for (const char c : letters) placements_.push_back(placement_from_char(c));
-}
-
-DeviceAssignment::DeviceAssignment(std::vector<Placement> placements)
-    : placements_(std::move(placements)) {
-    RELPERF_REQUIRE(!placements_.empty(), "DeviceAssignment: empty placement vector");
-}
-
-Placement DeviceAssignment::at(std::size_t task_index) const {
-    RELPERF_REQUIRE(task_index < placements_.size(),
-                    "DeviceAssignment: task index out of range");
-    return placements_[task_index];
-}
-
-std::string DeviceAssignment::str() const {
-    std::string s;
-    s.reserve(placements_.size());
-    for (const Placement p : placements_) s.push_back(to_char(p));
-    return s;
-}
-
-std::size_t DeviceAssignment::accelerator_count() const noexcept {
-    std::size_t n = 0;
-    for (const Placement p : placements_) {
-        if (p == Placement::Accelerator) ++n;
-    }
-    return n;
-}
-
-std::size_t DeviceAssignment::switch_count() const noexcept {
-    std::size_t switches = 0;
-    Placement prev = Placement::Device; // the chain is invoked from the edge
-    for (const Placement p : placements_) {
-        if (p != prev) ++switches;
-        prev = p;
-    }
-    return switches;
-}
-
 VariantAssignment::VariantAssignment(const std::string& text)
     : VariantAssignment(parse_policies(text)) {}
 
 VariantAssignment::VariantAssignment(std::vector<ExecutionPolicy> policies)
-    : policies_(std::move(policies)), placements_([this] {
-          RELPERF_REQUIRE(!policies_.empty(),
-                          "VariantAssignment: empty policy vector");
-          for (const ExecutionPolicy& policy : policies_) {
-              require_policy_backend(policy.backend);
-          }
-          return DeviceAssignment(placements_of(policies_));
-      }()) {}
-
-VariantAssignment::VariantAssignment(const DeviceAssignment& placements)
-    : placements_(placements) {
-    policies_.reserve(placements.size());
-    for (const Placement p : placements.placements()) {
-        policies_.push_back(ExecutionPolicy{p, ""});
+    : policies_(std::move(policies)) {
+    RELPERF_REQUIRE(!policies_.empty(), "VariantAssignment: empty policy vector");
+    for (const ExecutionPolicy& policy : policies_) {
+        require_policy_backend(policy.backend);
     }
 }
 
@@ -166,10 +107,11 @@ const std::string& VariantAssignment::resolved_backend(
 }
 
 std::string VariantAssignment::str() const {
-    if (uniform_inherit()) return placements_.str();
+    // All-inherit variants print as the paper's plain letter string.
+    const bool plain = uniform_inherit();
     std::string out;
     for (std::size_t i = 0; i < policies_.size(); ++i) {
-        if (i > 0) out.push_back(',');
+        if (i > 0 && !plain) out.push_back(',');
         out.push_back(to_char(policies_[i].placement));
         if (!policies_[i].backend.empty()) {
             out.push_back(':');
@@ -179,35 +121,25 @@ std::string VariantAssignment::str() const {
     return out;
 }
 
-std::vector<DeviceAssignment> enumerate_assignments(std::size_t task_count) {
+std::vector<VariantAssignment> enumerate_assignments(std::size_t task_count) {
     RELPERF_REQUIRE(task_count > 0, "enumerate_assignments: need at least one task");
     RELPERF_REQUIRE(
         task_count < kMaxEnumeratedTasks,
         str::format("enumerate_assignments: 2^k would explode for k = %zu "
                     "(limit: k < %zu); use subset search instead",
                     task_count, kMaxEnumeratedTasks));
-    std::vector<DeviceAssignment> out;
+    std::vector<VariantAssignment> out;
     const std::size_t total = std::size_t{1} << task_count;
     out.reserve(total);
     for (std::size_t mask = 0; mask < total; ++mask) {
-        std::vector<Placement> p(task_count, Placement::Device);
+        std::vector<ExecutionPolicy> policies(task_count);
         for (std::size_t bit = 0; bit < task_count; ++bit) {
             // Most-significant task first so the order is DD, DA, AD, AA.
             if (mask & (std::size_t{1} << (task_count - 1 - bit))) {
-                p[bit] = Placement::Accelerator;
+                policies[bit].placement = Placement::Accelerator;
             }
         }
-        out.emplace_back(std::move(p));
-    }
-    return out;
-}
-
-std::vector<VariantAssignment> to_variants(
-    const std::vector<DeviceAssignment>& assignments) {
-    std::vector<VariantAssignment> out;
-    out.reserve(assignments.size());
-    for (const DeviceAssignment& assignment : assignments) {
-        out.emplace_back(assignment);
+        out.emplace_back(std::move(policies));
     }
     return out;
 }
@@ -256,14 +188,12 @@ std::vector<VariantAssignment> enumerate_variants(
 
     std::vector<VariantAssignment> out;
     out.reserve(total);
-    for (const DeviceAssignment& placements : enumerate_assignments(task_count)) {
+    for (const VariantAssignment& placements : enumerate_assignments(task_count)) {
         std::vector<std::size_t> digits(task_count, 0);
         do {
-            std::vector<ExecutionPolicy> policies;
-            policies.reserve(task_count);
+            std::vector<ExecutionPolicy> policies = placements.policies();
             for (std::size_t i = 0; i < task_count; ++i) {
-                policies.push_back(
-                    ExecutionPolicy{placements.at(i), backends[digits[i]]});
+                policies[i].backend = backends[digits[i]];
             }
             out.emplace_back(std::move(policies));
         } while (advance(digits));

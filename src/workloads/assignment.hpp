@@ -1,16 +1,16 @@
 #pragma once
 //! \file assignment.hpp
-//! Device assignments — the paper's algorithm space. Each mathematically
-//! equivalent "algorithm" is one way of placing the tasks of a chain on the
-//! edge **D**evice or the **A**ccelerator, written as a letter string such as
-//! "DDA" (Table I) or "AD" (Figure 1a).
+//! The algorithm space. Each mathematically equivalent "algorithm" is one
+//! VariantAssignment: a per-task *execution policy* — placement on the edge
+//! **D**evice or the **A**ccelerator, plus a linalg backend. The paper's
+//! algorithms are the plain letter strings such as "DDA" (Table I) or "AD"
+//! (Figure 1a): every task inherits the chain backend, and
+//! enumerate_assignments returns all 2^k of them.
 //!
-//! Beyond the paper's binary space, a VariantAssignment attaches a per-task
-//! *execution policy* — placement plus linalg backend — so the same chain can
-//! be measured as "L1 on the portable kernels, L2 offloaded on vendor BLAS"
-//! and every mix in between. With B backends per task the space grows from
-//! 2^k to (2·B)^k, exactly the Sec. V regime where the methodology must be
-//! applied to a subset of the space.
+//! Naming a backend per task measures the same chain as "L1 on the portable
+//! kernels, L2 offloaded on vendor BLAS" and every mix in between. With B
+//! backends per task the space grows from 2^k to (2·B)^k, exactly the Sec. V
+//! regime where the methodology must be applied to a subset of the space.
 
 #include <cstddef>
 #include <string>
@@ -38,42 +38,6 @@ inline constexpr std::size_t kMaxEnumeratedTasks = 20;
 /// faster than 2^k, so enumerate_variants guards the product, too).
 inline constexpr std::size_t kMaxEnumeratedVariants = std::size_t{1} << 20;
 
-/// Immutable placement vector with the paper's letter-string syntax.
-class DeviceAssignment {
-public:
-    /// Parses e.g. "DDA"; throws InvalidArgument on characters outside {D, A}
-    /// or on an empty string.
-    explicit DeviceAssignment(const std::string& letters);
-
-    explicit DeviceAssignment(std::vector<Placement> placements);
-
-    [[nodiscard]] std::size_t size() const noexcept { return placements_.size(); }
-    [[nodiscard]] Placement at(std::size_t task_index) const;
-    [[nodiscard]] const std::vector<Placement>& placements() const noexcept {
-        return placements_;
-    }
-
-    /// Letter string, e.g. "DDA".
-    [[nodiscard]] std::string str() const;
-
-    /// Paper-style algorithm name, e.g. "algDDA".
-    [[nodiscard]] std::string alg_name() const { return "alg" + str(); }
-
-    /// Number of tasks placed on the accelerator.
-    [[nodiscard]] std::size_t accelerator_count() const noexcept;
-
-    /// Number of device changes along the chain including the virtual start
-    /// on the Device (the code is invoked from the edge, paper Sec. I).
-    [[nodiscard]] std::size_t switch_count() const noexcept;
-
-    [[nodiscard]] bool operator==(const DeviceAssignment& other) const noexcept {
-        return placements_ == other.placements_;
-    }
-
-private:
-    std::vector<Placement> placements_;
-};
-
 /// How one task of a chain is executed: where it runs and which linalg
 /// backend its kernels use. An empty backend means "inherit" — the chain's
 /// default backend (TaskChain::backend), else whatever backend is active on
@@ -88,8 +52,7 @@ struct ExecutionPolicy {
     }
 };
 
-/// Immutable per-task execution-policy vector — the placement×backend
-/// generalization of DeviceAssignment.
+/// Immutable per-task execution-policy vector: one algorithm of a chain.
 ///
 /// Text syntax: the paper's plain letter string ("DDA") stays valid and means
 /// backend-inherit on every task. The extended syntax is comma-separated
@@ -103,20 +66,10 @@ public:
 
     explicit VariantAssignment(std::vector<ExecutionPolicy> policies);
 
-    /// Plain placements, every task inheriting the chain backend — the exact
-    /// semantics the letter-string algorithms always had.
-    explicit VariantAssignment(const DeviceAssignment& placements);
-
     [[nodiscard]] std::size_t size() const noexcept { return policies_.size(); }
     [[nodiscard]] const ExecutionPolicy& at(std::size_t task_index) const;
     [[nodiscard]] const std::vector<ExecutionPolicy>& policies() const noexcept {
         return policies_;
-    }
-
-    /// The placement projection (drops the backend axis). Cached; valid for
-    /// the lifetime of this object.
-    [[nodiscard]] const DeviceAssignment& device_assignment() const noexcept {
-        return placements_;
     }
 
     /// True when every task's backend is empty (pure placement algorithm).
@@ -142,18 +95,14 @@ public:
 
 private:
     std::vector<ExecutionPolicy> policies_;
-    DeviceAssignment placements_;
 };
 
-/// All 2^k assignments for a k-task chain, in lexicographic order with
-/// D < A ("DD", "DA", "AD", "AA" for k = 2). Throws InvalidArgument when
-/// task_count is 0 or >= kMaxEnumeratedTasks (the message names k).
-[[nodiscard]] std::vector<DeviceAssignment> enumerate_assignments(std::size_t task_count);
-
-/// Each assignment as the variant that runs it with every task inheriting
-/// the chain backend, in the same order.
-[[nodiscard]] std::vector<VariantAssignment> to_variants(
-    const std::vector<DeviceAssignment>& assignments);
+/// All 2^k plain (backend-inherit) assignments of a k-task chain, in
+/// lexicographic order with D < A ("DD", "DA", "AD", "AA" for k = 2). Throws
+/// InvalidArgument when task_count is 0 or >= kMaxEnumeratedTasks (the
+/// message names k).
+[[nodiscard]] std::vector<VariantAssignment> enumerate_assignments(
+    std::size_t task_count);
 
 /// All (2·B)^k per-task (placement, backend) variants of a k-task chain over
 /// the B given backends, ordered by placement string first (the

@@ -48,13 +48,14 @@ TaskChain make_rls_chain(const std::vector<std::size_t>& sizes, std::size_t iter
     return chain;
 }
 
-FlopSplit flop_split(const TaskChain& chain, const DeviceAssignment& assignment) {
+FlopSplit flop_split(const TaskChain& chain,
+                     const VariantAssignment& assignment) {
     RELPERF_REQUIRE(chain.size() == assignment.size(),
                     "flop_split: assignment length must match chain length");
     FlopSplit split;
     for (std::size_t i = 0; i < chain.size(); ++i) {
         const double flops = task_cost(chain.tasks[i]).flops;
-        if (assignment.at(i) == Placement::Device) {
+        if (assignment.at(i).placement == Placement::Device) {
             split.on_device += flops;
         } else {
             split.on_accelerator += flops;
@@ -63,12 +64,13 @@ FlopSplit flop_split(const TaskChain& chain, const DeviceAssignment& assignment)
     return split;
 }
 
-double bytes_over_link(const TaskChain& chain, const DeviceAssignment& assignment) {
+double bytes_over_link(const TaskChain& chain,
+                       const VariantAssignment& assignment) {
     RELPERF_REQUIRE(chain.size() == assignment.size(),
                     "bytes_over_link: assignment length must match chain length");
     double bytes = 0.0;
     for (std::size_t i = 0; i < chain.size(); ++i) {
-        if (assignment.at(i) == Placement::Accelerator) {
+        if (assignment.at(i).placement == Placement::Accelerator) {
             const TaskCost cost = task_cost(chain.tasks[i]);
             bytes += cost.bytes_in + cost.bytes_out;
         }

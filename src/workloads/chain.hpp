@@ -2,8 +2,8 @@
 //! \file chain.hpp
 //! Task chains — the paper's "scientific codes". A chain is an ordered
 //! sequence of TaskSpecs with a serial dependency (each task feeds a penalty
-//! into the next one, Procedure 5), so a device assignment fully determines
-//! the execution.
+//! into the next one, Procedure 5), so an assignment fully determines the
+//! execution.
 
 #include "workloads/assignment.hpp"
 #include "workloads/task.hpp"
@@ -23,7 +23,7 @@ struct TaskChain {
     /// math on a different backend is a distinct measurable variant (the
     /// paper's generic vs vendor-optimized axis). A VariantAssignment's
     /// per-task ExecutionPolicy overrides this default task by task; plain
-    /// DeviceAssignments run every task on it.
+    /// (backend-inherit) assignments run every task on it.
     std::string backend;
 
     [[nodiscard]] std::size_t size() const noexcept { return tasks.size(); }
@@ -55,11 +55,11 @@ struct FlopSplit {
 };
 
 [[nodiscard]] FlopSplit flop_split(const TaskChain& chain,
-                                   const DeviceAssignment& assignment);
+                                   const VariantAssignment& assignment);
 
 /// Bytes that cross the device<->accelerator link under `assignment`
 /// (stage-in for remote tasks + stage-out of remote results).
 [[nodiscard]] double bytes_over_link(const TaskChain& chain,
-                                     const DeviceAssignment& assignment);
+                                     const VariantAssignment& assignment);
 
 } // namespace relperf::workloads

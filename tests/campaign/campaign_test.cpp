@@ -49,7 +49,7 @@ campaign::CampaignSpec small_spec() {
 core::AnalysisResult reference_run(const campaign::CampaignSpec& spec) {
     const sim::AnalyticCostModel model(campaign::platform_preset(spec.platform));
     const sim::SimulatedExecutor executor(model, sim::NoiseModel{});
-    return core::analyze_chain(executor, spec.chain(), spec.assignments(),
+    return core::analyze_chain(executor, spec.chain(), spec.variants(),
                                spec.analysis_config());
 }
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 namespace campaign = relperf::campaign;
 namespace core = relperf::core;
@@ -42,26 +43,35 @@ TEST(ShardIo, RoundTripsManifestAndMeasurementsExactly) {
     const campaign::ShardResult original = sample_shard();
     const std::string path = testing::TempDir() + "relperf_shard_rt.csv";
     campaign::write_shard_csv(original, path);
-    const campaign::ShardResult loaded = campaign::read_shard_csv(path);
-    std::remove(path.c_str());
+    // The same file after an editor prepended a UTF-8 BOM reads identically.
+    std::ostringstream written;
+    written << std::ifstream(path).rdbuf();
+    const std::string bom_path =
+        write_temp("\xEF\xBB\xBF" + written.str(), "relperf_shard_rt_bom.csv");
 
-    EXPECT_EQ(loaded.manifest.spec_hash, original.manifest.spec_hash);
-    EXPECT_EQ(loaded.manifest.shard_index, original.manifest.shard_index);
-    EXPECT_EQ(loaded.manifest.shard_count, original.manifest.shard_count);
-    EXPECT_EQ(loaded.manifest.host, original.manifest.host);
-    EXPECT_EQ(loaded.manifest.plan, original.manifest.plan);
+    for (const std::string& input : {path, bom_path}) {
+        SCOPED_TRACE(input);
+        const campaign::ShardResult loaded = campaign::read_shard_csv(input);
+        EXPECT_EQ(loaded.manifest.spec_hash, original.manifest.spec_hash);
+        EXPECT_EQ(loaded.manifest.shard_index, original.manifest.shard_index);
+        EXPECT_EQ(loaded.manifest.shard_count, original.manifest.shard_count);
+        EXPECT_EQ(loaded.manifest.host, original.manifest.host);
+        EXPECT_EQ(loaded.manifest.plan, original.manifest.plan);
 
-    ASSERT_EQ(loaded.measurements.size(), original.measurements.size());
-    for (std::size_t i = 0; i < original.measurements.size(); ++i) {
-        EXPECT_EQ(loaded.measurements.name(i), original.measurements.name(i));
-        const auto got = loaded.measurements.samples(i);
-        const auto want = original.measurements.samples(i);
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t k = 0; k < want.size(); ++k) {
-            // %.17g must reproduce the doubles bit-for-bit (1/3 included).
-            EXPECT_EQ(got[k], want[k]);
+        ASSERT_EQ(loaded.measurements.size(), original.measurements.size());
+        for (std::size_t i = 0; i < original.measurements.size(); ++i) {
+            EXPECT_EQ(loaded.measurements.name(i), original.measurements.name(i));
+            const auto got = loaded.measurements.samples(i);
+            const auto want = original.measurements.samples(i);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t k = 0; k < want.size(); ++k) {
+                // %.17g must reproduce the doubles bit-for-bit (1/3 included).
+                EXPECT_EQ(got[k], want[k]);
+            }
         }
     }
+    std::remove(path.c_str());
+    std::remove(bom_path.c_str());
 }
 
 TEST(ShardIo, ShardFilesAreReadableAsPlainMeasurementCsv) {

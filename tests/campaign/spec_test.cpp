@@ -92,6 +92,11 @@ TEST(CampaignSpec, ParseErrorsNameSourceAndLine) {
     expect_error_containing("iters = 3\niters = 4\n",
                             "plan.spec:2: duplicate key 'iters'");
     expect_error_containing("executor = quantum\n", "plan.spec:1:");
+    // Thread counts past INT_MAX are refused, not wrapped to a small team.
+    expect_error_containing("device_threads = 4294967297\n",
+                            "plan.spec:1: device_threads");
+    expect_error_containing("campaign = x\naccelerator_threads = 4294967297\n",
+                            "plan.spec:2: accelerator_threads");
 }
 
 TEST(CampaignSpec, ValidateRejectsOutOfRangeFields) {
@@ -177,7 +182,7 @@ TEST(CampaignSpec, PlatformPresetsResolve) {
 TEST(CampaignSpec, ChainAndAssignmentsFollowTheSpec) {
     const campaign::CampaignSpec spec = sample_spec();
     EXPECT_EQ(spec.chain().size(), 2u);
-    EXPECT_EQ(spec.assignments().size(), 4u); // 2^2
+    EXPECT_EQ(spec.variants().size(), 4u); // 2^2
     const relperf::core::AnalysisConfig config = spec.analysis_config();
     EXPECT_EQ(config.measurements_per_alg, 12u);
     EXPECT_EQ(config.clustering.repetitions, 40u);

@@ -98,11 +98,10 @@ TEST(VariantCampaignSpec, VariantsEnumerateTheAxis) {
     campaign::CampaignSpec plain = spec;
     plain.variant_backends.clear();
     const auto plain_variants = plain.variants();
-    const auto assignments = plain.assignments();
-    ASSERT_EQ(plain_variants.size(), assignments.size());
-    for (std::size_t i = 0; i < assignments.size(); ++i) {
-        EXPECT_EQ(plain_variants[i].alg_name(), assignments[i].alg_name());
-    }
+    ASSERT_EQ(plain_variants.size(), 4u); // 2^2 backend-inherit placements
+    EXPECT_EQ(plain_variants.front().alg_name(), "algDD");
+    EXPECT_EQ(plain_variants.back().alg_name(), "algAA");
+    for (const auto& v : plain_variants) EXPECT_TRUE(v.uniform_inherit());
 }
 
 TEST(VariantCampaign, RunShardRejectsUnavailableAxisBackends) {

@@ -59,6 +59,13 @@ TEST(FinalClusters, MalformedContentThrows) {
                      "1,algDDD,0.5,0,0.5\n",
                      "zero"),
                  relperf::Error);
+    // A rank past INT_MAX must not wrap (2^32 + 1 would read as rank 1).
+    EXPECT_THROW((void)core::parse_final_clusters_csv(
+                     "cluster,algorithm,relative_score,final_cluster,"
+                     "final_score\n"
+                     "1,algDDD,0.5,4294967297,0.5\n",
+                     "huge"),
+                 relperf::Error);
     EXPECT_THROW((void)core::read_final_clusters_csv("/nonexistent/x.csv"),
                  relperf::Error);
 }

@@ -17,7 +17,7 @@ struct Fixture {
     workloads::TaskChain chain = workloads::paper_rls_chain(10);
     sim::CalibratedProfile profile = sim::paper_rls_profile();
     sim::SimulatedExecutor executor{profile, sim::NoiseModel{}};
-    std::vector<workloads::DeviceAssignment> assignments =
+    std::vector<workloads::VariantAssignment> assignments =
         workloads::enumerate_assignments(3);
     core::AnalysisResult analysis = [this] {
         core::AnalysisConfig config;
@@ -121,8 +121,8 @@ TEST(EnergyBudgetSwitcher, GenerousBudgetNeverSwitches) {
     config.window_runs = 10;
     config.cooldown_runs = 5;
     const core::SwitchTrace trace =
-        switcher.simulate(workloads::DeviceAssignment("DDD"),
-                          workloads::DeviceAssignment("DAA"), 100, config, rng);
+        switcher.simulate(workloads::VariantAssignment("DDD"),
+                          workloads::VariantAssignment("DAA"), 100, config, rng);
     EXPECT_EQ(trace.switches, 0u);
     ASSERT_EQ(trace.segments.size(), 1u);
     EXPECT_EQ(trace.segments[0].alg_name, "algDDD");
@@ -139,8 +139,8 @@ TEST(EnergyBudgetSwitcher, TightBudgetTriggersSwitching) {
     config.window_runs = 10;
     config.cooldown_runs = 4;
     const core::SwitchTrace trace =
-        switcher.simulate(workloads::DeviceAssignment("DDD"),
-                          workloads::DeviceAssignment("DAA"), 60, config, rng);
+        switcher.simulate(workloads::VariantAssignment("DDD"),
+                          workloads::VariantAssignment("DAA"), 60, config, rng);
     EXPECT_GT(trace.switches, 0u);
     // Alternate segments actually executed.
     bool saw_alternate = false;
@@ -162,8 +162,8 @@ TEST(EnergyBudgetSwitcher, SegmentsAccountForEveryRun) {
     config.window_runs = 8;
     config.cooldown_runs = 3;
     const core::SwitchTrace trace =
-        switcher.simulate(workloads::DeviceAssignment("DDD"),
-                          workloads::DeviceAssignment("DAA"), 75, config, rng);
+        switcher.simulate(workloads::VariantAssignment("DDD"),
+                          workloads::VariantAssignment("DAA"), 75, config, rng);
     std::size_t runs = 0;
     double seconds = 0.0;
     for (const auto& seg : trace.segments) {
@@ -181,13 +181,13 @@ TEST(EnergyBudgetSwitcher, InvalidConfigThrows) {
     Rng rng(4);
     core::SwitchPolicyConfig config;
     config.device_energy_budget_j = 0.0;
-    EXPECT_THROW((void)switcher.simulate(workloads::DeviceAssignment("DDD"),
-                                         workloads::DeviceAssignment("DAA"), 10,
+    EXPECT_THROW((void)switcher.simulate(workloads::VariantAssignment("DDD"),
+                                         workloads::VariantAssignment("DAA"), 10,
                                          config, rng),
                  relperf::InvalidArgument);
     config = {};
-    EXPECT_THROW((void)switcher.simulate(workloads::DeviceAssignment("DDD"),
-                                         workloads::DeviceAssignment("DAA"), 0,
+    EXPECT_THROW((void)switcher.simulate(workloads::VariantAssignment("DDD"),
+                                         workloads::VariantAssignment("DAA"), 0,
                                          config, rng),
                  relperf::InvalidArgument);
 }

@@ -16,10 +16,8 @@ struct Fixture {
     workloads::TaskChain chain = workloads::paper_rls_chain(10);
     sim::CalibratedProfile profile = sim::paper_rls_profile();
     sim::SimulatedExecutor executor{profile, sim::NoiseModel{}};
-    std::vector<workloads::DeviceAssignment> assignments =
-        workloads::enumerate_assignments(3);
     std::vector<workloads::VariantAssignment> variants =
-        workloads::to_variants(assignments);
+        workloads::enumerate_assignments(3);
 };
 
 } // namespace
@@ -63,7 +61,7 @@ TEST(AnalyzeChain, EndToEndProducesConsistentResult) {
     config.measurements_per_alg = 30;
     config.clustering.repetitions = 40;
     const core::AnalysisResult result =
-        core::analyze_chain(f.executor, f.chain, f.assignments, config);
+        core::analyze_chain(f.executor, f.chain, f.variants, config);
 
     EXPECT_EQ(result.measurements.size(), 8u);
     EXPECT_GE(result.clustering.cluster_count(), 3);
@@ -77,8 +75,8 @@ TEST(AnalyzeChain, IsFullyDeterministicUnderFixedSeeds) {
     core::AnalysisConfig config;
     config.measurements_per_alg = 20;
     config.clustering.repetitions = 30;
-    const auto r1 = core::analyze_chain(f.executor, f.chain, f.assignments, config);
-    const auto r2 = core::analyze_chain(f.executor, f.chain, f.assignments, config);
+    const auto r1 = core::analyze_chain(f.executor, f.chain, f.variants, config);
+    const auto r2 = core::analyze_chain(f.executor, f.chain, f.variants, config);
     ASSERT_EQ(r1.clustering.cluster_count(), r2.clustering.cluster_count());
     for (std::size_t alg = 0; alg < 8; ++alg) {
         EXPECT_EQ(r1.clustering.final_assignment[alg].rank,
@@ -106,8 +104,7 @@ TEST(MeasureAssignmentsReal, SmokeOnTinyChain) {
     const sim::RealExecutor real(sim::EmulatedDevice{1, 0.0, 0.0},
                                  sim::EmulatedDevice{2, 0.0, 0.0});
     Rng rng(5);
-    const auto variants =
-        workloads::to_variants(workloads::enumerate_assignments(2));
+    const auto variants = workloads::enumerate_assignments(2);
     const core::MeasurementSet set =
         core::measure_variants_real(real, tiny, variants, 3, rng, 1);
     ASSERT_EQ(set.size(), 4u);
@@ -125,14 +122,14 @@ TEST(MeasureAssignments, EachAssignmentHasAnIndependentDerivedStream) {
     Rng rng(1234);
     const core::MeasurementSet all =
         core::measure_variants(f.executor, f.chain, f.variants, 12, rng);
-    for (std::size_t i = 0; i < f.assignments.size(); ++i) {
+    for (std::size_t i = 0; i < f.variants.size(); ++i) {
         Rng stream(core::assignment_stream_seed(1234, i));
         const std::vector<double> solo =
-            f.executor.measure(f.chain, f.assignments[i], 12, stream);
+            f.executor.measure(f.chain, f.variants[i], 12, stream);
         EXPECT_EQ(std::vector<double>(all.samples(i).begin(),
                                       all.samples(i).end()),
                   solo)
-            << f.assignments[i].alg_name();
+            << f.variants[i].alg_name();
     }
 }
 
@@ -144,13 +141,13 @@ TEST(MeasureAssignments, SubsetMeasurementMatchesTheFullRun) {
     const core::MeasurementSet all =
         core::measure_variants(f.executor, f.chain, f.variants, 9, full_rng);
 
-    const std::vector<workloads::DeviceAssignment> subset = {
-        f.assignments[1], f.assignments[3], f.assignments[5]};
+    const std::vector<workloads::VariantAssignment> subset = {
+        f.variants[1], f.variants[3], f.variants[5]};
     core::MeasurementSet shard;
     for (const std::size_t global : {1u, 3u, 5u}) {
         Rng stream(core::assignment_stream_seed(42, global));
-        shard.add(f.assignments[global].alg_name(),
-                  f.executor.measure(f.chain, f.assignments[global], 9, stream));
+        shard.add(f.variants[global].alg_name(),
+                  f.executor.measure(f.chain, f.variants[global], 9, stream));
     }
     for (std::size_t row = 0; row < shard.size(); ++row) {
         const std::size_t global = 1 + 2 * row;

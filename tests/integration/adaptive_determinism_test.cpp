@@ -175,8 +175,7 @@ TEST(AdaptiveOffInvariant, AnalyzeChainMatchesLegacyBitForBit) {
     // min == max engine plan.
     Rng rng(legacy.measurement_seed);
     const core::AnalysisResult batch = core::analyze_measurements(
-        core::measure_variants(executor, chain,
-                               workloads::to_variants(assignments), 12, rng),
+        core::measure_variants(executor, chain, assignments, 12, rng),
         legacy);
     for (const core::AnalysisConfig* config : {&legacy, &engine}) {
         SCOPED_TRACE(config == &legacy ? "implicit fixed-N" : "min == max");

@@ -12,7 +12,7 @@
 namespace core = relperf::core;
 namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
-using workloads::DeviceAssignment;
+using workloads::VariantAssignment;
 
 namespace {
 
@@ -37,8 +37,8 @@ TEST(PlatformSweep, RpiOffloadsEverythingBigOverSlowLink) {
     const workloads::TaskChain chain = workloads::make_rls_chain({256, 256}, 10);
     const sim::AnalyticCostModel model(sim::rpi_server_platform());
     const sim::SimulatedExecutor exec(model, sim::NoiseModel::none());
-    EXPECT_LT(exec.expected_seconds(chain, DeviceAssignment("AA")),
-              exec.expected_seconds(chain, DeviceAssignment("DD")));
+    EXPECT_LT(exec.expected_seconds(chain, VariantAssignment("AA")),
+              exec.expected_seconds(chain, VariantAssignment("DD")));
 }
 
 TEST(PlatformSweep, TinyTasksStayLocalEverywhere) {
@@ -50,8 +50,8 @@ TEST(PlatformSweep, TinyTasksStayLocalEverywhere) {
           sim::smartphone_gpu_platform()}) {
         const sim::AnalyticCostModel model(platform);
         const sim::SimulatedExecutor exec(model, sim::NoiseModel::none());
-        EXPECT_LT(exec.expected_seconds(chain, DeviceAssignment("D")),
-                  exec.expected_seconds(chain, DeviceAssignment("A")))
+        EXPECT_LT(exec.expected_seconds(chain, VariantAssignment("D")),
+                  exec.expected_seconds(chain, VariantAssignment("A")))
             << platform.name;
     }
 }

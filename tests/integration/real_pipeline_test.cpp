@@ -33,8 +33,7 @@ TEST(RealPipeline, SingleLoopOffloadClustering) {
     const sim::RealExecutor executor(sim::EmulatedDevice{1, 0.0, 0.0},
                                      sim::EmulatedDevice{0, 0.0, 0.0});
     Rng rng(1);
-    const auto variants =
-        workloads::to_variants(workloads::enumerate_assignments(1));
+    const auto variants = workloads::enumerate_assignments(1);
     core::MeasurementSet set =
         core::measure_variants_real(executor, chain, variants, 12, rng, 2);
 
@@ -60,8 +59,7 @@ TEST(RealPipeline, DispatchDelayMakesOffloadingSmallTasksLose) {
     const sim::RealExecutor executor(sim::EmulatedDevice{1, 0.0, 0.0},
                                      sim::EmulatedDevice{0, 2e-3, 0.0});
     Rng rng(2);
-    const auto variants =
-        workloads::to_variants(workloads::enumerate_assignments(1));
+    const auto variants = workloads::enumerate_assignments(1);
     const core::MeasurementSet set =
         core::measure_variants_real(executor, chain, variants, 8, rng, 1);
     EXPECT_LT(set.summary(set.index_of("algD")).mean,
@@ -74,8 +72,7 @@ TEST(RealPipeline, ReportRendersOnRealData) {
                                      sim::EmulatedDevice{0, 0.0, 0.0});
     Rng rng(3);
     core::MeasurementSet set = core::measure_variants_real(
-        executor, chain,
-        workloads::to_variants(workloads::enumerate_assignments(2)), 6, rng, 1);
+        executor, chain, workloads::enumerate_assignments(2), 6, rng, 1);
     const std::string summary = core::render_summary_table(set);
     for (const char* alg : {"algDD", "algDA", "algAD", "algAA"}) {
         EXPECT_NE(summary.find(alg), std::string::npos);

@@ -13,7 +13,7 @@
 namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
 using relperf::stats::Rng;
-using workloads::DeviceAssignment;
+using workloads::VariantAssignment;
 
 namespace {
 
@@ -21,7 +21,7 @@ double measured_mean(const sim::SimulatedExecutor& exec, std::size_t iters,
                      const char* assignment, std::uint64_t seed) {
     const workloads::TaskChain chain = workloads::paper_rls_chain(iters);
     Rng rng(seed);
-    const auto samples = exec.measure(chain, DeviceAssignment(assignment), 100, rng);
+    const auto samples = exec.measure(chain, VariantAssignment(assignment), 100, rng);
     return relperf::stats::mean(samples);
 }
 
@@ -45,8 +45,8 @@ TEST(Speedup, GrowsWithIterationCount) {
     double prev_speedup = 0.0;
     for (const std::size_t n : {10u, 20u, 50u, 100u}) {
         const workloads::TaskChain chain = workloads::paper_rls_chain(n);
-        const double ddd = exec.expected_seconds(chain, DeviceAssignment("DDD"));
-        const double dda = exec.expected_seconds(chain, DeviceAssignment("DDA"));
+        const double ddd = exec.expected_seconds(chain, VariantAssignment("DDD"));
+        const double dda = exec.expected_seconds(chain, VariantAssignment("DDA"));
         const double speedup = ddd / dda;
         EXPECT_GT(speedup, prev_speedup) << "n = " << n;
         prev_speedup = speedup;
@@ -66,8 +66,8 @@ TEST(Speedup, CrossoverAtSmallN) {
     bool ddd_wins_somewhere = false;
     for (std::size_t n = 1; n <= 16; ++n) {
         const workloads::TaskChain chain = workloads::paper_rls_chain(n);
-        const double ddd = exec.expected_seconds(chain, DeviceAssignment("DDD"));
-        const double dda = exec.expected_seconds(chain, DeviceAssignment("DDA"));
+        const double ddd = exec.expected_seconds(chain, VariantAssignment("DDD"));
+        const double dda = exec.expected_seconds(chain, VariantAssignment("DDA"));
         if (ddd > dda) dda_wins_somewhere = true;
         if (dda > ddd) ddd_wins_somewhere = true;
         if (dda_wins_somewhere && ddd_wins_somewhere) found_crossover = true;
@@ -75,8 +75,8 @@ TEST(Speedup, CrossoverAtSmallN) {
     EXPECT_TRUE(found_crossover);
     // Direction: DDD wins at n = 1, DDA wins at n = 16.
     const double ddd1 = exec.expected_seconds(workloads::paper_rls_chain(1),
-                                              DeviceAssignment("DDD"));
+                                              VariantAssignment("DDD"));
     const double dda1 = exec.expected_seconds(workloads::paper_rls_chain(1),
-                                              DeviceAssignment("DDA"));
+                                              VariantAssignment("DDA"));
     EXPECT_LT(ddd1, dda1);
 }

@@ -102,7 +102,7 @@ TEST(GemmThreads, RealExecutorRestoresRawSettingAfterSwitch) {
     // accelerator, and must restore the *raw* entering setting afterwards.
     const relperf::workloads::TaskChain chain =
         relperf::workloads::make_rls_chain({4, 4}, 1);
-    const relperf::workloads::DeviceAssignment assignment("DA");
+    const relperf::workloads::VariantAssignment assignment("DA");
     const relperf::sim::RealExecutor executor(
         relperf::sim::EmulatedDevice{1, 0.0, 0.0},
         relperf::sim::EmulatedDevice{0, 0.0, 0.0});

@@ -13,7 +13,6 @@
 
 namespace model = relperf::model;
 namespace workloads = relperf::workloads;
-using workloads::DeviceAssignment;
 using workloads::VariantAssignment;
 
 namespace {
@@ -25,7 +24,7 @@ std::vector<std::string> placement_universe(const workloads::TaskChain& chain) {
 }
 
 std::map<std::string, double> named_features(const workloads::TaskChain& chain,
-                                             const DeviceAssignment& assignment) {
+                                             const VariantAssignment& assignment) {
     const auto universe = placement_universe(chain);
     const auto names = model::variant_feature_names(chain, universe);
     const auto features = model::extract_variant_features(
@@ -51,7 +50,7 @@ TEST(Features, DimensionMatchesNames) {
 
 TEST(Features, PlacementItersAreExclusive) {
     const auto chain = workloads::paper_rls_chain(10);
-    const auto f = named_features(chain, DeviceAssignment("DAD"));
+    const auto f = named_features(chain, VariantAssignment("DAD"));
     EXPECT_DOUBLE_EQ(f.at("dev_iters@inherit[L1]"), 10.0);
     EXPECT_DOUBLE_EQ(f.at("acc_iters@inherit[L1]"), 0.0);
     EXPECT_DOUBLE_EQ(f.at("dev_iters@inherit[L2]"), 0.0);
@@ -61,7 +60,7 @@ TEST(Features, PlacementItersAreExclusive) {
 
 TEST(Features, TransitionIndicators) {
     const auto chain = workloads::paper_rls_chain(10);
-    const auto f = named_features(chain, DeviceAssignment("DAD"));
+    const auto f = named_features(chain, VariantAssignment("DAD"));
     EXPECT_DOUBLE_EQ(f.at("enter_acc[L2]"), 1.0); // D -> A before L2
     EXPECT_DOUBLE_EQ(f.at("enter_dev[L3]"), 1.0); // A -> D before L3
     EXPECT_DOUBLE_EQ(f.at("enter_acc[L1]"), 0.0); // starts on device
@@ -71,7 +70,7 @@ TEST(Features, TransitionIndicators) {
 
 TEST(Features, ResidencyIndicatorForConsecutiveAccelerator) {
     const auto chain = workloads::paper_rls_chain(10);
-    const auto f = named_features(chain, DeviceAssignment("DAA"));
+    const auto f = named_features(chain, VariantAssignment("DAA"));
     EXPECT_DOUBLE_EQ(f.at("resident[L3]"), 1.0); // L2 and L3 both on A
     EXPECT_DOUBLE_EQ(f.at("enter_acc[L3]"), 0.0);
     EXPECT_DOUBLE_EQ(f.at("ends_on_acc"), 1.0);
@@ -80,7 +79,7 @@ TEST(Features, ResidencyIndicatorForConsecutiveAccelerator) {
 TEST(Features, FlopsPartitionTotal) {
     const auto chain = workloads::paper_rls_chain(10);
     const double total =
-        workloads::flop_split(chain, DeviceAssignment("DDD")).total();
+        workloads::flop_split(chain, VariantAssignment("DDD")).total();
     for (const auto& a : workloads::enumerate_assignments(3)) {
         const auto f = named_features(chain, a);
         EXPECT_NEAR(f.at("device_flops@inherit") + f.at("accel_flops@inherit"),
@@ -91,20 +90,19 @@ TEST(Features, FlopsPartitionTotal) {
 
 TEST(Features, AccelLaunchesCountOnlyOffloadedTasks) {
     const auto chain = workloads::paper_rls_chain(10);
-    EXPECT_DOUBLE_EQ(named_features(chain, DeviceAssignment("DDD")).at("accel_launches"),
+    EXPECT_DOUBLE_EQ(named_features(chain, VariantAssignment("DDD")).at("accel_launches"),
                      0.0);
     // One RLS task on A: 10 iters x 10 ops.
-    EXPECT_DOUBLE_EQ(named_features(chain, DeviceAssignment("DDA")).at("accel_launches"),
+    EXPECT_DOUBLE_EQ(named_features(chain, VariantAssignment("DDA")).at("accel_launches"),
                      100.0);
-    EXPECT_DOUBLE_EQ(named_features(chain, DeviceAssignment("AAA")).at("accel_launches"),
+    EXPECT_DOUBLE_EQ(named_features(chain, VariantAssignment("AAA")).at("accel_launches"),
                      300.0);
 }
 
 TEST(Features, BatchExtractionMatchesSingle) {
     const auto chain = workloads::paper_rls_chain(5);
     const auto universe = placement_universe(chain);
-    const auto variants =
-        workloads::to_variants(workloads::enumerate_assignments(3));
+    const auto variants = workloads::enumerate_assignments(3);
     const auto batch = model::extract_variant_features(chain, variants, universe);
     ASSERT_EQ(batch.size(), variants.size());
     for (std::size_t i = 0; i < variants.size(); ++i) {

@@ -10,7 +10,6 @@ namespace core = relperf::core;
 namespace model = relperf::model;
 namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
-using workloads::DeviceAssignment;
 using workloads::VariantAssignment;
 
 namespace {
@@ -19,13 +18,12 @@ struct Fixture {
     workloads::TaskChain chain = workloads::paper_rls_chain(10);
     sim::CalibratedProfile profile = sim::paper_rls_profile();
     sim::SimulatedExecutor executor{profile, sim::NoiseModel{}};
-    std::vector<DeviceAssignment> assignments = workloads::enumerate_assignments(3);
-    std::vector<VariantAssignment> variants = workloads::to_variants(assignments);
+    std::vector<VariantAssignment> variants = workloads::enumerate_assignments(3);
     core::AnalysisResult analysis = [this] {
         core::AnalysisConfig config;
         config.measurements_per_alg = 30;
         config.clustering.repetitions = 60;
-        return core::analyze_chain(executor, chain, assignments, config);
+        return core::analyze_chain(executor, chain, variants, config);
     }();
 };
 
@@ -38,14 +36,14 @@ TEST(Predictor, LinearModelSpansTheCalibratedCostModel) {
     Fixture f;
     const sim::SimulatedExecutor exact(f.profile, sim::NoiseModel::none());
     core::MeasurementSet noiseless;
-    for (const auto& a : f.assignments) {
+    for (const auto& a : f.variants) {
         noiseless.add(a.alg_name(),
                       {exact.expected_seconds(f.chain, a),
                        exact.expected_seconds(f.chain, a)});
     }
     model::PerformancePredictor predictor(model::PredictorConfig{1e-9, 0.02});
     predictor.fit(f.chain, f.variants, noiseless);
-    for (const auto& a : f.assignments) {
+    for (const auto& a : f.variants) {
         EXPECT_NEAR(predictor.predict_seconds(f.chain, VariantAssignment(a)),
                     exact.expected_seconds(f.chain, a), 1e-6)
             << a.str();

@@ -35,15 +35,13 @@ struct PaperFixture {
     workloads::TaskChain chain = workloads::paper_rls_chain(10);
     sim::CalibratedProfile profile = sim::paper_rls_profile();
     sim::SimulatedExecutor executor{profile, sim::NoiseModel{}};
-    std::vector<workloads::DeviceAssignment> assignments =
-        workloads::enumerate_assignments(3);
     std::vector<workloads::VariantAssignment> variants =
-        workloads::to_variants(assignments);
+        workloads::enumerate_assignments(3);
     core::AnalysisResult analysis = [this] {
         core::AnalysisConfig config;
         config.measurements_per_alg = 30;
         config.clustering.repetitions = 60;
-        return core::analyze_chain(executor, chain, assignments, config);
+        return core::analyze_chain(executor, chain, variants, config);
     }();
 };
 

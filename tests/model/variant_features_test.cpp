@@ -200,8 +200,7 @@ TEST(VariantPredictor, PlacementFitRejectsUnseenBackends) {
     const sim::AnalyticCostModel priced(gained_platform());
     const sim::SimulatedExecutor exact(priced, sim::NoiseModel::none());
 
-    const auto variants =
-        workloads::to_variants(workloads::enumerate_assignments(chain.size()));
+    const auto variants = workloads::enumerate_assignments(chain.size());
     core::MeasurementSet noiseless;
     for (const VariantAssignment& v : variants) {
         const double t = exact.expected_seconds(chain, v);

@@ -176,7 +176,7 @@ TEST_F(DeterminismTest, AnalyzeChainIsByteIdenticalWithObsOn) {
         obs::set_tracing_enabled(instrumented);
         obs::set_metrics_enabled(instrumented);
         const core::AnalysisResult result =
-            core::analyze_chain(executor, spec.chain(), spec.assignments(),
+            core::analyze_chain(executor, spec.chain(), spec.variants(),
                                 spec.analysis_config());
         const std::string path =
             dir + (instrumented ? "obs_det_chain_on.csv"

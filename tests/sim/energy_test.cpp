@@ -8,7 +8,7 @@
 
 namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
-using workloads::DeviceAssignment;
+using workloads::VariantAssignment;
 
 namespace {
 
@@ -56,9 +56,9 @@ TEST(EnergyModel, OffloadingReducesDeviceEnergy) {
     const auto chain = workloads::paper_rls_chain(10);
 
     const double e_ddd =
-        model.device_energy(exec.expected_breakdown(chain, DeviceAssignment("DDD")));
+        model.device_energy(exec.expected_breakdown(chain, VariantAssignment("DDD")));
     const double e_daa =
-        model.device_energy(exec.expected_breakdown(chain, DeviceAssignment("DAA")));
+        model.device_energy(exec.expected_breakdown(chain, VariantAssignment("DAA")));
     // DAA moves L2+L3 off the device: device busy time shrinks a lot.
     EXPECT_LT(e_daa, e_ddd);
 }

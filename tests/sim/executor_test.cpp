@@ -10,7 +10,7 @@
 namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
 using relperf::stats::Rng;
-using workloads::DeviceAssignment;
+using workloads::VariantAssignment;
 
 namespace {
 
@@ -29,7 +29,7 @@ const sim::CalibratedProfile& profile() {
 TEST(SimulatedExecutor, NoiseFreeRunEqualsExpectation) {
     const sim::SimulatedExecutor exec(profile(), sim::NoiseModel::none());
     Rng rng(1);
-    const DeviceAssignment a("DDA");
+    const VariantAssignment a("DDA");
     const double expected = exec.expected_seconds(chain(), a);
     for (int i = 0; i < 5; ++i) {
         EXPECT_DOUBLE_EQ(exec.run_once(chain(), a, rng).total_s, expected);
@@ -49,7 +49,7 @@ TEST(SimulatedExecutor, BreakdownComponentsSumToTotal) {
 TEST(SimulatedExecutor, AllDeviceRunHasNoAcceleratorOrLinkTime) {
     const sim::SimulatedExecutor exec(profile(), sim::NoiseModel{});
     Rng rng(3);
-    const sim::TimeBreakdown t = exec.run_once(chain(), DeviceAssignment("DDD"), rng);
+    const sim::TimeBreakdown t = exec.run_once(chain(), VariantAssignment("DDD"), rng);
     EXPECT_DOUBLE_EQ(t.accelerator_busy_s, 0.0);
     EXPECT_DOUBLE_EQ(t.link_busy_s, 0.0);
     EXPECT_GT(t.device_busy_s, 0.0);
@@ -58,7 +58,7 @@ TEST(SimulatedExecutor, AllDeviceRunHasNoAcceleratorOrLinkTime) {
 TEST(SimulatedExecutor, OffloadedRunUsesAcceleratorAndLink) {
     const sim::SimulatedExecutor exec(profile(), sim::NoiseModel{});
     Rng rng(4);
-    const sim::TimeBreakdown t = exec.run_once(chain(), DeviceAssignment("DDA"), rng);
+    const sim::TimeBreakdown t = exec.run_once(chain(), VariantAssignment("DDA"), rng);
     EXPECT_GT(t.accelerator_busy_s, 0.0);
     EXPECT_GT(t.link_busy_s, 0.0); // staging + exit readback
 }
@@ -67,19 +67,19 @@ TEST(SimulatedExecutor, MeasurementsAreSeedDeterministic) {
     const sim::SimulatedExecutor exec(profile(), sim::NoiseModel{});
     Rng a(42);
     Rng b(42);
-    const auto ma = exec.measure(chain(), DeviceAssignment("DAD"), 20, a);
-    const auto mb = exec.measure(chain(), DeviceAssignment("DAD"), 20, b);
+    const auto ma = exec.measure(chain(), VariantAssignment("DAD"), 20, a);
+    const auto mb = exec.measure(chain(), VariantAssignment("DAD"), 20, b);
     EXPECT_EQ(ma, mb);
 }
 
 TEST(SimulatedExecutor, NoiseProducesFluctuations) {
     const sim::SimulatedExecutor exec(profile(), sim::NoiseModel{});
     Rng rng(5);
-    const auto samples = exec.measure(chain(), DeviceAssignment("DDD"), 100, rng);
+    const auto samples = exec.measure(chain(), VariantAssignment("DDD"), 100, rng);
     ASSERT_EQ(samples.size(), 100u);
     EXPECT_GT(relperf::stats::stddev(samples), 0.0);
     // Mean within 10% of expectation.
-    const double expected = exec.expected_seconds(chain(), DeviceAssignment("DDD"));
+    const double expected = exec.expected_seconds(chain(), VariantAssignment("DDD"));
     EXPECT_NEAR(relperf::stats::mean(samples) / expected, 1.0, 0.1);
 }
 
@@ -89,7 +89,7 @@ TEST(SimulatedExecutor, NoiseCvIsInTheConfiguredBallpark) {
     noise.spike_prob = 0.0;
     const sim::SimulatedExecutor exec(profile(), noise);
     Rng rng(6);
-    const auto samples = exec.measure(chain(), DeviceAssignment("DDD"), 3000, rng);
+    const auto samples = exec.measure(chain(), VariantAssignment("DDD"), 3000, rng);
     const auto s = relperf::stats::summarize(samples);
     // Per-component noise partially averages out at the chain level; the
     // chain CV must be positive but below the per-component sigma.
@@ -100,9 +100,9 @@ TEST(SimulatedExecutor, NoiseCvIsInTheConfiguredBallpark) {
 TEST(SimulatedExecutor, AssignmentLengthMismatchThrows) {
     const sim::SimulatedExecutor exec(profile(), sim::NoiseModel{});
     Rng rng(7);
-    EXPECT_THROW((void)exec.run_once(chain(), DeviceAssignment("DD"), rng),
+    EXPECT_THROW((void)exec.run_once(chain(), VariantAssignment("DD"), rng),
                  relperf::InvalidArgument);
-    EXPECT_THROW((void)exec.measure(chain(), DeviceAssignment("DDD"), 0, rng),
+    EXPECT_THROW((void)exec.measure(chain(), VariantAssignment("DDD"), 0, rng),
                  relperf::InvalidArgument);
 }
 

@@ -11,7 +11,6 @@
 
 namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
-using workloads::DeviceAssignment;
 using workloads::Placement;
 
 namespace {

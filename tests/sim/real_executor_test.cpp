@@ -10,7 +10,7 @@ namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
 using relperf::stats::Rng;
 using sim::EmulatedDevice;
-using workloads::DeviceAssignment;
+using workloads::VariantAssignment;
 
 namespace {
 
@@ -25,7 +25,7 @@ TEST(RealExecutor, ProducesPositiveWallClockTimes) {
     const sim::RealExecutor exec(EmulatedDevice{1, 0.0, 0.0},
                                  EmulatedDevice{2, 0.0, 0.0});
     Rng rng(1);
-    const auto samples = exec.measure(tiny_chain(), DeviceAssignment("DA"), 5, rng, 1);
+    const auto samples = exec.measure(tiny_chain(), VariantAssignment("DA"), 5, rng, 1);
     ASSERT_EQ(samples.size(), 5u);
     for (const double s : samples) EXPECT_GT(s, 0.0);
 }
@@ -41,9 +41,9 @@ TEST(RealExecutor, DispatchDelayInflatesRuntime) {
     Rng r2(2);
     const auto chain = tiny_chain();
     const double t_fast =
-        relperf::stats::median(fast.measure(chain, DeviceAssignment("AA"), 5, r1));
+        relperf::stats::median(fast.measure(chain, VariantAssignment("AA"), 5, r1));
     const double t_slow =
-        relperf::stats::median(slow.measure(chain, DeviceAssignment("AA"), 5, r2));
+        relperf::stats::median(slow.measure(chain, VariantAssignment("AA"), 5, r2));
     EXPECT_GT(t_slow, t_fast + 0.030);
 }
 
@@ -57,9 +57,9 @@ TEST(RealExecutor, SwitchDelayAppliesOnDeviceChanges) {
     const auto chain = tiny_chain();
     // "AD" switches twice (enter A, back to D) plus no trailing switch.
     const double plain =
-        relperf::stats::median(no_switch.measure(chain, DeviceAssignment("AD"), 5, r1));
+        relperf::stats::median(no_switch.measure(chain, VariantAssignment("AD"), 5, r1));
     const double delayed = relperf::stats::median(
-        with_switch.measure(chain, DeviceAssignment("AD"), 5, r2));
+        with_switch.measure(chain, VariantAssignment("AD"), 5, r2));
     EXPECT_GT(delayed, plain + 0.008);
 }
 
@@ -76,9 +76,9 @@ TEST(RealExecutor, AssignmentLengthMismatchThrows) {
     const sim::RealExecutor exec(EmulatedDevice{1, 0.0, 0.0},
                                  EmulatedDevice{1, 0.0, 0.0});
     Rng rng(4);
-    EXPECT_THROW((void)exec.run_once(tiny_chain(), DeviceAssignment("D"), rng),
+    EXPECT_THROW((void)exec.run_once(tiny_chain(), VariantAssignment("D"), rng),
                  relperf::InvalidArgument);
-    EXPECT_THROW((void)exec.measure(tiny_chain(), DeviceAssignment("DD"), 0, rng),
+    EXPECT_THROW((void)exec.measure(tiny_chain(), VariantAssignment("DD"), 0, rng),
                  relperf::InvalidArgument);
 }
 
@@ -95,7 +95,7 @@ TEST(RealExecutor, WarmupDoesNotConsumeTheMeasurementStream) {
     std::vector<std::uint64_t> next_bits;
     for (const std::size_t warmup : {0u, 1u, 4u}) {
         Rng rng(0xABCDE);
-        (void)exec.measure(chain, DeviceAssignment("DA"), 3, rng, warmup);
+        (void)exec.measure(chain, VariantAssignment("DA"), 3, rng, warmup);
         next_bits.push_back(rng.bits());
     }
     EXPECT_EQ(next_bits[0], next_bits[1]);
@@ -109,7 +109,7 @@ TEST(RealExecutor, WarmupStillRunsTheChain) {
                                  EmulatedDevice{1, 0.0, 0.0});
     Rng rng(7);
     const auto samples =
-        exec.measure(tiny_chain(), DeviceAssignment("DD"), 4, rng, 3);
+        exec.measure(tiny_chain(), VariantAssignment("DD"), 4, rng, 3);
     ASSERT_EQ(samples.size(), 4u);
     for (const double s : samples) EXPECT_GT(s, 0.0);
 }

@@ -20,7 +20,6 @@ namespace linalg = relperf::linalg;
 namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
 using relperf::stats::Rng;
-using workloads::DeviceAssignment;
 using workloads::VariantAssignment;
 
 namespace {
@@ -78,7 +77,7 @@ TEST(SimulatedExecutor, VariantWithUnitMultipliersIsBitIdentical) {
     Rng r1(7);
     Rng r2(7);
     const auto plain =
-        exec.measure(chain, DeviceAssignment("DAD"), 10, r1);
+        exec.measure(chain, VariantAssignment("DAD"), 10, r1);
     const auto variant =
         exec.measure(chain, VariantAssignment("D:blas,A:reference,D"), 10, r2);
     ASSERT_EQ(plain.size(), variant.size());

@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 namespace workloads = relperf::workloads;
-using workloads::DeviceAssignment;
+using workloads::ExecutionPolicy;
 using workloads::Placement;
+using workloads::VariantAssignment;
 
 TEST(Placement, CharRoundTrip) {
     EXPECT_EQ(workloads::to_char(Placement::Device), 'D');
@@ -16,52 +17,43 @@ TEST(Placement, CharRoundTrip) {
     EXPECT_THROW((void)workloads::placement_from_char('X'), relperf::InvalidArgument);
 }
 
+// The paper's plain letter-string assignments: placement only, every task
+// inheriting the chain backend.
+
 TEST(DeviceAssignment, ParsesLetterString) {
-    const DeviceAssignment a("DDA");
+    const VariantAssignment a("DDA");
     EXPECT_EQ(a.size(), 3u);
-    EXPECT_EQ(a.at(0), Placement::Device);
-    EXPECT_EQ(a.at(1), Placement::Device);
-    EXPECT_EQ(a.at(2), Placement::Accelerator);
+    EXPECT_EQ(a.at(0).placement, Placement::Device);
+    EXPECT_EQ(a.at(1).placement, Placement::Device);
+    EXPECT_EQ(a.at(2).placement, Placement::Accelerator);
+    EXPECT_TRUE(a.uniform_inherit());
     EXPECT_EQ(a.str(), "DDA");
     EXPECT_EQ(a.alg_name(), "algDDA");
 }
 
 TEST(DeviceAssignment, InvalidStringsThrow) {
-    EXPECT_THROW(DeviceAssignment(""), relperf::InvalidArgument);
-    EXPECT_THROW(DeviceAssignment("DXA"), relperf::InvalidArgument);
-    EXPECT_THROW(DeviceAssignment("da"), relperf::InvalidArgument);
+    EXPECT_THROW(VariantAssignment(""), relperf::InvalidArgument);
+    EXPECT_THROW(VariantAssignment("DXA"), relperf::InvalidArgument);
+    EXPECT_THROW(VariantAssignment("da"), relperf::InvalidArgument);
 }
 
 TEST(DeviceAssignment, VectorConstructor) {
-    const DeviceAssignment a(
-        std::vector<Placement>{Placement::Accelerator, Placement::Device});
+    const VariantAssignment a(std::vector<ExecutionPolicy>{
+        {Placement::Accelerator, ""}, {Placement::Device, ""}});
     EXPECT_EQ(a.str(), "AD");
-    EXPECT_THROW(DeviceAssignment(std::vector<Placement>{}), relperf::InvalidArgument);
+    EXPECT_EQ(a, VariantAssignment("AD"));
+    EXPECT_THROW(VariantAssignment(std::vector<ExecutionPolicy>{}),
+                 relperf::InvalidArgument);
 }
 
 TEST(DeviceAssignment, OutOfRangeIndexThrows) {
-    const DeviceAssignment a("DD");
+    const VariantAssignment a("DD");
     EXPECT_THROW((void)a.at(2), relperf::InvalidArgument);
 }
 
-TEST(DeviceAssignment, AcceleratorCount) {
-    EXPECT_EQ(DeviceAssignment("DDD").accelerator_count(), 0u);
-    EXPECT_EQ(DeviceAssignment("DAD").accelerator_count(), 1u);
-    EXPECT_EQ(DeviceAssignment("AAA").accelerator_count(), 3u);
-}
-
-TEST(DeviceAssignment, SwitchCountIncludesVirtualStart) {
-    // The chain is invoked from the edge device.
-    EXPECT_EQ(DeviceAssignment("DDD").switch_count(), 0u);
-    EXPECT_EQ(DeviceAssignment("ADD").switch_count(), 2u); // D->A, A->D
-    EXPECT_EQ(DeviceAssignment("DDA").switch_count(), 1u); // D->A at the end
-    EXPECT_EQ(DeviceAssignment("ADA").switch_count(), 3u);
-    EXPECT_EQ(DeviceAssignment("AAA").switch_count(), 1u);
-}
-
 TEST(DeviceAssignment, Equality) {
-    EXPECT_EQ(DeviceAssignment("DA"), DeviceAssignment("DA"));
-    EXPECT_FALSE(DeviceAssignment("DA") == DeviceAssignment("AD"));
+    EXPECT_EQ(VariantAssignment("DA"), VariantAssignment("DA"));
+    EXPECT_FALSE(VariantAssignment("DA") == VariantAssignment("AD"));
 }
 
 TEST(EnumerateAssignments, CountsAndOrder) {
@@ -76,6 +68,7 @@ TEST(EnumerateAssignments, CountsAndOrder) {
     ASSERT_EQ(three.size(), 8u);
     EXPECT_EQ(three.front().str(), "DDD");
     EXPECT_EQ(three.back().str(), "AAA");
+    for (const VariantAssignment& a : three) EXPECT_TRUE(a.uniform_inherit());
 }
 
 TEST(EnumerateAssignments, AllDistinct) {

@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 namespace workloads = relperf::workloads;
-using workloads::DeviceAssignment;
 using workloads::TaskChain;
 using workloads::TaskKind;
+using workloads::VariantAssignment;
 
 TEST(PaperRlsChain, MatchesProcedure5) {
     const TaskChain chain = workloads::paper_rls_chain(10);
@@ -61,9 +61,9 @@ TEST(MakeRlsChain, InvalidInputsThrow) {
 
 TEST(FlopSplit, PartitionsByPlacement) {
     const TaskChain chain = workloads::paper_rls_chain(10);
-    const auto all_device = workloads::flop_split(chain, DeviceAssignment("DDD"));
-    const auto all_accel = workloads::flop_split(chain, DeviceAssignment("AAA"));
-    const auto mixed = workloads::flop_split(chain, DeviceAssignment("DDA"));
+    const auto all_device = workloads::flop_split(chain, VariantAssignment("DDD"));
+    const auto all_accel = workloads::flop_split(chain, VariantAssignment("AAA"));
+    const auto mixed = workloads::flop_split(chain, VariantAssignment("DDA"));
 
     EXPECT_DOUBLE_EQ(all_device.on_accelerator, 0.0);
     EXPECT_DOUBLE_EQ(all_accel.on_device, 0.0);
@@ -77,16 +77,16 @@ TEST(FlopSplit, PartitionsByPlacement) {
 
 TEST(FlopSplit, LengthMismatchThrows) {
     const TaskChain chain = workloads::paper_rls_chain(10);
-    EXPECT_THROW((void)workloads::flop_split(chain, DeviceAssignment("DD")),
+    EXPECT_THROW((void)workloads::flop_split(chain, VariantAssignment("DD")),
                  relperf::InvalidArgument);
 }
 
 TEST(BytesOverLink, CountsOnlyRemoteTasks) {
     const TaskChain chain = workloads::two_loop_chain();
-    EXPECT_DOUBLE_EQ(workloads::bytes_over_link(chain, DeviceAssignment("DD")), 0.0);
-    const double ad = workloads::bytes_over_link(chain, DeviceAssignment("AD"));
-    const double da = workloads::bytes_over_link(chain, DeviceAssignment("DA"));
-    const double aa = workloads::bytes_over_link(chain, DeviceAssignment("AA"));
+    EXPECT_DOUBLE_EQ(workloads::bytes_over_link(chain, VariantAssignment("DD")), 0.0);
+    const double ad = workloads::bytes_over_link(chain, VariantAssignment("AD"));
+    const double da = workloads::bytes_over_link(chain, VariantAssignment("DA"));
+    const double aa = workloads::bytes_over_link(chain, VariantAssignment("AA"));
     EXPECT_GT(ad, 0.0);
     EXPECT_GT(da, ad); // L2 streams far more data
     EXPECT_DOUBLE_EQ(aa, ad + da);

@@ -9,7 +9,6 @@
 
 namespace workloads = relperf::workloads;
 using relperf::stats::Rng;
-using workloads::DeviceAssignment;
 using workloads::ExecutionPolicy;
 using workloads::Placement;
 using workloads::VariantAssignment;
@@ -26,7 +25,6 @@ TEST(VariantAssignment, PlainLetterStringMeansInherit) {
     // Canonical print keeps the paper's names for pure-placement variants.
     EXPECT_EQ(v.str(), "DDA");
     EXPECT_EQ(v.alg_name(), "algDDA");
-    EXPECT_EQ(v.device_assignment(), DeviceAssignment("DDA"));
 }
 
 TEST(VariantAssignment, ExtendedSyntaxParsesPerTaskBackends) {
@@ -39,7 +37,6 @@ TEST(VariantAssignment, ExtendedSyntaxParsesPerTaskBackends) {
     EXPECT_FALSE(v.uniform_inherit());
     EXPECT_EQ(v.str(), "D:portable,A:blas");
     EXPECT_EQ(v.alg_name(), "algD:portable,A:blas");
-    EXPECT_EQ(v.device_assignment(), DeviceAssignment("DA"));
 }
 
 TEST(VariantAssignment, MixedInheritAndExplicitFields) {
@@ -126,7 +123,11 @@ TEST(VariantAssignment, LegacyStringRoundTripFuzz) {
         }
         const VariantAssignment v(letters);
         EXPECT_EQ(v.str(), letters);
-        EXPECT_EQ(v, VariantAssignment(DeviceAssignment(letters)));
+        std::vector<ExecutionPolicy> inherit;
+        for (const char c : letters) {
+            inherit.push_back(ExecutionPolicy{workloads::placement_from_char(c), ""});
+        }
+        EXPECT_EQ(v, VariantAssignment(inherit));
     }
 }
 
@@ -153,8 +154,11 @@ TEST(EnumerateVariants, SingleBackendMirrorsAssignments) {
     const auto assignments = workloads::enumerate_assignments(3);
     ASSERT_EQ(variants.size(), assignments.size());
     for (std::size_t i = 0; i < variants.size(); ++i) {
-        EXPECT_EQ(variants[i].device_assignment(), assignments[i]);
-        EXPECT_EQ(variants[i].at(0).backend, "portable");
+        for (std::size_t task = 0; task < 3; ++task) {
+            EXPECT_EQ(variants[i].at(task).placement,
+                      assignments[i].at(task).placement);
+            EXPECT_EQ(variants[i].at(task).backend, "portable");
+        }
     }
 }
 
