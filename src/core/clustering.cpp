@@ -100,42 +100,6 @@ RankTally rank_tally(const Clustering& clustering) {
     return tally;
 }
 
-namespace {
-
-/// Procedure 4's repetition loop, shared by the sparse and dense tally
-/// paths: repetition r takes child stream r of the master seed, shuffles the
-/// algorithm order on it (line 4, Shuffle(A)) and sorts on the rest of the
-/// stream (line 5, SortAlgs(A)) into slot r, on config.threads() threads.
-/// Then every (algorithm, rank) outcome goes to `tally` in repetition order
-/// on the calling thread.
-template <typename Tally>
-void run_repetitions(const RelativeClusterer& clusterer,
-                     const MeasurementSet& measurements,
-                     const ClustererConfig& config, Tally&& tally) {
-    const std::size_t p = measurements.size();
-    const stats::Rng master(config.seed);
-    std::vector<RankedSequence> slots(config.repetitions);
-    support::parallel_for(
-        config.repetitions, config.threads(), [&](std::size_t rep) {
-            stats::Rng rng = master.child(rep);
-            std::vector<std::size_t> order(p);
-            std::iota(order.begin(), order.end(), std::size_t{0});
-            rng.shuffle(order);
-            slots[rep] =
-                clusterer.sort_once(measurements, std::move(order), rng);
-        });
-    for (const RankedSequence& seq : slots) {
-        for (std::size_t pos = 0; pos < p; ++pos) {
-            const int rank = seq.ranks[pos];
-            RELPERF_ASSERT(rank >= 1 && rank <= static_cast<int>(p),
-                           "RelativeClusterer: rank out of range");
-            tally(seq.order[pos], rank);
-        }
-    }
-}
-
-} // namespace
-
 double Clustering::score_of(std::size_t alg, int rank) const {
     RELPERF_REQUIRE(alg < final_assignment.size(),
                     "Clustering: algorithm out of range");
@@ -206,12 +170,31 @@ Clustering RelativeClusterer::cluster(const MeasurementSet& measurements) const 
         .arg("workers", static_cast<std::uint64_t>(config_.threads()));
     obs::metrics().clusterings_total.inc();
 
+    // Procedure 4's repetitions: repetition r takes child stream r of the
+    // master seed, shuffles the algorithm order on it (line 4, Shuffle(A))
+    // and sorts on the rest of the stream (line 5, SortAlgs(A)) into slot r,
+    // on config_.threads() threads.
+    const stats::Rng master(config_.seed);
+    std::vector<RankedSequence> slots(config_.repetitions);
+    support::parallel_for(
+        config_.repetitions, config_.threads(), [&](std::size_t rep) {
+            stats::Rng rng = master.child(rep);
+            std::vector<std::size_t> order(p);
+            std::iota(order.begin(), order.end(), std::size_t{0});
+            rng.shuffle(order);
+            slots[rep] = sort_once(measurements, std::move(order), rng);
+        });
+
+    // The tally reads the slots in repetition order on the calling thread.
     // counts[alg] = ascending (rank, count) pairs actually observed — at
     // most min(Rep, cluster count) entries, never p.
     RankTally counts(p);
-    run_repetitions(
-        *this, measurements, config_, [&counts](std::size_t alg, int rank) {
-            auto& per_alg = counts[alg];
+    for (const RankedSequence& seq : slots) {
+        for (std::size_t pos = 0; pos < p; ++pos) {
+            const int rank = seq.ranks[pos];
+            RELPERF_ASSERT(rank >= 1 && rank <= static_cast<int>(p),
+                           "RelativeClusterer: rank out of range");
+            auto& per_alg = counts[seq.order[pos]];
             auto it = std::find_if(per_alg.begin(), per_alg.end(),
                                    [rank](const auto& rc) {
                                        return rc.first == rank;
@@ -221,35 +204,13 @@ Clustering RelativeClusterer::cluster(const MeasurementSet& measurements) const 
             } else {
                 ++it->second;
             }
-        });
-
+        }
+    }
     for (auto& per_alg : counts) {
         std::sort(per_alg.begin(), per_alg.end(),
                   [](const auto& a, const auto& b) { return a.first < b.first; });
     }
     return build_clustering(counts, config_.repetitions);
-}
-
-Clustering RelativeClusterer::cluster_dense(const MeasurementSet& measurements) const {
-    RELPERF_REQUIRE(!measurements.empty(), "RelativeClusterer: no algorithms");
-    const std::size_t p = measurements.size();
-
-    // The original dense tally: counts[alg][rank-1], O(p^2) memory.
-    std::vector<std::vector<std::size_t>> counts(p, std::vector<std::size_t>(p, 0));
-    run_repetitions(
-        *this, measurements, config_, [&counts](std::size_t alg, int rank) {
-            ++counts[alg][static_cast<std::size_t>(rank - 1)];
-        });
-
-    // Adapt the dense rows to the ascending sparse rows the builder takes.
-    RankTally tally(p);
-    for (std::size_t alg = 0; alg < p; ++alg) {
-        for (std::size_t r = 0; r < p; ++r) {
-            const std::size_t w = counts[alg][r];
-            if (w > 0) tally[alg].emplace_back(static_cast<int>(r + 1), w);
-        }
-    }
-    return build_clustering(tally, config_.repetitions);
 }
 
 } // namespace relperf::core

@@ -28,9 +28,9 @@
 //! min(Rep, cluster-count) distinct ranks, so the rank tallies are kept as
 //! per-algorithm sparse (rank, count) lists — O(p * Rep) peak memory instead
 //! of the dense p x p counts matrix (32 GiB at the 65536-variant cap). The
-//! repetition slots add Rep * p * 12 bytes (order plus ranks). The dense
-//! tally survives as cluster_dense(), the memory-hungry oracle the
-//! equivalence tests assert bit-identical results against.
+//! repetition slots add Rep * p * 12 bytes (order plus ranks). A dense
+//! p x p tally exists only in the tests, as the oracle cluster() is
+//! asserted bit-identical against.
 
 #include "core/comparison.hpp"
 #include "core/measurement.hpp"
@@ -111,9 +111,10 @@ using RankTally = std::vector<std::vector<std::pair<int, std::size_t>>>;
 /// The Clustering a tally over `repetitions` repetitions stands for: scores
 /// count / Rep (Procedure 4 lines 10-12), clusters sorted by descending
 /// score, and the final unique assignment. The one builder: cluster() and
-/// cluster_dense() end here. Throws InvalidArgument when the tally is empty
-/// or Rep is 0, or when a row is empty, is not strictly ascending in rank,
-/// holds a rank outside [1, p] or a zero count, or does not sum to Rep.
+/// an exact cache hit's stored tally end here. Throws InvalidArgument when
+/// the tally is empty or Rep is 0, or when a row is empty, is not strictly
+/// ascending in rank, holds a rank outside [1, p] or a zero count, or does
+/// not sum to Rep.
 [[nodiscard]] Clustering build_clustering(const RankTally& tally,
                                           std::size_t repetitions);
 
@@ -147,13 +148,8 @@ public:
 
     [[nodiscard]] Clustering cluster(const MeasurementSet& measurements) const;
 
-    /// The pre-scale reference implementation with the dense p x p counts
-    /// matrix — O(p^2) memory, kept only as the oracle the sparse path is
-    /// equivalence-tested against. Do not use beyond small p.
-    [[nodiscard]] Clustering cluster_dense(const MeasurementSet& measurements) const;
-
     /// Single sort pass (one repetition) from a given initial order; exposed
-    /// for diagnostics and the Figure 2 bench.
+    /// for diagnostics, the Figure 2 bench and the tests' dense oracle.
     [[nodiscard]] RankedSequence sort_once(const MeasurementSet& measurements,
                                            std::vector<std::size_t> initial_order,
                                            stats::Rng& rng) const;

@@ -603,27 +603,32 @@ campaign::CampaignSpec coordinated_spec() {
 TEST(CampaignCoordinated, CountsAreKInvariantAndStopHistoryAgrees) {
     // The coordinator's stop decisions watch the merged clustering, so the
     // per-algorithm counts, the round count, the stop-set history and the
-    // final clustering must not depend on how the campaign is split.
-    const campaign::CampaignSpec spec = coordinated_spec();
-    const campaign::CoordinatedCampaignResult k1 =
-        campaign::run_coordinated_campaign(spec, 1);
-    EXPECT_LT(k1.analysis.total_samples, k1.analysis.fixed_n_samples);
-    ASSERT_FALSE(k1.stopset_rounds.empty());
-    EXPECT_EQ(k1.stopset_rounds.size(), k1.rounds);
-    // The final broadcast stops everyone.
-    EXPECT_EQ(k1.stopset_rounds.back(), k1.analysis.measurements.size());
+    // final clustering must not depend on how the campaign is split — under
+    // the stability rule (confidence 0) and the confidence rule alike.
+    for (const double confidence : {0.0, 0.95}) {
+        SCOPED_TRACE("adaptive_confidence = " + std::to_string(confidence));
+        campaign::CampaignSpec spec = coordinated_spec();
+        spec.adaptive_confidence = confidence;
+        const campaign::CoordinatedCampaignResult k1 =
+            campaign::run_coordinated_campaign(spec, 1);
+        EXPECT_LT(k1.analysis.total_samples, k1.analysis.fixed_n_samples);
+        ASSERT_FALSE(k1.stopset_rounds.empty());
+        EXPECT_EQ(k1.stopset_rounds.size(), k1.rounds);
+        // The final broadcast stops everyone.
+        EXPECT_EQ(k1.stopset_rounds.back(), k1.analysis.measurements.size());
 
-    for (const std::size_t k : {2u, 4u, 8u}) {
-        const campaign::CoordinatedCampaignResult kr =
-            campaign::run_coordinated_campaign(spec, k);
-        EXPECT_EQ(kr.analysis.samples_per_alg, k1.analysis.samples_per_alg)
-            << "K = " << k;
-        EXPECT_EQ(kr.rounds, k1.rounds);
-        EXPECT_EQ(kr.stopset_rounds, k1.stopset_rounds);
-        expect_sets_identical(kr.analysis.measurements,
-                              k1.analysis.measurements);
-        expect_clusterings_identical(kr.analysis.clustering,
-                                     k1.analysis.clustering);
+        for (const std::size_t k : {2u, 4u, 8u}) {
+            const campaign::CoordinatedCampaignResult kr =
+                campaign::run_coordinated_campaign(spec, k);
+            EXPECT_EQ(kr.analysis.samples_per_alg, k1.analysis.samples_per_alg)
+                << "K = " << k;
+            EXPECT_EQ(kr.rounds, k1.rounds);
+            EXPECT_EQ(kr.stopset_rounds, k1.stopset_rounds);
+            expect_sets_identical(kr.analysis.measurements,
+                                  k1.analysis.measurements);
+            expect_clusterings_identical(kr.analysis.clustering,
+                                         k1.analysis.clustering);
+        }
     }
 }
 

@@ -147,6 +147,40 @@ void expect_identical(const Clustering& a, const Clustering& b) {
     }
 }
 
+/// The dense oracle cluster() is tested against, built from public calls:
+/// repetition r takes child stream r of the seed, shuffles the algorithm
+/// order on it and sorts on the rest of the stream, as cluster() does, but
+/// tallies into a dense p x p counts matrix instead of sparse rows (O(p^2)
+/// memory, serial). Small p only.
+Clustering cluster_dense(const core::Comparator& comparator,
+                         const MeasurementSet& measurements,
+                         const ClustererConfig& config) {
+    const RelativeClusterer clusterer(comparator, config);
+    const std::size_t p = measurements.size();
+    std::vector<std::vector<std::size_t>> counts(p, std::vector<std::size_t>(p, 0));
+    const Rng master(config.seed);
+    for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
+        Rng rng = master.child(rep);
+        std::vector<std::size_t> order(p);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        rng.shuffle(order);
+        const core::RankedSequence seq =
+            clusterer.sort_once(measurements, std::move(order), rng);
+        for (std::size_t pos = 0; pos < p; ++pos) {
+            ++counts[seq.order[pos]][static_cast<std::size_t>(seq.ranks[pos] - 1)];
+        }
+    }
+    core::RankTally tally(p);
+    for (std::size_t alg = 0; alg < p; ++alg) {
+        for (std::size_t r = 0; r < p; ++r) {
+            if (counts[alg][r] > 0) {
+                tally[alg].emplace_back(static_cast<int>(r + 1), counts[alg][r]);
+            }
+        }
+    }
+    return core::build_clustering(tally, config.repetitions);
+}
+
 /// The clustering of the CI plan (the `--campaign-init` defaults: 8
 /// algorithms, N = 30, Rep = R = 100), whose clusters CSV is
 /// ci/golden/campaign_clusters.csv.
@@ -384,8 +418,9 @@ TEST(RelativeClusterer, SparseMatchesDenseOracleBitForBit) {
         const core::BootstrapComparator cmp(
             core::BootstrapComparatorConfig{.rounds = 20});
         const std::size_t reps = p >= 256 ? 4 : 25;
-        const RelativeClusterer clusterer(cmp, ClustererConfig{reps, 42});
-        expect_identical(clusterer.cluster(set), clusterer.cluster_dense(set));
+        const ClustererConfig config{reps, 42};
+        expect_identical(RelativeClusterer(cmp, config).cluster(set),
+                         cluster_dense(cmp, set, config));
     }
 }
 
@@ -424,8 +459,7 @@ TEST(RelativeClusterer, WorkersDoNotMoveABit) {
         expect_identical(run(workers, resamples), serial);
         EXPECT_EQ(resamples, serial_resamples);
     }
-    const RelativeClusterer pooled(cmp, ClustererConfig{13, 21, 4});
-    expect_identical(pooled.cluster_dense(set), serial);
+    expect_identical(cluster_dense(cmp, set, ClustererConfig{13, 21}), serial);
 }
 
 TEST(Clustering, BuildClusteringInvertsRankTally) {

@@ -7,7 +7,8 @@
 //!    max_n, and clamp the last batch to the cap;
 //!  * every algorithm's adaptive sample is a strict prefix of the fixed-N
 //!    sample (per-algorithm streams make extension order-independent);
-//!  * runs are deterministic.
+//!  * runs are deterministic, down to the rounds and per-algorithm counts
+//!    on a drifting 32-algorithm source.
 
 #include "core/measurement_engine.hpp"
 
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -58,6 +60,42 @@ public:
     std::vector<std::pair<std::string, double>> algs_;
     std::vector<std::size_t> position_;
     std::vector<std::vector<std::size_t>> draw_sizes_;
+};
+
+/// 32 algorithms: two clearly separated flat tiers (base 1.0 and 2.0), the
+/// last four of which are "wobblers" instead, whose means drift upward at
+/// staggered slopes between the tiers, so every extension batch shifts
+/// their empirical quantiles.
+class DriftingSource final : public core::SampleSource {
+public:
+    [[nodiscard]] std::size_t count() const override { return kCount; }
+    [[nodiscard]] std::string name(std::size_t index) const override {
+        return "alg" + std::to_string(index);
+    }
+    [[nodiscard]] std::vector<double> draw(std::size_t index,
+                                           std::size_t n) override {
+        const bool wobbler = index + 4 >= kCount;
+        std::vector<double> out;
+        out.reserve(n);
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::size_t pos = position_[index]++;
+            if (wobbler) {
+                const double slope =
+                    0.02 + 0.005 * static_cast<double>(index % 4);
+                out.push_back(1.0 + slope * static_cast<double>(pos) +
+                              0.01 * static_cast<double>((pos * 13) % 5));
+            } else {
+                const double base = index < kCount / 2 ? 1.0 : 2.0;
+                out.push_back(base * (1.0 + 0.002 * static_cast<double>(
+                                                        (pos * 7) % 11)));
+            }
+        }
+        return out;
+    }
+
+private:
+    static constexpr std::size_t kCount = 32;
+    std::vector<std::size_t> position_ = std::vector<std::size_t>(kCount, 0);
 };
 
 ScriptedSource two_classes() {
@@ -288,6 +326,29 @@ TEST(MeasurementEngine, PublishedClusteringEqualsAnalyzeMeasurements) {
                       reference.clustering.score_of(alg, r));
         }
     }
+}
+
+TEST(MeasurementEngine, DriftingSourcePinsRoundsAndSavings) {
+    // On this deterministic source the engine's stop decisions are exact
+    // counts: the fast tier stops at N = 11 after three rounds, the slow
+    // tier and the wobblers at N = 14 after four.
+    core::AdaptiveConfig adaptive;
+    adaptive.min_n = 5;
+    adaptive.max_n = 60;
+    adaptive.batch = 3;
+    adaptive.stability_rounds = 2;
+    const core::MeasurementEngine engine(
+        adaptive, core::BootstrapComparatorConfig{.rounds = 25},
+        core::ClustererConfig{20, 55});
+    DriftingSource source;
+    const core::EngineResult result = engine.run(source);
+    EXPECT_EQ(result.rounds, 4u);
+    std::vector<std::size_t> expected(32, 14);
+    std::fill(expected.begin(), expected.begin() + 16, std::size_t{11});
+    EXPECT_EQ(result.samples_per_alg, expected);
+    EXPECT_EQ(result.total_samples, 400u);
+    EXPECT_EQ(result.fixed_n_samples, 1920u);
+    EXPECT_EQ(result.saved_samples(), 1520u);
 }
 
 TEST(MeasurementEngine, CapClampsTheLastBatch) {

@@ -66,7 +66,7 @@ std::vector<bool> none_stopped(std::size_t n) {
 
 } // namespace
 
-TEST(MembershipStabilityRule, FirstObserveOnlySeeds) {
+TEST(StabilityRule, FirstObserveOnlySeeds) {
     core::StoppingRule rule(1, 0.0);
     const core::Clustering c = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 10);
     rule.observe(c, none_stopped(2));
@@ -78,7 +78,7 @@ TEST(MembershipStabilityRule, FirstObserveOnlySeeds) {
     EXPECT_TRUE(rule.should_stop(1));
 }
 
-TEST(MembershipStabilityRule, CounterResetsOnMembershipChange) {
+TEST(StabilityRule, CounterResetsOnMembershipChange) {
     core::StoppingRule rule(2, 0.0);
     const core::Clustering ab = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 10);
     const core::Clustering ba = make_clustering({{{2, 1.0}}, {{1, 1.0}}}, 10);
@@ -94,7 +94,7 @@ TEST(MembershipStabilityRule, CounterResetsOnMembershipChange) {
     EXPECT_TRUE(rule.should_stop(1));
 }
 
-TEST(MembershipStabilityRule, SkipsStoppedAlgorithms) {
+TEST(StabilityRule, SkipsStoppedAlgorithms) {
     core::StoppingRule rule(1, 0.0);
     const core::Clustering ab = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 10);
     rule.observe(ab, none_stopped(2));
@@ -106,7 +106,7 @@ TEST(MembershipStabilityRule, SkipsStoppedAlgorithms) {
     EXPECT_TRUE(rule.should_stop(0));
 }
 
-TEST(MembershipStabilityRule, RejectsBadConstructionAndMismatchedSizes) {
+TEST(StabilityRule, RejectsBadConstructionAndMismatchedSizes) {
     EXPECT_THROW(core::StoppingRule(0, 0.0), relperf::InvalidArgument);
     EXPECT_THROW(core::StoppingRule(0, 0.95), relperf::InvalidArgument);
     core::StoppingRule rule(2, 0.0);
@@ -119,7 +119,7 @@ TEST(MembershipStabilityRule, RejectsBadConstructionAndMismatchedSizes) {
                  relperf::InvalidArgument);
 }
 
-TEST(ConfidenceTargetRule, ValidatesConfidenceAndResolvesZ) {
+TEST(ConfidenceRule, ValidatesConfidenceAndResolvesZ) {
     EXPECT_THROW(core::StoppingRule(2, 0.5), relperf::InvalidArgument);
     EXPECT_THROW(core::StoppingRule(2, 1.0), relperf::InvalidArgument);
     EXPECT_THROW(core::StoppingRule(2, 0.4), relperf::InvalidArgument);
@@ -133,7 +133,7 @@ TEST(ConfidenceTargetRule, ValidatesConfidenceAndResolvesZ) {
     EXPECT_EQ(stability.z(), 0.0);
 }
 
-TEST(ConfidenceTargetRule, NeverStopsOnTheFirstClustering) {
+TEST(ConfidenceRule, NeverStopsOnTheFirstClustering) {
     core::StoppingRule rule(2, 0.95);
     // Unanimous membership — as decisive as a clustering gets.
     const core::Clustering c = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 100);
@@ -146,7 +146,7 @@ TEST(ConfidenceTargetRule, NeverStopsOnTheFirstClustering) {
     EXPECT_TRUE(rule.should_stop(1));
 }
 
-TEST(ConfidenceTargetRule, InsignificantMarginKeepsMeasuring) {
+TEST(ConfidenceRule, InsignificantMarginKeepsMeasuring) {
     core::StoppingRule rule(2, 0.95);
     // Rank 1 wins 55/45 over rank 2 across Rep = 20 repetitions: margin 0.1,
     // SE ~ 0.22 — nowhere near significant at 0.95.
@@ -158,7 +158,7 @@ TEST(ConfidenceTargetRule, InsignificantMarginKeepsMeasuring) {
     EXPECT_FALSE(rule.should_stop(1));
 }
 
-TEST(ConfidenceTargetRule, MembershipFlipBlocksStopping) {
+TEST(ConfidenceRule, MembershipFlipBlocksStopping) {
     core::StoppingRule rule(2, 0.95);
     const core::Clustering ab = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 100);
     const core::Clustering ba = make_clustering({{{2, 1.0}}, {{1, 1.0}}}, 100);
@@ -170,7 +170,7 @@ TEST(ConfidenceTargetRule, MembershipFlipBlocksStopping) {
     EXPECT_TRUE(rule.should_stop(0));
 }
 
-TEST(ConfidenceTargetRule, UnknownRepetitionCountIsNotConfident) {
+TEST(ConfidenceRule, UnknownRepetitionCountIsNotConfident) {
     core::StoppingRule rule(2, 0.95);
     const core::Clustering c = make_clustering({{{1, 1.0}}, {{2, 1.0}}}, 0);
     rule.observe(c, none_stopped(2));
@@ -178,7 +178,7 @@ TEST(ConfidenceTargetRule, UnknownRepetitionCountIsNotConfident) {
     EXPECT_FALSE(rule.should_stop(0));
 }
 
-TEST(ConfidenceTargetRule, HigherConfidenceIsMoreConservative) {
+TEST(ConfidenceRule, HigherConfidenceIsMoreConservative) {
     // Rank 1 wins 60/40 over Rep = 100: margin 0.2, SE ~ 0.098. Significant
     // at z(0.8) = 0.84 but not at z(0.9999) = 3.72.
     const core::Clustering c = make_clustering(
@@ -194,7 +194,7 @@ TEST(ConfidenceTargetRule, HigherConfidenceIsMoreConservative) {
     EXPECT_FALSE(tight.should_stop(0));
 }
 
-TEST(ConfidenceTargetRule, IgnoresStabilityRounds) {
+TEST(ConfidenceRule, IgnoresStabilityRounds) {
     // One repeat of a unanimous class is enough under the confidence rule,
     // whatever stability_rounds says: only the stability rule counts to it.
     core::StoppingRule rule(5, 0.95);

@@ -1,10 +1,11 @@
 #include "linalg/cholesky.hpp"
 
 #include "linalg/gemm.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/syrk.hpp"
 #include "stats/rng.hpp"
 #include "support/error.hpp"
+
+#include "lu.hpp"
 
 #include <gtest/gtest.h>
 

@@ -6,11 +6,12 @@
 #include "linalg/backend.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/gemm.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/rls.hpp"
 #include "linalg/syrk.hpp"
 #include "stats/rng.hpp"
 #include "support/error.hpp"
+
+#include "lu.hpp"
 
 #include <gtest/gtest.h>
 

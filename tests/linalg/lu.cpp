@@ -1,4 +1,4 @@
-#include "linalg/lu.hpp"
+#include "lu.hpp"
 
 #include "support/error.hpp"
 
@@ -36,7 +36,6 @@ LuFactors lu_factor(const Matrix& a) {
         for (std::size_t i = k + 1; i < n; ++i) {
             const double lik = m(i, k) * inv;
             m(i, k) = lik;
-            #pragma omp simd
             for (std::size_t c = k + 1; c < n; ++c) m(i, c) -= lik * m(k, c);
         }
     }

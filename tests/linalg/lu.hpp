@@ -1,7 +1,7 @@
 #pragma once
 //! \file lu.hpp
-//! LU factorization with partial pivoting — the general-purpose solver,
-//! used as an independent oracle for the Cholesky path in tests.
+//! LU factorization with partial pivoting — a general-purpose solver that
+//! serves the tests only, as an independent oracle for the Cholesky path.
 
 #include "linalg/matrix.hpp"
 

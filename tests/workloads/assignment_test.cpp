@@ -20,7 +20,7 @@ TEST(Placement, CharRoundTrip) {
 // The paper's plain letter-string assignments: placement only, every task
 // inheriting the chain backend.
 
-TEST(DeviceAssignment, ParsesLetterString) {
+TEST(PlainVariant, ParsesLetterString) {
     const VariantAssignment a("DDA");
     EXPECT_EQ(a.size(), 3u);
     EXPECT_EQ(a.at(0).placement, Placement::Device);
@@ -31,13 +31,13 @@ TEST(DeviceAssignment, ParsesLetterString) {
     EXPECT_EQ(a.alg_name(), "algDDA");
 }
 
-TEST(DeviceAssignment, InvalidStringsThrow) {
+TEST(PlainVariant, InvalidStringsThrow) {
     EXPECT_THROW(VariantAssignment(""), relperf::InvalidArgument);
     EXPECT_THROW(VariantAssignment("DXA"), relperf::InvalidArgument);
     EXPECT_THROW(VariantAssignment("da"), relperf::InvalidArgument);
 }
 
-TEST(DeviceAssignment, VectorConstructor) {
+TEST(PlainVariant, VectorConstructor) {
     const VariantAssignment a(std::vector<ExecutionPolicy>{
         {Placement::Accelerator, ""}, {Placement::Device, ""}});
     EXPECT_EQ(a.str(), "AD");
@@ -46,12 +46,12 @@ TEST(DeviceAssignment, VectorConstructor) {
                  relperf::InvalidArgument);
 }
 
-TEST(DeviceAssignment, OutOfRangeIndexThrows) {
+TEST(PlainVariant, OutOfRangeIndexThrows) {
     const VariantAssignment a("DD");
     EXPECT_THROW((void)a.at(2), relperf::InvalidArgument);
 }
 
-TEST(DeviceAssignment, Equality) {
+TEST(PlainVariant, Equality) {
     EXPECT_EQ(VariantAssignment("DA"), VariantAssignment("DA"));
     EXPECT_FALSE(VariantAssignment("DA") == VariantAssignment("AD"));
 }
