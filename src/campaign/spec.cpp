@@ -5,6 +5,7 @@
 #include "support/str.hpp"
 #include "workloads/assignment.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -107,6 +108,12 @@ void CampaignSpec::validate() const {
                     "campaign: clustering repetitions must be positive");
     RELPERF_REQUIRE(bootstrap_rounds > 0,
                     "campaign: bootstrap rounds must be positive");
+    // The comparator adds and subtracts round counts as signed integers.
+    constexpr auto max_rounds =
+        static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max() / 2);
+    RELPERF_REQUIRE(bootstrap_rounds <= max_rounds,
+                    "campaign: bootstrap_rounds must be at most " +
+                        std::to_string(max_rounds) + " (INT64_MAX / 2)");
     RELPERF_REQUIRE(tie_epsilon >= 0.0, "campaign: tie_epsilon must be >= 0");
     RELPERF_REQUIRE(decision_threshold > 0.5 && decision_threshold <= 1.0,
                     "campaign: decision_threshold must be in (0.5, 1]");

@@ -6,12 +6,20 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
 namespace relperf::core {
 
 namespace {
+
+/// The one scratch of a thread, shared by score() and compare(): the
+/// clusterer calls compare() on one comparator from several threads at once.
+BootstrapScratch& thread_scratch() {
+    static thread_local BootstrapScratch scratch;
+    return scratch;
+}
 
 /// Sorts `sample` into `out.sorted` and records every raw index's position in
 /// `out.rank`. Tied values may take their positions in any order: the sorted
@@ -51,6 +59,35 @@ void tally_resample(RankedSample& s, stats::Rng& rng) {
     rng = local;
 }
 
+/// Moves `rng` past `rounds` rounds exactly as the round loop draws them —
+/// per round n_a indices of a, n_b of b, then the quantile — without
+/// tallying or selecting anything.
+void skip_rounds(std::int64_t rounds, std::size_t n_a, std::size_t n_b,
+                 stats::Rng& rng) {
+    stats::Rng local = rng; // as in tally_resample
+    for (std::int64_t r = 0; r < rounds; ++r) {
+        for (std::size_t i = 0; i < n_a; ++i) (void)local.uniform_index(n_a);
+        for (std::size_t i = 0; i < n_b; ++i) (void)local.uniform_index(n_b);
+        (void)local.uniform(); // the quantile: one draw, as uniform(lo, hi)
+    }
+    rng = local;
+}
+
+/// The least x in [lo, hi) for which `holds(x)` is true, or hi if none is;
+/// `holds` must be false and then true as x grows.
+template <class Pred>
+std::int64_t first_true(std::int64_t lo, std::int64_t hi, Pred holds) {
+    while (lo < hi) {
+        const std::int64_t mid = lo + (hi - lo) / 2;
+        if (holds(mid)) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    return lo;
+}
+
 /// The q-quantile of the tallied resample, as the same double
 /// stats::quantile_partial returns for the materialized resample: the lo-th
 /// and (lo+1)-th order statistics come from the prefix sums of the tally,
@@ -77,6 +114,10 @@ double resample_quantile(const RankedSample& s, double q) {
 
 void BootstrapComparatorConfig::validate() const {
     RELPERF_REQUIRE(rounds > 0, "BootstrapComparator: rounds must be positive");
+    // The settle check adds and subtracts round counts as signed integers.
+    RELPERF_REQUIRE(rounds <= static_cast<std::size_t>(
+                                  std::numeric_limits<std::int64_t>::max() / 2),
+                    "BootstrapComparator: rounds must be at most INT64_MAX / 2");
     RELPERF_REQUIRE(0.0 <= quantile_lo && quantile_lo <= quantile_hi && quantile_hi <= 1.0,
                     "BootstrapComparator: need 0 <= quantile_lo <= quantile_hi <= 1");
     RELPERF_REQUIRE(tie_epsilon >= 0.0, "BootstrapComparator: tie_epsilon must be >= 0");
@@ -87,27 +128,45 @@ void BootstrapComparatorConfig::validate() const {
 BootstrapComparator::BootstrapComparator(BootstrapComparatorConfig config)
     : config_(config) {
     config_.validate();
+    // The verdict thresholds score = net / rounds: Better above t, Worse
+    // below -t. Both tests are monotone in the net win count, so each
+    // verdict holds on one interval of [-rounds, rounds], whose ends are
+    // found by bisection on the floating-point tests themselves.
+    const auto rounds = static_cast<std::int64_t>(config_.rounds);
+    const double t = config_.decision_threshold;
+    const auto score_of = [rounds](std::int64_t net) {
+        return static_cast<double>(net) / static_cast<double>(rounds);
+    };
+    better_from_ = first_true(-rounds, rounds + 1,
+                              [&](std::int64_t net) { return score_of(net) > t; });
+    worse_upto_ = first_true(-rounds, rounds + 1,
+                             [&](std::int64_t net) { return !(score_of(net) < -t); }) -
+                  1;
 }
 
-double BootstrapComparator::score(std::span<const double> a, std::span<const double> b,
-                                  stats::Rng& rng) const {
-    static thread_local BootstrapScratch scratch;
-    return score(a, b, rng, scratch);
+Ordering BootstrapComparator::verdict(std::int64_t net) const noexcept {
+    if (net >= better_from_) return Ordering::Better;
+    if (net <= worse_upto_) return Ordering::Worse;
+    return Ordering::Equivalent;
 }
 
-double BootstrapComparator::score(std::span<const double> a, std::span<const double> b,
-                                  stats::Rng& rng, BootstrapScratch& scratch) const {
+std::int64_t BootstrapComparator::net_wins(std::span<const double> a,
+                                           std::span<const double> b,
+                                           stats::Rng& rng,
+                                           BootstrapScratch& scratch,
+                                           bool settle) const {
     RELPERF_REQUIRE(!a.empty() && !b.empty(), "BootstrapComparator: empty sample");
 
-    // Counter only, no span: score() sits inside the clusterer's sort inner
-    // loop, where even an unarmed span's ctor/dtor pair would be noise.
+    // Counter only, no span: this loop sits inside the clusterer's sort
+    // inner loop, where even an unarmed span's ctor/dtor pair would be noise.
+    // Every round draws its resamples, settled or not.
     obs::metrics().bootstrap_resamples_total.inc(2 * config_.rounds);
 
     rank_sample(a, scratch.a);
     rank_sample(b, scratch.b);
-    long wins_a = 0;
-    long wins_b = 0;
-    for (std::size_t r = 0; r < config_.rounds; ++r) {
+    const auto rounds = static_cast<std::int64_t>(config_.rounds);
+    std::int64_t net = 0;
+    for (std::int64_t r = 1; r <= rounds; ++r) {
         // Per round the rng yields a's indices, then b's, then the quantile.
         tally_resample(scratch.a, rng);
         tally_resample(scratch.b, rng);
@@ -117,24 +176,34 @@ double BootstrapComparator::score(std::span<const double> a, std::span<const dou
 
         const double band =
             config_.tie_epsilon * std::min(std::fabs(qa), std::fabs(qb));
-        if (std::fabs(qa - qb) <= band) continue; // tie
-        if (qa < qb) {
-            ++wins_a; // lower is better
-        } else {
-            ++wins_b;
+        const bool tie = std::fabs(qa - qb) <= band;
+        if (!tie) net += qa < qb ? 1 : -1; // lower is better
+        // The final net lies in [net - left, net + left], and the verdict is
+        // monotone in it: equal verdicts at both ends fix it.
+        const std::int64_t left = rounds - r;
+        if (settle && verdict(net - left) == verdict(net + left)) {
+            skip_rounds(left, a.size(), b.size(), rng);
+            break;
         }
     }
-    return static_cast<double>(wins_a - wins_b) /
+    return net;
+}
+
+double BootstrapComparator::score(std::span<const double> a, std::span<const double> b,
+                                  stats::Rng& rng) const {
+    return score(a, b, rng, thread_scratch());
+}
+
+double BootstrapComparator::score(std::span<const double> a, std::span<const double> b,
+                                  stats::Rng& rng, BootstrapScratch& scratch) const {
+    return static_cast<double>(net_wins(a, b, rng, scratch, /*settle=*/false)) /
            static_cast<double>(config_.rounds);
 }
 
 Ordering BootstrapComparator::compare(std::span<const double> a,
                                       std::span<const double> b,
                                       stats::Rng& rng) const {
-    const double s = score(a, b, rng);
-    if (s > config_.decision_threshold) return Ordering::Better;
-    if (s < -config_.decision_threshold) return Ordering::Worse;
-    return Ordering::Equivalent;
+    return verdict(net_wins(a, b, rng, thread_scratch(), /*settle=*/true));
 }
 
 } // namespace relperf::core

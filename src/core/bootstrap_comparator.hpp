@@ -19,6 +19,13 @@
 //! between outcomes across repetitions — exactly the behaviour the paper
 //! exploits to derive relative scores (Sec. III, "Computing the relative
 //! scores").
+//!
+//! score() runs every round. compare() settles: once the rounds left can no
+//! longer move the net wins across either threshold, it stops tallying and
+//! selecting, and only makes the draws those rounds would have made, in the
+//! same order. Its verdict and the rng state after the call are those of the
+//! thresholded score(), so the sort's later comparisons, which read the same
+//! rng stream, see the same bits.
 
 #include "core/comparison.hpp"
 
@@ -29,9 +36,11 @@
 namespace relperf::core {
 
 /// Tuning knobs of the bootstrap comparator. Defaults reproduce the paper's
-/// qualitative behaviour at N = 30 and N = 500 (see EXPERIMENTS.md).
+/// qualitative behaviour at N = 30 and N = 500 (`integration.Table1.*`,
+/// `integration.Fig1b.*`).
 struct BootstrapComparatorConfig {
-    std::size_t rounds = 100;        ///< Bootstrap rounds per comparison.
+    std::size_t rounds = 100;        ///< Bootstrap rounds per comparison,
+                                     ///< at most INT64_MAX / 2.
     double quantile_lo = 0.35;       ///< Lower bound of the random quantile.
     double quantile_hi = 0.65;       ///< Upper bound of the random quantile.
     double tie_epsilon = 0.02;       ///< Relative tie band per round.
@@ -41,39 +50,43 @@ struct BootstrapComparatorConfig {
     void validate() const;
 };
 
-/// One sample prepared for counting selection: sorted once per score()
-/// call, after which a round's resample is just a histogram over ranks.
+/// One sample prepared for counting selection: sorted once per call, after
+/// which a round's resample is just a histogram over ranks.
 struct RankedSample {
     std::vector<double> sorted;        ///< The sample in ascending order.
     std::vector<std::uint32_t> rank;   ///< rank[j]: position of value j in `sorted`.
     std::vector<std::uint32_t> counts; ///< This round's resample, tallied by rank.
 };
 
-/// Caller-owned scratch for BootstrapComparator::score. Reusing one scratch
-/// across the many score() calls of a clustering keeps the hot path free of
-/// allocations; nothing in it carries over from one call to the next.
+/// Scratch for BootstrapComparator's round loop. Reusing one scratch across
+/// the many calls of a clustering keeps the hot path free of allocations;
+/// nothing in it carries over from one call to the next.
 struct BootstrapScratch {
-    RankedSample a; ///< score()'s first sample.
-    RankedSample b; ///< score()'s second sample.
+    RankedSample a; ///< The first sample.
+    RankedSample b; ///< The second sample.
 };
 
 class BootstrapComparator final : public Comparator {
 public:
     explicit BootstrapComparator(BootstrapComparatorConfig config = {});
 
+    /// score() thresholded at ±decision_threshold, with the same rng state
+    /// after the call. Settles: the rounds after the verdict is fixed make
+    /// their draws but are neither tallied nor selected. Uses a thread-local
+    /// scratch — the comparator itself stays stateless and shareable across
+    /// campaign worker threads.
     [[nodiscard]] Ordering compare(std::span<const double> a,
                                    std::span<const double> b,
                                    stats::Rng& rng) const override;
 
     /// The raw win-rate score in [-1, 1] (positive: a wins). Exposed for
-    /// diagnostics and the ablation benches. Uses a thread-local scratch —
-    /// the comparator itself stays stateless and shareable across campaign
-    /// worker threads.
+    /// diagnostics and the ablation benches. Runs every round; never
+    /// settles. Uses the same thread-local scratch as compare().
     [[nodiscard]] double score(std::span<const double> a, std::span<const double> b,
                                stats::Rng& rng) const;
 
-    /// As above with caller-owned scratch (the allocation-free hot path the
-    /// clusterer and the benches drive).
+    /// As above with caller-owned scratch (the allocation-free path the
+    /// benches drive).
     [[nodiscard]] double score(std::span<const double> a, std::span<const double> b,
                                stats::Rng& rng, BootstrapScratch& scratch) const;
 
@@ -84,7 +97,23 @@ public:
     }
 
 private:
+    /// The one round loop: returns #a-wins - #b-wins. With `settle`, it
+    /// stops tallying once the verdict is fixed, makes the remaining rounds'
+    /// draws, and returns the net so far, whose verdict is the final one.
+    [[nodiscard]] std::int64_t net_wins(std::span<const double> a,
+                                        std::span<const double> b,
+                                        stats::Rng& rng, BootstrapScratch& scratch,
+                                        bool settle) const;
+
+    /// compare()'s verdict for a net win count in [-rounds, rounds].
+    [[nodiscard]] Ordering verdict(std::int64_t net) const noexcept;
+
     BootstrapComparatorConfig config_;
+    /// Cut points of the verdict, derived from its floating-point predicate
+    /// in the constructor: Better iff net >= better_from_, Worse iff
+    /// net <= worse_upto_.
+    std::int64_t better_from_ = 0;
+    std::int64_t worse_upto_ = 0;
 };
 
 } // namespace relperf::core

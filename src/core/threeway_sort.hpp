@@ -8,9 +8,9 @@
 //! labels r_1 <= ... <= r_p with r_1 = 1 and steps in {0, 1}. The labels
 //! partition the sequence into performance classes; the update rules merge
 //! classes on "equivalent" outcomes and split them when an algorithm defeats
-//! every member of its own class (see DESIGN.md section 5 for the exact
-//! contract and tests/core/threeway_sort_test.cpp for the paper's Figure 2
-//! trace replayed verbatim).
+//! every member of its own class. The `core.ThreeWaySort.*` tests pin the
+//! exact contract, and `core.ThreeWaySort.PaperFigure2TraceVerbatim` replays
+//! the paper's Figure 2 trace verbatim.
 
 #include "core/comparison.hpp"
 

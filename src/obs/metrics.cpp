@@ -193,7 +193,8 @@ const Metrics& metrics() {
                            "Relative-performance clusterings computed."),
         registry().counter(
             "relperf_bootstrap_resamples_total",
-            "Bootstrap resample vectors built by the comparator."),
+            "Bootstrap resamples drawn by the comparator: 2 per round of "
+            "every comparison, settled rounds included."),
         registry().counter("relperf_executions_total",
                            "Individual task-chain executions (sim + real)."),
         registry().counter("relperf_shards_total",

@@ -114,7 +114,8 @@ struct Metrics {
     Counter& samples_fixed_n_total;  ///< what a fixed-N plan would have drawn
     Counter& adaptive_rounds;        ///< engine rounds (clusterings consulted)
     Counter& clusterings_total;      ///< RelativeClusterer::cluster calls
-    Counter& bootstrap_resamples_total; ///< bootstrap resample vectors built
+    Counter& bootstrap_resamples_total; ///< bootstrap resamples drawn: 2 per
+                                        ///< round, settled rounds included
     Counter& executions_total;       ///< executor run_once invocations
     Counter& shards_total;           ///< campaign shards measured
     Counter& shard_merges_total;     ///< merge_shards calls

@@ -6,7 +6,8 @@
 //! placement, given where the previous task ran?" — the conditional structure
 //! is essential: staging data onto a device you are already on is free, and
 //! framework residency effects (memory-pool pressure, warm kernels) make task
-//! times depend on the predecessor's placement (see DESIGN.md section 2).
+//! times depend on the predecessor's placement
+//! (`sim.CalibratedProfile.ConditionalSemantics` pins these semantics).
 
 #include "workloads/chain.hpp"
 

@@ -54,7 +54,8 @@ double CalibratedProfile::exit_seconds(const workloads::TaskChain& chain,
 }
 
 CalibratedProfile paper_rls_profile() {
-    // Units: seconds. Derivation (DESIGN.md sec. 2 + EXPERIMENTS.md):
+    // Units: seconds. Derivation (targets in profile.hpp; the resulting means
+    // are pinned by sim.PaperRlsProfile.GoldenExpectedMeans):
     //  * per-iteration device times follow rls_flops(s) at the effective
     //    single-core rates of a Xeon 8160 core under framework dispatch
     //    (~30 us/op * 10 ops/iter included);

@@ -10,7 +10,9 @@
 //!    growing with n; crossover below n ~ 7.
 //!  * Figure 1b regime for the two-loop chain: AD clearly best at N = 500,
 //!    AD vs AA borderline at N = 30, DD ~ DA statistically equivalent.
-//! EXPERIMENTS.md tabulates paper-reported vs simulator-produced results.
+//! Tests pin each target: `sim.PaperRlsProfile.*` and `sim.Fig1bProfile.*`
+//! the expected means, `integration.Table1.*`, `integration.Speedup.*` and
+//! `integration.Fig1b.*` the clusterings and speed-ups they produce.
 
 #include "sim/cost_model.hpp"
 

@@ -19,7 +19,8 @@ TaskChain paper_rls_chain(std::size_t iters) {
 TaskChain two_loop_chain() {
     TaskChain chain;
     chain.name = "two-loop-gemm";
-    // Aggregate, calibrated footprints (see DESIGN.md section 2):
+    // Aggregate, calibrated footprints (workloads.TwoLoopChain.MatchesFigure1a
+    // pins their shape, sim.Fig1bProfile.* the resulting means):
     //  L1: high arithmetic intensity (2.5 GFLOP over 10 MB) -> offload wins.
     //  L2: "larger matrix-matrix multiplication" streaming 800 MB for
     //      4 GFLOP -> the data movement slightly exceeds the speed-up gain

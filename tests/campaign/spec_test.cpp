@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 namespace campaign = relperf::campaign;
 
@@ -112,6 +114,25 @@ TEST(CampaignSpec, ValidateRejectsOutOfRangeFields) {
     spec = campaign::CampaignSpec{};
     spec.decision_threshold = 0.4;
     EXPECT_THROW(spec.validate(), relperf::InvalidArgument);
+    // Round counts past INT64_MAX / 2 are refused by name, not run for ever
+    // or wrapped into a signed count.
+    const auto cap =
+        static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max() / 2);
+    for (const std::size_t rounds : {cap + 1, std::numeric_limits<std::size_t>::max()}) {
+        spec = campaign::CampaignSpec{};
+        spec.bootstrap_rounds = rounds;
+        try {
+            spec.validate();
+            ADD_FAILURE() << "bootstrap_rounds = " << rounds << " was accepted";
+        } catch (const relperf::InvalidArgument& e) {
+            EXPECT_NE(std::string(e.what()).find("bootstrap_rounds"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    spec = campaign::CampaignSpec{};
+    spec.bootstrap_rounds = cap;
+    EXPECT_NO_THROW(spec.validate());
 }
 
 TEST(CampaignSpec, HashCoversTheMeasurementPlanOnly) {

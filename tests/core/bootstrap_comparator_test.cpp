@@ -11,7 +11,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -207,6 +209,24 @@ TEST(BootstrapComparatorConfig, ValidationCatchesBadKnobs) {
     cfg = {};
     cfg.decision_threshold = 1.1;
     EXPECT_THROW(BootstrapComparator{cfg}, relperf::InvalidArgument);
+    // Round counts are added and subtracted as signed integers, so they stop
+    // at INT64_MAX / 2 (the cap itself is valid).
+    const auto cap =
+        static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max() / 2);
+    for (const std::size_t rounds : {cap + 1, std::numeric_limits<std::size_t>::max()}) {
+        cfg = {};
+        cfg.rounds = rounds;
+        try {
+            (void)BootstrapComparator{cfg};
+            ADD_FAILURE() << "rounds = " << rounds << " was accepted";
+        } catch (const relperf::InvalidArgument& e) {
+            EXPECT_NE(std::string(e.what()).find("rounds"), std::string::npos)
+                << e.what();
+        }
+    }
+    cfg = {};
+    cfg.rounds = cap;
+    EXPECT_NO_THROW(BootstrapComparator{cfg});
 }
 
 TEST(BootstrapComparator, CountingSelectMatchesResampleOracle) {
@@ -248,6 +268,69 @@ TEST(BootstrapComparator, CountingSelectMatchesResampleOracle) {
             }
         }
     }
+}
+
+TEST(BootstrapComparator, CompareEqualsThresholdedScore) {
+    // compare() stops tallying once the rounds left cannot move its verdict,
+    // but still makes their draws. So it must return score() thresholded at
+    // decision_threshold and leave the rng where score() leaves it. The
+    // thresholds next to 0.9 and 0.1 + 0.2 put a net win count on or just
+    // past a cut point, where cut points computed in integer arithmetic
+    // rather than from the predicate go wrong: ceil(0.9 * rounds) at most
+    // round counts, floor(t * rounds) + 1 at 10 rounds for the threshold
+    // just below 0.9.
+    const std::size_t sizes[] = {1, 2, 3, 10, 30, 31};
+    const double shifts[] = {1.0, 1.03, 1.3, 0.7};
+    const std::size_t round_counts[] = {1, 2, 7, 10, 25, 100};
+    const double thresholds[] = {0.9,
+                                 1.0,
+                                 0.5,
+                                 0.1 + 0.2,
+                                 std::nextafter(0.9, 1.0),
+                                 std::nextafter(0.9, 0.0)};
+    const auto thresholded = [](double s, double t) {
+        if (s > t) return Ordering::Better;
+        if (s < -t) return Ordering::Worse;
+        return Ordering::Equivalent;
+    };
+    int seen[3] = {0, 0, 0};
+    for (std::uint64_t seed = 0; seed < 2 * 36 * 4; ++seed) {
+        const std::size_t na = sizes[seed % 6];
+        const std::size_t nb = sizes[(seed / 6) % 6];
+        const bool tied = (seed / 36) % 2 == 1;
+        const double shift = shifts[(seed / 72) % 4];
+        const auto a = oracle_sample(na, 1.0, tied, seed * 2 + 1);
+        const auto b = oracle_sample(nb, shift, tied, seed * 2 + 2);
+        // Every eighth case compares a with itself, through one span.
+        const bool same = seed % 8 == 7;
+        const std::span<const double> first(a);
+        const std::span<const double> second = same ? first : std::span<const double>(b);
+        for (const std::size_t rounds : round_counts) {
+            for (const double t : thresholds) {
+                BootstrapComparatorConfig cfg;
+                cfg.rounds = rounds;
+                cfg.decision_threshold = t;
+                SCOPED_TRACE(testing::Message()
+                             << "seed " << seed << " na " << na << " nb "
+                             << (same ? na : nb) << " same " << same
+                             << " rounds " << rounds << " threshold "
+                             << testing::PrintToString(t));
+                const BootstrapComparator cmp(cfg);
+                Rng rng_compare(seed + 9000);
+                Rng rng_score(seed + 9000);
+                const Ordering got = cmp.compare(first, second, rng_compare);
+                const Ordering want =
+                    thresholded(cmp.score(first, second, rng_score), t);
+                EXPECT_EQ(got, want);
+                EXPECT_EQ(rng_compare.bits(), rng_score.bits());
+                ++seen[static_cast<int>(got)];
+            }
+        }
+    }
+    // The inputs reach every verdict, so each cut point is exercised.
+    EXPECT_GT(seen[static_cast<int>(Ordering::Better)], 0);
+    EXPECT_GT(seen[static_cast<int>(Ordering::Worse)], 0);
+    EXPECT_GT(seen[static_cast<int>(Ordering::Equivalent)], 0);
 }
 
 TEST(BootstrapComparator, CallerOwnedScratchMatchesThreadLocalPath) {

@@ -82,6 +82,28 @@ private:
     double flip_prob_;
 };
 
+/// The bootstrap comparator's verdict as its thresholded score(), which
+/// tallies every round: what compare() must equal, though it settles.
+class ThresholdedScore final : public core::Comparator {
+public:
+    explicit ThresholdedScore(const core::BootstrapComparator& inner)
+        : inner_(inner) {}
+
+    Ordering compare(std::span<const double> a, std::span<const double> b,
+                     Rng& rng) const override {
+        const double s = inner_.score(a, b, rng);
+        const double t = inner_.config().decision_threshold;
+        if (s > t) return Ordering::Better;
+        if (s < -t) return Ordering::Worse;
+        return Ordering::Equivalent;
+    }
+
+    std::string name() const override { return "thresholded-score"; }
+
+private:
+    const core::BootstrapComparator& inner_;
+};
+
 /// p algorithms with overlapping noisy distributions — enough class overlap
 /// that the bootstrap comparator's stochastic outcomes split scores across
 /// several ranks.
@@ -434,10 +456,12 @@ TEST(RelativeClusterer, WorkersDoNotMoveABit) {
     const MeasurementSet set = overlapping_pairs(6, 2);
     const core::BootstrapComparator cmp(
         core::BootstrapComparatorConfig{.rounds = 30});
-    const auto run = [&](std::size_t workers, std::uint64_t& resamples) {
+    const auto run = [&](std::size_t workers, std::uint64_t& resamples,
+                         const core::Comparator& comparator) {
         obs::registry().reset_values();
         obs::set_metrics_enabled(true);
-        const RelativeClusterer clusterer(cmp, ClustererConfig{13, 21, workers});
+        const RelativeClusterer clusterer(comparator,
+                                          ClustererConfig{13, 21, workers});
         Clustering out = clusterer.cluster(set);
         resamples = obs::metrics().bootstrap_resamples_total.value();
         obs::set_metrics_enabled(false);
@@ -445,7 +469,7 @@ TEST(RelativeClusterer, WorkersDoNotMoveABit) {
         return out;
     };
     std::uint64_t serial_resamples = 0;
-    const Clustering serial = run(1, serial_resamples);
+    const Clustering serial = run(1, serial_resamples, cmp);
     ASSERT_GT(serial_resamples, 0u);
     // The overlapping pairs split algorithms across ranks, so the
     // repetitions really differ from one another.
@@ -456,10 +480,20 @@ TEST(RelativeClusterer, WorkersDoNotMoveABit) {
     for (const std::size_t workers : {2u, 3u, 4u, 0u, 20u}) {
         SCOPED_TRACE("workers = " + std::to_string(workers));
         std::uint64_t resamples = 0;
-        expect_identical(run(workers, resamples), serial);
+        expect_identical(run(workers, resamples, cmp), serial);
         EXPECT_EQ(resamples, serial_resamples);
     }
     expect_identical(cluster_dense(cmp, set, ClustererConfig{13, 21}), serial);
+
+    // compare() settles; the thresholded score() tallies every round. Both
+    // must cluster alike and count the same resamples drawn.
+    const ThresholdedScore unsettled(cmp);
+    for (const std::size_t workers : {1u, 4u}) {
+        SCOPED_TRACE("thresholded score(), workers = " + std::to_string(workers));
+        std::uint64_t resamples = 0;
+        EXPECT_EQ(run(workers, resamples, unsettled), serial);
+        EXPECT_EQ(resamples, serial_resamples);
+    }
 }
 
 TEST(Clustering, BuildClusteringInvertsRankTally) {

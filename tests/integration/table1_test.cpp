@@ -2,7 +2,7 @@
 //! three-task RLS chain (sizes 50/75/300, n = 10), N = 30 measurements,
 //! Rep = 100 clustering repetitions.
 //!
-//! Reproduction targets (shape, per DESIGN.md):
+//! Reproduction targets (shape, the calibration targets in sim/profile.hpp):
 //!   * algDDA is the winner (C1, score 1.0);
 //!   * algDDD lands in the second class ("not so bad", paper Sec. IV);
 //!   * algDAA sits at the top, straddling C1/C2 across samples;

@@ -32,7 +32,7 @@ struct Fixture {
 TEST(Predictor, LinearModelSpansTheCalibratedCostModel) {
     // Trained on *noise-free* expected times for all 8 assignments, the
     // linear features must represent the conditional cost model exactly
-    // (DESIGN.md: features chosen to span the simulator's model).
+    // (the features are chosen to span the simulator's model).
     Fixture f;
     const sim::SimulatedExecutor exact(f.profile, sim::NoiseModel::none());
     core::MeasurementSet noiseless;

@@ -27,7 +27,8 @@ std::map<std::string, double> expected_means_ms(const sim::CostModel& model,
 
 } // namespace
 
-// Golden values locked by the calibration (see DESIGN.md / EXPERIMENTS.md);
+// Golden values locked by the calibration (targets in sim/profile.hpp,
+// derivation in paper_rls_profile());
 // a change here is a change of the reproduced paper results and must be
 // deliberate.
 TEST(PaperRlsProfile, GoldenExpectedMeans) {
