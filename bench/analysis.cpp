@@ -38,7 +38,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// Counting select must beat the sorting loop by more than this factor (it
-/// measured 7.5-7.9x on a 4-vCPU Xeon VM, GCC 12 Release; the margin leaves
+/// measured 7.3-8.7x on a 4-vCPU Xeon VM, GCC 12 Release; the margin leaves
 /// room for noisy CI runners while still catching the fast path regressing
 /// outright).
 constexpr double kSpeedupFloor = 2.0;

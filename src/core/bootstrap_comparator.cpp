@@ -21,15 +21,15 @@ BootstrapScratch& thread_scratch() {
     return scratch;
 }
 
-/// Sorts `sample` into `out.sorted` and records every raw index's position in
-/// `out.rank`. Tied values may take their positions in any order: the sorted
+/// Sorts `sample` into `out.sorted`, records every raw index's position in
+/// `out.rank`, and leaves `out.counts` as n zeros, the tally of an empty
+/// resample. Tied values may take their positions in any order: the sorted
 /// values, and so every order statistic, are the same either way.
 void rank_sample(std::span<const double> sample, RankedSample& out) {
     RELPERF_REQUIRE(sample.size() <= std::numeric_limits<std::uint32_t>::max(),
                     "BootstrapComparator: sample too large to rank");
     const auto n = static_cast<std::uint32_t>(sample.size());
-    // `counts` is zeroed at the start of every round, so until then it can
-    // hold the argsort order.
+    // Until the ranks are recorded, `counts` holds the argsort order.
     std::vector<std::uint32_t>& order = out.counts;
     order.resize(n);
     std::iota(order.begin(), order.end(), 0u);
@@ -42,21 +42,7 @@ void rank_sample(std::span<const double> sample, RankedSample& out) {
         out.sorted[k] = sample[order[k]];
         out.rank[order[k]] = k;
     }
-}
-
-/// Tallies one with-replacement resample into `s.counts`, drawing the n
-/// indices from `rng` in the order a resample copy would.
-void tally_resample(RankedSample& s, stats::Rng& rng) {
-    const std::size_t n = s.rank.size();
-    std::fill(s.counts.begin(), s.counts.end(), 0u);
-    // Drawing from a local copy lets the compiler keep the generator state
-    // in registers for the whole loop instead of storing it back after
-    // every draw.
-    stats::Rng local = rng;
-    for (std::size_t i = 0; i < n; ++i) {
-        ++s.counts[s.rank[static_cast<std::size_t>(local.uniform_index(n))]];
-    }
-    rng = local;
+    std::fill(order.begin(), order.end(), 0u);
 }
 
 /// Moves `rng` past `rounds` rounds exactly as the round loop draws them —
@@ -64,13 +50,65 @@ void tally_resample(RankedSample& s, stats::Rng& rng) {
 /// tallying or selecting anything.
 void skip_rounds(std::int64_t rounds, std::size_t n_a, std::size_t n_b,
                  stats::Rng& rng) {
-    stats::Rng local = rng; // as in tally_resample
     for (std::int64_t r = 0; r < rounds; ++r) {
-        for (std::size_t i = 0; i < n_a; ++i) (void)local.uniform_index(n_a);
-        for (std::size_t i = 0; i < n_b; ++i) (void)local.uniform_index(n_b);
-        (void)local.uniform(); // the quantile: one draw, as uniform(lo, hi)
+        for (std::size_t i = 0; i < n_a; ++i) (void)rng.uniform_index(n_a);
+        for (std::size_t i = 0; i < n_b; ++i) (void)rng.uniform_index(n_b);
+        (void)rng.uniform(); // the quantile: one draw, as uniform(lo, hi)
     }
-    rng = local;
+}
+
+/// Bins the select reads between two looks at its prefix count.
+constexpr std::size_t kBlock = 16;
+
+/// The q-quantile of the tallied resample, as the same double
+/// stats::quantile_partial returns for the materialized resample: the lo-th
+/// and (lo+1)-th order statistics come from the prefix sums of the tally,
+/// and the interpolation is the same expression. Leaves `s.counts` all zero
+/// for the next round's tally.
+double select_quantile(RankedSample& s, double q) {
+    const std::size_t n = s.sorted.size();
+    std::uint32_t* const counts = s.counts.data();
+    if (n == 1) {
+        counts[0] = 0;
+        return s.sorted[0];
+    }
+    const double h = q * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(h);
+    const std::size_t hi = std::min(lo + 1, n - 1);
+    const double frac = h - static_cast<double>(lo);
+    // `upto` counts the resampled values of rank below `begin`. The k-th
+    // order statistic sits in the first bin where `upto` passes k, and
+    // `upto` never decreases, so its rank is the number of bins at which
+    // `upto` is still <= k. Whole blocks that leave it <= lo count fully.
+    std::size_t upto = 0;
+    std::size_t begin = 0;
+    while (begin + kBlock <= n) {
+        std::uint32_t sum = 0; // at most n, which rank_sample caps
+        for (std::size_t j = begin; j < begin + kBlock; ++j) sum += counts[j];
+        if (upto + sum > lo) break;
+        std::fill_n(counts + begin, kBlock, 0u);
+        upto += sum;
+        begin += kBlock;
+    }
+    // From there count without branching on the data, a block at a time,
+    // through the block in which `upto` passes hi. It reaches n > hi at the
+    // last bin, so the ranks stay below n.
+    std::size_t k_lo = begin;
+    std::size_t k_hi = begin;
+    while (upto <= hi) {
+        const std::size_t end = std::min(begin + kBlock, n);
+        for (std::size_t j = begin; j < end; ++j) {
+            upto += counts[j];
+            counts[j] = 0;
+            k_lo += upto <= lo;
+            k_hi += upto <= hi;
+        }
+        begin = end;
+    }
+    std::fill(counts + begin, counts + n, 0u);
+    const double v_lo = s.sorted[k_lo];
+    const double v_hi = s.sorted[k_hi];
+    return v_lo + frac * (v_hi - v_lo);
 }
 
 /// The least x in [lo, hi) for which `holds(x)` is true, or hi if none is;
@@ -86,28 +124,6 @@ std::int64_t first_true(std::int64_t lo, std::int64_t hi, Pred holds) {
         }
     }
     return lo;
-}
-
-/// The q-quantile of the tallied resample, as the same double
-/// stats::quantile_partial returns for the materialized resample: the lo-th
-/// and (lo+1)-th order statistics come from the prefix sums of the tally,
-/// and the interpolation is the same expression.
-double resample_quantile(const RankedSample& s, double q) {
-    const std::size_t n = s.sorted.size();
-    if (n == 1) return s.sorted[0];
-    const double h = q * static_cast<double>(n - 1);
-    const auto lo = static_cast<std::size_t>(h);
-    const std::size_t hi = std::min(lo + 1, n - 1);
-    const double frac = h - static_cast<double>(lo);
-    // `upto` counts the resampled values of rank <= k; it reaches n at the
-    // last occupied bin, and lo <= hi < n, so k stays in range.
-    std::size_t k = 0;
-    std::size_t upto = s.counts[0];
-    while (upto <= lo) upto += s.counts[++k];
-    const double v_lo = s.sorted[k];
-    while (upto <= hi) upto += s.counts[++k];
-    const double v_hi = s.sorted[k];
-    return v_lo + frac * (v_hi - v_lo);
 }
 
 } // namespace
@@ -164,28 +180,40 @@ std::int64_t BootstrapComparator::net_wins(std::span<const double> a,
 
     rank_sample(a, scratch.a);
     rank_sample(b, scratch.b);
+    const std::size_t n_a = a.size();
+    const std::size_t n_b = b.size();
+    // Drawing from a local copy lets the compiler keep the generator state
+    // in registers for the whole call instead of storing it back after
+    // every draw.
+    stats::Rng local = rng;
     const auto rounds = static_cast<std::int64_t>(config_.rounds);
     std::int64_t net = 0;
     for (std::int64_t r = 1; r <= rounds; ++r) {
         // Per round the rng yields a's indices, then b's, then the quantile.
-        tally_resample(scratch.a, rng);
-        tally_resample(scratch.b, rng);
-        const double q = rng.uniform(config_.quantile_lo, config_.quantile_hi);
-        const double qa = resample_quantile(scratch.a, q);
-        const double qb = resample_quantile(scratch.b, q);
+        // Each drawn index is tallied at its rank.
+        for (std::size_t i = 0; i < n_a; ++i) {
+            ++scratch.a.counts[scratch.a.rank[local.uniform_index(n_a)]];
+        }
+        for (std::size_t i = 0; i < n_b; ++i) {
+            ++scratch.b.counts[scratch.b.rank[local.uniform_index(n_b)]];
+        }
+        const double q = local.uniform(config_.quantile_lo, config_.quantile_hi);
+        const double qa = select_quantile(scratch.a, q);
+        const double qb = select_quantile(scratch.b, q);
 
         const double band =
             config_.tie_epsilon * std::min(std::fabs(qa), std::fabs(qb));
         const bool tie = std::fabs(qa - qb) <= band;
-        if (!tie) net += qa < qb ? 1 : -1; // lower is better
+        net += !tie * (2 * (qa < qb) - 1); // lower is better; NaN counts for b
         // The final net lies in [net - left, net + left], and the verdict is
         // monotone in it: equal verdicts at both ends fix it.
         const std::int64_t left = rounds - r;
         if (settle && verdict(net - left) == verdict(net + left)) {
-            skip_rounds(left, a.size(), b.size(), rng);
+            skip_rounds(left, n_a, n_b, local);
             break;
         }
     }
+    rng = local;
     return net;
 }
 

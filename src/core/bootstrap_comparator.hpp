@@ -9,7 +9,8 @@
 //! quantiles under a relative tie band `tie_epsilon`. A resample is never
 //! materialized: each sample is sorted once per call, a round tallies the
 //! ranks of its drawn indices, and the quantile's two order statistics are
-//! read off the tally's prefix sums (a counting select). The aggregated score
+//! read off the tally's prefix sums (a counting select), which clears every
+//! bin it reads. The aggregated score
 //!
 //!     score = (#a-wins - #b-wins) / rounds  in [-1, 1]
 //!
@@ -55,7 +56,9 @@ struct BootstrapComparatorConfig {
 struct RankedSample {
     std::vector<double> sorted;        ///< The sample in ascending order.
     std::vector<std::uint32_t> rank;   ///< rank[j]: position of value j in `sorted`.
-    std::vector<std::uint32_t> counts; ///< This round's resample, tallied by rank.
+    /// The round's resample, tallied by rank. Zeroed once per call, after
+    /// the sort; each round's select leaves it zero again.
+    std::vector<std::uint32_t> counts;
 };
 
 /// Scratch for BootstrapComparator's round loop. Reusing one scratch across

@@ -2,6 +2,8 @@
 
 #include "support/error.hpp"
 
+#include <cmath>
+
 namespace relperf::core {
 
 namespace {
@@ -10,8 +12,9 @@ void require_valid_samples(std::span<const double> samples, const char* who) {
     RELPERF_REQUIRE(!samples.empty(),
                     std::string(who) + ": samples must be non-empty");
     for (const double s : samples) {
-        RELPERF_REQUIRE(s >= 0.0,
-                        std::string(who) + ": measurements must be non-negative");
+        RELPERF_REQUIRE(std::isfinite(s) && s >= 0.0,
+                        std::string(who) +
+                            ": measurements must be finite and non-negative");
     }
 }
 

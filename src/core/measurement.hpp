@@ -28,12 +28,12 @@ class MeasurementSet {
 public:
     MeasurementSet() = default;
 
-    /// Appends an algorithm; names must be unique and samples non-empty.
-    /// Returns the algorithm's index.
+    /// Appends an algorithm; names must be unique and samples non-empty,
+    /// finite and non-negative. Returns the algorithm's index.
     std::size_t add(std::string name, std::vector<double> samples);
 
     /// Appends further samples to the algorithm at `index` (the adaptive
-    /// engine's per-round extension). Samples must be non-empty and
+    /// engine's per-round extension). Samples must be non-empty, finite and
     /// non-negative, like add()'s.
     void extend(std::size_t index, std::span<const double> samples);
 

@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <string>
@@ -234,19 +236,20 @@ TEST(BootstrapComparator, CountingSelectMatchesResampleOracle) {
     // comparator is specified: copy each round's resamples, sort them, read
     // the quantile off the sorted copy. Both must give the same score bits
     // and leave the rng in the same state, across sample sizes (unequal
-    // ones included), tied values, degenerate and wide quantile ranges, and
-    // both tie bands. One scratch serves every call, so stale buffers from
-    // a larger sample must not leak into a smaller one.
-    const std::size_t sizes[] = {1, 2, 3, 5, 10, 30, 31, 100};
+    // ones included; 15, 16, 17, 32 and 33 sit on the select's 16-bin
+    // block edges, 10 to 20 are the adaptive engine's), tied values,
+    // degenerate and wide quantile ranges, and both tie bands. One scratch
+    // serves every call, so stale buffers from a larger sample must not
+    // leak into a smaller one.
+    const std::size_t sizes[] = {1, 2, 3, 5, 10, 15, 16, 17, 20, 30, 31, 32, 33, 100};
+    constexpr std::size_t kSizes = std::size(sizes);
     const std::pair<double, double> ranges[] = {
         {0.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}, {0.5, 0.5}, {0.35, 0.65}};
     core::BootstrapScratch scratch;
-    for (std::uint64_t seed = 0; seed < 256; ++seed) {
-        const std::size_t na = sizes[seed % 8];
-        const std::size_t nb = sizes[(seed / 8) % 8];
-        const bool tied = (seed / 64) % 2 == 1;
-        const auto a = oracle_sample(na, 1.0, tied, seed * 2 + 1);
-        const auto b = oracle_sample(nb, 1.03, tied, seed * 2 + 2);
+    std::size_t scores = 0;
+    const auto expect_oracle_bits = [&](std::span<const double> a,
+                                        std::span<const double> b,
+                                        std::uint64_t seed) {
         for (const auto& [lo, hi] : ranges) {
             for (const double epsilon : {0.0, 0.02}) {
                 BootstrapComparatorConfig cfg;
@@ -255,8 +258,9 @@ TEST(BootstrapComparator, CountingSelectMatchesResampleOracle) {
                 cfg.quantile_hi = hi;
                 cfg.tie_epsilon = epsilon;
                 SCOPED_TRACE(testing::Message()
-                             << "seed " << seed << " na " << na << " nb " << nb
-                             << " q [" << lo << ", " << hi << "] eps " << epsilon);
+                             << "seed " << seed << " na " << a.size() << " nb "
+                             << b.size() << " q [" << lo << ", " << hi
+                             << "] eps " << epsilon);
                 Rng rng(seed + 7000);
                 Rng rng_oracle(seed + 7000);
                 const double got = BootstrapComparator(cfg).score(a, b, rng, scratch);
@@ -265,9 +269,45 @@ TEST(BootstrapComparator, CountingSelectMatchesResampleOracle) {
                           std::bit_cast<std::uint64_t>(want))
                     << "score " << got << " vs oracle " << want;
                 EXPECT_EQ(rng.bits(), rng_oracle.bits());
+                ++scores;
             }
         }
+    };
+    for (std::uint64_t seed = 0; seed < 2 * kSizes * kSizes; ++seed) {
+        const std::size_t na = sizes[seed % kSizes];
+        const std::size_t nb = sizes[(seed / kSizes) % kSizes];
+        const bool tied = seed >= kSizes * kSizes;
+        const auto a = oracle_sample(na, 1.0, tied, seed * 2 + 1);
+        const auto b = oracle_sample(nb, 1.03, tied, seed * 2 + 2);
+        expect_oracle_bits(a, b, seed);
     }
+    // Spans holding +inf, which a MeasurementSet rejects, go straight to
+    // score(): an order statistic at +inf makes the interpolated quantile
+    // +inf or NaN, and a round with a NaN quantile counts for b.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (std::uint64_t seed = 0; seed < 3 * kSizes; ++seed) {
+        auto a = oracle_sample(sizes[seed % kSizes], 1.0, false, seed + 9001);
+        auto b = oracle_sample(sizes[(seed + 5) % kSizes], 1.03, false, seed + 9002);
+        switch (seed / kSizes) {
+        case 0: // every third value of a
+            for (std::size_t i = 0; i < a.size(); i += 3) a[i] = kInf;
+            break;
+        case 1: // the second half of b's values
+            std::fill(b.begin() + static_cast<std::ptrdiff_t>(b.size() / 2),
+                      b.end(), kInf);
+            break;
+        default: // a is all +inf, and b is a copy of a
+            std::fill(a.begin(), a.end(), kInf);
+            b = a;
+            // Every round's quantiles are NaN, or +inf on both sides when
+            // n = 1, and neither is a tie: a loses every round to itself.
+            Rng rng(seed);
+            EXPECT_EQ(BootstrapComparator{}.score(a, b, rng), -1.0);
+            break;
+        }
+        expect_oracle_bits(a, b, seed + 5000);
+    }
+    EXPECT_EQ(scores, 4340u);
 }
 
 TEST(BootstrapComparator, CompareEqualsThresholdedScore) {
@@ -337,13 +377,33 @@ TEST(BootstrapComparator, CallerOwnedScratchMatchesThreadLocalPath) {
     const BootstrapComparator cmp(BootstrapComparatorConfig{});
     const auto a = lognormal_sample(1.0, 0.2, 25, 7);
     const auto b = lognormal_sample(1.1, 0.2, 25, 8);
+    const auto all_zero = [](const std::vector<std::uint32_t>& counts) {
+        return std::all_of(counts.begin(), counts.end(),
+                           [](std::uint32_t c) { return c == 0; });
+    };
+    // A clean scratch, reused (stale contents), then a dirty one: counts
+    // that are non-zero and longer than the samples. The tally is zeroed
+    // once per call and every select clears what it read, so the scores
+    // agree and the counts are all zero after each call.
     core::BootstrapScratch scratch;
-    for (int call = 0; call < 3; ++call) { // reuse exercises stale contents
+    core::BootstrapScratch dirty;
+    dirty.a.counts.assign(64, 7);
+    dirty.b.counts.assign(40, 3);
+    for (int call = 0; call < 4; ++call) {
+        core::BootstrapScratch& used = call < 3 ? scratch : dirty;
         Rng rng_plain(42 + call);
         Rng rng_scratch(42 + call);
         EXPECT_EQ(cmp.score(a, b, rng_plain),
-                  cmp.score(a, b, rng_scratch, scratch));
+                  cmp.score(a, b, rng_scratch, used)) << "call " << call;
+        EXPECT_EQ(rng_plain.bits(), rng_scratch.bits()) << "call " << call;
+        EXPECT_TRUE(all_zero(used.a.counts)) << "call " << call;
+        EXPECT_TRUE(all_zero(used.b.counts)) << "call " << call;
     }
+    // A one-value sample never reads its bin, but clears it all the same.
+    const std::vector<double> single = {1.0};
+    Rng rng(7);
+    (void)cmp.score(single, b, rng, scratch);
+    EXPECT_TRUE(all_zero(scratch.a.counts));
 }
 
 TEST(BootstrapComparator, NameIsStable) {

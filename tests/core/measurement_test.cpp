@@ -4,7 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 using relperf::core::MeasurementSet;
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+} // namespace
 
 TEST(MeasurementSet, AddAndLookup) {
     MeasurementSet set;
@@ -81,6 +91,10 @@ TEST(MeasurementSet, ExtendValidatesLikeAdd) {
                  relperf::InvalidArgument);
     EXPECT_THROW(set.extend(0, std::vector<double>{-1.0}),
                  relperf::InvalidArgument);
+    EXPECT_THROW(set.extend(0, std::vector<double>{2.0, kInf}),
+                 relperf::InvalidArgument);
+    EXPECT_THROW(set.extend(0, std::vector<double>{kNaN}),
+                 relperf::InvalidArgument);
     EXPECT_EQ(set.samples(0).size(), 1u); // failed extends change nothing
 }
 
@@ -107,6 +121,11 @@ TEST(MeasurementSet, InvalidInputsThrow) {
     EXPECT_THROW(set.add("", {1.0}), relperf::InvalidArgument);
     EXPECT_THROW(set.add("a", {}), relperf::InvalidArgument);
     EXPECT_THROW(set.add("a", {-1.0}), relperf::InvalidArgument);
+    // A non-finite sample has no order statistics to compare: +inf
+    // quantiles interpolate to NaN, which the comparator counts as a loss.
+    EXPECT_THROW(set.add("a", {1.0, kInf}), relperf::InvalidArgument);
+    EXPECT_THROW(set.add("a", {kNaN}), relperf::InvalidArgument);
+    EXPECT_FALSE(set.contains("a"));
     set.add("a", {1.0});
     EXPECT_THROW(set.add("a", {2.0}), relperf::InvalidArgument);
     EXPECT_THROW((void)set.at(5), relperf::InvalidArgument);
