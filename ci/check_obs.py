@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Cross-check relperf's observability outputs against each other.
 
-Usage: check_obs.py TRACE_JSON METRICS_PROM SAMPLES_CSV
+Usage: check_obs.py TRACE_JSON METRICS_PROM SAMPLES_CSV --rounds R
                     [--coordinated | --fixed-n]
 
 The mode names the kind of `relperf_cli --campaign ... --run` that wrote the
 files: shard-local adaptive (no flag), coordinated adaptive (--coordinated)
-or fixed N (--fixed-n).
+or fixed N (--fixed-n). R is the plan's `bootstrap_rounds`.
 
 Asserts that
   * the trace file is valid JSON of the Chrome trace-event object form,
@@ -21,6 +21,11 @@ Asserts that
   * relperf_samples_total equals the sum of the per-algorithm counts in the
     samples CSV — the metrics side and the measurement side of the run must
     tell the same story;
+  * relperf_bootstrap_resamples_total equals 2·R·Σ repetitions·p(p−1)/2
+    over the trace's clusterer.cluster spans, read from their `algorithms`
+    (p) and `repetitions` args: each repetition's sort compares every pair
+    once, and each comparison draws two resamples per round, settled
+    rounds included;
   * without a mode flag (a shard-local adaptive campaign):
     relperf_clusterings_total == relperf_adaptive_rounds + 1 (each shard's
     engine clusters once per round, and the merge clusters once more);
@@ -59,7 +64,7 @@ SPANS = {
 }
 
 
-def check_trace(path: str, mode: str) -> None:
+def check_trace(path: str, mode: str) -> list:
     with open(path, encoding="utf-8") as handle:
         try:
             trace = json.load(handle)
@@ -98,6 +103,31 @@ def check_trace(path: str, mode: str) -> None:
         fail(f"{path}: droppedEvents = {other.get('droppedEvents')}")
     print(f"check_obs: {path}: {len(events)} events OK, "
           f"provenance keys: {sorted(provenance)}")
+    return events
+
+
+def check_resamples(events: list, values: dict, rounds: int) -> None:
+    comparisons = 0
+    clusterings = 0
+    for event in events:
+        if event["name"] != "clusterer.cluster":
+            continue
+        args = event["args"]
+        if "algorithms" not in args or "repetitions" not in args:
+            fail(f"clusterer.cluster span lacks its algorithms/repetitions "
+                 f"args: {args}")
+        p = int(args["algorithms"])
+        comparisons += int(args["repetitions"]) * p * (p - 1) // 2
+        clusterings += 1
+    expected = 2 * rounds * comparisons
+    actual = int(values["relperf_bootstrap_resamples_total"])
+    if actual != expected:
+        fail(f"relperf_bootstrap_resamples_total = {actual} != 2·R·Σ "
+             f"repetitions·p(p−1)/2 = {expected} over {clusterings} "
+             f"clusterer.cluster spans at R = {rounds} — every comparison "
+             f"draws 2R resamples, settled rounds included")
+    print(f"check_obs: resamples_total={actual} = 2·{rounds}·{comparisons} "
+          f"comparisons over {clusterings} clusterings")
 
 
 def parse_metrics(path: str) -> dict:
@@ -114,7 +144,7 @@ def parse_metrics(path: str) -> dict:
     return values
 
 
-def check_metrics(path: str, mode: str) -> int:
+def check_metrics(path: str, mode: str) -> dict:
     values = parse_metrics(path)
     for counter in ("relperf_samples_total", "relperf_samples_fixed_n_total",
                     "relperf_adaptive_rounds", "relperf_clusterings_total",
@@ -176,7 +206,7 @@ def check_metrics(path: str, mode: str) -> int:
 
     print(f"check_obs: {path}: {len(values)} samples OK, "
           f"samples_total={samples_total}")
-    return samples_total
+    return values
 
 
 def csv_sample_sum(path: str) -> int:
@@ -196,17 +226,27 @@ def csv_sample_sum(path: str) -> int:
 
 
 def main() -> None:
+    usage = (f"usage: {sys.argv[0]} TRACE_JSON METRICS_PROM SAMPLES_CSV "
+             f"--rounds R [--coordinated | --fixed-n]")
     argv = sys.argv[1:]
+    rounds = None
+    if "--rounds" in argv:
+        at = argv.index("--rounds")
+        if at + 1 >= len(argv) or not argv[at + 1].isdigit():
+            fail(usage)
+        rounds = int(argv[at + 1])
+        del argv[at:at + 2]
     flags = [a for a in argv if a in ("--coordinated", "--fixed-n")]
     argv = [a for a in argv if a not in flags]
-    if len(argv) != 3 or len(flags) > 1:
-        fail(f"usage: {sys.argv[0]} TRACE_JSON METRICS_PROM SAMPLES_CSV "
-             f"[--coordinated | --fixed-n]")
+    if len(argv) != 3 or len(flags) > 1 or not rounds:
+        fail(usage)
     mode = flags[0][2:] if flags else "adaptive"
     trace_path, metrics_path, samples_path = argv
 
-    check_trace(trace_path, mode)
-    samples_total = check_metrics(metrics_path, mode)
+    events = check_trace(trace_path, mode)
+    values = check_metrics(metrics_path, mode)
+    check_resamples(events, values, rounds)
+    samples_total = int(values["relperf_samples_total"])
     csv_total = csv_sample_sum(samples_path)
 
     if samples_total != csv_total:

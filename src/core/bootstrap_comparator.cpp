@@ -4,9 +4,11 @@
 #include "support/error.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -21,10 +23,26 @@ BootstrapScratch& thread_scratch() {
     return scratch;
 }
 
+/// Samples of up to this many values tally in bytes: no count or prefix sum
+/// of their resamples reaches 128, so every byte's top bit stays clear.
+constexpr std::size_t kMaxByteSample = 127;
+
+/// Bins in one word of the byte tally.
+constexpr std::size_t kWordBins = sizeof(std::uint64_t);
+
+/// Every byte of a word set to 1, and every byte's top bit.
+constexpr std::uint64_t kOnes = 0x0101010101010101;
+constexpr std::uint64_t kHighs = 0x8080808080808080;
+
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "the byte tally's select orders a word's bins by byte order");
+
 /// Sorts `sample` into `out.sorted`, records every raw index's position in
-/// `out.rank`, and leaves `out.counts` as n zeros, the tally of an empty
-/// resample. Tied values may take their positions in any order: the sorted
-/// values, and so every order statistic, are the same either way.
+/// `out.rank`, and leaves the tally its size selects all zero (the byte
+/// tally padded to whole words) and the other empty. Tied values may take
+/// their positions in any order: the sorted values, and so every order
+/// statistic, are the same either way.
 void rank_sample(std::span<const double> sample, RankedSample& out) {
     RELPERF_REQUIRE(sample.size() <= std::numeric_limits<std::uint32_t>::max(),
                     "BootstrapComparator: sample too large to rank");
@@ -42,7 +60,31 @@ void rank_sample(std::span<const double> sample, RankedSample& out) {
         out.sorted[k] = sample[order[k]];
         out.rank[order[k]] = k;
     }
-    std::fill(order.begin(), order.end(), 0u);
+    if (n <= kMaxByteSample) {
+        out.byte_counts.assign((n + kWordBins - 1) / kWordBins * kWordBins, 0);
+        order.clear();
+    } else {
+        std::fill(order.begin(), order.end(), 0u);
+        out.byte_counts.clear();
+    }
+}
+
+/// Draws one resample of `s`'s n values from `rng` and tallies each drawn
+/// index at its rank, in the tally rank_sample chose. Inline, so that the
+/// generator's state stays in registers across the round loop. The bins go
+/// through a local pointer, since a byte store may alias the vector's own
+/// data pointer. `n` is the caller's span size: read from the vector, GCC 12
+/// gives Lemire's 128-bit product a high half it cannot prove zero, and
+/// every draw pays one more multiply.
+inline void tally_resample(RankedSample& s, std::size_t n, stats::Rng& rng) {
+    const std::uint32_t* const rank = s.rank.data();
+    if (n <= kMaxByteSample) {
+        std::uint8_t* const bins = s.byte_counts.data();
+        for (std::size_t i = 0; i < n; ++i) ++bins[rank[rng.uniform_index(n)]];
+    } else {
+        std::uint32_t* const bins = s.counts.data();
+        for (std::size_t i = 0; i < n; ++i) ++bins[rank[rng.uniform_index(n)]];
+    }
 }
 
 /// Moves `rng` past `rounds` rounds exactly as the round loop draws them —
@@ -57,29 +99,75 @@ void skip_rounds(std::int64_t rounds, std::size_t n_a, std::size_t n_b,
     }
 }
 
-/// Bins the select reads between two looks at its prefix count.
+/// The ranks of a tallied resample's lo-th and hi-th order statistics
+/// (0-based, lo <= hi < n). The k-th order statistic sits in the first bin
+/// whose prefix sum, the count of resampled values up to and including that
+/// bin, passes k; prefix sums never decrease, so its rank is the number of
+/// bins whose prefix sum is at most k. Both selects below return these
+/// ranks and leave every bin of their tally zero for the next round.
+struct OrderRanks {
+    std::size_t lo;
+    std::size_t hi;
+};
+
+/// The select on a byte tally, eight bins per word, with the same fixed
+/// work for every word. Three shift-adds turn a word's bins into their
+/// prefix sums within the word, and adding the running carry (the values in
+/// earlier words) to every byte makes them the prefix sums of the tally.
+/// They stay below 128, so no byte carries into the next, and byte lane i
+/// of (k * kOnes | kHighs) - p keeps its top bit exactly when lane i of p is
+/// at most k, without borrowing from its neighbour. The >> 7 moves each
+/// such bit to its lane's bottom; over at most 16 words a lane counts to
+/// 16, and the multiply by kOnes sums the eight lanes, a rank below n, into
+/// the top byte.
+OrderRanks select_bytes(std::vector<std::uint8_t>& bins, std::size_t lo,
+                        std::size_t hi) {
+    const std::uint64_t lo_test = lo * kOnes | kHighs;
+    const std::uint64_t hi_test = hi * kOnes | kHighs;
+    std::uint8_t* const data = bins.data();
+    const std::size_t size = bins.size();
+    std::uint64_t carry = 0; // the values in earlier words, in every byte
+    std::uint64_t lanes_lo = 0;
+    std::uint64_t lanes_hi = 0;
+    for (std::size_t begin = 0; begin < size; begin += kWordBins) {
+        std::uint64_t p = 0;
+        std::memcpy(&p, data + begin, sizeof p);
+        std::memset(data + begin, 0, sizeof p);
+        // The word's first bin is its lowest-addressed byte: the low byte on
+        // a little-endian target, the high byte on a big-endian one. The
+        // last bin's prefix is the word's own count of values.
+        std::uint64_t own = 0;
+        if constexpr (std::endian::native == std::endian::big) {
+            p += p >> 8;
+            p += p >> 16;
+            p += p >> 32;
+            own = p & 0xff;
+        } else {
+            p += p << 8;
+            p += p << 16;
+            p += p << 32;
+            own = p >> 56;
+        }
+        p += carry;
+        carry += own * kOnes;
+        lanes_lo += ((lo_test - p) & kHighs) >> 7;
+        lanes_hi += ((hi_test - p) & kHighs) >> 7;
+    }
+    return {static_cast<std::size_t>((lanes_lo * kOnes) >> 56),
+            static_cast<std::size_t>((lanes_hi * kOnes) >> 56)};
+}
+
+/// Bins the 32-bit select reads between two looks at its prefix count.
 constexpr std::size_t kBlock = 16;
 
-/// The q-quantile of the tallied resample, as the same double
-/// stats::quantile_partial returns for the materialized resample: the lo-th
-/// and (lo+1)-th order statistics come from the prefix sums of the tally,
-/// and the interpolation is the same expression. Leaves `s.counts` all zero
-/// for the next round's tally.
-double select_quantile(RankedSample& s, double q) {
-    const std::size_t n = s.sorted.size();
-    std::uint32_t* const counts = s.counts.data();
-    if (n == 1) {
-        counts[0] = 0;
-        return s.sorted[0];
-    }
-    const double h = q * static_cast<double>(n - 1);
-    const auto lo = static_cast<std::size_t>(h);
-    const std::size_t hi = std::min(lo + 1, n - 1);
-    const double frac = h - static_cast<double>(lo);
-    // `upto` counts the resampled values of rank below `begin`. The k-th
-    // order statistic sits in the first bin where `upto` passes k, and
-    // `upto` never decreases, so its rank is the number of bins at which
-    // `upto` is still <= k. Whole blocks that leave it <= lo count fully.
+/// The select on a 32-bit tally of n bins.
+OrderRanks select_counts(std::vector<std::uint32_t>& bins, std::size_t lo,
+                         std::size_t hi) {
+    const std::size_t n = bins.size();
+    std::uint32_t* const counts = bins.data();
+    // `upto` counts the resampled values of rank below `begin`. Whole
+    // blocks that leave it <= lo hold no bin past either order statistic,
+    // so they count fully.
     std::size_t upto = 0;
     std::size_t begin = 0;
     while (begin + kBlock <= n) {
@@ -93,21 +181,40 @@ double select_quantile(RankedSample& s, double q) {
     // From there count without branching on the data, a block at a time,
     // through the block in which `upto` passes hi. It reaches n > hi at the
     // last bin, so the ranks stay below n.
-    std::size_t k_lo = begin;
-    std::size_t k_hi = begin;
+    OrderRanks ranks{begin, begin};
     while (upto <= hi) {
         const std::size_t end = std::min(begin + kBlock, n);
         for (std::size_t j = begin; j < end; ++j) {
             upto += counts[j];
             counts[j] = 0;
-            k_lo += upto <= lo;
-            k_hi += upto <= hi;
+            ranks.lo += upto <= lo;
+            ranks.hi += upto <= hi;
         }
         begin = end;
     }
     std::fill(counts + begin, counts + n, 0u);
-    const double v_lo = s.sorted[k_lo];
-    const double v_hi = s.sorted[k_hi];
+    return ranks;
+}
+
+/// The q-quantile of the tallied resample, as the same double
+/// stats::quantile_partial returns for the materialized resample: the lo-th
+/// and (lo+1)-th order statistics come from the tally in use, and the
+/// interpolation is the same expression. Leaves that tally all zero for the
+/// next round's resample.
+double select_quantile(RankedSample& s, double q) {
+    const std::size_t n = s.sorted.size();
+    if (n == 1) { // one value always tallies in bytes
+        s.byte_counts[0] = 0;
+        return s.sorted[0];
+    }
+    const double h = q * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(h);
+    const std::size_t hi = std::min(lo + 1, n - 1);
+    const double frac = h - static_cast<double>(lo);
+    const OrderRanks k = n <= kMaxByteSample ? select_bytes(s.byte_counts, lo, hi)
+                                             : select_counts(s.counts, lo, hi);
+    const double v_lo = s.sorted[k.lo];
+    const double v_hi = s.sorted[k.hi];
     return v_lo + frac * (v_hi - v_lo);
 }
 
@@ -190,13 +297,8 @@ std::int64_t BootstrapComparator::net_wins(std::span<const double> a,
     std::int64_t net = 0;
     for (std::int64_t r = 1; r <= rounds; ++r) {
         // Per round the rng yields a's indices, then b's, then the quantile.
-        // Each drawn index is tallied at its rank.
-        for (std::size_t i = 0; i < n_a; ++i) {
-            ++scratch.a.counts[scratch.a.rank[local.uniform_index(n_a)]];
-        }
-        for (std::size_t i = 0; i < n_b; ++i) {
-            ++scratch.b.counts[scratch.b.rank[local.uniform_index(n_b)]];
-        }
+        tally_resample(scratch.a, n_a, local);
+        tally_resample(scratch.b, n_b, local);
         const double q = local.uniform(config_.quantile_lo, config_.quantile_hi);
         const double qa = select_quantile(scratch.a, q);
         const double qb = select_quantile(scratch.b, q);

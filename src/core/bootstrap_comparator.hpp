@@ -10,7 +10,8 @@
 //! materialized: each sample is sorted once per call, a round tallies the
 //! ranks of its drawn indices, and the quantile's two order statistics are
 //! read off the tally's prefix sums (a counting select), which clears every
-//! bin it reads. The aggregated score
+//! bin it reads. A sample of at most 127 values tallies in bytes, eight bins
+//! to a 64-bit word; a larger one in 32-bit counts. The aggregated score
 //!
 //!     score = (#a-wins - #b-wins) / rounds  in [-1, 1]
 //!
@@ -52,12 +53,22 @@ struct BootstrapComparatorConfig {
 };
 
 /// One sample prepared for counting selection: sorted once per call, after
-/// which a round's resample is just a histogram over ranks.
+/// which a round's resample is just a histogram over ranks. The histogram
+/// lives in one of two tallies, chosen from the sample's size n:
+/// - n <= 127: `byte_counts`, which the select reads a 64-bit word at a
+///   time. No count or prefix sum of n draws can reach 128, so the top bit
+///   of every byte stays clear for the select's borrow test.
+/// - n >= 128: `counts`, which can hold any count of n draws.
+/// Each call zeroes the tally in use once, after the sort, and empties the
+/// other; each round's select leaves the tally in use zero again.
 struct RankedSample {
     std::vector<double> sorted;        ///< The sample in ascending order.
     std::vector<std::uint32_t> rank;   ///< rank[j]: position of value j in `sorted`.
-    /// The round's resample, tallied by rank. Zeroed once per call, after
-    /// the sort; each round's select leaves it zero again.
+    /// The round's resample of a sample of at most 127 values, tallied by
+    /// rank: one byte per bin, padded with zero bins to whole 64-bit words.
+    std::vector<std::uint8_t> byte_counts;
+    /// The round's resample of a sample of 128 values or more, tallied by
+    /// rank: one 32-bit count per bin.
     std::vector<std::uint32_t> counts;
 };
 

@@ -236,12 +236,16 @@ TEST(BootstrapComparator, CountingSelectMatchesResampleOracle) {
     // comparator is specified: copy each round's resamples, sort them, read
     // the quantile off the sorted copy. Both must give the same score bits
     // and leave the rng in the same state, across sample sizes (unequal
-    // ones included; 15, 16, 17, 32 and 33 sit on the select's 16-bin
-    // block edges, 10 to 20 are the adaptive engine's), tied values,
-    // degenerate and wide quantile ranges, and both tie bands. One scratch
-    // serves every call, so stale buffers from a larger sample must not
-    // leak into a smaller one.
-    const std::size_t sizes[] = {1, 2, 3, 5, 10, 15, 16, 17, 20, 30, 31, 32, 33, 100};
+    // ones included), tied values, degenerate and wide quantile ranges, and
+    // both tie bands. Up to 127 values tally in bytes, eight bins to a word:
+    // 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 126 and 127 sit on word
+    // edges. From 128 values the tally is 32-bit, and 128, 129 and 500 sit
+    // on or past the edges of its select's 16-bin blocks. All pairs of sizes
+    // mix the two tallies; 10 to 30 are the adaptive engine's sizes, 500 is
+    // the paper's Fig. 1b size. One scratch serves every call, so stale
+    // buffers from a larger sample must not leak into a smaller one.
+    const std::size_t sizes[] = {1,  2,  3,  5,  7,  8,  9,   10,  15,  16,  17,  20,
+                                 30, 31, 32, 33, 63, 64, 65, 100, 126, 127, 128, 129};
     constexpr std::size_t kSizes = std::size(sizes);
     const std::pair<double, double> ranges[] = {
         {0.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}, {0.5, 0.5}, {0.35, 0.65}};
@@ -281,6 +285,12 @@ TEST(BootstrapComparator, CountingSelectMatchesResampleOracle) {
         const auto b = oracle_sample(nb, 1.03, tied, seed * 2 + 2);
         expect_oracle_bits(a, b, seed);
     }
+    for (std::uint64_t seed = 0; seed < 2; ++seed) {
+        const bool tied = seed == 1;
+        const auto a = oracle_sample(500, 1.0, tied, seed * 2 + 8001);
+        const auto b = oracle_sample(500, 1.03, tied, seed * 2 + 8002);
+        expect_oracle_bits(a, b, seed + 8000);
+    }
     // Spans holding +inf, which a MeasurementSet rejects, go straight to
     // score(): an order statistic at +inf makes the interpolated quantile
     // +inf or NaN, and a round with a NaN quantile counts for b.
@@ -307,7 +317,7 @@ TEST(BootstrapComparator, CountingSelectMatchesResampleOracle) {
         }
         expect_oracle_bits(a, b, seed + 5000);
     }
-    EXPECT_EQ(scores, 4340u);
+    EXPECT_EQ(scores, 12260u);
 }
 
 TEST(BootstrapComparator, CompareEqualsThresholdedScore) {
@@ -319,7 +329,9 @@ TEST(BootstrapComparator, CompareEqualsThresholdedScore) {
     // rather than from the predicate go wrong: ceil(0.9 * rounds) at most
     // round counts, floor(t * rounds) + 1 at 10 rounds for the threshold
     // just below 0.9.
-    const std::size_t sizes[] = {1, 2, 3, 10, 30, 31};
+    // 127 values tally in bytes and 128 in 32-bit counts: both settle.
+    const std::size_t sizes[] = {1, 2, 3, 10, 30, 31, 127, 128};
+    constexpr std::size_t kSizes = std::size(sizes);
     const double shifts[] = {1.0, 1.03, 1.3, 0.7};
     const std::size_t round_counts[] = {1, 2, 7, 10, 25, 100};
     const double thresholds[] = {0.9,
@@ -334,15 +346,15 @@ TEST(BootstrapComparator, CompareEqualsThresholdedScore) {
         return Ordering::Equivalent;
     };
     int seen[3] = {0, 0, 0};
-    for (std::uint64_t seed = 0; seed < 2 * 36 * 4; ++seed) {
-        const std::size_t na = sizes[seed % 6];
-        const std::size_t nb = sizes[(seed / 6) % 6];
-        const bool tied = (seed / 36) % 2 == 1;
-        const double shift = shifts[(seed / 72) % 4];
+    for (std::uint64_t seed = 0; seed < 2 * kSizes * kSizes * 4; ++seed) {
+        const std::size_t na = sizes[seed % kSizes];
+        const std::size_t nb = sizes[(seed / kSizes) % kSizes];
+        const bool tied = (seed / (kSizes * kSizes)) % 2 == 1;
+        const double shift = shifts[(seed / (2 * kSizes * kSizes)) % 4];
         const auto a = oracle_sample(na, 1.0, tied, seed * 2 + 1);
         const auto b = oracle_sample(nb, shift, tied, seed * 2 + 2);
-        // Every eighth case compares a with itself, through one span.
-        const bool same = seed % 8 == 7;
+        // Every seventh case compares a with itself, through one span.
+        const bool same = seed % 7 == 6;
         const std::span<const double> first(a);
         const std::span<const double> second = same ? first : std::span<const double>(b);
         for (const std::size_t rounds : round_counts) {
@@ -375,35 +387,62 @@ TEST(BootstrapComparator, CompareEqualsThresholdedScore) {
 
 TEST(BootstrapComparator, CallerOwnedScratchMatchesThreadLocalPath) {
     const BootstrapComparator cmp(BootstrapComparatorConfig{});
-    const auto a = lognormal_sample(1.0, 0.2, 25, 7);
-    const auto b = lognormal_sample(1.1, 0.2, 25, 8);
-    const auto all_zero = [](const std::vector<std::uint32_t>& counts) {
-        return std::all_of(counts.begin(), counts.end(),
-                           [](std::uint32_t c) { return c == 0; });
+    const auto all_zero = [](const auto& tally) {
+        return std::all_of(tally.begin(), tally.end(), [](auto c) { return c == 0; });
     };
-    // A clean scratch, reused (stale contents), then a dirty one: counts
-    // that are non-zero and longer than the samples. The tally is zeroed
-    // once per call and every select clears what it read, so the scores
-    // agree and the counts are all zero after each call.
+    const auto expect_clean = [&](const core::BootstrapScratch& used) {
+        EXPECT_TRUE(all_zero(used.a.byte_counts));
+        EXPECT_TRUE(all_zero(used.b.byte_counts));
+        EXPECT_TRUE(all_zero(used.a.counts));
+        EXPECT_TRUE(all_zero(used.b.counts));
+    };
+    // 25 values tally in bytes and 200 in 32-bit counts. Per size: a clean
+    // scratch, reused (stale contents), then a dirty one, whose tallies are
+    // all non-zero, a's longer than either size needs and b's longer than
+    // the byte tally of 25 values needs. Each call zeroes the tally it uses
+    // and empties the other, and every select clears what it read, so the
+    // scores and rng states agree and both tallies are all zero after each
+    // call.
+    int call = 0;
+    for (const int n : {25, 200}) {
+        const auto a = lognormal_sample(1.0, 0.2, n, 7);
+        const auto b = lognormal_sample(1.1, 0.2, n, 8);
+        core::BootstrapScratch scratch;
+        core::BootstrapScratch dirty;
+        dirty.a.byte_counts.assign(264, 7);
+        dirty.b.byte_counts.assign(40, 3);
+        dirty.a.counts.assign(264, 7);
+        dirty.b.counts.assign(40, 3);
+        for (int i = 0; i < 4; ++i, ++call) {
+            SCOPED_TRACE(testing::Message() << "n " << n << " call " << call);
+            core::BootstrapScratch& used = i < 3 ? scratch : dirty;
+            Rng rng_plain(42 + call);
+            Rng rng_scratch(42 + call);
+            EXPECT_EQ(cmp.score(a, b, rng_plain), cmp.score(a, b, rng_scratch, used));
+            EXPECT_EQ(rng_plain.bits(), rng_scratch.bits());
+            expect_clean(used);
+        }
+    }
+    // At the switch both tallies give the same bits, so only the scratch
+    // shows which one a size took: 127 values fill 16 words of bytes, and
+    // 128 values take 32-bit counts.
     core::BootstrapScratch scratch;
-    core::BootstrapScratch dirty;
-    dirty.a.counts.assign(64, 7);
-    dirty.b.counts.assign(40, 3);
-    for (int call = 0; call < 4; ++call) {
-        core::BootstrapScratch& used = call < 3 ? scratch : dirty;
-        Rng rng_plain(42 + call);
-        Rng rng_scratch(42 + call);
-        EXPECT_EQ(cmp.score(a, b, rng_plain),
-                  cmp.score(a, b, rng_scratch, used)) << "call " << call;
-        EXPECT_EQ(rng_plain.bits(), rng_scratch.bits()) << "call " << call;
-        EXPECT_TRUE(all_zero(used.a.counts)) << "call " << call;
-        EXPECT_TRUE(all_zero(used.b.counts)) << "call " << call;
+    for (const int n : {127, 128, 127}) {
+        SCOPED_TRACE(testing::Message() << "n " << n);
+        const auto a = lognormal_sample(1.0, 0.2, n, 9);
+        Rng rng(n);
+        (void)cmp.score(a, a, rng, scratch);
+        EXPECT_EQ(scratch.a.byte_counts.size(), n == 127 ? 128u : 0u);
+        EXPECT_EQ(scratch.a.counts.size(), n == 127 ? 0u : 128u);
+        expect_clean(scratch);
     }
     // A one-value sample never reads its bin, but clears it all the same.
     const std::vector<double> single = {1.0};
+    const auto b = lognormal_sample(1.1, 0.2, 25, 8);
     Rng rng(7);
     (void)cmp.score(single, b, rng, scratch);
-    EXPECT_TRUE(all_zero(scratch.a.counts));
+    EXPECT_EQ(scratch.a.byte_counts.size(), 8u);
+    expect_clean(scratch);
 }
 
 TEST(BootstrapComparator, NameIsStable) {
