@@ -39,9 +39,6 @@ public:
     /// The plan of shard `shard_index`; throws when out of range.
     [[nodiscard]] ShardPlan plan(std::size_t shard_index) const;
 
-    /// All K plans, ordered by shard index.
-    [[nodiscard]] std::vector<ShardPlan> all_plans() const;
-
     /// The shard that owns global assignment `assignment_index`.
     [[nodiscard]] std::size_t owner_of(std::size_t assignment_index) const;
 

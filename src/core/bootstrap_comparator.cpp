@@ -197,8 +197,8 @@ OrderRanks select_counts(std::vector<std::uint32_t>& bins, std::size_t lo,
 }
 
 /// The q-quantile of the tallied resample, as the same double
-/// stats::quantile_partial returns for the materialized resample: the lo-th
-/// and (lo+1)-th order statistics come from the tally in use, and the
+/// stats::quantile_sorted returns for the sorted materialized resample: the
+/// lo-th and (lo+1)-th order statistics come from the tally in use, and the
 /// interpolation is the same expression. Leaves that tally all zero for the
 /// next round's resample.
 double select_quantile(RankedSample& s, double q) {

@@ -27,17 +27,6 @@ std::unordered_map<std::string, int> rank_index(const FinalClusters& clusters) {
     return index;
 }
 
-} // namespace
-
-int FinalClusters::rank_of(const std::string& algorithm) const noexcept {
-    for (std::size_t i = 0; i < algorithms.size(); ++i) {
-        if (algorithms[i] == algorithm) return final_rank[i];
-    }
-    return 0;
-}
-
-namespace {
-
 [[noreturn]] void fail_at(const std::string& source, std::size_t line_number,
                           const std::string& message) {
     throw Error(str::format("%s:%zu: %s", source.c_str(), line_number,

@@ -22,9 +22,6 @@ namespace relperf::core {
 struct FinalClusters {
     std::vector<std::string> algorithms; ///< First-seen order.
     std::vector<int> final_rank;         ///< Parallel to algorithms; 1-based.
-
-    /// Rank of `algorithm`, or 0 when absent.
-    [[nodiscard]] int rank_of(const std::string& algorithm) const noexcept;
 };
 
 /// Parses the `cluster,algorithm,relative_score,final_cluster,final_score`

@@ -103,19 +103,14 @@ RankTally rank_tally(const Clustering& clustering) {
 double Clustering::score_of(std::size_t alg, int rank) const {
     RELPERF_REQUIRE(alg < final_assignment.size(),
                     "Clustering: algorithm out of range");
+    RELPERF_REQUIRE(memberships.size() == final_assignment.size(),
+                    "Clustering: score_of needs the memberships index");
     if (rank < 1 || rank > cluster_count()) return 0.0;
-    if (!memberships.empty()) {
-        // Index-backed: the algorithm's own (rank, score) list, at most one
-        // entry per distinct rank observed (<= min(Rep, cluster count)).
-        for (const RankScore& m : memberships[alg]) {
-            if (m.rank == rank) return m.score;
-            if (m.rank > rank) break; // ascending
-        }
-        return 0.0;
-    }
-    // Hand-built Clustering without the index: scan the cluster.
-    for (const ClusterEntry& e : clusters[static_cast<std::size_t>(rank - 1)]) {
-        if (e.alg == alg) return e.score;
+    // The algorithm's own (rank, score) list, at most one entry per
+    // distinct rank observed (<= min(Rep, cluster count)).
+    for (const RankScore& m : memberships[alg]) {
+        if (m.rank == rank) return m.score;
+        if (m.rank > rank) break; // ascending
     }
     return 0.0;
 }

@@ -82,8 +82,8 @@ struct Clustering {
     /// Final unique assignment, indexed by algorithm id.
     std::vector<FinalAssignment> final_assignment;
     /// Per-algorithm (rank, score) memberships, sorted by rank — the index
-    /// behind score_of. Filled by the clusterer; score_of falls back to
-    /// scanning `clusters` when a hand-built instance left it empty.
+    /// behind score_of. build_clustering fills it; score_of throws
+    /// InvalidArgument on a Clustering without it.
     std::vector<std::vector<RankScore>> memberships;
     /// Number of repetitions actually performed (Rep).
     std::size_t repetitions = 0;
@@ -94,7 +94,8 @@ struct Clustering {
 
     /// Relative score of `alg` in cluster `rank` (0 when the algorithm never
     /// obtained that rank, including out-of-range ranks). Throws
-    /// InvalidArgument for an out-of-range algorithm index, like final_rank.
+    /// InvalidArgument for an out-of-range algorithm index, like final_rank,
+    /// and for a Clustering without memberships.
     [[nodiscard]] double score_of(std::size_t alg, int rank) const;
 
     /// Convenience: final rank of `alg`.

@@ -68,13 +68,6 @@ bool MeasurementSet::contains(const std::string& name) const noexcept {
     return index_by_name_.find(name) != index_by_name_.end();
 }
 
-std::vector<std::string> MeasurementSet::names() const {
-    std::vector<std::string> out;
-    out.reserve(algorithms_.size());
-    for (const AlgorithmMeasurements& alg : algorithms_) out.push_back(alg.name);
-    return out;
-}
-
 stats::Summary MeasurementSet::summary(std::size_t index) const {
     return stats::summarize(samples(index));
 }

@@ -56,8 +56,6 @@ public:
     [[nodiscard]] std::size_t index_of(const std::string& name) const;
     [[nodiscard]] bool contains(const std::string& name) const noexcept;
 
-    [[nodiscard]] std::vector<std::string> names() const;
-
     /// Summary statistics of one algorithm's sample.
     [[nodiscard]] stats::Summary summary(std::size_t index) const;
 

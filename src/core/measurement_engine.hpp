@@ -35,7 +35,6 @@
 #include "sim/real_executor.hpp"
 #include "workloads/chain.hpp"
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -174,18 +173,6 @@ struct EngineResult {
     std::size_t rounds = 0;         ///< Measurement rounds performed.
     std::size_t total_samples = 0;  ///< Sum of samples_per_alg.
     std::size_t fixed_n_samples = 0; ///< count * max_n — the fixed-N cost.
-
-    /// Measurements the early stopping saved vs the fixed-N plan. The engine
-    /// never measures past max_n, so total_samples > fixed_n_samples means a
-    /// caller assembled the result by hand (asserted in debug builds); the
-    /// difference clamps at 0 instead of wrapping.
-    [[nodiscard]] std::size_t saved_samples() const noexcept {
-        assert(total_samples <= fixed_n_samples &&
-               "EngineResult: total_samples exceeds the fixed-N budget");
-        return fixed_n_samples > total_samples
-                   ? fixed_n_samples - total_samples
-                   : 0;
-    }
 };
 
 /// Per-round progress snapshot handed to a RoundObserver after the round's

@@ -18,24 +18,6 @@ std::size_t RankedSequence::position_of(std::size_t alg) const {
     return static_cast<std::size_t>(it - order.begin());
 }
 
-std::vector<std::size_t> RankedSequence::cluster(int rank) const {
-    std::vector<std::size_t> out;
-    for (std::size_t pos = 0; pos < order.size(); ++pos) {
-        if (ranks[pos] == rank) out.push_back(order[pos]);
-    }
-    return out;
-}
-
-void check_rank_invariant(const std::vector<int>& ranks) {
-    RELPERF_ASSERT(!ranks.empty(), "rank invariant: empty label vector");
-    RELPERF_ASSERT(ranks.front() == 1, "rank invariant: first label must be 1");
-    for (std::size_t i = 1; i < ranks.size(); ++i) {
-        const int step = ranks[i] - ranks[i - 1];
-        RELPERF_ASSERT(step == 0 || step == 1,
-                       "rank invariant: labels must be non-decreasing with steps 0/1");
-    }
-}
-
 ThreeWaySorter::ThreeWaySorter(ThreeWayCompare compare)
     : compare_(std::move(compare)) {
     RELPERF_REQUIRE(static_cast<bool>(compare_), "ThreeWaySorter: null comparator");

@@ -40,9 +40,6 @@ struct RankedSequence {
 
     /// Position of algorithm `alg` in the sorted sequence.
     [[nodiscard]] std::size_t position_of(std::size_t alg) const;
-
-    /// All algorithms with rank label `rank`.
-    [[nodiscard]] std::vector<std::size_t> cluster(int rank) const;
 };
 
 /// One comparison step of the sort, recorded for traces (paper Figure 2).
@@ -80,11 +77,5 @@ private:
 
     ThreeWayCompare compare_;
 };
-
-/// Validates the rank-label invariant (non-decreasing from 1, steps in
-/// {0,1}); throws InternalError on violation. The sorter keeps its labels as
-/// 0/1 steps, which cannot break the invariant, so it never calls this; the
-/// property tests use it as their oracle on the labels a sort returns.
-void check_rank_invariant(const std::vector<int>& ranks);
 
 } // namespace relperf::core

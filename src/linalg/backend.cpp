@@ -121,9 +121,6 @@ const Backend& active_backend() {
     return t_override != nullptr ? *t_override : default_backend();
 }
 
-ScopedBackend::ScopedBackend(const std::string& name)
-    : ScopedBackend(backend(name)) {}
-
 ScopedBackend::ScopedBackend(const Backend& backend) : saved_(t_override) {
     t_override = &backend;
 }

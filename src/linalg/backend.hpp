@@ -81,7 +81,6 @@ void set_default_backend(const std::string& name);
 /// worker threads select their campaign's backend without racing each other.
 class ScopedBackend {
 public:
-    explicit ScopedBackend(const std::string& name);
     explicit ScopedBackend(const Backend& backend);
     ~ScopedBackend();
 

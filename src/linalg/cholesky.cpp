@@ -95,14 +95,4 @@ void solve_lower_transposed(const Matrix& l, Matrix& b) {
     }
 }
 
-Matrix cholesky_solve(const Matrix& spd, const Matrix& rhs) {
-    RELPERF_REQUIRE(spd.rows() == rhs.rows(), "cholesky_solve: shape mismatch");
-    Matrix l = spd;
-    cholesky_factor(l);
-    Matrix x = rhs;
-    solve_lower(l, x);
-    solve_lower_transposed(l, x);
-    return x;
-}
-
 } // namespace relperf::linalg

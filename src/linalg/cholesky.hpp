@@ -33,10 +33,6 @@ void solve_lower(const Matrix& l, Matrix& b);
 /// Solves Lᵀ * X = B in place; L lower-triangular (accessed transposed).
 void solve_lower_transposed(const Matrix& l, Matrix& b);
 
-/// One-shot SPD solve: returns X with spd * X = rhs, via Cholesky.
-/// `spd` is copied; use the in-place pieces above to avoid the copy.
-[[nodiscard]] Matrix cholesky_solve(const Matrix& spd, const Matrix& rhs);
-
 /// FLOPs of an n x n Cholesky factorization: n^3 / 3.
 [[nodiscard]] constexpr double cholesky_flops(std::size_t n) noexcept {
     const double dn = static_cast<double>(n);

@@ -36,12 +36,6 @@ void Matrix::fill(double value) noexcept {
     for (double& x : data_) x = value;
 }
 
-Matrix Matrix::identity(std::size_t n) {
-    Matrix m(n, n);
-    for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-    return m;
-}
-
 Matrix Matrix::random_uniform(std::size_t rows, std::size_t cols, stats::Rng& rng) {
     Matrix m(rows, cols);
     for (double& x : m.data_) x = rng.uniform(-1.0, 1.0);
@@ -93,16 +87,6 @@ double Matrix::frobenius_norm() const noexcept {
     return scale * std::sqrt(ssq);
 }
 
-double Matrix::max_abs_diff(const Matrix& other) const {
-    RELPERF_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
-                    "max_abs_diff: shape mismatch");
-    double worst = 0.0;
-    for (std::size_t i = 0; i < data_.size(); ++i) {
-        worst = std::max(worst, std::fabs(data_[i] - other.data_[i]));
-    }
-    return worst;
-}
-
 bool Matrix::operator==(const Matrix& other) const noexcept {
     return rows_ == other.rows_ && cols_ == other.cols_ && data_ == other.data_;
 }
@@ -115,17 +99,6 @@ Matrix subtract(const Matrix& a, const Matrix& b) {
     const std::span<const double> pb = b.data();
     const std::span<double> pc = c.data();
     for (std::size_t i = 0; i < pc.size(); ++i) pc[i] = pa[i] - pb[i];
-    return c;
-}
-
-Matrix add(const Matrix& a, const Matrix& b) {
-    RELPERF_REQUIRE(a.rows() == b.rows() && a.cols() == b.cols(),
-                    "add: shape mismatch");
-    Matrix c(a.rows(), a.cols());
-    const std::span<const double> pa = a.data();
-    const std::span<const double> pb = b.data();
-    const std::span<double> pc = c.data();
-    for (std::size_t i = 0; i < pc.size(); ++i) pc[i] = pa[i] + pb[i];
     return c;
 }
 

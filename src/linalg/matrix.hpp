@@ -53,9 +53,6 @@ public:
     void fill(double value) noexcept;
     void set_zero() noexcept { fill(0.0); }
 
-    /// Identity of size n (static factory).
-    [[nodiscard]] static Matrix identity(std::size_t n);
-
     /// Matrix with i.i.d. U(-1, 1) entries — the paper's "randomly generate
     /// A, B" step of Procedure 6.
     [[nodiscard]] static Matrix random_uniform(std::size_t rows, std::size_t cols,
@@ -74,9 +71,6 @@ public:
     /// Frobenius norm.
     [[nodiscard]] double frobenius_norm() const noexcept;
 
-    /// Max |a_ij - b_ij|; requires equal shapes.
-    [[nodiscard]] double max_abs_diff(const Matrix& other) const;
-
     /// Element-wise equality of shapes and values.
     [[nodiscard]] bool operator==(const Matrix& other) const noexcept;
 
@@ -88,8 +82,5 @@ private:
 
 /// C = A - B (shape-checked).
 [[nodiscard]] Matrix subtract(const Matrix& a, const Matrix& b);
-
-/// C = A + B (shape-checked).
-[[nodiscard]] Matrix add(const Matrix& a, const Matrix& b);
 
 } // namespace relperf::linalg

@@ -68,19 +68,14 @@ core::Ordering compare_predicted(double ta, double tb, double tie_epsilon) {
 
 } // namespace
 
-core::Ordering PerformancePredictor::compare(
-    const workloads::TaskChain& chain, const workloads::VariantAssignment& a,
-    const workloads::VariantAssignment& b) const {
-    return compare_predicted(predict_seconds(chain, a),
-                             predict_seconds(chain, b), config_.tie_epsilon);
-}
-
 core::RankedSequence PerformancePredictor::rank(
     const workloads::TaskChain& chain,
     const std::vector<workloads::VariantAssignment>& variants) const {
     RELPERF_REQUIRE(!variants.empty(), "PerformancePredictor: empty set");
     const core::ThreeWaySorter sorter([&](std::size_t a, std::size_t b) {
-        return compare(chain, variants[a], variants[b]);
+        return compare_predicted(predict_seconds(chain, variants[a]),
+                                 predict_seconds(chain, variants[b]),
+                                 config_.tie_epsilon);
     });
     return sorter.sort(variants.size());
 }

@@ -53,15 +53,9 @@ public:
     [[nodiscard]] double predict_seconds(const workloads::TaskChain& chain,
                                          const workloads::VariantAssignment& variant) const;
 
-    /// Predicted three-way comparison (Better = `a` faster), using the tie
-    /// band on predicted times.
-    [[nodiscard]] core::Ordering compare(const workloads::TaskChain& chain,
-                                         const workloads::VariantAssignment& a,
-                                         const workloads::VariantAssignment& b) const;
-
     /// Predicted ranked sequence (performance classes) over a set of
     /// variants, via the paper's three-way sort driven by predicted
-    /// comparisons.
+    /// comparisons (Better = faster, Equivalent within the tie band).
     [[nodiscard]] core::RankedSequence rank(
         const workloads::TaskChain& chain,
         const std::vector<workloads::VariantAssignment>& variants) const;

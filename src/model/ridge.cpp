@@ -77,24 +77,4 @@ double RidgeRegressor::predict(std::span<const double> row) const {
     return acc;
 }
 
-double RidgeRegressor::r_squared(const std::vector<std::vector<double>>& rows,
-                                 std::span<const double> targets) const {
-    RELPERF_REQUIRE(rows.size() == targets.size() && !rows.empty(),
-                    "RidgeRegressor: r_squared input mismatch");
-    double y_mean = 0.0;
-    for (const double y : targets) y_mean += y;
-    y_mean /= static_cast<double>(targets.size());
-
-    double ss_res = 0.0;
-    double ss_tot = 0.0;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const double err = targets[i] - predict(rows[i]);
-        ss_res += err * err;
-        const double dev = targets[i] - y_mean;
-        ss_tot += dev * dev;
-    }
-    if (ss_tot == 0.0) return ss_res == 0.0 ? 1.0 : 0.0;
-    return 1.0 - ss_res / ss_tot;
-}
-
 } // namespace relperf::model

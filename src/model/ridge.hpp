@@ -34,10 +34,6 @@ public:
         return weights_;
     }
 
-    /// Coefficient of determination on a dataset (1 = perfect).
-    [[nodiscard]] double r_squared(const std::vector<std::vector<double>>& rows,
-                                   std::span<const double> targets) const;
-
 private:
     std::vector<double> weights_;      // standardized space
     std::vector<double> feature_mean_;

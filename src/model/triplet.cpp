@@ -173,19 +173,6 @@ double TripletScorer::score(std::span<const double> row) const {
     return acc;
 }
 
-double TripletScorer::triplet_satisfaction(
-    const std::vector<std::vector<double>>& rows,
-    const std::vector<Triplet>& triplets) const {
-    RELPERF_REQUIRE(!triplets.empty(), "TripletScorer: no triplets");
-    std::size_t satisfied = 0;
-    for (const Triplet& t : triplets) {
-        if (score(rows[t.negative]) - score(rows[t.anchor]) >= config_.margin) {
-            ++satisfied;
-        }
-    }
-    return static_cast<double>(satisfied) / static_cast<double>(triplets.size());
-}
-
 TripletScorer fit_triplet_scorer(
     const workloads::TaskChain& chain,
     const std::vector<workloads::VariantAssignment>& variants,

@@ -67,12 +67,6 @@ public:
 
     [[nodiscard]] bool is_fitted() const noexcept { return fitted_; }
 
-    /// Fraction of training triplets with the anchor scored at least
-    /// `margin` below the negative (diagnostics).
-    [[nodiscard]] double triplet_satisfaction(
-        const std::vector<std::vector<double>>& rows,
-        const std::vector<Triplet>& triplets) const;
-
 private:
     TripletScorerConfig config_;
     std::vector<double> weights_;

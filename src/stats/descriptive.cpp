@@ -21,23 +21,6 @@ void RunningStats::add(double x) noexcept {
     m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    n_ += other.n_;
-}
-
 double RunningStats::variance() const noexcept {
     return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
@@ -51,17 +34,6 @@ double mean(std::span<const double> sample) {
     RunningStats acc;
     for (const double x : sample) acc.add(x);
     return acc.mean();
-}
-
-double variance(std::span<const double> sample) {
-    RELPERF_REQUIRE(!sample.empty(), "variance: empty sample");
-    RunningStats acc;
-    for (const double x : sample) acc.add(x);
-    return acc.variance();
-}
-
-double stddev(std::span<const double> sample) {
-    return std::sqrt(variance(sample));
 }
 
 std::vector<double> sorted_copy(std::span<const double> sample) {
@@ -86,24 +58,6 @@ double quantile_sorted(std::span<const double> sorted, double p) {
     return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-double quantile_partial(std::span<double> sample, double p) {
-    RELPERF_REQUIRE(!sample.empty(), "quantile_partial: empty sample");
-    RELPERF_REQUIRE(p >= 0.0 && p <= 1.0, "quantile_partial: p must be in [0,1]");
-    if (sample.size() == 1) return sample[0];
-    const double h = p * static_cast<double>(sample.size() - 1);
-    const auto lo = static_cast<std::size_t>(h);
-    const std::size_t hi = std::min(lo + 1, sample.size() - 1);
-    const double frac = h - static_cast<double>(lo);
-    const auto lo_it = sample.begin() + static_cast<std::ptrdiff_t>(lo);
-    std::nth_element(sample.begin(), lo_it, sample.end());
-    const double v_lo = sample[lo];
-    // The (lo+1)-th order statistic is the minimum of the partition above
-    // lo; when hi == lo (p == 1) the interpolation collapses to v_lo.
-    const double v_hi =
-        hi == lo ? v_lo : *std::min_element(lo_it + 1, sample.end());
-    return v_lo + frac * (v_hi - v_lo);
-}
-
 double quantile(std::span<const double> sample, double p) {
     const std::vector<double> sorted = sorted_copy(sample);
     return quantile_sorted(sorted, p);
@@ -111,38 +65,6 @@ double quantile(std::span<const double> sample, double p) {
 
 double median(std::span<const double> sample) {
     return quantile(sample, 0.5);
-}
-
-double mad(std::span<const double> sample) {
-    RELPERF_REQUIRE(!sample.empty(), "mad: empty sample");
-    // One sort for the sample median; the deviations then reuse the buffer
-    // and only need a partial selection, not a second full sort.
-    std::vector<double> buf = sorted_copy(sample);
-    const double med = quantile_sorted(buf, 0.5);
-    for (double& x : buf) x = std::fabs(x - med);
-    // 1.4826 makes MAD a consistent sigma estimator for the normal.
-    return 1.4826 * quantile_partial(buf, 0.5);
-}
-
-double trimmed_mean(std::span<const double> sample, double trim) {
-    RELPERF_REQUIRE(!sample.empty(), "trimmed_mean: empty sample");
-    RELPERF_REQUIRE(trim >= 0.0 && trim < 0.5, "trimmed_mean: trim must be in [0, 0.5)");
-    const std::vector<double> sorted = sorted_copy(sample);
-    const auto cut = static_cast<std::size_t>(trim * static_cast<double>(sorted.size()));
-    RELPERF_ASSERT(2 * cut < sorted.size(), "trimmed_mean: trim removed everything");
-    RunningStats acc;
-    for (std::size_t i = cut; i < sorted.size() - cut; ++i) acc.add(sorted[i]);
-    return acc.mean();
-}
-
-double geometric_mean(std::span<const double> sample) {
-    RELPERF_REQUIRE(!sample.empty(), "geometric_mean: empty sample");
-    double log_sum = 0.0;
-    for (const double x : sample) {
-        RELPERF_REQUIRE(x > 0.0, "geometric_mean: values must be positive");
-        log_sum += std::log(x);
-    }
-    return std::exp(log_sum / static_cast<double>(sample.size()));
 }
 
 Summary summarize(std::span<const double> sample) {

@@ -18,7 +18,6 @@ namespace relperf::stats {
 class RunningStats {
 public:
     void add(double x) noexcept;
-    void merge(const RunningStats& other) noexcept;
 
     [[nodiscard]] std::size_t count() const noexcept { return n_; }
     [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
@@ -56,38 +55,15 @@ struct Summary {
 /// Mean of a sample; throws InvalidArgument on empty input.
 [[nodiscard]] double mean(std::span<const double> sample);
 
-/// Unbiased sample variance; 0 for fewer than two elements.
-[[nodiscard]] double variance(std::span<const double> sample);
-
-/// Sample standard deviation.
-[[nodiscard]] double stddev(std::span<const double> sample);
-
 /// Type-7 linear-interpolation quantile of *sorted* data, p in [0,1].
 /// Precondition (checked): data non-empty, ascending.
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted, double p);
-
-/// Type-7 quantile via partial selection (std::nth_element) instead of a
-/// full sort: O(n) expected vs O(n log n). Reorders `sample` in place.
-/// Bit-identical to quantile_sorted on the sorted data — the interpolation
-/// reads the same two order statistics with the same arithmetic (asserted in
-/// tests over randomized inputs). For data that is scratch anyway, such as
-/// mad()'s deviations.
-[[nodiscard]] double quantile_partial(std::span<double> sample, double p);
 
 /// Quantile of unsorted data (copies + sorts internally).
 [[nodiscard]] double quantile(std::span<const double> sample, double p);
 
 /// Median convenience wrapper.
 [[nodiscard]] double median(std::span<const double> sample);
-
-/// Median absolute deviation (scaled by 1.4826 for normal consistency).
-[[nodiscard]] double mad(std::span<const double> sample);
-
-/// Mean after removing the `trim` fraction from each tail (0 <= trim < 0.5).
-[[nodiscard]] double trimmed_mean(std::span<const double> sample, double trim);
-
-/// Geometric mean; requires strictly positive values.
-[[nodiscard]] double geometric_mean(std::span<const double> sample);
 
 /// Inverse standard-normal CDF (the z such that Phi(z) = p), p in (0, 1).
 /// Acklam's rational approximation refined by one Halley step — absolute

@@ -67,11 +67,6 @@ double Histogram::bin_center(std::size_t bin) const {
     return lo_ + (static_cast<double>(bin) + 0.5) * width;
 }
 
-double Histogram::density(std::size_t bin) const {
-    return total_ == 0 ? 0.0
-                       : static_cast<double>(count(bin)) / static_cast<double>(total_);
-}
-
 std::string Histogram::render_ascii(std::size_t width, const std::string& title) const {
     const std::size_t peak = *std::max_element(counts_.begin(), counts_.end());
     std::string out;

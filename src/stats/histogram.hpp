@@ -34,8 +34,6 @@ public:
     [[nodiscard]] std::size_t total() const noexcept { return total_; }
     /// Center value of bin `bin`.
     [[nodiscard]] double bin_center(std::size_t bin) const;
-    /// Fraction of samples in bin `bin`.
-    [[nodiscard]] double density(std::size_t bin) const;
 
     /// Renders a horizontal-bar ASCII histogram.
     /// `width` = maximum bar width in characters.

@@ -141,14 +141,4 @@ double cliffs_delta(std::span<const double> a, std::span<const double> b) {
     return (greater - less) / pairs;
 }
 
-double hodges_lehmann_shift(std::span<const double> a, std::span<const double> b) {
-    RELPERF_REQUIRE(!a.empty() && !b.empty(), "hodges_lehmann_shift: empty sample");
-    std::vector<double> diffs;
-    diffs.reserve(a.size() * b.size());
-    for (const double x : a) {
-        for (const double y : b) diffs.push_back(y - x);
-    }
-    return median(diffs);
-}
-
 } // namespace relperf::stats

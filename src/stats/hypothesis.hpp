@@ -31,11 +31,6 @@ struct TestResult {
 /// Negative => a tends to be larger (slower, for time measurements).
 [[nodiscard]] double cliffs_delta(std::span<const double> a, std::span<const double> b);
 
-/// Hodges–Lehmann shift estimator: median of all pairwise differences
-/// (b_j - a_i). Positive => b is larger than a by that amount.
-[[nodiscard]] double hodges_lehmann_shift(std::span<const double> a,
-                                          std::span<const double> b);
-
 /// Asymptotic survival function of the Kolmogorov distribution,
 /// Q(lambda) = 2 sum_{k>=1} (-1)^{k-1} exp(-2 k^2 lambda^2); exposed for tests.
 [[nodiscard]] double kolmogorov_survival(double lambda) noexcept;

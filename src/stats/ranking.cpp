@@ -105,34 +105,12 @@ double pairwise_disagreement(std::span<const double> a, std::span<const double> 
     return ordered == 0.0 ? 0.0 : discordant / ordered;
 }
 
-namespace {
-
-void check_labels(std::span<const int> a, std::span<const int> b) {
-    RELPERF_REQUIRE(a.size() == b.size(), "rand_index: size mismatch");
-    RELPERF_REQUIRE(a.size() >= 2, "rand_index: need at least two elements");
-}
-
-} // namespace
-
-double rand_index(std::span<const int> labels_a, std::span<const int> labels_b) {
-    check_labels(labels_a, labels_b);
-    const std::size_t n = labels_a.size();
-    double agree = 0.0;
-    double pairs = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-            const bool same_a = labels_a[i] == labels_a[j];
-            const bool same_b = labels_b[i] == labels_b[j];
-            if (same_a == same_b) agree += 1.0;
-            pairs += 1.0;
-        }
-    }
-    return agree / pairs;
-}
-
 double adjusted_rand_index(std::span<const int> labels_a,
                            std::span<const int> labels_b) {
-    check_labels(labels_a, labels_b);
+    RELPERF_REQUIRE(labels_a.size() == labels_b.size(),
+                    "adjusted_rand_index: size mismatch");
+    RELPERF_REQUIRE(labels_a.size() >= 2,
+                    "adjusted_rand_index: need at least two elements");
     const std::size_t n = labels_a.size();
 
     // Pair counts: a = same/same, b = same in A only, c = same in B only.

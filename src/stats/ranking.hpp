@@ -28,14 +28,10 @@ namespace relperf::stats {
 /// Midranks of a vector (average rank for ties), 1-based.
 [[nodiscard]] std::vector<double> midrank(std::span<const double> values);
 
-/// Rand index in [0, 1] between two clusterings given as label vectors:
-/// fraction of element pairs on which the clusterings agree (same-cluster in
-/// both or split in both). 1 = identical partitions.
-[[nodiscard]] double rand_index(std::span<const int> labels_a,
-                                std::span<const int> labels_b);
-
-/// Adjusted Rand index: Rand index corrected for chance; 1 = identical,
-/// ~0 = random relabeling, can be negative for adversarial disagreement.
+/// Adjusted Rand index between two clusterings given as label vectors: the
+/// fraction of element pairs on which they agree (same-cluster in both or
+/// split in both), corrected for chance; 1 = identical partitions, ~0 =
+/// random relabeling, can be negative for adversarial disagreement.
 [[nodiscard]] double adjusted_rand_index(std::span<const int> labels_a,
                                          std::span<const int> labels_b);
 

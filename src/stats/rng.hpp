@@ -59,10 +59,6 @@ public:
         return result;
     }
 
-    /// Equivalent to 2^128 calls of operator(); used to derive independent
-    /// parallel streams from one seed.
-    void jump() noexcept;
-
 private:
     static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
         return (x << k) | (x >> (64 - k));
@@ -124,9 +120,6 @@ public:
 
     /// Lognormal: exp(N(mu_log, sigma_log)).
     double lognormal(double mu_log, double sigma_log) noexcept;
-
-    /// Exponential with rate lambda (> 0).
-    double exponential(double lambda) noexcept;
 
     /// Pareto (Lomax-style tail), scale x_m > 0, shape alpha > 0.
     double pareto(double x_m, double alpha) noexcept;

@@ -1,7 +1,6 @@
 #include "support/csv.hpp"
 
 #include "support/error.hpp"
-#include "support/str.hpp"
 
 namespace relperf::support {
 
@@ -60,14 +59,6 @@ CsvWriter::CsvWriter(const std::string& path, const std::vector<std::string>& he
 void CsvWriter::add_row(const std::vector<std::string>& row) {
     RELPERF_REQUIRE(row.size() == width_, "CsvWriter: row width mismatch");
     write_row(row);
-}
-
-void CsvWriter::add_row_numeric(const std::string& key, const std::vector<double>& values) {
-    std::vector<std::string> row;
-    row.reserve(values.size() + 1);
-    row.push_back(key);
-    for (const double v : values) row.push_back(str::format("%.17g", v));
-    add_row(row);
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& row) {

@@ -20,9 +20,6 @@ public:
     /// Appends a data row; throws InvalidArgument on width mismatch.
     void add_row(const std::vector<std::string>& row);
 
-    /// Convenience: formats doubles with maximum round-trip precision.
-    void add_row_numeric(const std::string& key, const std::vector<double>& values);
-
     /// Flushes and closes; called by the destructor as well.
     void close();
 

@@ -19,7 +19,8 @@ namespace {
                           std::string(text) + "'");
 }
 
-/// strtoull over the whole trimmed `text` in `base` (0 = C prefixes).
+/// strtoull over the whole trimmed `text` in `base` (10, or 16 with its
+/// `0x` prefix).
 std::uint64_t parse_unsigned(std::string_view text, const std::string& context,
                              int base) {
     const std::string_view trimmed = trim(text);
@@ -56,7 +57,11 @@ std::size_t parse_positive_size(std::string_view text,
 }
 
 std::uint64_t parse_u64(std::string_view text, const std::string& context) {
-    return parse_unsigned(text, context, 0);
+    // Decimal unless the text says hex: a zero-padded seed is not octal.
+    const std::string_view trimmed = trim(text);
+    const bool hex = trimmed.size() > 2 && trimmed[0] == '0' &&
+                     (trimmed[1] == 'x' || trimmed[1] == 'X');
+    return parse_unsigned(text, context, hex ? 16 : 10);
 }
 
 double parse_double(std::string_view text, const std::string& context) {
@@ -131,16 +136,6 @@ std::string human_seconds(double seconds) {
     if (mag >= 1e-3) return format("%.3f ms", seconds * 1e3);
     if (mag >= 1e-6) return format("%.3f us", seconds * 1e6);
     return format("%.1f ns", seconds * 1e9);
-}
-
-std::string human_bytes(double bytes) {
-    static const char* units[] = {"B", "KiB", "MiB", "GiB", "TiB"};
-    int unit = 0;
-    while (std::fabs(bytes) >= 1024.0 && unit < 4) {
-        bytes /= 1024.0;
-        ++unit;
-    }
-    return format("%.2f %s", bytes, units[unit]);
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {

@@ -20,9 +20,6 @@ namespace relperf::str {
 /// Compact human rendering of a duration in seconds ("12.3 ms", "4.56 s").
 [[nodiscard]] std::string human_seconds(double seconds);
 
-/// Compact human rendering of a byte count ("3.2 MiB").
-[[nodiscard]] std::string human_bytes(double bytes);
-
 /// Joins `parts` with `sep`.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
@@ -44,8 +41,9 @@ namespace relperf::str {
 /// the requested shape — a clean CLI/config error instead of the
 /// std::stoul/std::stod behaviour of silently accepting trailing junk or
 /// calling std::terminate through an unhandled exception. parse_size reads
-/// decimal only (`010` is 10, `0x1e` is rejected); parse_u64 also takes the
-/// C prefixes `0x` (hex) and `0` (octal), for seeds and hashes.
+/// decimal only (`010` is 10, `0x1e` is rejected); parse_u64 reads decimal
+/// too (`010` is 10), and hex after an explicit `0x` or `0X`, for seeds and
+/// hashes.
 [[nodiscard]] std::size_t parse_size(std::string_view text, const std::string& context);
 /// As parse_size, additionally rejecting 0 (for knobs where zero would
 /// silently mean "off" or "default" instead of what was typed).

@@ -35,8 +35,6 @@ public:
     /// Appends a horizontal separator line between body rows.
     void add_separator();
 
-    [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-
     /// Renders the complete table, trailing newline included.
     [[nodiscard]] std::string render() const;
 

@@ -1,12 +1,10 @@
 #include "workloads/mathtask.hpp"
 
-#include "linalg/backend.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/rls.hpp"
 #include "support/error.hpp"
 
 #include <cmath>
-#include <optional>
 
 namespace relperf::workloads {
 
@@ -55,18 +53,6 @@ std::size_t stream_draws_per_run(const TaskChain& chain) {
         draws += spec.iters * 2 * spec.size * spec.size;
     }
     return draws;
-}
-
-double run_chain(const TaskChain& chain, stats::Rng& rng) {
-    RELPERF_REQUIRE(!chain.tasks.empty(), "run_chain: empty chain");
-    // Select the chain's backend for the whole run (empty = inherit).
-    std::optional<linalg::ScopedBackend> scope;
-    if (!chain.backend.empty()) scope.emplace(chain.backend);
-    double carry = 0.0;
-    for (const TaskSpec& spec : chain.tasks) {
-        carry = run_task(spec, carry, rng);
-    }
-    return carry;
 }
 
 } // namespace relperf::workloads

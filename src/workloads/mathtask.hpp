@@ -34,10 +34,6 @@ namespace relperf::workloads {
 /// Dispatches on `spec.kind`; returns the scalar carried to the next task.
 [[nodiscard]] double run_task(const TaskSpec& spec, double carry, stats::Rng& rng);
 
-/// Runs the whole chain on the calling thread (placements ignored); returns
-/// the final carried scalar. This is Procedure 5 without device splits.
-[[nodiscard]] double run_chain(const TaskChain& chain, stats::Rng& rng);
-
 /// Number of raw generator draws one run of `chain` consumes from its
 /// measurement stream: every task iteration draws two random size x size
 /// matrices (run_rls_task / run_gemm_task), one uniform draw per element and

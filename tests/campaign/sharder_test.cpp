@@ -13,7 +13,8 @@ TEST(Sharder, PlansPartitionEveryAssignmentExactlyOnce) {
         const campaign::Sharder sharder(8, count);
         std::set<std::size_t> seen;
         std::size_t total = 0;
-        for (const campaign::ShardPlan& plan : sharder.all_plans()) {
+        for (std::size_t shard = 0; shard < count; ++shard) {
+            const campaign::ShardPlan plan = sharder.plan(shard);
             EXPECT_EQ(plan.count, count);
             EXPECT_FALSE(plan.assignment_indices.empty());
             for (const std::size_t index : plan.assignment_indices) {

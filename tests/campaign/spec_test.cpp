@@ -52,6 +52,24 @@ TEST(CampaignSpec, TextRoundTripPreservesEveryField) {
     EXPECT_EQ(loaded.hash(), original.hash());
 }
 
+TEST(CampaignSpec, ZeroPaddedSeedsAreDecimal) {
+    // A hand-edited `010` is seed 10, not octal 8, and it writes back as 10.
+    std::string text = sample_spec().to_text();
+    for (const std::string key : {"clustering_seed", "measurement_seed"}) {
+        const std::size_t at = text.find(key + " = ");
+        ASSERT_NE(at, std::string::npos) << key;
+        const std::size_t value = at + key.size() + 3;
+        text.replace(value, text.find('\n', value) - value, "010");
+    }
+    const campaign::CampaignSpec loaded = campaign::CampaignSpec::parse(text);
+    EXPECT_EQ(loaded.clustering_seed, 10u);
+    EXPECT_EQ(loaded.measurement_seed, 10u);
+    const campaign::CampaignSpec again =
+        campaign::CampaignSpec::parse(loaded.to_text());
+    EXPECT_EQ(again.clustering_seed, 10u);
+    EXPECT_NE(loaded.to_text().find("clustering_seed = 10\n"), std::string::npos);
+}
+
 TEST(CampaignSpec, FileRoundTrip) {
     const std::string path = testing::TempDir() + "relperf_campaign.spec";
     const campaign::CampaignSpec original = sample_spec();

@@ -5,6 +5,7 @@
 #include "core/clustering.hpp"
 #include "core/threeway_sort.hpp"
 #include "support/error.hpp"
+#include "rank_invariant.hpp"
 
 #include <gtest/gtest.h>
 

@@ -16,17 +16,25 @@ const char* kGolden =
     "2,algDAD,0.8,2,0.8\n"
     "3,algAAA,1,3,1\n";
 
+/// Final rank of `algorithm` in `parsed`, or 0 when absent.
+int rank_of(const core::FinalClusters& parsed, const std::string& algorithm) {
+    for (std::size_t i = 0; i < parsed.algorithms.size(); ++i) {
+        if (parsed.algorithms[i] == algorithm) return parsed.final_rank[i];
+    }
+    return 0;
+}
+
 } // namespace
 
 TEST(FinalClusters, ParsesMembershipFromClusteringCsv) {
     const core::FinalClusters parsed =
         core::parse_final_clusters_csv(kGolden, "golden");
     ASSERT_EQ(parsed.algorithms.size(), 4u);
-    EXPECT_EQ(parsed.rank_of("algDDD"), 1);
-    EXPECT_EQ(parsed.rank_of("algDDA"), 2);
-    EXPECT_EQ(parsed.rank_of("algDAD"), 2);
-    EXPECT_EQ(parsed.rank_of("algAAA"), 3);
-    EXPECT_EQ(parsed.rank_of("algXXX"), 0);
+    EXPECT_EQ(rank_of(parsed, "algDDD"), 1);
+    EXPECT_EQ(rank_of(parsed, "algDDA"), 2);
+    EXPECT_EQ(rank_of(parsed, "algDAD"), 2);
+    EXPECT_EQ(rank_of(parsed, "algAAA"), 3);
+    EXPECT_EQ(rank_of(parsed, "algXXX"), 0);
 }
 
 TEST(FinalClusters, QuotedVariantNamesRoundTrip) {
@@ -35,8 +43,8 @@ TEST(FinalClusters, QuotedVariantNamesRoundTrip) {
         "1,\"algD:portable,A:blas\",1,1,1\n"
         "2,\"algD:blas,A:blas\",1,2,1\n",
         "quoted");
-    EXPECT_EQ(parsed.rank_of("algD:portable,A:blas"), 1);
-    EXPECT_EQ(parsed.rank_of("algD:blas,A:blas"), 2);
+    EXPECT_EQ(rank_of(parsed, "algD:portable,A:blas"), 1);
+    EXPECT_EQ(rank_of(parsed, "algD:blas,A:blas"), 2);
 }
 
 TEST(FinalClusters, MalformedContentThrows) {

@@ -415,18 +415,27 @@ TEST(Clustering, ScoreOfOutOfRangeAlgorithmThrows) {
 }
 
 TEST(Clustering, ScoreOfIndexMatchesClusterScanFallback) {
+    // score_of reads the memberships index, which agrees with a scan of
+    // `clusters`; a Clustering without the index is refused, not scanned.
     const core::BootstrapComparator cmp(
         core::BootstrapComparatorConfig{.rounds = 25});
     const RelativeClusterer clusterer(cmp, ClustererConfig{25, 17});
     const Clustering indexed = clusterer.cluster(overlapping_set(9, 3));
     ASSERT_FALSE(indexed.memberships.empty());
-    Clustering scan = indexed;
-    scan.memberships.clear(); // hand-built Clustering shape
     for (std::size_t alg = 0; alg < indexed.final_assignment.size(); ++alg) {
         for (int r = 0; r <= indexed.cluster_count() + 1; ++r) {
-            EXPECT_EQ(indexed.score_of(alg, r), scan.score_of(alg, r));
+            double scanned = 0.0;
+            if (r >= 1 && r <= indexed.cluster_count()) {
+                for (const auto& e : indexed.clusters[static_cast<std::size_t>(r - 1)]) {
+                    if (e.alg == alg) scanned = e.score;
+                }
+            }
+            EXPECT_EQ(indexed.score_of(alg, r), scanned);
         }
     }
+    Clustering hand_built = indexed;
+    hand_built.memberships.clear();
+    EXPECT_THROW((void)hand_built.score_of(0, 1), relperf::InvalidArgument);
 }
 
 TEST(RelativeClusterer, SparseMatchesDenseOracleBitForBit) {

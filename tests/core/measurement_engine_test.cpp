@@ -153,7 +153,7 @@ TEST(MeasurementEngine, AdaptiveOffIsOneFixedRound) {
     EXPECT_EQ(result.rounds, 1u);
     EXPECT_EQ(result.total_samples, 18u);
     EXPECT_EQ(result.fixed_n_samples, 18u);
-    EXPECT_EQ(result.saved_samples(), 0u);
+    EXPECT_EQ(result.fixed_n_samples - result.total_samples, 0u);
     EXPECT_EQ(result.samples_per_alg,
               (std::vector<std::size_t>{6, 6, 6}));
 
@@ -196,7 +196,7 @@ TEST(MeasurementEngine, StableMembershipStopsAfterStabilityRounds) {
     EXPECT_EQ(result.rounds, 3u);
     EXPECT_EQ(result.total_samples, 33u);
     EXPECT_EQ(result.fixed_n_samples, 90u);
-    EXPECT_EQ(result.saved_samples(), 57u);
+    EXPECT_EQ(result.fixed_n_samples - result.total_samples, 57u);
     for (std::size_t i = 0; i < source.count(); ++i) {
         EXPECT_EQ(source.draw_sizes_[i],
                   (std::vector<std::size_t>{5, 3, 3}));
@@ -227,7 +227,7 @@ TEST(MeasurementEngine, ConfidenceRuleStopsOneRoundAfterMembershipRepeats) {
     EXPECT_EQ(result.samples_per_alg, (std::vector<std::size_t>{8, 8, 8}));
     EXPECT_EQ(result.total_samples, 24u);
     EXPECT_EQ(result.fixed_n_samples, 90u);
-    EXPECT_EQ(result.saved_samples(), 66u);
+    EXPECT_EQ(result.fixed_n_samples - result.total_samples, 66u);
     for (std::size_t i = 0; i < source.count(); ++i) {
         EXPECT_EQ(source.draw_sizes_[i], (std::vector<std::size_t>{5, 3}));
     }
@@ -273,22 +273,6 @@ TEST(MeasurementEngine, RoundObserverSeesEveryRoundIncludingTheLast) {
     // The final round stops everyone and extends no one.
     EXPECT_EQ(seen.back().stopped_total, source.count());
     EXPECT_EQ(seen.back().active, 0u);
-}
-
-TEST(EngineResult, SavedSamplesGuardsTheBudgetInvariant) {
-    core::EngineResult result;
-    result.fixed_n_samples = 10;
-    result.total_samples = 4;
-    EXPECT_EQ(result.saved_samples(), 6u);
-    result.total_samples = 10;
-    EXPECT_EQ(result.saved_samples(), 0u);
-    // total > fixed violates the engine's budget invariant: assert in debug
-    // builds, clamp to zero (never underflow) with NDEBUG.
-    result.total_samples = 11;
-    EXPECT_DEBUG_DEATH((void)result.saved_samples(), "fixed-N budget");
-#ifdef NDEBUG
-    EXPECT_EQ(result.saved_samples(), 0u);
-#endif
 }
 
 TEST(RenderSavings, WellDefinedForZeroFixedBudget) {
@@ -348,7 +332,7 @@ TEST(MeasurementEngine, DriftingSourcePinsRoundsAndSavings) {
     EXPECT_EQ(result.samples_per_alg, expected);
     EXPECT_EQ(result.total_samples, 400u);
     EXPECT_EQ(result.fixed_n_samples, 1920u);
-    EXPECT_EQ(result.saved_samples(), 1520u);
+    EXPECT_EQ(result.fixed_n_samples - result.total_samples, 1520u);
 }
 
 TEST(MeasurementEngine, CapClampsTheLastBatch) {
@@ -363,7 +347,7 @@ TEST(MeasurementEngine, CapClampsTheLastBatch) {
     for (std::size_t i = 0; i < source.count(); ++i) {
         EXPECT_EQ(source.draw_sizes_[i], (std::vector<std::size_t>{5, 2}));
     }
-    EXPECT_EQ(result.saved_samples(), 0u);
+    EXPECT_EQ(result.fixed_n_samples - result.total_samples, 0u);
 }
 
 TEST(MeasurementEngine, AdaptiveSamplesAreAPrefixOfTheFixedRun) {

@@ -1,7 +1,6 @@
-//! The stopping rule in isolation, driven by hand-built clusterings
-//! (score_of falls back to scanning `clusters` when the memberships index is
-//! empty, so the fixtures only fill final_assignment, clusters and
-//! repetitions):
+//! The stopping rule in isolation, driven by hand-built clusterings (the
+//! fixture fills final_assignment, clusters, the memberships index that
+//! score_of reads, and repetitions):
 //!
 //!  * the stability rule (confidence 0) replicates the original engine
 //!    bookkeeping — the first clustering only seeds the previous-rank state,
@@ -28,9 +27,10 @@ namespace core = relperf::core;
 
 namespace {
 
-/// Builds a clustering from per-algorithm (rank, score) membership lists.
-/// The final assignment is the max-score rank with cumulated better-rank
-/// scores, like the real clusterer's unique-assignment rule.
+/// Builds a clustering from per-algorithm (rank, score) membership lists,
+/// each in ascending rank order. The final assignment is the max-score rank
+/// with cumulated better-rank scores, like the real clusterer's
+/// unique-assignment rule.
 core::Clustering make_clustering(
     const std::vector<std::vector<std::pair<int, double>>>& memberships,
     std::size_t repetitions) {
@@ -45,9 +45,11 @@ core::Clustering make_clustering(
         int best_rank = 0;
         double best_score = -1.0;
         double cumulated = 0.0;
+        clustering.memberships.emplace_back();
         for (const auto& [rank, score] : memberships[alg]) {
             clustering.clusters[static_cast<std::size_t>(rank - 1)].push_back(
                 {alg, score});
+            clustering.memberships.back().push_back({rank, score});
             cumulated += score;
             if (score > best_score) {
                 best_score = score;

@@ -110,7 +110,7 @@ TEST(BackendRegistry, RegisteredBackendReceivesDispatchedCalls) {
 
     g_counted_calls.store(0);
     {
-        const linalg::ScopedBackend scope("counting-test");
+        const linalg::ScopedBackend scope(linalg::backend("counting-test"));
         EXPECT_EQ(linalg::active_backend().name, "counting-test");
         linalg::gemm(1.0, a, b, 0.0, c);
         Matrix g;
@@ -128,10 +128,10 @@ TEST(BackendRegistry, RegisteredBackendReceivesDispatchedCalls) {
 TEST(BackendContext, ScopedOverridesNestAndRestore) {
     EXPECT_EQ(linalg::active_backend().name, linalg::kPortableBackend);
     {
-        const linalg::ScopedBackend outer(linalg::kReferenceBackend);
+        const linalg::ScopedBackend outer(linalg::backend(linalg::kReferenceBackend));
         EXPECT_EQ(linalg::active_backend().name, linalg::kReferenceBackend);
         {
-            const linalg::ScopedBackend inner(linalg::kPortableBackend);
+            const linalg::ScopedBackend inner(linalg::backend(linalg::kPortableBackend));
             EXPECT_EQ(linalg::active_backend().name, linalg::kPortableBackend);
         }
         EXPECT_EQ(linalg::active_backend().name, linalg::kReferenceBackend);
@@ -140,12 +140,12 @@ TEST(BackendContext, ScopedOverridesNestAndRestore) {
 }
 
 TEST(BackendContext, ScopedUnknownBackendThrows) {
-    EXPECT_THROW(linalg::ScopedBackend scope("warp-core"),
+    EXPECT_THROW(linalg::ScopedBackend scope(linalg::backend("warp-core")),
                  relperf::InvalidArgument);
 }
 
 TEST(BackendContext, ScopedOverrideIsThreadLocal) {
-    const linalg::ScopedBackend scope(linalg::kReferenceBackend);
+    const linalg::ScopedBackend scope(linalg::backend(linalg::kReferenceBackend));
     ASSERT_EQ(linalg::active_backend().name, linalg::kReferenceBackend);
     std::string seen_on_worker;
     std::thread worker(

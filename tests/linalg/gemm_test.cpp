@@ -2,6 +2,7 @@
 
 #include "stats/rng.hpp"
 #include "support/error.hpp"
+#include "matrix_helpers.hpp"
 
 #include <gtest/gtest.h>
 
@@ -25,7 +26,7 @@ TEST(GemmReference, KnownProduct) {
     a(0, 1) = 2;
     a(1, 0) = 3;
     a(1, 1) = 4;
-    Matrix b = Matrix::identity(2);
+    Matrix b = linalg::identity(2);
     Matrix c(2, 2);
     linalg::gemm_reference(1.0, a, b, 0.0, c);
     EXPECT_TRUE(c == a);
@@ -33,8 +34,8 @@ TEST(GemmReference, KnownProduct) {
 
 TEST(Gemm, IdentityIsNeutral) {
     const Matrix a = random(17, 17, 1);
-    const Matrix c = linalg::multiply(a, Matrix::identity(17));
-    EXPECT_LT(c.max_abs_diff(a), 1e-13);
+    const Matrix c = linalg::multiply(a, linalg::identity(17));
+    EXPECT_LT(max_abs_diff(c, a), 1e-13);
 }
 
 TEST(Gemm, ShapeMismatchThrows) {
@@ -55,7 +56,7 @@ TEST(Gemm, AlphaBetaSemantics) {
 
     linalg::gemm_reference(2.0, a, b, 3.0, c0);
     linalg::gemm(2.0, a, b, 3.0, c1);
-    EXPECT_LT(c1.max_abs_diff(c0), 1e-12);
+    EXPECT_LT(max_abs_diff(c1, c0), 1e-12);
 }
 
 TEST(Gemm, AlphaZeroOnlyScalesC) {
@@ -80,7 +81,7 @@ TEST_P(GemmAgreement, MatchesReference) {
     Matrix c_opt(m, n);
     linalg::gemm_reference(1.0, a, b, 0.0, c_ref);
     linalg::gemm(1.0, a, b, 0.0, c_opt);
-    EXPECT_LT(c_opt.max_abs_diff(c_ref), 1e-11 * static_cast<double>(k));
+    EXPECT_LT(max_abs_diff(c_opt, c_ref), 1e-11 * static_cast<double>(k));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -117,7 +118,7 @@ TEST(Gemm, SingleThreadMatchesParallel) {
     linalg::gemm(1.0, a, b, 0.0, cn);
 
     linalg::set_gemm_threads(saved);
-    EXPECT_LT(c1.max_abs_diff(cn), 1e-12);
+    EXPECT_LT(max_abs_diff(c1, cn), 1e-12);
 }
 
 TEST(GemmFlops, Formula) {

@@ -3,6 +3,7 @@
 #include "linalg/gemm.hpp"
 #include "stats/rng.hpp"
 #include "support/error.hpp"
+#include "matrix_helpers.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,7 @@ Matrix random(std::size_t r, std::size_t c, std::uint64_t seed) {
 /// Rebuilds P*A from the packed LU factors.
 Matrix reconstruct_pa(const linalg::LuFactors& f) {
     const std::size_t n = f.lu.rows();
-    Matrix l = Matrix::identity(n);
+    Matrix l = linalg::identity(n);
     Matrix u(n, n);
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
@@ -47,7 +48,7 @@ TEST_P(LuRoundTrip, PaEqualsLu) {
         return out;
     }();
 
-    EXPECT_LT(reconstruct_pa(f).max_abs_diff(pa_expected),
+    EXPECT_LT(max_abs_diff(reconstruct_pa(f), pa_expected),
               1e-10 * static_cast<double>(n));
 }
 
@@ -59,7 +60,7 @@ TEST(Lu, SolveRecoversKnownSolution) {
     const Matrix x_true = random(n, 4, 62);
     const Matrix rhs = linalg::multiply(a, x_true);
     const Matrix x = linalg::solve(a, rhs);
-    EXPECT_LT(x.max_abs_diff(x_true), 1e-8);
+    EXPECT_LT(max_abs_diff(x, x_true), 1e-8);
 }
 
 TEST(Lu, PivotingHandlesZeroLeadingElement) {
@@ -87,7 +88,7 @@ TEST(Lu, NonSquareThrows) {
 }
 
 TEST(Lu, RhsShapeMismatchThrows) {
-    const Matrix a = Matrix::identity(3);
+    const Matrix a = linalg::identity(3);
     const linalg::LuFactors f = linalg::lu_factor(a);
     const Matrix rhs(2, 1);
     EXPECT_THROW((void)linalg::lu_solve(f, rhs), relperf::InvalidArgument);

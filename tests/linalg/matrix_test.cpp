@@ -2,6 +2,7 @@
 
 #include "stats/rng.hpp"
 #include "support/error.hpp"
+#include "matrix_helpers.hpp"
 
 #include <gtest/gtest.h>
 
@@ -57,7 +58,7 @@ TEST(Matrix, RowSpanViewsStorage) {
 }
 
 TEST(Matrix, IdentityHasOnesOnDiagonal) {
-    const Matrix eye = Matrix::identity(4);
+    const Matrix eye = linalg::identity(4);
     for (std::size_t r = 0; r < 4; ++r) {
         for (std::size_t c = 0; c < 4; ++c) {
             EXPECT_DOUBLE_EQ(eye(r, c), r == c ? 1.0 : 0.0);
@@ -121,19 +122,16 @@ TEST(Matrix, MaxAbsDiffAndEquality) {
     EXPECT_TRUE(a == b);
     b(1, 0) = 1.25;
     EXPECT_FALSE(a == b);
-    EXPECT_DOUBLE_EQ(a.max_abs_diff(b), 0.25);
+    EXPECT_DOUBLE_EQ(max_abs_diff(a, b), 0.25);
     const Matrix c(2, 3);
-    EXPECT_THROW((void)a.max_abs_diff(c), relperf::InvalidArgument);
+    EXPECT_THROW((void)max_abs_diff(a, c), relperf::InvalidArgument);
 }
 
 TEST(Matrix, AddAndSubtract) {
     Matrix a(2, 2, 3.0);
     Matrix b(2, 2, 1.0);
-    const Matrix sum = linalg::add(a, b);
     const Matrix diff = linalg::subtract(a, b);
-    EXPECT_DOUBLE_EQ(sum(0, 0), 4.0);
     EXPECT_DOUBLE_EQ(diff(1, 1), 2.0);
     const Matrix c(2, 3);
-    EXPECT_THROW((void)linalg::add(a, c), relperf::InvalidArgument);
     EXPECT_THROW((void)linalg::subtract(a, c), relperf::InvalidArgument);
 }

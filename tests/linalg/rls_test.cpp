@@ -4,6 +4,7 @@
 #include "linalg/syrk.hpp"
 #include "stats/rng.hpp"
 #include "support/error.hpp"
+#include "matrix_helpers.hpp"
 
 #include <gtest/gtest.h>
 
@@ -31,7 +32,7 @@ TEST(Rls, SolutionSatisfiesNormalEquations) {
     lhs.add_scaled_identity(penalty);
     const Matrix lz = linalg::multiply(lhs, z);
     const Matrix rhs = linalg::multiply(a.transposed(), b);
-    EXPECT_LT(lz.max_abs_diff(rhs), 1e-9 * static_cast<double>(n));
+    EXPECT_LT(max_abs_diff(lz, rhs), 1e-9 * static_cast<double>(n));
 }
 
 TEST(Rls, TallSystemWorks) {

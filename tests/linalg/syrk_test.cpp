@@ -2,6 +2,7 @@
 
 #include "linalg/gemm.hpp"
 #include "stats/rng.hpp"
+#include "matrix_helpers.hpp"
 
 #include <gtest/gtest.h>
 
@@ -26,7 +27,7 @@ TEST_P(GramAgreement, MatchesExplicitTransposeMultiply) {
     const Matrix expected = linalg::multiply(a.transposed(), a);
     ASSERT_EQ(g.rows(), static_cast<std::size_t>(n));
     ASSERT_EQ(g.cols(), static_cast<std::size_t>(n));
-    EXPECT_LT(g.max_abs_diff(expected), 1e-11 * m);
+    EXPECT_LT(max_abs_diff(g, expected), 1e-11 * m);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GramAgreement,
@@ -58,7 +59,7 @@ TEST(Gram, ReusesOutputStorage) {
     Matrix g(10, 10, 99.0); // correctly sized, dirty content
     linalg::gram(a, g);
     const Matrix expected = linalg::multiply(a.transposed(), a);
-    EXPECT_LT(g.max_abs_diff(expected), 1e-11);
+    EXPECT_LT(max_abs_diff(g, expected), 1e-11);
 }
 
 TEST(GramFlops, Formula) {

@@ -11,6 +11,7 @@
 #include "stats/rng.hpp"
 #include "workloads/assignment.hpp"
 #include "workloads/chain.hpp"
+#include "matrix_helpers.hpp"
 
 #include <gtest/gtest.h>
 
@@ -92,7 +93,7 @@ TEST(GemmThreads, ClampDoesNotChangeResults) {
 
     // The blocked kernel partitions work identically for any team size;
     // per-tile accumulation order is fixed, so this is exact.
-    EXPECT_EQ(c1.max_abs_diff(c3), 0.0);
+    EXPECT_EQ(max_abs_diff(c1, c3), 0.0);
 }
 
 TEST(GemmThreads, RealExecutorRestoresRawSettingAfterSwitch) {

@@ -3,6 +3,7 @@
 #include "core/pipeline.hpp"
 #include "sim/profile.hpp"
 #include "support/error.hpp"
+#include "rank_invariant.hpp"
 
 #include <gtest/gtest.h>
 
@@ -99,19 +100,24 @@ TEST(Predictor, CompareUsesTieBand) {
     Fixture f;
     model::PerformancePredictor predictor(model::PredictorConfig{1e-3, 0.5});
     predictor.fit(f.chain, f.variants, f.analysis.measurements);
-    // A 50% tie band makes nearly everything equivalent.
-    EXPECT_EQ(predictor.compare(f.chain, VariantAssignment("DDD"),
-                                VariantAssignment("DDA")),
-              core::Ordering::Equivalent);
+    // A 50% tie band makes nearly everything equivalent: one class.
+    const core::RankedSequence tied = predictor.rank(
+        f.chain, {VariantAssignment("DDD"), VariantAssignment("DDA")});
+    EXPECT_EQ(tied.rank_of(0), 1);
+    EXPECT_EQ(tied.rank_of(1), 1);
 
+    // Without a band the predicted-slower AAD falls behind DDA, whichever
+    // comes first.
     model::PerformancePredictor sharp(model::PredictorConfig{1e-3, 0.0});
     sharp.fit(f.chain, f.variants, f.analysis.measurements);
-    EXPECT_EQ(sharp.compare(f.chain, VariantAssignment("DDA"),
-                            VariantAssignment("AAD")),
-              core::Ordering::Better);
-    EXPECT_EQ(sharp.compare(f.chain, VariantAssignment("AAD"),
-                            VariantAssignment("DDA")),
-              core::Ordering::Worse);
+    const core::RankedSequence dda_first = sharp.rank(
+        f.chain, {VariantAssignment("DDA"), VariantAssignment("AAD")});
+    EXPECT_EQ(dda_first.rank_of(0), 1);
+    EXPECT_EQ(dda_first.rank_of(1), 2);
+    const core::RankedSequence aad_first = sharp.rank(
+        f.chain, {VariantAssignment("AAD"), VariantAssignment("DDA")});
+    EXPECT_EQ(aad_first.rank_of(0), 2);
+    EXPECT_EQ(aad_first.rank_of(1), 1);
 }
 
 TEST(Predictor, RankProducesValidRankedSequence) {

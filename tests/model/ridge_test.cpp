@@ -37,6 +37,22 @@ Synthetic make_linear(const std::vector<double>& w, double b, int n,
     return data;
 }
 
+/// Coefficient of determination of `reg` on a dataset (1 = perfect).
+double r_squared(const RidgeRegressor& reg, const Synthetic& data) {
+    double y_mean = 0.0;
+    for (const double y : data.targets) y_mean += y;
+    y_mean /= static_cast<double>(data.targets.size());
+    double ss_res = 0.0;
+    double ss_tot = 0.0;
+    for (std::size_t i = 0; i < data.rows.size(); ++i) {
+        const double err = data.targets[i] - reg.predict(data.rows[i]);
+        ss_res += err * err;
+        const double dev = data.targets[i] - y_mean;
+        ss_tot += dev * dev;
+    }
+    return 1.0 - ss_res / ss_tot;
+}
+
 } // namespace
 
 TEST(Ridge, RecoversNoiselessLinearFunction) {
@@ -46,7 +62,7 @@ TEST(Ridge, RecoversNoiselessLinearFunction) {
     for (std::size_t i = 0; i < data.rows.size(); ++i) {
         EXPECT_NEAR(reg.predict(data.rows[i]), data.targets[i], 1e-6);
     }
-    EXPECT_NEAR(reg.r_squared(data.rows, data.targets), 1.0, 1e-9);
+    EXPECT_NEAR(r_squared(reg, data), 1.0, 1e-9);
 }
 
 TEST(Ridge, GeneralizesToUnseenPoints) {
@@ -63,7 +79,7 @@ TEST(Ridge, NoisyFitIsApproximate) {
     const Synthetic data = make_linear({2.0}, 0.0, 400, 0.3, 4);
     RidgeRegressor reg;
     reg.fit(data.rows, data.targets, 1e-3);
-    const double r2 = reg.r_squared(data.rows, data.targets);
+    const double r2 = r_squared(reg, data);
     EXPECT_GT(r2, 0.9);
     EXPECT_LT(r2, 1.0);
 }
@@ -99,7 +115,7 @@ TEST(Ridge, UnderdeterminedSystemStillSolves) {
     RidgeRegressor reg;
     reg.fit(data.rows, data.targets, 1e-2);
     // Training points are fit reasonably (not exactly: regularized).
-    EXPECT_GT(reg.r_squared(data.rows, data.targets), 0.5);
+    EXPECT_GT(r_squared(reg, data), 0.5);
 }
 
 TEST(Ridge, InvalidInputsThrow) {

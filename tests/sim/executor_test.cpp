@@ -77,7 +77,7 @@ TEST(SimulatedExecutor, NoiseProducesFluctuations) {
     Rng rng(5);
     const auto samples = exec.measure(chain(), VariantAssignment("DDD"), 100, rng);
     ASSERT_EQ(samples.size(), 100u);
-    EXPECT_GT(relperf::stats::stddev(samples), 0.0);
+    EXPECT_GT(relperf::stats::summarize(samples).stddev, 0.0);
     // Mean within 10% of expectation.
     const double expected = exec.expected_seconds(chain(), VariantAssignment("DDD"));
     EXPECT_NEAR(relperf::stats::mean(samples) / expected, 1.0, 0.1);

@@ -21,54 +21,15 @@ TEST(RunningStats, MatchesDirectComputation) {
     EXPECT_DOUBLE_EQ(acc.max(), 9.0);
 }
 
-TEST(RunningStats, MergeEqualsSinglePass) {
-    stats::Rng rng(3);
-    std::vector<double> xs;
-    for (int i = 0; i < 1000; ++i) xs.push_back(rng.normal(3.0, 2.0));
-
-    stats::RunningStats whole;
-    for (const double x : xs) whole.add(x);
-
-    stats::RunningStats left;
-    stats::RunningStats right;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        (i < 400 ? left : right).add(xs[i]);
-    }
-    left.merge(right);
-
-    EXPECT_EQ(left.count(), whole.count());
-    EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-    EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(left.min(), whole.min());
-    EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsIdentity) {
-    stats::RunningStats a;
-    a.add(1.0);
-    a.add(3.0);
-    stats::RunningStats empty;
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-
-    stats::RunningStats b;
-    b.merge(a);
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(Descriptive, MeanAndVariance) {
     const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
     EXPECT_DOUBLE_EQ(stats::mean(xs), 2.5);
-    EXPECT_NEAR(stats::variance(xs), 5.0 / 3.0, 1e-12);
-    EXPECT_NEAR(stats::stddev(xs), std::sqrt(5.0 / 3.0), 1e-12);
+    EXPECT_NEAR(stats::summarize(xs).stddev, std::sqrt(5.0 / 3.0), 1e-12);
 }
 
 TEST(Descriptive, EmptyInputThrows) {
     const std::vector<double> empty;
     EXPECT_THROW((void)stats::mean(empty), relperf::InvalidArgument);
-    EXPECT_THROW((void)stats::variance(empty), relperf::InvalidArgument);
     EXPECT_THROW((void)stats::median(empty), relperf::InvalidArgument);
     EXPECT_THROW((void)stats::summarize(empty), relperf::InvalidArgument);
 }
@@ -103,36 +64,6 @@ TEST(Quantile, OutOfRangePThrows) {
     EXPECT_THROW((void)stats::quantile(xs, 1.1), relperf::InvalidArgument);
 }
 
-TEST(Quantile, PartialSelectionMatchesFullSortBitForBit) {
-    // quantile_partial promises the exact double of quantile_sorted, not a
-    // close one — the bootstrap comparator's bit-identity rests on it.
-    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        stats::Rng rng(seed);
-        const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_index(200));
-        std::vector<double> xs;
-        xs.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) xs.push_back(rng.lognormal(0.0, 0.7));
-        const std::vector<double> sorted = stats::sorted_copy(xs);
-        for (const double p : {0.0, 0.03, 0.25, 0.5, 0.77, 0.95, 1.0}) {
-            std::vector<double> scratch = xs; // reordered in place
-            EXPECT_EQ(stats::quantile_partial(scratch, p),
-                      stats::quantile_sorted(sorted, p))
-                << "seed " << seed << " n " << n << " p " << p;
-        }
-    }
-}
-
-TEST(Quantile, PartialSelectionValidatesInput) {
-    std::vector<double> empty;
-    EXPECT_THROW((void)stats::quantile_partial(empty, 0.5),
-                 relperf::InvalidArgument);
-    std::vector<double> xs = {1.0, 2.0};
-    EXPECT_THROW((void)stats::quantile_partial(xs, -0.1),
-                 relperf::InvalidArgument);
-    EXPECT_THROW((void)stats::quantile_partial(xs, 1.1),
-                 relperf::InvalidArgument);
-}
-
 class QuantileMonotonicity : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(QuantileMonotonicity, QuantileIsMonotoneInP) {
@@ -154,39 +85,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QuantileMonotonicity,
 TEST(Median, EvenAndOddCounts) {
     EXPECT_DOUBLE_EQ(stats::median(std::vector<double>{3.0, 1.0, 2.0}), 2.0);
     EXPECT_DOUBLE_EQ(stats::median(std::vector<double>{4.0, 1.0, 2.0, 3.0}), 2.5);
-}
-
-TEST(Mad, KnownValue) {
-    // median = 3, |x - 3| = {2,1,0,1,2}, median = 1 -> MAD = 1.4826 * 1.0,
-    // exactly: the deviations' median is the integer 1, so the consistency
-    // constant passes through untouched (pins the single-sort rewrite).
-    const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 5.0};
-    EXPECT_DOUBLE_EQ(stats::mad(xs), 1.4826);
-    // Unsorted input, even count: median = 2.5, deviations {1.5,0.5,0.5,1.5},
-    // their median 1.0 -> again exactly the constant.
-    const std::vector<double> ys = {4.0, 1.0, 3.0, 2.0};
-    EXPECT_DOUBLE_EQ(stats::mad(ys), 1.4826);
-}
-
-TEST(TrimmedMean, DropsTails) {
-    const std::vector<double> xs = {0.0, 1.0, 2.0, 3.0, 100.0};
-    // 20% trim drops one element per tail: mean(1,2,3) = 2.
-    EXPECT_DOUBLE_EQ(stats::trimmed_mean(xs, 0.2), 2.0);
-    // No trim = plain mean.
-    EXPECT_DOUBLE_EQ(stats::trimmed_mean(xs, 0.0), stats::mean(xs));
-}
-
-TEST(TrimmedMean, InvalidTrimThrows) {
-    const std::vector<double> xs = {1.0, 2.0};
-    EXPECT_THROW((void)stats::trimmed_mean(xs, 0.5), relperf::InvalidArgument);
-    EXPECT_THROW((void)stats::trimmed_mean(xs, -0.1), relperf::InvalidArgument);
-}
-
-TEST(GeometricMean, KnownValueAndPositivityCheck) {
-    const std::vector<double> xs = {1.0, 4.0, 16.0};
-    EXPECT_NEAR(stats::geometric_mean(xs), 4.0, 1e-12);
-    const std::vector<double> bad = {1.0, 0.0};
-    EXPECT_THROW((void)stats::geometric_mean(bad), relperf::InvalidArgument);
 }
 
 TEST(Summarize, AllFieldsPopulated) {

@@ -32,16 +32,6 @@ TEST(Histogram, TopEdgeBelongsToLastBin) {
     EXPECT_EQ(h.count(3), 1u);
 }
 
-TEST(Histogram, DensitySumsToOne) {
-    stats::Rng rng(5);
-    std::vector<double> xs;
-    for (int i = 0; i < 1000; ++i) xs.push_back(rng.normal(0.0, 1.0));
-    const stats::Histogram h = stats::Histogram::automatic(xs);
-    double total = 0.0;
-    for (std::size_t b = 0; b < h.bin_count(); ++b) total += h.density(b);
-    EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
 TEST(Histogram, BinCentersAreMidpoints) {
     const std::vector<double> xs = {0.5};
     const stats::Histogram h(xs, 0.0, 4.0, 4);

@@ -87,24 +87,13 @@ TEST(PairwiseDisagreement, TiesInPredictionCountAsDisagreement) {
 
 TEST(RandIndex, IdenticalPartitionsScoreOne) {
     const std::vector<int> labels = {1, 1, 2, 2, 3};
-    EXPECT_DOUBLE_EQ(stats::rand_index(labels, labels), 1.0);
     EXPECT_DOUBLE_EQ(stats::adjusted_rand_index(labels, labels), 1.0);
 }
 
 TEST(RandIndex, RelabeledPartitionsScoreOne) {
     const std::vector<int> a = {1, 1, 2, 2};
     const std::vector<int> b = {7, 7, 3, 3}; // same structure, new names
-    EXPECT_DOUBLE_EQ(stats::rand_index(a, b), 1.0);
     EXPECT_DOUBLE_EQ(stats::adjusted_rand_index(a, b), 1.0);
-}
-
-TEST(RandIndex, KnownPartialValue) {
-    // a: {0,1},{2,3}; b: {0},{1,2,3}. Pairs: (0,1) same-a/split-b,
-    // (0,2) split/split, (0,3) split/split, (1,2) split/same, (1,3)
-    // split/same, (2,3) same/same -> agreements 3 of 6.
-    const std::vector<int> a = {1, 1, 2, 2};
-    const std::vector<int> b = {1, 2, 2, 2};
-    EXPECT_DOUBLE_EQ(stats::rand_index(a, b), 0.5);
 }
 
 TEST(RandIndex, AdjustedHandlesDegeneratePartitions) {
@@ -119,7 +108,6 @@ TEST(RandIndex, AdjustedHandlesDegeneratePartitions) {
 TEST(RandIndex, InvalidInputsThrow) {
     const std::vector<int> a = {1, 2};
     const std::vector<int> short_b = {1};
-    EXPECT_THROW((void)stats::rand_index(a, short_b), relperf::InvalidArgument);
     EXPECT_THROW((void)stats::adjusted_rand_index(a, short_b),
                  relperf::InvalidArgument);
 }

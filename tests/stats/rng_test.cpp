@@ -77,17 +77,6 @@ TEST(Xoshiro, DifferentSeedsDiverge) {
     EXPECT_LT(equal, 3);
 }
 
-TEST(Xoshiro, JumpChangesStream) {
-    Xoshiro256pp a(7);
-    Xoshiro256pp b(7);
-    b.jump();
-    int equal = 0;
-    for (int i = 0; i < 100; ++i) {
-        if (a() == b()) ++equal;
-    }
-    EXPECT_LT(equal, 3);
-}
-
 TEST(Rng, UniformIsInUnitInterval) {
     Rng rng(123);
     for (int i = 0; i < 10000; ++i) {
@@ -148,15 +137,6 @@ TEST(Rng, LognormalMeanMatchesFormula) {
     constexpr int n = 200000;
     for (int i = 0; i < n; ++i) sum += rng.lognormal(mu, sigma);
     EXPECT_NEAR(sum / n, 1.0, 0.02);
-}
-
-TEST(Rng, ExponentialMeanIsInverseRate) {
-    Rng rng(31);
-    const double lambda = 4.0;
-    double sum = 0.0;
-    constexpr int n = 100000;
-    for (int i = 0; i < n; ++i) sum += rng.exponential(lambda);
-    EXPECT_NEAR(sum / n, 1.0 / lambda, 0.01);
 }
 
 TEST(Rng, ParetoRespectsScaleAndMean) {

@@ -54,17 +54,6 @@ TEST(CsvWriter, WritesHeaderAndRows) {
     EXPECT_EQ(slurp(tmp.path()), "name,value\nalpha,1\nbeta,2\n");
 }
 
-TEST(CsvWriter, NumericRowFormatsRoundTrip) {
-    TempFile tmp;
-    {
-        CsvWriter csv(tmp.path(), {"key", "a", "b"});
-        csv.add_row_numeric("x", {0.1, 2.5e-7});
-    }
-    const std::string content = slurp(tmp.path());
-    EXPECT_NE(content.find("x,0.1"), std::string::npos);
-    EXPECT_NE(content.find("e-07"), std::string::npos);
-}
-
 TEST(CsvWriter, WidthMismatchThrows) {
     TempFile tmp;
     CsvWriter csv(tmp.path(), {"a", "b"});

@@ -30,12 +30,6 @@ TEST(StrHumanSeconds, PicksSensibleUnit) {
     EXPECT_EQ(str::human_seconds(4e-8), "40.0 ns");
 }
 
-TEST(StrHumanBytes, PicksSensibleUnit) {
-    EXPECT_EQ(str::human_bytes(512.0), "512.00 B");
-    EXPECT_EQ(str::human_bytes(2048.0), "2.00 KiB");
-    EXPECT_EQ(str::human_bytes(3.5 * 1024 * 1024), "3.50 MiB");
-}
-
 TEST(StrJoin, JoinsWithSeparator) {
     EXPECT_EQ(str::join({"a", "b", "c"}, ", "), "a, b, c");
     EXPECT_EQ(str::join({}, ", "), "");
@@ -85,9 +79,22 @@ TEST(StrParse, SizeAcceptsDecimalAndHex) {
               18446744073709551615ULL);
 }
 
+TEST(StrParse, U64IsDecimalUnlessPrefixedHex) {
+    // A zero-padded seed is decimal, never octal: `--seed 010` is seed 10,
+    // and `08` is 8, not an error. Hex needs its explicit prefix.
+    EXPECT_EQ(str::parse_u64("010", "seed"), 10u);
+    EXPECT_EQ(str::parse_u64("08", "seed"), 8u);
+    EXPECT_EQ(str::parse_u64("0", "seed"), 0u);
+    EXPECT_EQ(str::parse_u64("0x10", "seed"), 16u);
+    EXPECT_EQ(str::parse_u64("0X10", "seed"), 16u);
+    EXPECT_THROW((void)str::parse_u64("0x", "seed"), relperf::InvalidArgument);
+    EXPECT_THROW((void)str::parse_u64("1e3", "seed"), relperf::InvalidArgument);
+    EXPECT_THROW((void)str::parse_u64("ff", "seed"), relperf::InvalidArgument);
+}
+
 TEST(StrParse, SizeIsDecimalEvenWhenZeroPadded) {
     // Sizes are counts and indices: a zero-padded field is decimal, never
-    // octal, and a C prefix is junk. Seeds keep the prefixes (see above).
+    // octal, and a C prefix is junk. Seeds also take a `0x` prefix (above).
     EXPECT_EQ(str::parse_size("08", "measurement_index"), 8u);
     EXPECT_EQ(str::parse_size("010", "measurement_index"), 10u);
     EXPECT_THROW((void)str::parse_size("0x1e", "measurement_index"),

@@ -60,11 +60,3 @@ TEST(AsciiTable, EmptyHeaderThrows) {
 TEST(AsciiTable, AlignsSizeMismatchThrows) {
     EXPECT_THROW(AsciiTable({"A", "B"}, {Align::Left}), relperf::InvalidArgument);
 }
-
-TEST(AsciiTable, RowCountTracksRows) {
-    AsciiTable t({"A"});
-    EXPECT_EQ(t.row_count(), 0u);
-    t.add_row({"1"});
-    t.add_row({"2"});
-    EXPECT_EQ(t.row_count(), 2u);
-}

@@ -1,6 +1,5 @@
 #include "workloads/mathtask.hpp"
 
-#include "linalg/backend.hpp"
 #include "support/error.hpp"
 
 #include <gtest/gtest.h>
@@ -62,51 +61,9 @@ TEST(RunTask, DispatchesOnKind) {
     EXPECT_NE(a, g);
 }
 
-TEST(RunChain, ThreadsPenaltyThroughTasks) {
-    const workloads::TaskChain chain = workloads::make_rls_chain({8, 12}, 2);
-    Rng rng(9);
-    const double result = workloads::run_chain(chain, rng);
-    EXPECT_TRUE(std::isfinite(result));
-
-    const workloads::TaskChain empty{"empty", {}, {}};
-    Rng rng2(9);
-    EXPECT_THROW((void)workloads::run_chain(empty, rng2), relperf::InvalidArgument);
-}
-
-TEST(RunChain, SelectsTheChainBackendForTheWholeRun) {
-    // A chain pinned to a backend computes on it: the run must match the
-    // same chain executed under an explicit scoped selection, bit for bit.
-    workloads::TaskChain pinned = workloads::make_rls_chain({8, 12}, 2);
-    pinned.backend = "reference";
-    Rng r1(13);
-    const double via_chain = workloads::run_chain(pinned, r1);
-
-    workloads::TaskChain inherited = workloads::make_rls_chain({8, 12}, 2);
-    ASSERT_TRUE(inherited.backend.empty());
-    Rng r2(13);
-    double via_scope = 0.0;
-    {
-        const relperf::linalg::ScopedBackend scope("reference");
-        via_scope = workloads::run_chain(inherited, r2);
-    }
-    EXPECT_EQ(via_chain, via_scope);
-
-    // ...and the selection must not leak out of run_chain.
-    EXPECT_EQ(relperf::linalg::active_backend().name,
-              relperf::linalg::kPortableBackend);
-}
-
 TEST(RunChain, MakeRlsChainForwardsTheBackend) {
     const workloads::TaskChain chain =
         workloads::make_rls_chain({8}, 1, "named", "blas");
     EXPECT_EQ(chain.backend, "blas");
     EXPECT_EQ(chain.name, "named");
-}
-
-TEST(RunChain, UnknownBackendThrows) {
-    workloads::TaskChain chain = workloads::make_rls_chain({8}, 1);
-    chain.backend = "warp-core";
-    Rng rng(17);
-    EXPECT_THROW((void)workloads::run_chain(chain, rng),
-                 relperf::InvalidArgument);
 }
