@@ -57,9 +57,6 @@ struct AdaptiveConfig {
     /// stopping_rule.hpp).
     double confidence = 0.0;
 
-    /// True when early stopping can actually happen (max_n > min_n).
-    [[nodiscard]] bool enabled() const noexcept { return max_n > min_n; }
-
     /// Throws InvalidArgument on out-of-range fields.
     void validate() const;
 };

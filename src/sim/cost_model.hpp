@@ -59,13 +59,6 @@ public:
 
     /// Human-readable model name for reports.
     [[nodiscard]] virtual std::string name() const = 0;
-
-    /// Convenience: total mean seconds of one task.
-    [[nodiscard]] double task_seconds(const workloads::TaskChain& chain,
-                                      std::size_t index, workloads::Placement p,
-                                      workloads::Placement prev) const {
-        return task_parts(chain, index, p, prev).total();
-    }
 };
 
 } // namespace relperf::sim

@@ -58,9 +58,9 @@ TEST(AnalyticCostModel, ResidentAcceleratorSkipsSwitchCost) {
     const sim::AnalyticCostModel model(simple_platform());
     const auto chain = one_task_chain(1e9, 1e6, 1e6, 0);
     const double from_device =
-        model.task_seconds(chain, 0, Placement::Accelerator, Placement::Device);
-    const double resident = model.task_seconds(chain, 0, Placement::Accelerator,
-                                               Placement::Accelerator);
+        model.task_parts(chain, 0, Placement::Accelerator, Placement::Device).total();
+    const double resident = model.task_parts(chain, 0, Placement::Accelerator,
+                                               Placement::Accelerator).total();
     EXPECT_GT(from_device, resident);
     EXPECT_NEAR(from_device - resident, 2e-3, 1e-12); // the switch round-trip
 }
@@ -68,9 +68,9 @@ TEST(AnalyticCostModel, ResidentAcceleratorSkipsSwitchCost) {
 TEST(AnalyticCostModel, ReturningToDeviceCostsRoundTrip) {
     const sim::AnalyticCostModel model(simple_platform());
     const auto chain = one_task_chain(1e9, 0.0, 0.0, 0);
-    const double stay = model.task_seconds(chain, 0, Placement::Device, Placement::Device);
+    const double stay = model.task_parts(chain, 0, Placement::Device, Placement::Device).total();
     const double back =
-        model.task_seconds(chain, 0, Placement::Device, Placement::Accelerator);
+        model.task_parts(chain, 0, Placement::Device, Placement::Accelerator).total();
     EXPECT_NEAR(back - stay, 2e-3, 1e-12);
 }
 

@@ -112,13 +112,13 @@ TEST(CalibratedProfile, ConditionalSemantics) {
 
     using P = Placement;
     // On device, staying: 4 iters * 2 s.
-    EXPECT_DOUBLE_EQ(profile.task_seconds(chain, 0, P::Device, P::Device), 8.0);
+    EXPECT_DOUBLE_EQ(profile.task_parts(chain, 0, P::Device, P::Device).total(), 8.0);
     // On device, arriving from accelerator: + enter_device.
-    EXPECT_DOUBLE_EQ(profile.task_seconds(chain, 0, P::Device, P::Accelerator), 28.0);
+    EXPECT_DOUBLE_EQ(profile.task_parts(chain, 0, P::Device, P::Accelerator).total(), 28.0);
     // On accelerator, arriving from device: 4 * 1 + enter_accel.
-    EXPECT_DOUBLE_EQ(profile.task_seconds(chain, 0, P::Accelerator, P::Device), 14.0);
+    EXPECT_DOUBLE_EQ(profile.task_parts(chain, 0, P::Accelerator, P::Device).total(), 14.0);
     // On accelerator, staying: 4 * 1 + resident extra.
-    EXPECT_DOUBLE_EQ(profile.task_seconds(chain, 0, P::Accelerator, P::Accelerator),
+    EXPECT_DOUBLE_EQ(profile.task_parts(chain, 0, P::Accelerator, P::Accelerator).total(),
                      9.0);
     // Exit cost only when the chain ends on the accelerator.
     EXPECT_DOUBLE_EQ(profile.exit_seconds(chain, P::Accelerator), 3.0);
@@ -129,7 +129,7 @@ TEST(CalibratedProfile, ChainMismatchThrows) {
     const auto profile = sim::paper_rls_profile();
     const auto wrong = workloads::two_loop_chain(); // 2 tasks vs 3 timings
     EXPECT_THROW(
-        (void)profile.task_seconds(wrong, 0, Placement::Device, Placement::Device),
+        (void)profile.task_parts(wrong, 0, Placement::Device, Placement::Device).total(),
         relperf::InvalidArgument);
 }
 
