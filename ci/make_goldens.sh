@@ -1,8 +1,8 @@
 #!/bin/sh
 # The same-bits goldens in ci/golden/: the default-option stdout of 11 paper
-# benches and 4 examples (<program>.out), and three CSVs of the CI campaign
-# plan (the fixed-N run's merged measurements, and the coordinated
-# confidence-0.95 run's per-algorithm counts and stop-set).
+# benches and 4 examples (<program>.out), and four CSVs of the CI campaign
+# plan (the fixed-N run's clustering and merged measurements, and the
+# coordinated confidence-0.95 run's per-algorithm counts and stop-set).
 #
 #   sh ci/make_goldens.sh <build-dir>                rewrite every golden
 #   sh ci/make_goldens.sh --check <golden> <program> rerun one golden's
@@ -12,8 +12,8 @@
 # is the only way a golden changes: a change that moves bits on purpose runs
 # it and says why in CHANGES.md. No golden holds a wall time, a thread count
 # or a backend name, so each holds at any thread count and in every build.
-# campaign_clusters.csv is not written here; smoke.campaign_workers_golden
-# pins it at several worker counts.
+# smoke.campaign_workers_golden, not a smoke.golden test, checks
+# campaign_clusters.csv, at several worker counts.
 set -eu
 
 golden_dir=$(cd "$(dirname "$0")/golden" && pwd)
@@ -26,8 +26,8 @@ bench/bench_ablation_bootstrap bench/bench_model_prediction
 bench/bench_search_scaling examples/quickstart
 examples/edge_offload_explorer examples/energy_aware_scheduler
 examples/exponential_search"
-campaign_files="campaign_merged.csv coordinated_samples.csv
-coordinated_stopset.csv"
+campaign_files="campaign_clusters.csv campaign_merged.csv
+coordinated_samples.csv coordinated_stopset.csv"
 
 # produce <golden> <program> <output>: runs the command behind one golden in
 # a fresh temporary directory and writes what it pins to <output>.
@@ -39,10 +39,11 @@ produce() {
         case $name in
         *.out)
             "$program" > "$out" ;;
-        campaign_merged.csv)
+        campaign_clusters.csv | campaign_merged.csv)
             "$program" --campaign-init plan.spec > /dev/null
             "$program" --campaign plan.spec --run --shards 2 \
-                --merged-csv "$out" --out clusters.csv > /dev/null ;;
+                --merged-csv merged.csv --out clusters.csv > /dev/null
+            cp "${name#campaign_}" "$out" ;;
         coordinated_samples.csv | coordinated_stopset.csv)
             "$program" --campaign-init plan.spec > /dev/null
             "$program" --campaign plan.spec --adaptive --min-n 10 \

@@ -59,7 +59,7 @@ double PerformancePredictor::predict_seconds(
 
 namespace {
 
-/// Shared tie-band decision over two predicted times.
+/// Tie-band decision over two predicted times.
 core::Ordering compare_predicted(double ta, double tb, double tie_epsilon) {
     const double band = tie_epsilon * std::min(std::fabs(ta), std::fabs(tb));
     if (std::fabs(ta - tb) <= band) return core::Ordering::Equivalent;

