@@ -69,21 +69,53 @@ void rank_sample(std::span<const double> sample, RankedSample& out) {
     }
 }
 
-/// Draws one resample of `s`'s n values from `rng` and tallies each drawn
-/// index at its rank, in the tally rank_sample chose. Inline, so that the
-/// generator's state stays in registers across the round loop. The bins go
-/// through a local pointer, since a byte store may alias the vector's own
-/// data pointer. `n` is the caller's span size: read from the vector, GCC 12
-/// gives Lemire's 128-bit product a high half it cannot prove zero, and
-/// every draw pays one more multiply.
-inline void tally_resample(RankedSample& s, std::size_t n, stats::Rng& rng) {
-    const std::uint32_t* const rank = s.rank.data();
-    if (n <= kMaxByteSample) {
-        std::uint8_t* const bins = s.byte_counts.data();
-        for (std::size_t i = 0; i < n; ++i) ++bins[rank[rng.uniform_index(n)]];
+/// The tally a sample's size selects, and how the round loop reads it.
+enum class TallyKind {
+    One,   ///< n = 1: the byte tally's first bin; the quantile is the value.
+    Bytes, ///< 2 <= n <= 127: the byte tally, selected a word at a time.
+    Counts ///< n >= 128: the 32-bit tally.
+};
+
+/// One ranked sample as the round loop reads it: everything that is fixed
+/// from the sort to the last round, copied out of the scratch into a local.
+/// A byte store may alias any object, so a value the loop read through the
+/// scratch or the comparator would be loaded again after every tally.
+struct Tally {
+    TallyKind kind;
+    std::size_t n;             ///< The caller's span size.
+    double last;               ///< (double)(n - 1), the quantile's scale.
+    const std::uint32_t* rank; ///< rank[j]: position of value j in `sorted`.
+    const double* sorted;
+    std::uint8_t* bytes;       ///< The byte tally (kinds One and Bytes).
+    std::size_t words;         ///< Its length in 64-bit words.
+    std::uint32_t* counts;     ///< The 32-bit tally (kind Counts).
+};
+
+/// The view of `s` after rank_sample, for a sample of `n` values. `n` is the
+/// caller's span size: read from the vector, GCC 12 gives Lemire's 128-bit
+/// product a high half it cannot prove zero, and every draw pays one more
+/// multiply.
+Tally tally_of(RankedSample& s, std::size_t n) {
+    return {n == 1 ? TallyKind::One
+            : n <= kMaxByteSample ? TallyKind::Bytes
+                                  : TallyKind::Counts,
+            n,
+            static_cast<double>(n - 1),
+            s.rank.data(),
+            s.sorted.data(),
+            s.byte_counts.data(),
+            s.byte_counts.size() / kWordBins,
+            s.counts.data()};
+}
+
+/// Draws one resample of t's n values from `rng` and tallies each drawn
+/// index at its rank.
+inline void draw(const Tally& t, stats::Rng& rng) {
+    const std::size_t n = t.n;
+    if (t.kind == TallyKind::Counts) {
+        for (std::size_t i = 0; i < n; ++i) ++t.counts[t.rank[rng.uniform_index(n)]];
     } else {
-        std::uint32_t* const bins = s.counts.data();
-        for (std::size_t i = 0; i < n; ++i) ++bins[rank[rng.uniform_index(n)]];
+        for (std::size_t i = 0; i < n; ++i) ++t.bytes[t.rank[rng.uniform_index(n)]];
     }
 }
 
@@ -99,6 +131,24 @@ void skip_rounds(std::int64_t rounds, std::size_t n_a, std::size_t n_b,
     }
 }
 
+/// Where the q-quantile of n values sits, as stats::quantile_sorted places
+/// it: between the lo-th and hi-th order statistics (0-based), at `frac`.
+struct Position {
+    std::size_t lo;
+    std::size_t hi;
+    double frac;
+};
+
+inline Position position_of(double q, const Tally& t) {
+    const double h = q * t.last;
+    // h lies in [0, n - 1] and n fits in 32 bits, so the signed conversion
+    // gives the unsigned one's lo without its range branches.
+    const auto lo = static_cast<std::int64_t>(h);
+    return {static_cast<std::size_t>(lo),
+            std::min(static_cast<std::size_t>(lo) + 1, t.n - 1),
+            h - static_cast<double>(lo)};
+}
+
 /// The ranks of a tallied resample's lo-th and hi-th order statistics
 /// (0-based, lo <= hi < n). The k-th order statistic sits in the first bin
 /// whose prefix sum, the count of resampled values up to and including that
@@ -110,29 +160,26 @@ struct OrderRanks {
     std::size_t hi;
 };
 
-/// The select on a byte tally, eight bins per word, with the same fixed
-/// work for every word. Three shift-adds turn a word's bins into their
-/// prefix sums within the word, and adding the running carry (the values in
-/// earlier words) to every byte makes them the prefix sums of the tally.
-/// They stay below 128, so no byte carries into the next, and byte lane i
-/// of (k * kOnes | kHighs) - p keeps its top bit exactly when lane i of p is
-/// at most k, without borrowing from its neighbour. The >> 7 moves each
-/// such bit to its lane's bottom; over at most 16 words a lane counts to
-/// 16, and the multiply by kOnes sums the eight lanes, a rank below n, into
-/// the top byte.
-OrderRanks select_bytes(std::vector<std::uint8_t>& bins, std::size_t lo,
-                        std::size_t hi) {
-    const std::uint64_t lo_test = lo * kOnes | kHighs;
-    const std::uint64_t hi_test = hi * kOnes | kHighs;
-    std::uint8_t* const data = bins.data();
-    const std::size_t size = bins.size();
-    std::uint64_t carry = 0; // the values in earlier words, in every byte
-    std::uint64_t lanes_lo = 0;
-    std::uint64_t lanes_hi = 0;
-    for (std::size_t begin = 0; begin < size; begin += kWordBins) {
+/// The select on a byte tally, eight bins per word, with the same fixed work
+/// for every word. Three shift-adds turn a word's bins into their prefix
+/// sums within the word, and adding the running carry (the values in earlier
+/// words) to every byte makes them the prefix sums of the tally. They stay
+/// below 128, so no byte carries into the next, and byte lane i of
+/// (k * kOnes | kHighs) - p keeps its top bit exactly when lane i of p is at
+/// most k, without borrowing from its neighbour. The >> 7 moves each such
+/// bit to its lane's bottom; over at most 16 words a lane counts to 16, and
+/// the multiply by kOnes sums the eight lanes, a rank below n, into the top
+/// byte.
+class ByteSelect {
+public:
+    explicit ByteSelect(const Position& at)
+        : lo_test_(at.lo * kOnes | kHighs), hi_test_(at.hi * kOnes | kHighs) {}
+
+    /// Reads the tally's next word at `bins` and clears it.
+    void word(std::uint8_t* bins) {
         std::uint64_t p = 0;
-        std::memcpy(&p, data + begin, sizeof p);
-        std::memset(data + begin, 0, sizeof p);
+        std::memcpy(&p, bins, sizeof p);
+        std::memset(bins, 0, sizeof p);
         // The word's first bin is its lowest-addressed byte: the low byte on
         // a little-endian target, the high byte on a big-endian one. The
         // last bin's prefix is the word's own count of values.
@@ -148,23 +195,32 @@ OrderRanks select_bytes(std::vector<std::uint8_t>& bins, std::size_t lo,
             p += p << 32;
             own = p >> 56;
         }
-        p += carry;
-        carry += own * kOnes;
-        lanes_lo += ((lo_test - p) & kHighs) >> 7;
-        lanes_hi += ((hi_test - p) & kHighs) >> 7;
+        p += carry_;
+        carry_ += own * kOnes;
+        lanes_lo_ += ((lo_test_ - p) & kHighs) >> 7;
+        lanes_hi_ += ((hi_test_ - p) & kHighs) >> 7;
     }
-    return {static_cast<std::size_t>((lanes_lo * kOnes) >> 56),
-            static_cast<std::size_t>((lanes_hi * kOnes) >> 56)};
-}
+
+    [[nodiscard]] OrderRanks ranks() const {
+        return {static_cast<std::size_t>((lanes_lo_ * kOnes) >> 56),
+                static_cast<std::size_t>((lanes_hi_ * kOnes) >> 56)};
+    }
+
+private:
+    std::uint64_t lo_test_;
+    std::uint64_t hi_test_;
+    std::uint64_t carry_ = 0; // the values in earlier words, in every byte
+    std::uint64_t lanes_lo_ = 0;
+    std::uint64_t lanes_hi_ = 0;
+};
 
 /// Bins the 32-bit select reads between two looks at its prefix count.
 constexpr std::size_t kBlock = 16;
 
-/// The select on a 32-bit tally of n bins.
-OrderRanks select_counts(std::vector<std::uint32_t>& bins, std::size_t lo,
-                         std::size_t hi) {
-    const std::size_t n = bins.size();
-    std::uint32_t* const counts = bins.data();
+/// The select on a 32-bit tally of n bins. Out of line: it serves only
+/// samples of 128 values or more, whose draws dwarf a call.
+[[gnu::noinline]] OrderRanks select_counts(std::uint32_t* counts, std::size_t n,
+                                           std::size_t lo, std::size_t hi) {
     // `upto` counts the resampled values of rank below `begin`. Whole
     // blocks that leave it <= lo hold no bin past either order statistic,
     // so they count fully.
@@ -196,26 +252,40 @@ OrderRanks select_counts(std::vector<std::uint32_t>& bins, std::size_t lo,
     return ranks;
 }
 
-/// The q-quantile of the tallied resample, as the same double
-/// stats::quantile_sorted returns for the sorted materialized resample: the
-/// lo-th and (lo+1)-th order statistics come from the tally in use, and the
-/// interpolation is the same expression. Leaves that tally all zero for the
-/// next round's resample.
-double select_quantile(RankedSample& s, double q) {
-    const std::size_t n = s.sorted.size();
-    if (n == 1) { // one value always tallies in bytes
-        s.byte_counts[0] = 0;
-        return s.sorted[0];
+/// The ranks at `at` in t's tally, which the select leaves all zero.
+inline OrderRanks select_ranks(const Tally& t, const Position& at) {
+    switch (t.kind) {
+    case TallyKind::One:
+        t.bytes[0] = 0;
+        return {0, 0};
+    case TallyKind::Bytes: {
+        ByteSelect pass(at);
+        for (std::size_t w = 0; w < t.words; ++w) pass.word(t.bytes + w * kWordBins);
+        return pass.ranks();
     }
-    const double h = q * static_cast<double>(n - 1);
-    const auto lo = static_cast<std::size_t>(h);
-    const std::size_t hi = std::min(lo + 1, n - 1);
-    const double frac = h - static_cast<double>(lo);
-    const OrderRanks k = n <= kMaxByteSample ? select_bytes(s.byte_counts, lo, hi)
-                                             : select_counts(s.counts, lo, hi);
-    const double v_lo = s.sorted[k.lo];
-    const double v_hi = s.sorted[k.hi];
-    return v_lo + frac * (v_hi - v_lo);
+    case TallyKind::Counts:
+        break;
+    }
+    return select_counts(t.counts, t.n, at.lo, at.hi);
+}
+
+/// The quantile at `at` of t's resample, whose order statistics have ranks
+/// `k`: the same double stats::quantile_sorted returns for the sorted
+/// materialized resample, by the same interpolation. One value is its own
+/// quantile, +inf included.
+inline double quantile(const Tally& t, const OrderRanks& k, const Position& at) {
+    if (t.kind == TallyKind::One) return t.sorted[0];
+    const double v_lo = t.sorted[k.lo];
+    const double v_hi = t.sorted[k.hi];
+    return v_lo + at.frac * (v_hi - v_lo);
+}
+
+/// compare()'s verdict for a net win count, given the cut points.
+inline Ordering verdict_of(std::int64_t net, std::int64_t better_from,
+                           std::int64_t worse_upto) {
+    if (net >= better_from) return Ordering::Better;
+    if (net <= worse_upto) return Ordering::Worse;
+    return Ordering::Equivalent;
 }
 
 /// The least x in [lo, hi) for which `holds(x)` is true, or hi if none is;
@@ -267,12 +337,6 @@ BootstrapComparator::BootstrapComparator(BootstrapComparatorConfig config)
                   1;
 }
 
-Ordering BootstrapComparator::verdict(std::int64_t net) const noexcept {
-    if (net >= better_from_) return Ordering::Better;
-    if (net <= worse_upto_) return Ordering::Worse;
-    return Ordering::Equivalent;
-}
-
 std::int64_t BootstrapComparator::net_wins(std::span<const double> a,
                                            std::span<const double> b,
                                            stats::Rng& rng,
@@ -287,31 +351,60 @@ std::int64_t BootstrapComparator::net_wins(std::span<const double> a,
 
     rank_sample(a, scratch.a);
     rank_sample(b, scratch.b);
-    const std::size_t n_a = a.size();
-    const std::size_t n_b = b.size();
+    // What the rounds read and the call fixes, in locals (see Tally).
+    const Tally ta = tally_of(scratch.a, a.size());
+    const Tally tb = tally_of(scratch.b, b.size());
+    const bool same_n = ta.n == tb.n;
+    // Two byte tallies of one length are selected in one pass, whose two
+    // chains of word arithmetic overlap.
+    const bool paired = ta.kind == TallyKind::Bytes && tb.kind == TallyKind::Bytes &&
+                        ta.words == tb.words;
+    const double q_lo = config_.quantile_lo;
+    const double q_span = config_.quantile_hi - config_.quantile_lo;
+    const double tie_epsilon = config_.tie_epsilon;
+    const std::int64_t better_from = better_from_;
+    const std::int64_t worse_upto = worse_upto_;
+    const auto rounds = static_cast<std::int64_t>(config_.rounds);
     // Drawing from a local copy lets the compiler keep the generator state
     // in registers for the whole call instead of storing it back after
     // every draw.
     stats::Rng local = rng;
-    const auto rounds = static_cast<std::int64_t>(config_.rounds);
     std::int64_t net = 0;
     for (std::int64_t r = 1; r <= rounds; ++r) {
-        // Per round the rng yields a's indices, then b's, then the quantile.
-        tally_resample(scratch.a, n_a, local);
-        tally_resample(scratch.b, n_b, local);
-        const double q = local.uniform(config_.quantile_lo, config_.quantile_hi);
-        const double qa = select_quantile(scratch.a, q);
-        const double qb = select_quantile(scratch.b, q);
+        // Per round the rng yields a's indices, then b's, then the quantile,
+        // as uniform(quantile_lo, quantile_hi) computes it.
+        draw(ta, local);
+        draw(tb, local);
+        const double q = q_lo + q_span * local.uniform();
+        const Position at_a = position_of(q, ta);
+        const Position at_b = same_n ? at_a : position_of(q, tb);
+        OrderRanks ka{};
+        OrderRanks kb{};
+        if (paired) { // one pass over both byte tallies
+            ByteSelect select_a(at_a);
+            ByteSelect select_b(at_b);
+            for (std::size_t w = 0; w < ta.words; ++w) {
+                select_a.word(ta.bytes + w * kWordBins);
+                select_b.word(tb.bytes + w * kWordBins);
+            }
+            ka = select_a.ranks();
+            kb = select_b.ranks();
+        } else {
+            ka = select_ranks(ta, at_a);
+            kb = select_ranks(tb, at_b);
+        }
+        const double qa = quantile(ta, ka, at_a);
+        const double qb = quantile(tb, kb, at_b);
 
-        const double band =
-            config_.tie_epsilon * std::min(std::fabs(qa), std::fabs(qb));
+        const double band = tie_epsilon * std::min(std::fabs(qa), std::fabs(qb));
         const bool tie = std::fabs(qa - qb) <= band;
         net += !tie * (2 * (qa < qb) - 1); // lower is better; NaN counts for b
         // The final net lies in [net - left, net + left], and the verdict is
         // monotone in it: equal verdicts at both ends fix it.
         const std::int64_t left = rounds - r;
-        if (settle && verdict(net - left) == verdict(net + left)) {
-            skip_rounds(left, n_a, n_b, local);
+        if (settle && verdict_of(net - left, better_from, worse_upto) ==
+                          verdict_of(net + left, better_from, worse_upto)) {
+            skip_rounds(left, ta.n, tb.n, local);
             break;
         }
     }
@@ -333,7 +426,8 @@ double BootstrapComparator::score(std::span<const double> a, std::span<const dou
 Ordering BootstrapComparator::compare(std::span<const double> a,
                                       std::span<const double> b,
                                       stats::Rng& rng) const {
-    return verdict(net_wins(a, b, rng, thread_scratch(), /*settle=*/true));
+    return verdict_of(net_wins(a, b, rng, thread_scratch(), /*settle=*/true),
+                      better_from_, worse_upto_);
 }
 
 } // namespace relperf::core

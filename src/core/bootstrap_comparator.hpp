@@ -11,7 +11,16 @@
 //! ranks of its drawn indices, and the quantile's two order statistics are
 //! read off the tally's prefix sums (a counting select), which clears every
 //! bin it reads. A sample of at most 127 values tallies in bytes, eight bins
-//! to a 64-bit word; a larger one in 32-bit counts. The aggregated score
+//! to a 64-bit word; a larger one in 32-bit counts.
+//!
+//! A call reads what it fixes once, before the first round: each sample's
+//! tally, ranks and sorted values, (double)(n - 1), the quantile range, the
+//! tie band and the verdict's cut points. A round is then its 2n + 1 draws,
+//! the quantile's position (once when both samples have the same n) and the
+//! two selects, inline; two byte tallies of the same length are read in one
+//! pass. Only the 32-bit select, for 128 values or more, is a call.
+//!
+//! The aggregated score
 //!
 //!     score = (#a-wins - #b-wins) / rounds  in [-1, 1]
 //!
@@ -118,9 +127,6 @@ private:
                                         std::span<const double> b,
                                         stats::Rng& rng, BootstrapScratch& scratch,
                                         bool settle) const;
-
-    /// compare()'s verdict for a net win count in [-rounds, rounds].
-    [[nodiscard]] Ordering verdict(std::int64_t net) const noexcept;
 
     BootstrapComparatorConfig config_;
     /// Cut points of the verdict, derived from its floating-point predicate
