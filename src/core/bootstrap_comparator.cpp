@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 namespace relperf::core {
 
@@ -269,6 +270,22 @@ inline OrderRanks select_ranks(const Tally& t, const Position& at) {
     return select_counts(t.counts, t.n, at.lo, at.hi);
 }
 
+/// The ranks at `at_a` in a's tally and at `at_b` in b's. Two byte tallies
+/// of the same length are read in one pass, so that the two chains of word
+/// arithmetic overlap.
+inline std::pair<OrderRanks, OrderRanks> select_both(const Tally& ta, const Tally& tb,
+                                                     bool paired, const Position& at_a,
+                                                     const Position& at_b) {
+    if (!paired) return {select_ranks(ta, at_a), select_ranks(tb, at_b)};
+    ByteSelect pass_a(at_a);
+    ByteSelect pass_b(at_b);
+    for (std::size_t w = 0; w < ta.words; ++w) {
+        pass_a.word(ta.bytes + w * kWordBins);
+        pass_b.word(tb.bytes + w * kWordBins);
+    }
+    return {pass_a.ranks(), pass_b.ranks()};
+}
+
 /// The quantile at `at` of t's resample, whose order statistics have ranks
 /// `k`: the same double stats::quantile_sorted returns for the sorted
 /// materialized resample, by the same interpolation. One value is its own
@@ -355,8 +372,6 @@ std::int64_t BootstrapComparator::net_wins(std::span<const double> a,
     const Tally ta = tally_of(scratch.a, a.size());
     const Tally tb = tally_of(scratch.b, b.size());
     const bool same_n = ta.n == tb.n;
-    // Two byte tallies of one length are selected in one pass, whose two
-    // chains of word arithmetic overlap.
     const bool paired = ta.kind == TallyKind::Bytes && tb.kind == TallyKind::Bytes &&
                         ta.words == tb.words;
     const double q_lo = config_.quantile_lo;
@@ -378,21 +393,10 @@ std::int64_t BootstrapComparator::net_wins(std::span<const double> a,
         const double q = q_lo + q_span * local.uniform();
         const Position at_a = position_of(q, ta);
         const Position at_b = same_n ? at_a : position_of(q, tb);
-        OrderRanks ka{};
-        OrderRanks kb{};
-        if (paired) { // one pass over both byte tallies
-            ByteSelect select_a(at_a);
-            ByteSelect select_b(at_b);
-            for (std::size_t w = 0; w < ta.words; ++w) {
-                select_a.word(ta.bytes + w * kWordBins);
-                select_b.word(tb.bytes + w * kWordBins);
-            }
-            ka = select_a.ranks();
-            kb = select_b.ranks();
-        } else {
-            ka = select_ranks(ta, at_a);
-            kb = select_ranks(tb, at_b);
-        }
+        // With one n the selects share their tests: the same_n call passes
+        // at_a twice, visibly to the compiler.
+        const auto [ka, kb] = same_n ? select_both(ta, tb, paired, at_a, at_a)
+                                     : select_both(ta, tb, paired, at_a, at_b);
         const double qa = quantile(ta, ka, at_a);
         const double qb = quantile(tb, kb, at_b);
 
