@@ -10,6 +10,8 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 
 namespace relperf::campaign {
 
@@ -102,8 +104,16 @@ void CampaignSpec::validate() const {
     RELPERF_REQUIRE(shards > 0, "campaign: shards (K) must be positive");
     RELPERF_REQUIRE(device_threads >= 0 && accelerator_threads >= 0,
                     "campaign: thread counts must be non-negative");
-    RELPERF_REQUIRE(dispatch_delay_us >= 0.0 && switch_delay_us >= 0.0,
-                    "campaign: delays must be non-negative");
+    // A real executor sleeps each delay through std::chrono, whose integer
+    // conversions overflow past INT64_MAX ns; NaN and inf fail the test too.
+    for (const auto& [key, delay_us] :
+         {std::pair{"dispatch_delay_us", dispatch_delay_us},
+          std::pair{"switch_delay_us", switch_delay_us}}) {
+        RELPERF_REQUIRE(delay_us >= 0.0 && delay_us * 1e3 < 0x1p63,
+                        std::string("campaign: ") + key +
+                            " must be finite, >= 0 and at most INT64_MAX ns, got " +
+                            str::format("%.17g", delay_us));
+    }
     RELPERF_REQUIRE(clustering_repetitions > 0,
                     "campaign: clustering repetitions must be positive");
     RELPERF_REQUIRE(bootstrap_rounds > 0,

@@ -5,11 +5,13 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "support/str.hpp"
 #include "workloads/mathtask.hpp"
 #include "workloads/task.hpp"
 
 #include <chrono>
 #include <optional>
+#include <string>
 #include <thread>
 
 namespace relperf::sim {
@@ -50,15 +52,26 @@ void busy_or_sleep(double seconds) {
     }
 }
 
+/// Throws unless busy_or_sleep can take `seconds`: std::chrono converts a
+/// delay to integer counts, which overflow past INT64_MAX ns. NaN and inf
+/// fail the test too.
+void require_delay(double seconds, const std::string& key) {
+    RELPERF_REQUIRE(seconds >= 0.0 && seconds * 1e9 < 0x1p63,
+                    "RealExecutor: " + key +
+                        " must be finite, >= 0 and at most INT64_MAX ns, got " +
+                        str::format("%.17g", seconds));
+}
+
 } // namespace
 
 RealExecutor::RealExecutor(EmulatedDevice device, EmulatedDevice accelerator)
     : device_(device), accelerator_(accelerator) {
     RELPERF_REQUIRE(device_.threads >= 0 && accelerator_.threads >= 0,
                     "RealExecutor: thread counts must be >= 0 (0 = all)");
-    RELPERF_REQUIRE(device_.dispatch_delay_s >= 0.0 &&
-                        accelerator_.dispatch_delay_s >= 0.0,
-                    "RealExecutor: dispatch delays must be >= 0");
+    require_delay(device_.dispatch_delay_s, "device dispatch_delay_s");
+    require_delay(device_.switch_delay_s, "device switch_delay_s");
+    require_delay(accelerator_.dispatch_delay_s, "accelerator dispatch_delay_s");
+    require_delay(accelerator_.switch_delay_s, "accelerator switch_delay_s");
 }
 
 double RealExecutor::run_once(const workloads::TaskChain& chain,

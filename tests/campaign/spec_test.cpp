@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <string>
 
 namespace campaign = relperf::campaign;
 
@@ -151,6 +153,26 @@ TEST(CampaignSpec, ValidateRejectsOutOfRangeFields) {
     spec = campaign::CampaignSpec{};
     spec.bootstrap_rounds = cap;
     EXPECT_NO_THROW(spec.validate());
+    // A delay becomes a sleep: NaN, inf and counts past INT64_MAX ns are
+    // refused by name, not dropped or converted with undefined behaviour.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (const bool dispatch : {true, false}) {
+        const std::string key = dispatch ? "dispatch_delay_us" : "switch_delay_us";
+        for (const double us : {-1.0, kInf, -kInf, std::nan(""), 1e300, 1e16}) {
+            spec = campaign::CampaignSpec{};
+            (dispatch ? spec.dispatch_delay_us : spec.switch_delay_us) = us;
+            try {
+                spec.validate();
+                ADD_FAILURE() << key << " = " << us << " was accepted";
+            } catch (const relperf::InvalidArgument& e) {
+                EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                    << e.what();
+            }
+        }
+        spec = campaign::CampaignSpec{};
+        (dispatch ? spec.dispatch_delay_us : spec.switch_delay_us) = 9e15;
+        EXPECT_NO_THROW(spec.validate()) << key; // 9e18 ns < INT64_MAX ns
+    }
 }
 
 TEST(CampaignSpec, HashCoversTheMeasurementPlanOnly) {

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
 using relperf::stats::Rng;
@@ -70,6 +74,30 @@ TEST(RealExecutor, InvalidConfigurationThrows) {
     EXPECT_THROW(sim::RealExecutor(EmulatedDevice{1, -1.0, 0.0},
                                    EmulatedDevice{1, 0.0, 0.0}),
                  relperf::InvalidArgument);
+    // Both delays of both devices are slept through std::chrono: NaN, inf
+    // and counts past INT64_MAX ns are refused by name.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (int field = 0; field < 4; ++field) {
+        const bool on_device = field < 2;
+        const bool dispatch = field % 2 == 0;
+        const std::string key = std::string(on_device ? "device" : "accelerator") +
+                                (dispatch ? " dispatch_delay_s" : " switch_delay_s");
+        for (const double seconds : {kInf, std::nan(""), 1e300, -1.0, 1e10}) {
+            EmulatedDevice device{1, 0.0, 0.0};
+            EmulatedDevice accelerator{1, 0.0, 0.0};
+            EmulatedDevice& target = on_device ? device : accelerator;
+            (dispatch ? target.dispatch_delay_s : target.switch_delay_s) = seconds;
+            try {
+                const sim::RealExecutor exec(device, accelerator);
+                ADD_FAILURE() << key << " = " << seconds << " was accepted";
+            } catch (const relperf::InvalidArgument& e) {
+                EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    EXPECT_NO_THROW(sim::RealExecutor(EmulatedDevice{1, 9e9, 9e9},
+                                      EmulatedDevice{1, 9e9, 9e9}));
 }
 
 TEST(RealExecutor, AssignmentLengthMismatchThrows) {
