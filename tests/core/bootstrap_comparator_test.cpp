@@ -48,6 +48,13 @@ std::vector<double> oracle_sample(std::size_t n, double median, bool tied,
     return xs;
 }
 
+/// Quantile ranges the oracle tests run: degenerate at both ends and in the
+/// middle, the widest, and the default.
+constexpr std::pair<double, double> kQuantileRanges[] = {
+    {0.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}, {0.5, 0.5}, {0.35, 0.65}};
+/// Tie bands the oracle tests run: none, and the default.
+constexpr double kTieBands[] = {0.0, 0.02};
+
 /// The comparator as specified: per round, resample a then b (drawing every
 /// index from `rng` in order), draw the quantile, sort both resamples and
 /// read the quantile off the sorted copies.
@@ -247,15 +254,13 @@ TEST(BootstrapComparator, CountingSelectMatchesResampleOracle) {
     const std::size_t sizes[] = {1,  2,  3,  5,  7,  8,  9,   10,  15,  16,  17,  20,
                                  30, 31, 32, 33, 63, 64, 65, 100, 126, 127, 128, 129};
     constexpr std::size_t kSizes = std::size(sizes);
-    const std::pair<double, double> ranges[] = {
-        {0.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}, {0.5, 0.5}, {0.35, 0.65}};
     core::BootstrapScratch scratch;
     std::size_t scores = 0;
     const auto expect_oracle_bits = [&](std::span<const double> a,
                                         std::span<const double> b,
                                         std::uint64_t seed) {
-        for (const auto& [lo, hi] : ranges) {
-            for (const double epsilon : {0.0, 0.02}) {
+        for (const auto& [lo, hi] : kQuantileRanges) {
+            for (const double epsilon : kTieBands) {
                 BootstrapComparatorConfig cfg;
                 cfg.rounds = 25;
                 cfg.quantile_lo = lo;
@@ -323,12 +328,16 @@ TEST(BootstrapComparator, CountingSelectMatchesResampleOracle) {
 TEST(BootstrapComparator, CompareEqualsThresholdedScore) {
     // compare() stops tallying once the rounds left cannot move its verdict,
     // but still makes their draws. So it must return score() thresholded at
-    // decision_threshold and leave the rng where score() leaves it. The
-    // thresholds next to 0.9 and 0.1 + 0.2 put a net win count on or just
-    // past a cut point, where cut points computed in integer arithmetic
-    // rather than from the predicate go wrong: ceil(0.9 * rounds) at most
-    // round counts, floor(t * rounds) + 1 at 10 rounds for the threshold
-    // just below 0.9.
+    // decision_threshold and leave the rng where score() leaves it, and
+    // score() must equal the resampling oracle's bits. The thresholds next
+    // to 0.9 and 0.1 + 0.2 put a net win count on or just past a cut point,
+    // where cut points computed in integer arithmetic rather than from the
+    // predicate go wrong: ceil(0.9 * rounds) at most round counts,
+    // floor(t * rounds) + 1 at 10 rounds for the threshold just below 0.9.
+    // Every quantile range and tie band of the oracle test runs too: the
+    // round loop reads quantile_lo and quantile_hi - quantile_lo once per
+    // call and shares one quantile position between samples of equal size,
+    // and only the range [1, 1] reaches the hi = n - 1 clamp.
     // 127 values tally in bytes and 128 in 32-bit counts: both settle.
     const std::size_t sizes[] = {1, 2, 3, 10, 30, 31, 127, 128};
     constexpr std::size_t kSizes = std::size(sizes);
@@ -346,11 +355,14 @@ TEST(BootstrapComparator, CompareEqualsThresholdedScore) {
         return Ordering::Equivalent;
     };
     int seen[3] = {0, 0, 0};
-    for (std::uint64_t seed = 0; seed < 2 * kSizes * kSizes * 4; ++seed) {
+    std::size_t cases = 0;
+    // Each size pair runs once; tied values alternate along both sizes, and
+    // the four shifts rotate across them.
+    for (std::uint64_t seed = 0; seed < kSizes * kSizes; ++seed) {
         const std::size_t na = sizes[seed % kSizes];
-        const std::size_t nb = sizes[(seed / kSizes) % kSizes];
-        const bool tied = (seed / (kSizes * kSizes)) % 2 == 1;
-        const double shift = shifts[(seed / (2 * kSizes * kSizes)) % 4];
+        const std::size_t nb = sizes[seed / kSizes];
+        const bool tied = (seed + seed / kSizes) % 2 == 1;
+        const double shift = shifts[(seed / 3) % 4];
         const auto a = oracle_sample(na, 1.0, tied, seed * 2 + 1);
         const auto b = oracle_sample(nb, shift, tied, seed * 2 + 2);
         // Every seventh case compares a with itself, through one span.
@@ -358,27 +370,47 @@ TEST(BootstrapComparator, CompareEqualsThresholdedScore) {
         const std::span<const double> first(a);
         const std::span<const double> second = same ? first : std::span<const double>(b);
         for (const std::size_t rounds : round_counts) {
-            for (const double t : thresholds) {
-                BootstrapComparatorConfig cfg;
-                cfg.rounds = rounds;
-                cfg.decision_threshold = t;
-                SCOPED_TRACE(testing::Message()
-                             << "seed " << seed << " na " << na << " nb "
-                             << (same ? na : nb) << " same " << same
-                             << " rounds " << rounds << " threshold "
-                             << testing::PrintToString(t));
-                const BootstrapComparator cmp(cfg);
-                Rng rng_compare(seed + 9000);
-                Rng rng_score(seed + 9000);
-                const Ordering got = cmp.compare(first, second, rng_compare);
-                const Ordering want =
-                    thresholded(cmp.score(first, second, rng_score), t);
-                EXPECT_EQ(got, want);
-                EXPECT_EQ(rng_compare.bits(), rng_score.bits());
-                ++seen[static_cast<int>(got)];
+            for (const auto& [lo, hi] : kQuantileRanges) {
+                for (const double epsilon : kTieBands) {
+                    BootstrapComparatorConfig cfg;
+                    cfg.rounds = rounds;
+                    cfg.quantile_lo = lo;
+                    cfg.quantile_hi = hi;
+                    cfg.tie_epsilon = epsilon;
+                    SCOPED_TRACE(testing::Message()
+                                 << "seed " << seed << " na " << na << " nb "
+                                 << (same ? na : nb) << " same " << same
+                                 << " rounds " << rounds << " q [" << lo << ", "
+                                 << hi << "] eps " << epsilon);
+                    Rng rng_score(seed + 9000);
+                    Rng rng_oracle(seed + 9000);
+                    const double score =
+                        BootstrapComparator(cfg).score(first, second, rng_score);
+                    const double want = oracle_score(cfg, first, second, rng_oracle);
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(score),
+                              std::bit_cast<std::uint64_t>(want))
+                        << "score " << score << " vs oracle " << want;
+                    for (const double t : thresholds) {
+                        cfg.decision_threshold = t;
+                        SCOPED_TRACE(testing::Message()
+                                     << "threshold " << testing::PrintToString(t));
+                        Rng rng_compare(seed + 9000);
+                        const Ordering got =
+                            BootstrapComparator(cfg).compare(first, second, rng_compare);
+                        EXPECT_EQ(got, thresholded(score, t));
+                        Rng after_score = rng_score;
+                        EXPECT_EQ(rng_compare.bits(), after_score.bits());
+                        ++seen[static_cast<int>(got)];
+                        ++cases;
+                    }
+                    EXPECT_EQ(rng_score.bits(), rng_oracle.bits());
+                }
             }
         }
     }
+    EXPECT_EQ(cases, kSizes * kSizes * std::size(round_counts) *
+                         std::size(kQuantileRanges) * std::size(kTieBands) *
+                         std::size(thresholds));
     // The inputs reach every verdict, so each cut point is exercised.
     EXPECT_GT(seen[static_cast<int>(Ordering::Better)], 0);
     EXPECT_GT(seen[static_cast<int>(Ordering::Worse)], 0);
