@@ -13,6 +13,7 @@
 #include "workloads/chain.hpp"
 
 #include <cstdio>
+#include <exception>
 #include <set>
 
 using namespace relperf;
@@ -39,17 +40,17 @@ std::vector<int> final_labels(const core::Clustering& c) {
 
 } // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli("ablation_bootstrap — bootstrap knob sensitivity");
     bench::add_common_options(cli);
     if (!cli.parse(argc, argv)) return 0;
+    const std::uint64_t seed = bench::seed(cli);
+    const std::size_t rep = bench::repetitions(cli);
 
     const workloads::TaskChain chain = workloads::paper_rls_chain(10);
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
     const auto variants = workloads::enumerate_assignments(chain.size());
-    const std::uint64_t seed = static_cast<std::uint64_t>(cli.value_int("seed"));
-    const std::size_t rep = static_cast<std::size_t>(cli.value_int("rep"));
 
     const auto run = [&](std::size_t n, core::BootstrapComparatorConfig cmp_cfg,
                          const std::string& label) {
@@ -118,4 +119,7 @@ int main(int argc, char** argv) {
         "theta = 0.9, R = 100) hold the paper's five-class shape, and growing\n"
         "N sharpens the borderline pairs without changing the winner/loser.\n");
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

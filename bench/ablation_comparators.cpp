@@ -11,25 +11,28 @@
 #include "workloads/chain.hpp"
 
 #include <cstdio>
+#include <exception>
 #include <memory>
 
 using namespace relperf;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli("ablation_comparators — comparator strategy ablation");
     bench::add_common_options(cli);
     cli.add_option("n", "measurements per algorithm", "30");
     if (!cli.parse(argc, argv)) return 0;
+    const std::uint64_t seed = bench::seed(cli);
+    const std::size_t rep = bench::repetitions(cli);
+    const std::size_t n = str::parse_positive_size(cli.value("n"), "--n");
 
     const workloads::TaskChain chain = workloads::paper_rls_chain(10);
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
     const auto variants = workloads::enumerate_assignments(chain.size());
 
-    stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
-    const core::MeasurementSet set = core::measure_variants(
-        executor, chain, variants,
-        static_cast<std::size_t>(cli.value_int("n")), rng);
+    stats::Rng rng(seed);
+    const core::MeasurementSet set =
+        core::measure_variants(executor, chain, variants, n, rng);
 
     std::vector<std::unique_ptr<core::Comparator>> comparators;
     comparators.push_back(std::make_unique<core::BootstrapComparator>());
@@ -44,10 +47,8 @@ int main(int argc, char** argv) {
     std::vector<core::Clustering> clusterings;
     std::vector<std::string> header = {"Algorithm"};
     for (const auto& cmp : comparators) {
-        const core::RelativeClusterer clusterer(
-            *cmp, core::ClustererConfig{
-                      static_cast<std::size_t>(cli.value_int("rep")),
-                      static_cast<std::uint64_t>(cli.value_int("seed")) + 1});
+        const core::RelativeClusterer clusterer(*cmp,
+                                                core::ClustererConfig{rep, seed + 1});
         clusterings.push_back(clusterer.cluster(set));
         header.push_back(cmp->name());
     }
@@ -83,4 +84,7 @@ int main(int argc, char** argv) {
         "pairs 'different' and fragment the middle band into extra classes\n"
         "whose boundaries move from sample to sample (rerun with --seed).\n");
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

@@ -12,6 +12,7 @@
 #include "workloads/chain.hpp"
 
 #include <cstdio>
+#include <exception>
 #include <set>
 
 using namespace relperf;
@@ -38,16 +39,17 @@ int straddler_count(const core::Clustering& c) {
 
 } // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli("ablation_noise — noise level vs cluster structure");
     bench::add_common_options(cli);
     cli.add_option("n", "measurements per algorithm", "30");
     if (!cli.parse(argc, argv)) return 0;
+    const std::size_t n = str::parse_positive_size(cli.value("n"), "--n");
+    const core::AnalysisConfig config = bench::analysis_config(cli, n);
 
     const workloads::TaskChain chain = workloads::paper_rls_chain(10);
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const auto assignments = workloads::enumerate_assignments(chain.size());
-    const std::size_t n = static_cast<std::size_t>(cli.value_int("n"));
 
     bench::section("Cluster structure vs noise (Table I workload, N = " +
                    cli.value("n") + ")");
@@ -62,7 +64,6 @@ int main(int argc, char** argv) {
             noise.sigma_log = sigma;
             noise.spike_prob = spike;
             const sim::SimulatedExecutor executor(profile, noise);
-            const core::AnalysisConfig config = bench::analysis_config(cli, n);
             const core::AnalysisResult result =
                 core::analyze_chain(executor, chain, assignments, config);
 
@@ -96,4 +97,7 @@ int main(int argc, char** argv) {
         "(straddlers > 0); at very high noise the distributions blur\n"
         "together, k collapses and the top class swallows most algorithms.\n");
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

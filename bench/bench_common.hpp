@@ -6,6 +6,7 @@
 #include "core/pipeline.hpp"
 #include "linalg/backend.hpp"
 #include "support/cli.hpp"
+#include "support/str.hpp"
 
 #include <cstdio>
 #include <string>
@@ -51,13 +52,23 @@ inline void print_backends() {
     return true;
 }
 
+/// The parsed --rep: a positive count, or InvalidArgument naming the flag.
+[[nodiscard]] inline std::size_t repetitions(const support::CliParser& cli) {
+    return str::parse_positive_size(cli.value("rep"), "--rep");
+}
+
+/// The parsed --seed: decimal, or hex after 0x.
+[[nodiscard]] inline std::uint64_t seed(const support::CliParser& cli) {
+    return str::parse_u64(cli.value("seed"), "--seed");
+}
+
 /// Builds the analysis config from parsed common options.
 inline core::AnalysisConfig analysis_config(const support::CliParser& cli,
                                             std::size_t measurements) {
     core::AnalysisConfig config;
     config.measurements_per_alg = measurements;
-    config.clustering.repetitions = static_cast<std::size_t>(cli.value_int("rep"));
-    config.measurement_seed = static_cast<std::uint64_t>(cli.value_int("seed"));
+    config.clustering.repetitions = repetitions(cli);
+    config.measurement_seed = seed(cli);
     config.clustering.seed = config.measurement_seed * 7919 + 17;
     return config;
 }

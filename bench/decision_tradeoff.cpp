@@ -11,22 +11,30 @@
 #include "support/table.hpp"
 #include "workloads/chain.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <exception>
+#include <limits>
 
 using namespace relperf;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli("decision_tradeoff — paper Sec. IV cost/speed trade-off");
     bench::add_common_options(cli);
     cli.add_option("rank-tolerance", "eligible classes (1 = best only)", "2");
     if (!cli.parse(argc, argv)) return 0;
+    // A tolerance past the class count admits every class, so clamping to
+    // the rank type keeps its meaning.
+    const int rank_tolerance = static_cast<int>(std::min<std::size_t>(
+        str::parse_positive_size(cli.value("rank-tolerance"), "--rank-tolerance"),
+        std::numeric_limits<int>::max()));
+    const core::AnalysisConfig config = bench::analysis_config(cli, 30);
 
     const workloads::TaskChain chain = workloads::paper_rls_chain(10);
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
     const auto assignments = workloads::enumerate_assignments(chain.size());
 
-    const core::AnalysisConfig config = bench::analysis_config(cli, 30);
     const core::AnalysisResult analysis =
         core::analyze_chain(executor, chain, assignments, config);
     const auto candidates = core::build_candidate_profiles(
@@ -39,7 +47,7 @@ int main(int argc, char** argv) {
         {support::Align::Left, support::Align::Left, support::Align::Right,
          support::Align::Right, support::Align::Right});
     for (const auto& c : candidates) {
-        if (c.final_rank > cli.value_int("rank-tolerance")) continue;
+        if (c.final_rank > rank_tolerance) continue;
         cand_table.add_row({c.name, "C" + std::to_string(c.final_rank),
                             str::human_seconds(c.mean_seconds),
                             str::human_seconds(c.accelerator_seconds),
@@ -54,7 +62,7 @@ int main(int argc, char** argv) {
     for (const double weight : {0.0, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 100.0}) {
         core::CostAwareConfig cost_cfg;
         cost_cfg.cost_per_accelerator_second = weight;
-        cost_cfg.rank_tolerance = cli.value_int("rank-tolerance");
+        cost_cfg.rank_tolerance = rank_tolerance;
         const core::CandidateProfile pick =
             core::select_cost_aware(candidates, cost_cfg);
         const double utility =
@@ -69,4 +77,7 @@ int main(int argc, char** argv) {
         "(algDDA) wins; as the accelerator cost grows the decision model\n"
         "falls back to algDDD, which is \"not so bad\" (class C2).\n");
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

@@ -28,10 +28,11 @@ int main(int argc, char** argv) try {
     if (!cli.parse(argc, argv)) return 0;
     const std::size_t runs = str::parse_positive_size(cli.value("runs"), "--runs");
     core::SwitchPolicyConfig policy;
-    policy.device_energy_budget_j = cli.value_double("budget-j");
+    policy.device_energy_budget_j = str::parse_double(cli.value("budget-j"), "--budget-j");
     policy.window_runs = str::parse_positive_size(cli.value("window"), "--window");
     policy.cooldown_runs =
         str::parse_positive_size(cli.value("cooldown"), "--cooldown");
+    const core::AnalysisConfig config = bench::analysis_config(cli, 30);
 
     const workloads::TaskChain chain = workloads::paper_rls_chain(10);
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
@@ -40,7 +41,6 @@ int main(int argc, char** argv) try {
     const auto assignments = workloads::enumerate_assignments(chain.size());
 
     // Cluster first: the switching pair is derived from the analysis.
-    const core::AnalysisConfig config = bench::analysis_config(cli, 30);
     const core::AnalysisResult analysis =
         core::analyze_chain(executor, chain, assignments, config);
     const auto candidates = core::build_candidate_profiles(

@@ -10,16 +10,19 @@
 #include "workloads/chain.hpp"
 
 #include <cstdio>
+#include <exception>
 
 using namespace relperf;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli(
         "fig1b_distributions — paper Figure 1b + Sec. III relative scores");
     bench::add_common_options(cli);
     cli.add_option("n-large", "large measurement count (figure)", "500");
     cli.add_option("n-small", "small measurement count (Sec. III example)", "30");
     if (!cli.parse(argc, argv)) return 0;
+    const std::size_t n_large = str::parse_positive_size(cli.value("n-large"), "--n-large");
+    const std::size_t n_small = str::parse_positive_size(cli.value("n-small"), "--n-small");
 
     const workloads::TaskChain chain = workloads::two_loop_chain();
     const sim::CalibratedProfile profile = sim::fig1b_profile();
@@ -28,8 +31,7 @@ int main(int argc, char** argv) {
 
     bench::section("Figure 1b: distributions of execution times, N = " +
                    cli.value("n-large"));
-    const core::AnalysisConfig big_cfg = bench::analysis_config(
-        cli, static_cast<std::size_t>(cli.value_int("n-large")));
+    const core::AnalysisConfig big_cfg = bench::analysis_config(cli, n_large);
     const core::AnalysisResult big =
         core::analyze_chain(executor, chain, assignments, big_cfg);
 
@@ -46,8 +48,7 @@ int main(int argc, char** argv) {
 
     bench::section("Sec. III example: relative scores at N = " +
                    cli.value("n-small"));
-    const core::AnalysisConfig small_cfg = bench::analysis_config(
-        cli, static_cast<std::size_t>(cli.value_int("n-small")));
+    const core::AnalysisConfig small_cfg = bench::analysis_config(cli, n_small);
     const core::AnalysisResult small =
         core::analyze_chain(executor, chain, assignments, small_cfg);
     std::fputs(
@@ -67,4 +68,7 @@ int main(int argc, char** argv) {
         std::printf("\nraw measurements written to %s\n", path->c_str());
     }
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

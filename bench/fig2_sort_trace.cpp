@@ -15,6 +15,7 @@
 #include "workloads/chain.hpp"
 
 #include <cstdio>
+#include <exception>
 #include <map>
 
 using namespace relperf;
@@ -66,20 +67,22 @@ private:
 
 } // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli("fig2_sort_trace — paper Figure 2 bubble-sort trace");
     bench::add_common_options(cli);
     cli.add_option("n", "measurements per algorithm (measured trace)", "30");
     if (!cli.parse(argc, argv)) return 0;
+    const std::uint64_t seed = bench::seed(cli);
+    const std::size_t rep = bench::repetitions(cli);
+    const std::size_t n = str::parse_positive_size(cli.value("n"), "--n");
 
     const workloads::TaskChain chain = workloads::two_loop_chain();
     const sim::CalibratedProfile profile = sim::fig1b_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
 
-    stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
+    stats::Rng rng(seed);
     core::MeasurementSet set = core::measure_variants(
-        executor, chain, workloads::enumerate_assignments(2),
-        static_cast<std::size_t>(cli.value_int("n")), rng);
+        executor, chain, workloads::enumerate_assignments(2), n, rng);
 
     // Paper's initial sequence <DD, AA, DA, AD>.
     const std::vector<std::size_t> initial = {
@@ -110,7 +113,7 @@ int main(int argc, char** argv) {
         const core::RelativeClusterer clusterer(comparator,
                                                 core::ClustererConfig{1, 1});
         std::vector<core::SortStep> trace;
-        stats::Rng sort_rng(static_cast<std::uint64_t>(cli.value_int("seed")) + 1);
+        stats::Rng sort_rng(seed + 1);
         (void)clusterer.sort_once_traced(set, initial, sort_rng, trace);
         std::fputs(core::render_sort_trace(trace, set).c_str(), stdout);
     }
@@ -119,12 +122,13 @@ int main(int argc, char** argv) {
                    " shuffled repetitions");
     {
         const core::BootstrapComparator comparator;
-        const core::RelativeClusterer clusterer(
-            comparator,
-            core::ClustererConfig{static_cast<std::size_t>(cli.value_int("rep")),
-                                  static_cast<std::uint64_t>(cli.value_int("seed"))});
+        const core::RelativeClusterer clusterer(comparator,
+                                                core::ClustererConfig{rep, seed});
         const core::Clustering clustering = clusterer.cluster(set);
         std::fputs(core::render_cluster_table(clustering, set).c_str(), stdout);
     }
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

@@ -15,22 +15,23 @@
 #include "workloads/chain.hpp"
 
 #include <cstdio>
+#include <exception>
 
 using namespace relperf;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli("model_prediction — execution-less relative performance");
     bench::add_common_options(cli);
     cli.add_option("n", "measurements per algorithm", "30");
     if (!cli.parse(argc, argv)) return 0;
+    const std::size_t n = str::parse_positive_size(cli.value("n"), "--n");
+    const core::AnalysisConfig config = bench::analysis_config(cli, n);
 
     const workloads::TaskChain chain = workloads::paper_rls_chain(10);
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
     const auto variants = workloads::enumerate_assignments(chain.size());
 
-    const core::AnalysisConfig config = bench::analysis_config(
-        cli, static_cast<std::size_t>(cli.value_int("n")));
     const core::AnalysisResult analysis =
         core::analyze_chain(executor, chain, variants, config);
 
@@ -64,7 +65,7 @@ int main(int argc, char** argv) {
     support::AsciiTable sweep({"Train on", "Kendall tau", "Mean |rel err|"},
                               {support::Align::Right, support::Align::Right,
                                support::Align::Right});
-    stats::Rng subset_rng(static_cast<std::uint64_t>(cli.value_int("seed")) + 99);
+    stats::Rng subset_rng(config.measurement_seed + 99);
     for (const std::size_t train_count : {3u, 4u, 5u, 6u, 8u}) {
         // Average over random subsets.
         double tau_sum = 0.0;
@@ -100,8 +101,7 @@ int main(int argc, char** argv) {
 
     bench::section("Triplet scorer: trained on class labels only (paper Sec. I)");
     {
-        stats::Rng triplet_rng(static_cast<std::uint64_t>(cli.value_int("seed")) +
-                               1234);
+        stats::Rng triplet_rng(config.measurement_seed + 1234);
         const model::TripletScorer scorer = model::fit_triplet_scorer(
             chain, variants, analysis.clustering, 600, triplet_rng);
         const auto universe = model::resolved_backends(chain, variants);
@@ -133,4 +133,7 @@ int main(int argc, char** argv) {
         "the space measured, the predicted ordering remains strong — the\n"
         "basis for the paper's proposed execution-less algorithm selection.\n");
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 
 using namespace relperf;
 
@@ -43,10 +44,11 @@ Exhaustive exhaustive_reference(const sim::SimulatedExecutor& executor,
 
 } // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli("search_scaling — subset search in exponential spaces");
     bench::add_common_options(cli);
     if (!cli.parse(argc, argv)) return 0;
+    const std::uint64_t seed = bench::seed(cli);
 
     const sim::AnalyticCostModel cost_model(
         campaign::platform_preset("paper-cpu-gpu"));
@@ -68,13 +70,13 @@ int main(int argc, char** argv) {
         for (std::size_t i = 0; i < k; ++i) spec.sizes.push_back(ramp[i % 6]);
         spec.iters = 5;
         spec.measurements = 10;
-        spec.measurement_seed = static_cast<std::uint64_t>(cli.value_int("seed"));
+        spec.measurement_seed = seed;
 
         search::SearchConfig config;
         config.initial_samples = 3 * k;
         config.refinement_rounds = 4;
         config.batch_size = k;
-        config.seed = static_cast<std::uint64_t>(cli.value_int("seed"));
+        config.seed = seed;
         const search::ModelGuidedSearch searcher(spec, config);
         const search::SearchResult result = searcher.run();
 
@@ -96,4 +98,7 @@ int main(int argc, char** argv) {
         "stays within the top of the space — the paper's Sec. V strategy of\n"
         "clustering a measured subset and letting a model guide the search.\n");
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

@@ -12,15 +12,18 @@
 #include "workloads/chain.hpp"
 
 #include <cstdio>
+#include <exception>
 #include <memory>
 
 using namespace relperf;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli("speedup_n_sweep — paper Sec. IV speed-up vs n");
     bench::add_common_options(cli);
     cli.add_option("n", "measurements per point", "100");
     if (!cli.parse(argc, argv)) return 0;
+    const std::size_t n_meas = str::parse_positive_size(cli.value("n"), "--n");
+    const std::uint64_t seed = bench::seed(cli);
 
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
@@ -39,8 +42,7 @@ int main(int argc, char** argv) {
                                             "speedup"});
     }
 
-    const std::size_t n_meas = static_cast<std::size_t>(cli.value_int("n"));
-    stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
+    stats::Rng rng(seed);
     for (const std::size_t n : sweep) {
         const workloads::TaskChain chain = workloads::paper_rls_chain(n);
         const double ddd = stats::mean(executor.measure(
@@ -64,4 +66,7 @@ int main(int argc, char** argv) {
         "increasing with n. The sweep also shows the crossover near n ~ 6-7\n"
         "below which staging costs make offloading L3 unprofitable.\n");
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

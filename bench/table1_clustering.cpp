@@ -9,24 +9,25 @@
 #include "workloads/chain.hpp"
 
 #include <cstdio>
+#include <exception>
 
 using namespace relperf;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli("table1_clustering — paper Table I");
     bench::add_common_options(cli);
     cli.add_option("n", "measurements per algorithm (paper: 30)", "30");
     cli.add_option("iters", "loop iterations per MathTask (paper: 10)", "10");
     if (!cli.parse(argc, argv)) return 0;
+    const std::size_t n = str::parse_positive_size(cli.value("n"), "--n");
+    const std::size_t iters = str::parse_positive_size(cli.value("iters"), "--iters");
 
-    const workloads::TaskChain chain =
-        workloads::paper_rls_chain(static_cast<std::size_t>(cli.value_int("iters")));
+    const workloads::TaskChain chain = workloads::paper_rls_chain(iters);
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
     const auto assignments = workloads::enumerate_assignments(chain.size());
 
-    const core::AnalysisConfig config = bench::analysis_config(
-        cli, static_cast<std::size_t>(cli.value_int("n")));
+    const core::AnalysisConfig config = bench::analysis_config(cli, n);
     const core::AnalysisResult result =
         core::analyze_chain(executor, chain, assignments, config);
 
@@ -56,4 +57,7 @@ int main(int argc, char** argv) {
         std::printf("\nclustering written to %s\n", path->c_str());
     }
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

@@ -14,10 +14,11 @@
 #include "support/str.hpp"
 
 #include <cstdio>
+#include <exception>
 
 using namespace relperf;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     support::CliParser cli(
         "measured_on_this_machine — wall-clock relative performance");
     cli.add_option("sizes", "comma-separated task sizes", "48,160");
@@ -27,29 +28,32 @@ int main(int argc, char** argv) {
                    "200");
     cli.add_option("seed", "workload seed", "3");
     if (!cli.parse(argc, argv)) return 0;
-
     const std::vector<std::size_t> sizes =
         str::parse_size_list(cli.value("sizes"), "--sizes");
-    const workloads::TaskChain chain = workloads::make_rls_chain(
-        sizes, static_cast<std::size_t>(cli.value_int("iters")), "measured-chain");
+    const std::size_t iters = str::parse_positive_size(cli.value("iters"), "--iters");
+    const std::size_t n = str::parse_positive_size(cli.value("n"), "--n");
+    const double dispatch_us = str::parse_double(cli.value("dispatch-us"), "--dispatch-us");
+    const std::uint64_t seed = str::parse_u64(cli.value("seed"), "--seed");
+
+    const workloads::TaskChain chain =
+        workloads::make_rls_chain(sizes, iters, "measured-chain");
 
     // Device = 1 thread. Accelerator = all threads, but each kernel launch
     // pays an artificial dispatch delay (emulating framework/offload
     // overheads, paper footnote 2).
     const sim::EmulatedDevice device{1, 0.0, 0.0};
     const sim::EmulatedDevice accelerator{
-        0, cli.value_double("dispatch-us") * 1e-6, 1e-4};
+        0, dispatch_us * 1e-6, 1e-4};
     const sim::RealExecutor executor(device, accelerator);
 
-    std::printf("measuring %zu splits of '%s' x %d runs each (real wall clock)"
+    std::printf("measuring %zu splits of '%s' x %zu runs each (real wall clock)"
                 "...\n\n",
-                (std::size_t{1} << chain.size()), chain.name.c_str(),
-                cli.value_int("n"));
+                (std::size_t{1} << chain.size()), chain.name.c_str(), n);
 
-    stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
+    stats::Rng rng(seed);
     core::MeasurementSet measurements = core::measure_variants_real(
-        executor, chain, workloads::enumerate_assignments(chain.size()),
-        static_cast<std::size_t>(cli.value_int("n")), rng, /*warmup=*/2);
+        executor, chain, workloads::enumerate_assignments(chain.size()), n, rng,
+        /*warmup=*/2);
 
     std::fputs(core::render_summary_table(measurements).c_str(), stdout);
     std::puts("\nDistributions (shared axis):");
@@ -72,4 +76,7 @@ int main(int argc, char** argv) {
               "and the dispatch delay — rerun with other --dispatch-us values\n"
               "to watch splits migrate between classes (paper Sec. I).");
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

@@ -3,7 +3,6 @@
 #include "support/error.hpp"
 #include "support/str.hpp"
 
-#include <cstdlib>
 #include <iostream>
 
 namespace relperf::support {
@@ -81,24 +80,6 @@ std::string CliParser::value(const std::string& name) const {
     const Option& opt = lookup(name);
     RELPERF_REQUIRE(!opt.is_flag, "CliParser: --" + name + " is a flag");
     return opt.value;
-}
-
-int CliParser::value_int(const std::string& name) const {
-    const std::string v = value(name);
-    char* end = nullptr;
-    const long parsed = std::strtol(v.c_str(), &end, 10);
-    RELPERF_REQUIRE(end != nullptr && *end == '\0' && !v.empty(),
-                    "CliParser: --" + name + " expects an integer, got '" + v + "'");
-    return static_cast<int>(parsed);
-}
-
-double CliParser::value_double(const std::string& name) const {
-    const std::string v = value(name);
-    char* end = nullptr;
-    const double parsed = std::strtod(v.c_str(), &end);
-    RELPERF_REQUIRE(end != nullptr && *end == '\0' && !v.empty(),
-                    "CliParser: --" + name + " expects a number, got '" + v + "'");
-    return parsed;
 }
 
 std::optional<std::string> CliParser::value_optional(const std::string& name) const {

@@ -4,7 +4,9 @@
 //!
 //! Supports `--flag`, `--key value` and `--key=value`. Unknown options throw,
 //! so typos in experiment scripts fail loudly instead of silently running the
-//! default configuration.
+//! default configuration. Values stay strings: a program reads a number with
+//! the str::parse_* helpers, which reject junk, out-of-range values and
+//! negative counts with an error naming the flag.
 
 #include <iosfwd>
 #include <map>
@@ -35,8 +37,6 @@ public:
 
     [[nodiscard]] bool flag(const std::string& name) const;
     [[nodiscard]] std::string value(const std::string& name) const;
-    [[nodiscard]] int value_int(const std::string& name) const;
-    [[nodiscard]] double value_double(const std::string& name) const;
     /// Empty optional when the option still holds its declared default and the
     /// default was the empty string (used for e.g. optional --csv paths).
     [[nodiscard]] std::optional<std::string> value_optional(const std::string& name) const;

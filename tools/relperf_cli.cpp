@@ -395,8 +395,10 @@ int analyze_input(const support::CliParser& cli, const std::string& input) {
     core::AnalysisConfig config;
     config.comparator.rounds =
         str::parse_positive_size(cli.value("rounds"), "--rounds");
-    config.comparator.tie_epsilon = cli.value_double("tie-epsilon");
-    config.comparator.decision_threshold = cli.value_double("threshold");
+    config.comparator.tie_epsilon =
+        str::parse_double(cli.value("tie-epsilon"), "--tie-epsilon");
+    config.comparator.decision_threshold =
+        str::parse_double(cli.value("threshold"), "--threshold");
     config.clustering.repetitions =
         str::parse_positive_size(cli.value("rep"), "--rep");
     config.clustering.seed = str::parse_u64(cli.value("seed"), "--seed");
