@@ -21,8 +21,10 @@ int main(int argc, char** argv) try {
     cli.add_option("n-large", "large measurement count (figure)", "500");
     cli.add_option("n-small", "small measurement count (Sec. III example)", "30");
     if (!cli.parse(argc, argv)) return 0;
-    const std::size_t n_large = str::parse_positive_size(cli.value("n-large"), "--n-large");
-    const std::size_t n_small = str::parse_positive_size(cli.value("n-small"), "--n-small");
+    const std::size_t n_large =
+        str::parse_positive_size(cli.value("n-large"), "--n-large");
+    const std::size_t n_small =
+        str::parse_positive_size(cli.value("n-small"), "--n-small");
 
     const workloads::TaskChain chain = workloads::two_loop_chain();
     const sim::CalibratedProfile profile = sim::fig1b_profile();

@@ -34,7 +34,8 @@ int main(int argc, char** argv) try {
     const std::size_t runs = str::parse_positive_size(cli.value("runs"), "--runs");
     const std::uint64_t seed = str::parse_u64(cli.value("seed"), "--seed");
     core::SwitchPolicyConfig policy;
-    policy.device_energy_budget_j = str::parse_double(cli.value("budget-j"), "--budget-j");
+    policy.device_energy_budget_j =
+        str::parse_double(cli.value("budget-j"), "--budget-j");
     policy.window_runs = str::parse_positive_size(cli.value("window"), "--window");
     policy.cooldown_runs =
         str::parse_positive_size(cli.value("cooldown"), "--cooldown");

@@ -32,7 +32,8 @@ int main(int argc, char** argv) try {
         str::parse_size_list(cli.value("sizes"), "--sizes");
     const std::size_t iters = str::parse_positive_size(cli.value("iters"), "--iters");
     const std::size_t n = str::parse_positive_size(cli.value("n"), "--n");
-    const double dispatch_us = str::parse_double(cli.value("dispatch-us"), "--dispatch-us");
+    const double dispatch_us =
+        str::parse_double(cli.value("dispatch-us"), "--dispatch-us");
     const std::uint64_t seed = str::parse_u64(cli.value("seed"), "--seed");
 
     const workloads::TaskChain chain =
