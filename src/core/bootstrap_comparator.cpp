@@ -11,7 +11,6 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
-#include <utility>
 
 namespace relperf::core {
 
@@ -70,26 +69,18 @@ void rank_sample(std::span<const double> sample, RankedSample& out) {
     }
 }
 
-/// The tally a sample's size selects, and how the round loop reads it.
-enum class TallyKind {
-    One,   ///< n = 1: the byte tally's first bin; the quantile is the value.
-    Bytes, ///< 2 <= n <= 127: the byte tally, selected a word at a time.
-    Counts ///< n >= 128: the 32-bit tally.
-};
-
 /// One ranked sample as the round loop reads it: everything that is fixed
 /// from the sort to the last round, copied out of the scratch into a local.
 /// A byte store may alias any object, so a value the loop read through the
 /// scratch or the comparator would be loaded again after every tally.
 struct Tally {
-    TallyKind kind;
     std::size_t n;             ///< The caller's span size.
     double last;               ///< (double)(n - 1), the quantile's scale.
     const std::uint32_t* rank; ///< rank[j]: position of value j in `sorted`.
     const double* sorted;
-    std::uint8_t* bytes;       ///< The byte tally (kinds One and Bytes).
+    std::uint8_t* bytes;       ///< The byte tally, for n <= 127.
     std::size_t words;         ///< Its length in 64-bit words.
-    std::uint32_t* counts;     ///< The 32-bit tally (kind Counts).
+    std::uint32_t* counts;     ///< The 32-bit tally, for n >= 128.
 };
 
 /// The view of `s` after rank_sample, for a sample of `n` values. `n` is the
@@ -97,10 +88,7 @@ struct Tally {
 /// product a high half it cannot prove zero, and every draw pays one more
 /// multiply.
 Tally tally_of(RankedSample& s, std::size_t n) {
-    return {n == 1 ? TallyKind::One
-            : n <= kMaxByteSample ? TallyKind::Bytes
-                                  : TallyKind::Counts,
-            n,
+    return {n,
             static_cast<double>(n - 1),
             s.rank.data(),
             s.sorted.data(),
@@ -110,13 +98,13 @@ Tally tally_of(RankedSample& s, std::size_t n) {
 }
 
 /// Draws one resample of t's n values from `rng` and tallies each drawn
-/// index at its rank.
+/// index at its rank, in the tally rank_sample chose.
 inline void draw(const Tally& t, stats::Rng& rng) {
     const std::size_t n = t.n;
-    if (t.kind == TallyKind::Counts) {
-        for (std::size_t i = 0; i < n; ++i) ++t.counts[t.rank[rng.uniform_index(n)]];
-    } else {
+    if (n <= kMaxByteSample) {
         for (std::size_t i = 0; i < n; ++i) ++t.bytes[t.rank[rng.uniform_index(n)]];
+    } else {
+        for (std::size_t i = 0; i < n; ++i) ++t.counts[t.rank[rng.uniform_index(n)]];
     }
 }
 
@@ -161,26 +149,28 @@ struct OrderRanks {
     std::size_t hi;
 };
 
-/// The select on a byte tally, eight bins per word, with the same fixed work
-/// for every word. Three shift-adds turn a word's bins into their prefix
-/// sums within the word, and adding the running carry (the values in earlier
-/// words) to every byte makes them the prefix sums of the tally. They stay
-/// below 128, so no byte carries into the next, and byte lane i of
-/// (k * kOnes | kHighs) - p keeps its top bit exactly when lane i of p is at
-/// most k, without borrowing from its neighbour. The >> 7 moves each such
-/// bit to its lane's bottom; over at most 16 words a lane counts to 16, and
-/// the multiply by kOnes sums the eight lanes, a rank below n, into the top
-/// byte.
-class ByteSelect {
-public:
-    explicit ByteSelect(const Position& at)
-        : lo_test_(at.lo * kOnes | kHighs), hi_test_(at.hi * kOnes | kHighs) {}
-
-    /// Reads the tally's next word at `bins` and clears it.
-    void word(std::uint8_t* bins) {
+/// The select on a byte tally of `words` words, eight bins per word, with
+/// the same fixed work for every word. Three shift-adds turn a word's bins
+/// into their prefix sums within the word, and adding the running carry
+/// (the values in earlier words) to every byte makes them the prefix sums of
+/// the tally. They stay below 128, so no byte carries into the next, and
+/// byte lane i of (k * kOnes | kHighs) - p keeps its top bit exactly when
+/// lane i of p is at most k, without borrowing from its neighbour. The >> 7
+/// moves each such bit to its lane's bottom; over at most 16 words a lane
+/// counts to 16, and the multiply by kOnes sums the eight lanes, a rank
+/// below n, into the top byte.
+inline OrderRanks select_bytes(std::uint8_t* bins, std::size_t words,
+                               const Position& at) {
+    const std::uint64_t lo_test = at.lo * kOnes | kHighs;
+    const std::uint64_t hi_test = at.hi * kOnes | kHighs;
+    std::uint64_t carry = 0; // the values in earlier words, in every byte
+    std::uint64_t lanes_lo = 0;
+    std::uint64_t lanes_hi = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+        std::uint8_t* const word = bins + w * kWordBins;
         std::uint64_t p = 0;
-        std::memcpy(&p, bins, sizeof p);
-        std::memset(bins, 0, sizeof p);
+        std::memcpy(&p, word, sizeof p);
+        std::memset(word, 0, sizeof p);
         // The word's first bin is its lowest-addressed byte: the low byte on
         // a little-endian target, the high byte on a big-endian one. The
         // last bin's prefix is the word's own count of values.
@@ -196,24 +186,14 @@ public:
             p += p << 32;
             own = p >> 56;
         }
-        p += carry_;
-        carry_ += own * kOnes;
-        lanes_lo_ += ((lo_test_ - p) & kHighs) >> 7;
-        lanes_hi_ += ((hi_test_ - p) & kHighs) >> 7;
+        p += carry;
+        carry += own * kOnes;
+        lanes_lo += ((lo_test - p) & kHighs) >> 7;
+        lanes_hi += ((hi_test - p) & kHighs) >> 7;
     }
-
-    [[nodiscard]] OrderRanks ranks() const {
-        return {static_cast<std::size_t>((lanes_lo_ * kOnes) >> 56),
-                static_cast<std::size_t>((lanes_hi_ * kOnes) >> 56)};
-    }
-
-private:
-    std::uint64_t lo_test_;
-    std::uint64_t hi_test_;
-    std::uint64_t carry_ = 0; // the values in earlier words, in every byte
-    std::uint64_t lanes_lo_ = 0;
-    std::uint64_t lanes_hi_ = 0;
-};
+    return {static_cast<std::size_t>((lanes_lo * kOnes) >> 56),
+            static_cast<std::size_t>((lanes_hi * kOnes) >> 56)};
+}
 
 /// Bins the 32-bit select reads between two looks at its prefix count.
 constexpr std::size_t kBlock = 16;
@@ -253,45 +233,19 @@ constexpr std::size_t kBlock = 16;
     return ranks;
 }
 
-/// The ranks at `at` in t's tally, which the select leaves all zero.
-inline OrderRanks select_ranks(const Tally& t, const Position& at) {
-    switch (t.kind) {
-    case TallyKind::One:
+/// The quantile at `at` of t's tallied resample, as the same double
+/// stats::quantile_sorted returns for the sorted materialized resample: the
+/// lo-th and hi-th order statistics come from the tally in use, and the
+/// interpolation is the same expression. Leaves that tally all zero for the
+/// next round's resample. One value is its own quantile, +inf included.
+inline double select_quantile(const Tally& t, const Position& at) {
+    if (t.n == 1) { // one value always tallies in bytes
         t.bytes[0] = 0;
-        return {0, 0};
-    case TallyKind::Bytes: {
-        ByteSelect pass(at);
-        for (std::size_t w = 0; w < t.words; ++w) pass.word(t.bytes + w * kWordBins);
-        return pass.ranks();
+        return t.sorted[0];
     }
-    case TallyKind::Counts:
-        break;
-    }
-    return select_counts(t.counts, t.n, at.lo, at.hi);
-}
-
-/// The ranks at `at_a` in a's tally and at `at_b` in b's. Two byte tallies
-/// of the same length are read in one pass, so that the two chains of word
-/// arithmetic overlap.
-inline std::pair<OrderRanks, OrderRanks> select_both(const Tally& ta, const Tally& tb,
-                                                     bool paired, const Position& at_a,
-                                                     const Position& at_b) {
-    if (!paired) return {select_ranks(ta, at_a), select_ranks(tb, at_b)};
-    ByteSelect pass_a(at_a);
-    ByteSelect pass_b(at_b);
-    for (std::size_t w = 0; w < ta.words; ++w) {
-        pass_a.word(ta.bytes + w * kWordBins);
-        pass_b.word(tb.bytes + w * kWordBins);
-    }
-    return {pass_a.ranks(), pass_b.ranks()};
-}
-
-/// The quantile at `at` of t's resample, whose order statistics have ranks
-/// `k`: the same double stats::quantile_sorted returns for the sorted
-/// materialized resample, by the same interpolation. One value is its own
-/// quantile, +inf included.
-inline double quantile(const Tally& t, const OrderRanks& k, const Position& at) {
-    if (t.kind == TallyKind::One) return t.sorted[0];
+    const OrderRanks k = t.n <= kMaxByteSample
+                             ? select_bytes(t.bytes, t.words, at)
+                             : select_counts(t.counts, t.n, at.lo, at.hi);
     const double v_lo = t.sorted[k.lo];
     const double v_hi = t.sorted[k.hi];
     return v_lo + at.frac * (v_hi - v_lo);
@@ -372,8 +326,6 @@ std::int64_t BootstrapComparator::net_wins(std::span<const double> a,
     const Tally ta = tally_of(scratch.a, a.size());
     const Tally tb = tally_of(scratch.b, b.size());
     const bool same_n = ta.n == tb.n;
-    const bool paired = ta.kind == TallyKind::Bytes && tb.kind == TallyKind::Bytes &&
-                        ta.words == tb.words;
     const double q_lo = config_.quantile_lo;
     const double q_span = config_.quantile_hi - config_.quantile_lo;
     const double tie_epsilon = config_.tie_epsilon;
@@ -393,12 +345,8 @@ std::int64_t BootstrapComparator::net_wins(std::span<const double> a,
         const double q = q_lo + q_span * local.uniform();
         const Position at_a = position_of(q, ta);
         const Position at_b = same_n ? at_a : position_of(q, tb);
-        // With one n the selects share their tests: the same_n call passes
-        // at_a twice, visibly to the compiler.
-        const auto [ka, kb] = same_n ? select_both(ta, tb, paired, at_a, at_a)
-                                     : select_both(ta, tb, paired, at_a, at_b);
-        const double qa = quantile(ta, ka, at_a);
-        const double qb = quantile(tb, kb, at_b);
+        const double qa = select_quantile(ta, at_a);
+        const double qb = select_quantile(tb, at_b);
 
         const double band = tie_epsilon * std::min(std::fabs(qa), std::fabs(qb));
         const bool tie = std::fabs(qa - qb) <= band;

@@ -17,8 +17,8 @@
 //! tally, ranks and sorted values, (double)(n - 1), the quantile range, the
 //! tie band and the verdict's cut points. A round is then its 2n + 1 draws,
 //! the quantile's position (once when both samples have the same n) and the
-//! two selects, inline; two byte tallies of the same length are read in one
-//! pass. Only the 32-bit select, for 128 values or more, is a call.
+//! two selects, inline. Only the 32-bit select, for 128 values or more, is a
+//! call.
 //!
 //! The aggregated score
 //!
