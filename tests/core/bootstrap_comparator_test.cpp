@@ -356,12 +356,13 @@ TEST(BootstrapComparator, CompareEqualsThresholdedScore) {
     };
     int seen[3] = {0, 0, 0};
     std::size_t cases = 0;
-    // Each size pair runs once; tied values alternate along both sizes, and
-    // the four shifts rotate across them.
+    // Each size pair runs once. Tied values alternate along a's size and
+    // every second b size, so that equal sizes meet both (2, 3, 31 and 127
+    // tied), and the four shifts rotate across them.
     for (std::uint64_t seed = 0; seed < kSizes * kSizes; ++seed) {
         const std::size_t na = sizes[seed % kSizes];
         const std::size_t nb = sizes[seed / kSizes];
-        const bool tied = (seed + seed / kSizes) % 2 == 1;
+        const bool tied = (seed + seed / kSizes / 2) % 2 == 1;
         const double shift = shifts[(seed / 3) % 4];
         const auto a = oracle_sample(na, 1.0, tied, seed * 2 + 1);
         const auto b = oracle_sample(nb, shift, tied, seed * 2 + 2);
