@@ -149,16 +149,16 @@ struct OrderRanks {
     std::size_t hi;
 };
 
-/// The select on a byte tally of `words` words, eight bins per word, with
-/// the same fixed work for every word. Three shift-adds turn a word's bins
-/// into their prefix sums within the word, and adding the running carry
-/// (the values in earlier words) to every byte makes them the prefix sums of
-/// the tally. They stay below 128, so no byte carries into the next, and
-/// byte lane i of (k * kOnes | kHighs) - p keeps its top bit exactly when
-/// lane i of p is at most k, without borrowing from its neighbour. The >> 7
-/// moves each such bit to its lane's bottom; over at most 16 words a lane
-/// counts to 16, and the multiply by kOnes sums the eight lanes, a rank
-/// below n, into the top byte.
+/// The select on a byte tally, eight bins per word, with the same fixed
+/// work for every word. Three shift-adds turn a word's bins into their
+/// prefix sums within the word, and adding the running carry (the values in
+/// earlier words) to every byte makes them the prefix sums of the tally.
+/// They stay below 128, so no byte carries into the next, and byte lane i
+/// of (k * kOnes | kHighs) - p keeps its top bit exactly when lane i of p is
+/// at most k, without borrowing from its neighbour. The >> 7 moves each
+/// such bit to its lane's bottom; over at most 16 words a lane counts to
+/// 16, and the multiply by kOnes sums the eight lanes, a rank below n, into
+/// the top byte.
 inline OrderRanks select_bytes(std::uint8_t* bins, std::size_t words,
                                const Position& at) {
     const std::uint64_t lo_test = at.lo * kOnes | kHighs;
