@@ -1,68 +1,58 @@
 #include "cache/cached_campaign.hpp"
 
 #include "cache/cached_source.hpp"
-#include "campaign/merge.hpp"
 #include "campaign/runner.hpp"
 #include "obs/metrics.hpp"
 
+#include <optional>
 #include <utility>
 
 namespace relperf::cache {
 
 namespace {
 
-/// A cold run of the uncached path, capturing the coordinated metadata.
-CachedRunResult run_uncached(const campaign::CampaignSpec& spec,
-                             std::size_t shard_count, std::size_t workers) {
+/// A run_plan outcome as the cache reports it.
+CachedRunResult from_run(campaign::CoordinatedCampaignResult run) {
     CachedRunResult out;
-    if (spec.adaptive_coordinated) {
-        campaign::CoordinatedCampaignResult coordinated =
-            campaign::run_coordinated_campaign(spec, shard_count, workers);
-        out.analysis = std::move(coordinated.analysis);
-        out.stopset_rounds = std::move(coordinated.stopset_rounds);
-        out.rounds = coordinated.rounds;
-    } else {
-        out.analysis = campaign::run_campaign(spec, shard_count, workers);
-    }
+    out.analysis = std::move(run.analysis);
+    out.stopset_rounds = std::move(run.stopset_rounds);
+    out.rounds = run.rounds;
     return out;
 }
 
 } // namespace
 
 bool cacheable(const campaign::CampaignSpec& spec, std::size_t shard_count) {
-    if (!spec.adaptive() || spec.adaptive_coordinated) return true;
-    // Shard-local adaptive stopping decides per shard, so the merged counts
-    // depend on K — which the plan hash deliberately excludes. Only the
-    // single-shard run (identical to the unsharded engine) is addressable.
-    const std::size_t k = shard_count == 0 ? spec.shards : shard_count;
-    return k == 1;
+    return campaign::k_invariant(spec, shard_count);
 }
 
 CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
                                     ResultCache& cache,
                                     std::size_t shard_count,
                                     std::size_t workers) {
-    spec.validate();
+    // K is checked before the lookup, so a hit cannot hide a split that no
+    // tier could run.
+    const std::size_t count =
+        campaign::split_plan(spec, shard_count).shard_count();
     if (!cache.config().enabled()) {
-        return run_uncached(spec, shard_count, workers);
+        return from_run(campaign::run_plan(spec, count, workers));
     }
-    if (!cacheable(spec, shard_count)) {
+    if (!cacheable(spec, count)) {
         // Not addressable by the plan hash: neither served nor stored.
         obs::metrics().cache_misses_total.inc();
-        CachedRunResult out = run_uncached(spec, shard_count, workers);
+        CachedRunResult out = from_run(campaign::run_plan(spec, count, workers));
         out.bypassed = true;
         return out;
     }
 
     CacheLookup lookup = cache.lookup(spec);
-    CachedRunResult out;
-    out.cache = lookup.kind;
-
     if (lookup.kind == HitKind::Exact) {
         // Zero executor draws. A validated tally is the clustering itself;
         // without one, re-cluster under the spec's analysis knobs (the
         // same bits, a pure function of samples and knobs) and repair the
         // tally through the ordinary store.
+        CachedRunResult out;
+        out.cache = HitKind::Exact;
         out.stored_clustering = lookup.clustering.has_value();
         out.analysis =
             out.stored_clustering
@@ -85,35 +75,20 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
         return out;
     }
 
+    // A prefix entry is replayed as each algorithm's stream prefix:
+    // identical values in identical order make every decision identical to
+    // a cold run, and only draws beyond the prefix reach the executor. A
+    // miss measures cold. Either way the result is published for the next
+    // run.
+    std::optional<campaign::GlobalSampleSource> bundle;
+    std::optional<CachedSampleSource> replay;
     if (lookup.kind == HitKind::Prefix) {
-        // Re-run the ordinary measurement path with the cached samples
-        // replayed as each algorithm's stream prefix: identical values in
-        // identical order make every decision identical to a cold run, and
-        // only draws beyond the prefix reach the executor.
-        campaign::GlobalSampleSource bundle(spec);
-        CachedSampleSource replay(bundle.source(), lookup.merged);
-        if (spec.adaptive_coordinated) {
-            campaign::CoordinatedCampaignResult coordinated =
-                campaign::run_coordinated_campaign(spec, shard_count, replay,
-                                                   workers);
-            out.analysis = std::move(coordinated.analysis);
-            out.stopset_rounds = std::move(coordinated.stopset_rounds);
-            out.rounds = coordinated.rounds;
-        } else {
-            // cacheable() admitted this plan, so an adaptive one runs with
-            // K == 1: the engine over the full global variant list, of
-            // which a fixed-N plan is the one-round case.
-            out.analysis =
-                core::analyze_source(replay, spec.analysis_config(workers));
-        }
-        out.samples_from_cache = replay.served();
-        cache.store(spec, out.analysis.measurements, out.stopset_rounds,
-                    &out.analysis.clustering);
-        return out;
+        replay.emplace(bundle.emplace(spec).source(), lookup.merged);
     }
-
-    // Miss: measure cold, publish the result for the next run.
-    out = run_uncached(spec, shard_count, workers);
+    CachedRunResult out = from_run(campaign::run_plan(
+        spec, count, workers, replay ? &*replay : nullptr));
+    out.cache = lookup.kind;
+    out.samples_from_cache = replay ? replay->served() : 0;
     cache.store(spec, out.analysis.measurements, out.stopset_rounds,
                 &out.analysis.clustering);
     return out;

@@ -15,11 +15,18 @@
 //!    same bits, and the entry is re-stored with the new tally.
 //!  - **Prefix extension** — the entry's samples are replayed as the stream
 //!    prefix through a CachedSampleSource over campaign::GlobalSampleSource
-//!    (cached_source.hpp); core::analyze_source (or the coordinator) re-runs
-//!    from scratch seeing identical values, so the final MeasurementSet is
-//!    bit-identical to a cold full run while only the budget delta reaches
-//!    the executor. The extended result is stored, upgrading the entry.
-//!  - **Miss** — the campaign runs exactly as without a cache, then stores.
+//!    (cached_source.hpp), handed to campaign::run_plan as its source: one
+//!    engine re-runs the plan from scratch seeing identical values, so the
+//!    final MeasurementSet is bit-identical to a cold full run while only
+//!    the budget delta reaches the executor. The extended result is stored,
+//!    upgrading the entry.
+//!  - **Miss** — campaign::run_plan runs the plan exactly as without a
+//!    cache, then stores.
+//!
+//! Every tier, the bypass and a disabled cache go through the one router,
+//! campaign::run_plan, and the shard count is checked (campaign::split_plan)
+//! before the lookup: a K outside 1..p is an InvalidArgument on every tier,
+//! and the cache directory is not touched.
 //!
 //! Every store carries the tier's clustering, so the next exact hit of the
 //! plan under the same analysis knobs is served without clustering. On the
@@ -28,12 +35,12 @@
 //! 0.100 -> 0.070 s and `cpu_s` 0.184 -> 0.131 s (calibrated seconds,
 //! 4-vCPU KVM Xeon guest, GCC 12 Release).
 //!
-//! Cacheability: a shard-local adaptive plan run with K > 1 shards produces
-//! per-algorithm counts that depend on K, which the plan hash deliberately
-//! excludes — such runs bypass the cache entirely (neither served nor
-//! stored, counted as a miss). Fixed-N plans (any K), single-shard adaptive
-//! plans and coordinated adaptive plans (K-invariant counts by
-//! construction) are all cacheable.
+//! Cacheability is campaign::k_invariant: a shard-local adaptive plan run
+//! with K > 1 shards produces per-algorithm counts that depend on K, which
+//! the plan hash deliberately excludes — such runs bypass the cache
+//! entirely (neither served nor stored, counted as a miss). Fixed-N plans
+//! (any K), single-shard adaptive plans and coordinated adaptive plans
+//! (K-invariant counts by construction) are all cacheable.
 
 #include "cache/result_cache.hpp"
 #include "campaign/spec.hpp"
@@ -64,15 +71,16 @@ struct CachedRunResult {
 };
 
 /// True when `spec` run with `shard_count` shards (0 = spec.shards) yields a
-/// K-invariant result the cache may serve and store.
+/// K-invariant result the cache may serve and store (campaign::k_invariant).
 [[nodiscard]] bool cacheable(const campaign::CampaignSpec& spec,
                              std::size_t shard_count);
 
-/// campaign::run_campaign with the cache consulted first. A disabled cache
-/// (empty dir) or an uncacheable plan degrades to a plain run. `workers`
-/// (0 = all cores) sizes the shard pool of a non-coordinated miss and the
-/// clustering pool of every tier — miss, exact hit and prefix extension —
-/// without moving a bit (as in run_campaign).
+/// campaign::run_plan with the cache consulted first. A disabled cache
+/// (empty dir) or an uncacheable plan degrades to a plain run. Throws
+/// InvalidArgument, before any lookup, unless 1 <= K <= the plan's variant
+/// count. `workers` (0 = all cores) sizes the shard pool of a sharded miss
+/// and the clustering pool of every tier — miss, exact hit and prefix
+/// extension — without moving a bit (as in run_plan).
 [[nodiscard]] CachedRunResult run_campaign_cached(
     const campaign::CampaignSpec& spec, ResultCache& cache,
     std::size_t shard_count = 0, std::size_t workers = 1);

@@ -180,30 +180,7 @@ core::MeasurementSet merge_shards(const CampaignSpec& spec,
 core::AnalysisResult run_campaign(const CampaignSpec& spec,
                                   std::size_t shard_count,
                                   std::size_t workers) {
-    // Coordinated plans cannot run shard-by-shard (the stop decisions need
-    // the merged view between rounds), so route them through the
-    // coordinator: one global engine whose clusterings use `workers`.
-    if (spec.adaptive_coordinated) {
-        return run_coordinated_campaign(spec, shard_count, workers).analysis;
-    }
-    // One shard-local adaptive shard is the engine over the whole plan, and
-    // the engine's last clustering is the merged set's: run it directly
-    // rather than re-cluster what a shard already clustered.
-    const std::size_t count = shard_count == 0 ? spec.shards : shard_count;
-    if (spec.adaptive() && count == 1) {
-        GlobalSampleSource bundle(spec);
-        return core::analyze_source(bundle.source(),
-                                    spec.analysis_config(workers));
-    }
-    const LocalShardRunner runner(workers);
-    const std::vector<ShardResult> shards = runner.run(spec, shard_count);
-    core::MeasurementSet merged = merge_shards(spec, shards);
-    core::AnalysisResult result = core::analyze_measurements(
-        std::move(merged), spec.analysis_config(workers));
-    // analyze_measurements cannot know the plan's cap; restore the true
-    // fixed-N cost so result.saved quantities reflect the adaptive savings.
-    result.fixed_n_samples = result.measurements.size() * spec.measurements;
-    return result;
+    return run_plan(spec, shard_count, workers).analysis;
 }
 
 } // namespace relperf::campaign

@@ -1,6 +1,6 @@
 #include "campaign/runner.hpp"
 
-#include "campaign/sharder.hpp"
+#include "campaign/merge.hpp"
 #include "linalg/backend.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -13,23 +13,23 @@
 #include "support/str.hpp"
 
 #include <atomic>
-#include <numeric>
 #include <optional>
 
 namespace relperf::campaign {
 
-namespace {
-
-std::size_t effective_shard_count(const CampaignSpec& spec,
-                                  std::size_t shard_count) {
-    return shard_count == 0 ? spec.shards : shard_count;
+Sharder split_plan(const CampaignSpec& spec, std::size_t shard_count) {
+    spec.validate();
+    return Sharder(spec.variants().size(),
+                   shard_count == 0 ? spec.shards : shard_count);
 }
 
-} // namespace
+bool k_invariant(const CampaignSpec& spec, std::size_t shard_count) noexcept {
+    return !spec.adaptive() || spec.adaptive_coordinated ||
+           (shard_count == 0 ? spec.shards : shard_count) == 1;
+}
 
 ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
                       std::size_t shard_count) {
-    spec.validate();
     // A lone shard cannot honor a coordinated plan: the stop decisions need
     // the merged view of all shards between rounds.
     RELPERF_REQUIRE(!spec.adaptive_coordinated,
@@ -38,9 +38,9 @@ ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
                     "between rounds — run the campaign through "
                     "run_coordinated_campaign (relperf_cli --coordinated "
                     "--run) instead of per-shard execution");
-    const std::size_t count = effective_shard_count(spec, shard_count);
-    const ShardPlan plan =
-        Sharder(spec.variants().size(), count).plan(shard_index);
+    const Sharder sharder = split_plan(spec, shard_count);
+    const std::size_t count = sharder.shard_count();
+    const ShardPlan plan = sharder.plan(shard_index);
     // Built before the shard is counted: it fails up front when this build
     // cannot honor the plan's backends.
     GlobalSampleSource mine(spec, plan.assignment_indices);
@@ -93,32 +93,23 @@ GlobalSampleSource::GlobalSampleSource(
     for (const std::string& name : spec.variant_backends) {
         (void)linalg::backend(name);
     }
-    const std::vector<workloads::VariantAssignment> all = spec.variants();
-    std::vector<std::size_t> globals = global_indices;
-    if (globals.empty()) {
-        globals.resize(all.size());
-        std::iota(globals.begin(), globals.end(), std::size_t{0});
-    }
+    std::vector<workloads::VariantAssignment> all = spec.variants();
     std::vector<workloads::VariantAssignment> variants;
-    variants.reserve(globals.size());
-    for (const std::size_t global : globals) {
+    variants.reserve(global_indices.size());
+    for (const std::size_t global : global_indices) {
         RELPERF_REQUIRE(global < all.size(),
                         str::format("GlobalSampleSource: variant index %zu is "
                                     "out of range (the plan has %zu)",
                                     global, all.size()));
         variants.push_back(all[global]);
     }
-    core::StreamFactory streams = [seed = spec.measurement_seed,
-                                   globals = std::move(globals)](
-                                      std::size_t local) {
-        return stats::Rng(core::assignment_stream_seed(seed, globals[local]));
-    };
+    if (global_indices.empty()) variants = std::move(all);
     if (spec.executor == ExecutorKind::Sim) {
         impl_->model.emplace(platform_preset(spec.platform));
         impl_->sim_executor.emplace(*impl_->model, sim::NoiseModel{});
         impl_->source = std::make_unique<core::SimSampleSource>(
             *impl_->sim_executor, spec.chain(), std::move(variants),
-            std::move(streams));
+            spec.measurement_seed, global_indices);
         return;
     }
     const sim::EmulatedDevice device{spec.device_threads, 0.0, 0.0};
@@ -128,26 +119,75 @@ GlobalSampleSource::GlobalSampleSource(
     impl_->real_executor.emplace(device, accelerator);
     impl_->source = std::make_unique<core::RealSampleSource>(
         *impl_->real_executor, spec.chain(), std::move(variants),
-        std::move(streams), spec.warmup);
+        spec.measurement_seed, global_indices, spec.warmup);
 }
 
 GlobalSampleSource::~GlobalSampleSource() = default;
 
 core::SampleSource& GlobalSampleSource::source() { return *impl_->source; }
 
-CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
-                                                   std::size_t shard_count,
-                                                   std::size_t workers) {
-    GlobalSampleSource bundle(spec);
-    return run_coordinated_campaign(spec, shard_count, bundle.source(),
-                                    workers);
+CoordinatedCampaignResult run_plan(const CampaignSpec& spec,
+                                   std::size_t shard_count,
+                                   std::size_t workers,
+                                   core::SampleSource* source) {
+    const Sharder sharder = split_plan(spec, shard_count);
+    const std::size_t count = sharder.shard_count();
+    CoordinatedCampaignResult out;
+    if (source == nullptr && !(spec.adaptive() && k_invariant(spec, count))) {
+        // Fixed N, or shard-local stopping on K > 1 shards: measure the
+        // shards, merge them and cluster the merged set once.
+        const std::vector<ShardResult> shards =
+            LocalShardRunner(workers).run(spec, count);
+        out.analysis = core::analyze_measurements(
+            merge_shards(spec, shards), spec.analysis_config(workers));
+        // analyze_measurements cannot know the plan's cap; restore the true
+        // fixed-N cost so the adaptive savings stay visible.
+        out.analysis.fixed_n_samples =
+            out.analysis.measurements.size() * spec.measurements;
+        return out;
+    }
+
+    // One engine over the full variant list. For a coordinated plan the
+    // coordinator owns the round loop conceptually, not mechanically: every
+    // variant draws from the stream of its *global* index, so "collect all
+    // shards' measurements, re-cluster the merged set, broadcast the
+    // stop-set" is value-identical to this engine run — the merged
+    // clustering IS the engine's per-round clustering, and the global
+    // stop-set IS its frozen set. The observer is where the broadcast
+    // becomes observable: one coordination round and K stop-set broadcasts
+    // per clustering, recorded in the stop-set history.
+    std::optional<GlobalSampleSource> own;
+    if (source == nullptr) source = &own.emplace(spec).source();
+    RELPERF_REQUIRE(source->count() == sharder.assignment_count(),
+                    "run_plan: the sample source must enumerate the spec's "
+                    "full global variant list");
+    core::RoundObserver observer;
+    if (spec.adaptive_coordinated) {
+        observer = [&](const core::EngineRound& r) {
+            obs::Span round("campaign.coordinate", "campaign");
+            round.arg("round", static_cast<std::uint64_t>(r.round))
+                .arg("shards", static_cast<std::uint64_t>(count))
+                .arg("newly_stopped",
+                     static_cast<std::uint64_t>(r.newly_stopped))
+                .arg("stopset", static_cast<std::uint64_t>(r.stopped_total))
+                .arg("active", static_cast<std::uint64_t>(r.active));
+            obs::metrics().coordination_rounds.inc();
+            // The global stop-set goes out to every shard each round.
+            obs::metrics().stopset_broadcast_total.inc(count);
+            out.stopset_rounds.push_back(r.stopped_total);
+        };
+    }
+    // The engine's published clustering is exactly what
+    // analyze_measurements would produce on the final measurements.
+    out.analysis =
+        core::analyze_source(*source, spec.analysis_config(workers), observer);
+    out.rounds = out.stopset_rounds.size();
+    return out;
 }
 
 CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
                                                    std::size_t shard_count,
-                                                   core::SampleSource& source,
                                                    std::size_t workers) {
-    spec.validate();
     RELPERF_REQUIRE(spec.adaptive(),
                     "run_coordinated_campaign: spec is fixed-N — coordinated "
                     "stopping needs an adaptive plan "
@@ -156,41 +196,7 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
                     "run_coordinated_campaign: spec does not declare "
                     "'adaptive_coordination = coordinated' — the key is part "
                     "of the measurement plan and must be recorded");
-    const std::size_t count = effective_shard_count(spec, shard_count);
-    const Sharder sharder(spec.variants().size(), count);
-
-    // The coordinator owns the round loop conceptually, but it does not need
-    // to own it mechanically: every variant draws from the stream derived
-    // from its *global* index, so "collect all shards' measurements,
-    // re-cluster the merged set, broadcast the stop-set" is value-identical
-    // to running the one engine over the full variant list — the merged
-    // clustering IS the engine's per-round clustering, and the global
-    // stop-set IS the engine's frozen set. The observer is where the
-    // broadcast becomes observable: one coordination round and K stop-set
-    // broadcasts per clustering, recorded in the stop-set history.
-    RELPERF_REQUIRE(source.count() == sharder.assignment_count(),
-                    "run_coordinated_campaign: the sample source must "
-                    "enumerate the spec's full global variant list");
-    CoordinatedCampaignResult out;
-    const core::RoundObserver observer = [&](const core::EngineRound& r) {
-        obs::Span round("campaign.coordinate", "campaign");
-        round.arg("round", static_cast<std::uint64_t>(r.round))
-            .arg("shards", static_cast<std::uint64_t>(count))
-            .arg("newly_stopped", static_cast<std::uint64_t>(r.newly_stopped))
-            .arg("stopset", static_cast<std::uint64_t>(r.stopped_total))
-            .arg("active", static_cast<std::uint64_t>(r.active));
-        obs::metrics().coordination_rounds.inc();
-        // The global stop-set goes out to every shard each round.
-        obs::metrics().stopset_broadcast_total.inc(count);
-        out.stopset_rounds.push_back(r.stopped_total);
-    };
-
-    // The engine's published clustering is exactly what analyze_measurements
-    // would produce on the final merged measurements — no re-clustering.
-    out.analysis =
-        core::analyze_source(source, spec.analysis_config(workers), observer);
-    out.rounds = out.stopset_rounds.size();
-    return out;
+    return run_plan(spec, shard_count, workers);
 }
 
 LocalShardRunner::LocalShardRunner(std::size_t workers)
@@ -198,10 +204,8 @@ LocalShardRunner::LocalShardRunner(std::size_t workers)
 
 std::vector<ShardResult> LocalShardRunner::run(const CampaignSpec& spec,
                                                std::size_t shard_count) const {
-    spec.validate();
-    const std::size_t count = effective_shard_count(spec, shard_count);
-    // Validate K against the variant count before spawning anything.
-    (void)Sharder(spec.variants().size(), count);
+    // Checks K against the variant count before spawning anything.
+    const std::size_t count = split_plan(spec, shard_count).shard_count();
 
     // Real campaigns measure wall-clock time on this machine: concurrent
     // shards would measure each other's contention, so run them serially.

@@ -24,13 +24,16 @@ void AdaptiveConfig::validate() const {
 
 VariantSampleSource::VariantSampleSource(
     workloads::TaskChain chain,
-    std::vector<workloads::VariantAssignment> variants, StreamFactory streams)
-    : chain_(std::move(chain)),
-      variants_(std::move(variants)),
-      streams_(std::move(streams)),
-      open_(variants_.size()) {
-    RELPERF_REQUIRE(streams_ != nullptr,
-                    "VariantSampleSource: stream factory must be callable");
+    std::vector<workloads::VariantAssignment> variants, std::uint64_t seed,
+    const std::vector<std::size_t>& globals)
+    : chain_(std::move(chain)), variants_(std::move(variants)) {
+    RELPERF_REQUIRE(globals.empty() || globals.size() == variants_.size(),
+                    "VariantSampleSource: one global index per variant");
+    const stats::Rng master(seed);
+    streams_.reserve(variants_.size());
+    for (std::size_t i = 0; i < variants_.size(); ++i) {
+        streams_.push_back(master.child(globals.empty() ? i : globals[i]));
+    }
 }
 
 std::string VariantSampleSource::name(std::size_t index) const {
@@ -40,17 +43,17 @@ std::string VariantSampleSource::name(std::size_t index) const {
 }
 
 stats::Rng& VariantSampleSource::stream(std::size_t index) {
-    RELPERF_REQUIRE(index < open_.size(),
+    RELPERF_REQUIRE(index < streams_.size(),
                     "VariantSampleSource: index out of range");
-    if (!open_[index]) open_[index] = streams_(index);
-    return *open_[index];
+    return streams_[index];
 }
 
 SimSampleSource::SimSampleSource(
     const sim::SimulatedExecutor& executor, workloads::TaskChain chain,
-    std::vector<workloads::VariantAssignment> variants, StreamFactory streams)
-    : VariantSampleSource(std::move(chain), std::move(variants),
-                          std::move(streams)),
+    std::vector<workloads::VariantAssignment> variants, std::uint64_t seed,
+    const std::vector<std::size_t>& globals)
+    : VariantSampleSource(std::move(chain), std::move(variants), seed,
+                          globals),
       executor_(executor) {}
 
 std::vector<double> SimSampleSource::draw(std::size_t index, std::size_t n) {
@@ -73,10 +76,10 @@ void SimSampleSource::skip(std::size_t index, std::size_t n) {
 
 RealSampleSource::RealSampleSource(
     const sim::RealExecutor& executor, workloads::TaskChain chain,
-    std::vector<workloads::VariantAssignment> variants, StreamFactory streams,
-    std::size_t warmup)
-    : VariantSampleSource(std::move(chain), std::move(variants),
-                          std::move(streams)),
+    std::vector<workloads::VariantAssignment> variants, std::uint64_t seed,
+    const std::vector<std::size_t>& globals, std::size_t warmup)
+    : VariantSampleSource(std::move(chain), std::move(variants), seed,
+                          globals),
       executor_(executor),
       warmup_(warmup) {}
 

@@ -38,7 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 namespace relperf::core {
@@ -88,13 +87,13 @@ public:
     }
 };
 
-/// Opens the measurement stream of the algorithm at (local) position i.
-/// The pipeline derives it from the master rng (`rng.child(i)`);
-/// GlobalSampleSource from the *global* index via assignment_stream_seed.
-using StreamFactory = std::function<stats::Rng(std::size_t)>;
-
 /// Shared plumbing of the executor-backed sources: the variant list, the
-/// algorithm names, and the lazily opened per-algorithm streams.
+/// algorithm names and one persistent stream per algorithm. The stream rule
+/// lives here and nowhere else: the variant at position i draws on
+/// Rng(seed).child(globals[i]), or on Rng(seed).child(i) when `globals` is
+/// empty. Its seed is assignment_stream_seed(seed, globals[i]), so a subset
+/// of a plan (a campaign shard) reproduces the matching rows of the whole
+/// list bit for bit.
 class VariantSampleSource : public SampleSource {
 public:
     [[nodiscard]] std::size_t count() const override { return variants_.size(); }
@@ -103,17 +102,17 @@ public:
 protected:
     VariantSampleSource(workloads::TaskChain chain,
                         std::vector<workloads::VariantAssignment> variants,
-                        StreamFactory streams);
+                        std::uint64_t seed,
+                        const std::vector<std::size_t>& globals);
 
-    /// The persistent stream of algorithm `index` (opened on first use).
+    /// The persistent stream of algorithm `index`.
     [[nodiscard]] stats::Rng& stream(std::size_t index);
 
     workloads::TaskChain chain_;
     std::vector<workloads::VariantAssignment> variants_;
 
 private:
-    StreamFactory streams_;
-    std::vector<std::optional<stats::Rng>> open_;
+    std::vector<stats::Rng> streams_;
 };
 
 /// Samples from the SimulatedExecutor.
@@ -122,7 +121,8 @@ public:
     SimSampleSource(const sim::SimulatedExecutor& executor,
                     workloads::TaskChain chain,
                     std::vector<workloads::VariantAssignment> variants,
-                    StreamFactory streams);
+                    std::uint64_t seed,
+                    const std::vector<std::size_t>& globals = {});
 
     [[nodiscard]] std::vector<double> draw(std::size_t index,
                                            std::size_t n) override;
@@ -142,7 +142,9 @@ public:
     RealSampleSource(const sim::RealExecutor& executor,
                      workloads::TaskChain chain,
                      std::vector<workloads::VariantAssignment> variants,
-                     StreamFactory streams, std::size_t warmup = 1);
+                     std::uint64_t seed,
+                     const std::vector<std::size_t>& globals = {},
+                     std::size_t warmup = 1);
 
     [[nodiscard]] std::vector<double> draw(std::size_t index,
                                            std::size_t n) override;

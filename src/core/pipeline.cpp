@@ -5,17 +5,6 @@
 
 namespace relperf::core {
 
-namespace {
-
-/// The pipeline's per-variant stream derivation: position i measures on
-/// rng.child(i) (a pure function of the master rng's construction seed, see
-/// assignment_stream_seed).
-StreamFactory child_streams(const stats::Rng& rng) {
-    return [&rng](std::size_t index) { return rng.child(index); };
-}
-
-} // namespace
-
 std::uint64_t assignment_stream_seed(std::uint64_t master_seed,
                                      std::size_t index) noexcept {
     return stats::Rng(master_seed).child(index).seed();
@@ -26,7 +15,7 @@ MeasurementSet measure_variants(
     const std::vector<workloads::VariantAssignment>& variants, std::size_t n,
     stats::Rng& rng) {
     RELPERF_REQUIRE(!variants.empty(), "measure_variants: no variants");
-    SimSampleSource source(executor, chain, variants, child_streams(rng));
+    SimSampleSource source(executor, chain, variants, rng.seed());
     obs::metrics().samples_fixed_n_total.inc(variants.size() * n);
     return measure_all(source, n);
 }
@@ -36,7 +25,7 @@ MeasurementSet measure_variants_real(
     const std::vector<workloads::VariantAssignment>& variants, std::size_t n,
     stats::Rng& rng, std::size_t warmup) {
     RELPERF_REQUIRE(!variants.empty(), "measure_variants_real: no variants");
-    RealSampleSource source(executor, chain, variants, child_streams(rng),
+    RealSampleSource source(executor, chain, variants, rng.seed(), {},
                             warmup);
     obs::metrics().samples_fixed_n_total.inc(variants.size() * n);
     return measure_all(source, n);
@@ -64,8 +53,7 @@ AnalysisResult analyze_chain(
     const std::vector<workloads::VariantAssignment>& variants,
     const AnalysisConfig& config) {
     RELPERF_REQUIRE(!variants.empty(), "analyze_chain: no assignments");
-    const stats::Rng rng(config.measurement_seed);
-    SimSampleSource source(executor, chain, variants, child_streams(rng));
+    SimSampleSource source(executor, chain, variants, config.measurement_seed);
     return analyze_source(source, config);
 }
 

@@ -11,7 +11,9 @@
 //! bit-identical to measure_all followed by analyze_measurements;
 //! AnalysisConfig::adaptive switches on the early-stopping rounds.
 //! measure_variants / measure_variants_real only measure, for callers that
-//! cluster (or compare) the set themselves.
+//! cluster (or compare) the set themselves. Every source they build opens
+//! its streams by VariantSampleSource's one rule, from the master seed and
+//! each variant's position; a campaign passes global indices instead.
 
 #include "core/bootstrap_comparator.hpp"
 #include "core/clustering.hpp"
@@ -28,10 +30,12 @@
 namespace relperf::core {
 
 /// Seed of the independent measurement stream used for the assignment at
-/// position `index` when the master rng was constructed from `master_seed`.
-/// This is the sharding contract: a campaign shard that measures assignment
-/// `index` with `stats::Rng(assignment_stream_seed(seed, index))` reproduces
-/// the unsharded run bit-for-bit, regardless of which shard runs it or when.
+/// position `index` when the master rng was constructed from `master_seed`:
+/// the seed of Rng(master_seed).child(index), the stream a
+/// VariantSampleSource opens for that variant. This is the sharding
+/// contract: a campaign shard that measures assignment `index` with
+/// `stats::Rng(assignment_stream_seed(seed, index))` reproduces the
+/// unsharded run bit-for-bit, regardless of which shard runs it or when.
 /// It is also the adaptive-measurement contract: each assignment's sample is
 /// a deterministic prefix-extensible sequence of its own stream, so early
 /// stopping on one algorithm cannot perturb another's values.

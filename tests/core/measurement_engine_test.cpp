@@ -25,7 +25,6 @@
 namespace core = relperf::core;
 namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
-using relperf::stats::Rng;
 
 namespace {
 
@@ -360,13 +359,7 @@ TEST(MeasurementEngine, AdaptiveSamplesAreAPrefixOfTheFixedRun) {
     std::vector<workloads::VariantAssignment> variants;
     for (const auto& a : assignments) variants.emplace_back(a);
 
-    const auto streams = [](const Rng& master) {
-        return [&master](std::size_t i) { return master.child(i); };
-    };
-
-    Rng fixed_master(99);
-    core::SimSampleSource fixed_source(executor, chain, variants,
-                                       streams(fixed_master));
+    core::SimSampleSource fixed_source(executor, chain, variants, 99);
     const core::MeasurementSet fixed = core::measure_all(fixed_source, 30);
 
     core::AdaptiveConfig adaptive;
@@ -374,9 +367,7 @@ TEST(MeasurementEngine, AdaptiveSamplesAreAPrefixOfTheFixedRun) {
     adaptive.max_n = 30;
     adaptive.batch = 4;
     adaptive.stability_rounds = 2;
-    Rng adaptive_master(99);
-    core::SimSampleSource adaptive_source(executor, chain, variants,
-                                          streams(adaptive_master));
+    core::SimSampleSource adaptive_source(executor, chain, variants, 99);
     const core::EngineResult result = engine_for(adaptive).run(adaptive_source);
 
     ASSERT_EQ(result.measurements.size(), fixed.size());
