@@ -4,12 +4,12 @@
 //! presets: Xeon+P100, Raspberry-Pi+LAN-server, smartphone+mobile-GPU and a
 //! symmetric CPU-only pair.
 //!
-//! The measurement phase routes through the campaign subsystem
-//! (src/campaign/): `--shards K` splits each platform's assignment list into
-//! K shards executed across `--workers` threads, and the merged clustering is
-//! bit-identical to the single-process path for every K (pass --verify to
-//! check that in-process). On a multi-core host, larger --shards/--workers
-//! shrink the measurement wall-clock.
+//! Each platform runs as one campaign::run_campaign: `--shards K` splits its
+//! assignment list into K shards executed across `--workers` threads, and
+//! the merged clustering is bit-identical to the single-process path for
+//! every K (pass --verify to check that in-process). The timing line covers
+//! the whole campaigns, measurement and clustering; on a multi-core host,
+//! larger --shards/--workers shrink it.
 
 #include "bench_common.hpp"
 #include "campaign/campaign.hpp"
@@ -126,8 +126,7 @@ int main(int argc, char** argv) try {
 
     std::vector<std::string> header = {"Algorithm"};
     std::vector<core::AnalysisResult> results;
-    double measure_seconds = 0.0;
-    const campaign::LocalShardRunner runner(workers);
+    double campaign_seconds = 0.0;
 
     for (const std::string& preset : campaign::platform_preset_names()) {
         campaign::CampaignSpec spec;
@@ -151,13 +150,8 @@ int main(int argc, char** argv) try {
         spec.clustering_seed = config.clustering.seed;
 
         const auto start = std::chrono::steady_clock::now();
-        const std::vector<campaign::ShardResult> shard_results =
-            runner.run(spec);
-        measure_seconds += seconds_since(start);
-
-        core::MeasurementSet merged = campaign::merge_shards(spec, shard_results);
-        results.push_back(core::analyze_measurements(std::move(merged),
-                                                     spec.analysis_config()));
+        results.push_back(campaign::run_campaign(spec, shards, workers));
+        campaign_seconds += seconds_since(start);
 
         if (cli.flag("verify")) {
             const core::AnalysisResult solo = campaign::run_campaign(spec, 1, 1);
@@ -194,11 +188,11 @@ int main(int argc, char** argv) try {
     }
     std::fputs(table.render().c_str(), stdout);
 
-    std::printf("\nmeasurement campaigns: %zu platforms x %zu shards, "
-                "%s workers -> %s\n",
+    std::printf("\ncampaigns (measure + cluster): %zu platforms x %zu "
+                "shards, %s workers -> %s\n",
                 campaign::platform_preset_names().size(), shards,
                 workers == 0 ? "all" : std::to_string(workers).c_str(),
-                str::human_seconds(measure_seconds).c_str());
+                str::human_seconds(campaign_seconds).c_str());
     if (adaptive) {
         // The registry counters were fed by the engine as the campaigns
         // ran (--verify re-runs would double-feed them, but adaptive +

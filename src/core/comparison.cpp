@@ -2,15 +2,6 @@
 
 namespace relperf::core {
 
-const char* to_string(Ordering o) noexcept {
-    switch (o) {
-        case Ordering::Worse: return "worse";
-        case Ordering::Equivalent: return "equivalent";
-        case Ordering::Better: return "better";
-    }
-    return "?";
-}
-
 const char* to_symbol(Ordering o) noexcept {
     switch (o) {
         case Ordering::Worse: return "<";

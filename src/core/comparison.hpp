@@ -30,8 +30,6 @@ enum class Ordering {
     return Ordering::Equivalent;
 }
 
-[[nodiscard]] const char* to_string(Ordering o) noexcept;
-
 /// Paper-style symbol: "<", "~", ">".
 [[nodiscard]] const char* to_symbol(Ordering o) noexcept;
 

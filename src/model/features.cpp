@@ -122,16 +122,4 @@ FeatureVector extract_variant_features(
     return features;
 }
 
-std::vector<FeatureVector> extract_variant_features(
-    const workloads::TaskChain& chain,
-    const std::vector<workloads::VariantAssignment>& variants,
-    const std::vector<std::string>& backends) {
-    std::vector<FeatureVector> out;
-    out.reserve(variants.size());
-    for (const workloads::VariantAssignment& variant : variants) {
-        out.push_back(extract_variant_features(chain, variant, backends));
-    }
-    return out;
-}
-
 } // namespace relperf::model

@@ -60,10 +60,4 @@ struct FeatureVector {
     const workloads::VariantAssignment& variant,
     const std::vector<std::string>& backends);
 
-/// Variant feature matrix (rows in the given order).
-[[nodiscard]] std::vector<FeatureVector> extract_variant_features(
-    const workloads::TaskChain& chain,
-    const std::vector<workloads::VariantAssignment>& variants,
-    const std::vector<std::string>& backends);
-
 } // namespace relperf::model

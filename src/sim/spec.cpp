@@ -33,17 +33,6 @@ double EfficiencyCurve::at(double size) const {
     return points_.back().second; // unreachable
 }
 
-const char* to_string(DeviceKind kind) noexcept {
-    switch (kind) {
-        case DeviceKind::CpuCore: return "cpu-core";
-        case DeviceKind::Gpu: return "gpu";
-        case DeviceKind::RaspberryPi: return "raspberry-pi";
-        case DeviceKind::Smartphone: return "smartphone";
-        case DeviceKind::Server: return "server";
-    }
-    return "?";
-}
-
 void DeviceSpec::validate() const {
     RELPERF_REQUIRE(peak_gflops > 0.0, "DeviceSpec: peak_gflops must be positive");
     RELPERF_REQUIRE(dispatch_overhead_s >= 0.0,

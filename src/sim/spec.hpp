@@ -33,8 +33,6 @@ private:
 /// Broad device category (drives presets and report labels only).
 enum class DeviceKind { CpuCore, Gpu, RaspberryPi, Smartphone, Server };
 
-[[nodiscard]] const char* to_string(DeviceKind kind) noexcept;
-
 /// One compute device.
 struct DeviceSpec {
     std::string name;

@@ -1,11 +1,9 @@
 #include "stats/histogram.hpp"
 
-#include "stats/descriptive.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace relperf::stats {
 
@@ -26,34 +24,6 @@ Histogram::Histogram(std::span<const double> sample, double lo, double hi,
         ++counts_[bin];
         ++total_;
     }
-}
-
-std::size_t Histogram::fd_bin_count(std::span<const double> sample, double lo, double hi) {
-    RELPERF_REQUIRE(!sample.empty(), "Histogram: empty sample");
-    const std::vector<double> sorted = sorted_copy(sample);
-    const double iqr =
-        quantile_sorted(sorted, 0.75) - quantile_sorted(sorted, 0.25);
-    const double n = static_cast<double>(sample.size());
-    double width = 2.0 * iqr / std::cbrt(n); // Freedman–Diaconis
-    if (width <= 0.0) {
-        // Degenerate IQR: fall back to Sturges.
-        const double bins = std::ceil(std::log2(n) + 1.0);
-        return static_cast<std::size_t>(std::max(1.0, bins));
-    }
-    const double bins = std::ceil((hi - lo) / width);
-    return static_cast<std::size_t>(std::clamp(bins, 1.0, 512.0));
-}
-
-Histogram Histogram::automatic(std::span<const double> sample) {
-    RELPERF_REQUIRE(!sample.empty(), "Histogram: empty sample");
-    const auto [lo_it, hi_it] = std::minmax_element(sample.begin(), sample.end());
-    double lo = *lo_it;
-    double hi = *hi_it;
-    if (lo == hi) { // widen degenerate range
-        lo -= 0.5;
-        hi += 0.5;
-    }
-    return Histogram(sample, lo, hi, fd_bin_count(sample, lo, hi));
 }
 
 std::size_t Histogram::count(std::size_t bin) const {

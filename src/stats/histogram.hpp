@@ -1,8 +1,8 @@
 #pragma once
 //! \file histogram.hpp
-//! Fixed-bin histograms with Freedman–Diaconis automatic binning plus an
-//! ASCII renderer used by `bench/fig1b_distributions` to print the paper's
-//! Figure 1b as terminal output.
+//! Fixed-bin histograms over a caller-chosen range plus an ASCII renderer
+//! used by `bench/fig1b_distributions` to print the paper's Figure 1b as
+//! terminal output.
 
 #include <cstddef>
 #include <span>
@@ -18,14 +18,6 @@ public:
     /// Values outside [lo, hi] are clamped into the edge bins so that
     /// histograms of several algorithms can share one axis.
     Histogram(std::span<const double> sample, double lo, double hi, std::size_t bin_count);
-
-    /// Automatic range ([min, max]) and Freedman–Diaconis bin width
-    /// (falls back to Sturges when IQR == 0).
-    static Histogram automatic(std::span<const double> sample);
-
-    /// Number of bins chosen by the Freedman–Diaconis rule for `sample` over
-    /// an explicit [lo, hi] range (used to share an axis across samples).
-    static std::size_t fd_bin_count(std::span<const double> sample, double lo, double hi);
 
     [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
     [[nodiscard]] double lo() const noexcept { return lo_; }

@@ -24,8 +24,9 @@ namespace relperf::support {
     return workers == 0 ? hardware_threads() : workers;
 }
 
-/// Calls body(i) once for every i in [0, count) on min(threads, count)
-/// threads, the caller being one of them: with one thread the same loop runs
+/// Calls body(i) once for every i in [0, count) on min(threads, count,
+/// hardware_threads()) threads, the caller being one of them: the pool never
+/// runs wider than the machine, and with one thread the same loop runs
 /// inline and nothing is spawned. A throwing body(i) stops further claims;
 /// after the join the exception of the lowest failing index is rethrown.
 /// Every index below it was claimed earlier and ran to completion, so that
@@ -47,7 +48,7 @@ void parallel_for(std::size_t count, std::size_t threads, const Body& body) {
             }
         }
     };
-    const std::size_t width = std::min(threads, count);
+    const std::size_t width = std::min({threads, count, hardware_threads()});
     std::vector<std::thread> pool;
     pool.reserve(width);
     for (std::size_t t = 1; t < width; ++t) {

@@ -6,14 +6,6 @@
 
 namespace relperf::workloads {
 
-const char* to_string(TaskKind kind) noexcept {
-    switch (kind) {
-        case TaskKind::RlsLoop: return "rls";
-        case TaskKind::GemmLoop: return "gemm";
-    }
-    return "?";
-}
-
 double ops_per_iteration(TaskKind kind) noexcept {
     switch (kind) {
         case TaskKind::RlsLoop:

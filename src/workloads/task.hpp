@@ -21,8 +21,6 @@ enum class TaskKind {
     GemmLoop, ///< Figure 1a: matrix-matrix multiplication loop.
 };
 
-[[nodiscard]] const char* to_string(TaskKind kind) noexcept;
-
 /// Resource footprint of one task (aggregated over its iterations).
 struct TaskCost {
     double flops = 0.0;       ///< Arithmetic operations.

@@ -37,6 +37,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -583,6 +584,45 @@ TEST_F(CacheTest, ShardLocalAdaptiveWithMultipleShardsBypasses) {
     EXPECT_EQ(run.cache, cache::HitKind::Miss);
     EXPECT_TRUE(run.bypassed);
     EXPECT_EQ(result_cache.stats().entries, 0u) << "bypassed runs not stored";
+}
+
+TEST_F(CacheTest, ShardCountPastTheVariantsThrowsOnEveryTierUntouched) {
+    // K is checked before the lookup: K = p + 1 would leave an empty shard,
+    // so a miss, an exact hit, a prefix extension and a coordinated run all
+    // throw, and the cache directory keeps its bytes.
+    const campaign::CampaignSpec spec = small_spec();
+    cache::ResultCache result_cache = make_cache();
+    (void)cache::run_campaign_cached(spec, result_cache, 2);
+    const auto snapshot = [&] {
+        std::map<std::string, std::string> files;
+        for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
+            std::ifstream in(entry.path(), std::ios::binary);
+            std::ostringstream bytes;
+            bytes << in.rdbuf();
+            files[entry.path().filename().string()] = bytes.str();
+        }
+        return files;
+    };
+    const std::map<std::string, std::string> before = snapshot();
+    ASSERT_FALSE(before.empty());
+
+    campaign::CampaignSpec miss = spec;
+    miss.measurement_seed += 1;
+    campaign::CampaignSpec prefix = spec;
+    prefix.measurements += 5;
+    ASSERT_EQ(result_cache.lookup(miss).kind, cache::HitKind::Miss);
+    ASSERT_EQ(result_cache.lookup(spec).kind, cache::HitKind::Exact);
+    ASSERT_EQ(result_cache.lookup(prefix).kind, cache::HitKind::Prefix);
+    const std::map<std::string, std::string> looked_up = snapshot();
+    const std::size_t too_many = spec.variants().size() + 1;
+    for (const campaign::CampaignSpec& plan :
+         {miss, spec, prefix, coordinated_spec()}) {
+        EXPECT_THROW((void)cache::run_campaign_cached(plan, result_cache,
+                                                      too_many),
+                     relperf::InvalidArgument)
+            << plan.hash();
+    }
+    EXPECT_EQ(snapshot(), looked_up);
 }
 
 TEST_F(CacheTest, TruncatedPayloadDegradesToAMissAndSelfRepairs) {

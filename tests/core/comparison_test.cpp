@@ -17,12 +17,6 @@ TEST(Ordering, ReverseIsInvolution) {
     }
 }
 
-TEST(Ordering, Names) {
-    EXPECT_STREQ(relperf::core::to_string(Ordering::Better), "better");
-    EXPECT_STREQ(relperf::core::to_string(Ordering::Worse), "worse");
-    EXPECT_STREQ(relperf::core::to_string(Ordering::Equivalent), "equivalent");
-}
-
 TEST(Ordering, PaperSymbols) {
     EXPECT_STREQ(relperf::core::to_symbol(Ordering::Better), ">");
     EXPECT_STREQ(relperf::core::to_symbol(Ordering::Worse), "<");

@@ -99,19 +99,6 @@ TEST(Features, AccelLaunchesCountOnlyOffloadedTasks) {
                      300.0);
 }
 
-TEST(Features, BatchExtractionMatchesSingle) {
-    const auto chain = workloads::paper_rls_chain(5);
-    const auto universe = placement_universe(chain);
-    const auto variants = workloads::enumerate_assignments(3);
-    const auto batch = model::extract_variant_features(chain, variants, universe);
-    ASSERT_EQ(batch.size(), variants.size());
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-        EXPECT_EQ(batch[i].values,
-                  model::extract_variant_features(chain, variants[i], universe)
-                      .values);
-    }
-}
-
 TEST(Features, LengthMismatchThrows) {
     const auto chain = workloads::paper_rls_chain(10);
     EXPECT_THROW((void)model::extract_variant_features(

@@ -34,11 +34,6 @@ TEST(EfficiencyCurve, InvalidPointsThrow) {
                  relperf::InvalidArgument);
 }
 
-TEST(DeviceKindName, Strings) {
-    EXPECT_STREQ(sim::to_string(sim::DeviceKind::Gpu), "gpu");
-    EXPECT_STREQ(sim::to_string(sim::DeviceKind::RaspberryPi), "raspberry-pi");
-}
-
 TEST(DeviceSpec, ValidationCatchesBadFields) {
     sim::DeviceSpec dev;
     dev.peak_gflops = 0.0;

@@ -11,11 +11,6 @@ using workloads::TaskCost;
 using workloads::TaskKind;
 using workloads::TaskSpec;
 
-TEST(TaskKindName, Strings) {
-    EXPECT_STREQ(workloads::to_string(TaskKind::RlsLoop), "rls");
-    EXPECT_STREQ(workloads::to_string(TaskKind::GemmLoop), "gemm");
-}
-
 TEST(OpsPerIteration, MatchesOpGraphs) {
     EXPECT_DOUBLE_EQ(workloads::ops_per_iteration(TaskKind::RlsLoop), 10.0);
     EXPECT_DOUBLE_EQ(workloads::ops_per_iteration(TaskKind::GemmLoop), 3.0);

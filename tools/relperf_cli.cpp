@@ -479,7 +479,8 @@ support::CliParser build_cli() {
     cli.add_option("shards", "override the spec's shard count for --run "
                              "(0 = spec value)", "0");
     cli.add_option("workers", "shard and clustering threads for --run "
-                              "(0 = all cores)", "1");
+                              "(0 = all cores; never more than the "
+                              "hardware threads)", "1");
     cli.add_option("merged-csv", "also write the merged measurements CSV here "
                                  "(--merge/--run modes)", "");
     cli.add_option("backend", "chain-default linalg backend for campaign "
